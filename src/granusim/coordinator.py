@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disruption import DisruptionEvent
-from .errors import ScheduleError
+from .errors import ScheduleError, UnknownNode
 from .federate import FederateState
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
@@ -53,31 +53,42 @@ class Federation:
         self.federates = federates
         self.t = 0
 
-        # Slot k of each consumer federate's foreign_inputs is fed by
-        # (producer network, producer node) stored here.
-        self._producers: dict[NetworkId, list[tuple[NetworkId, int]]] = {
-            n: [] for n in self.order}
+        # Slot k of each consumer's foreign_inputs is fed by the producer
+        # node at a flat index into the federates' performance vectors
+        # laid end to end in ``order``.
+        sizes = {net: federates[net].node_count for net in self.order}
+        offsets, total = {}, 0
+        for net in self.order:
+            offsets[net] = total
+            total += sizes[net]
         consumer_nodes: dict[NetworkId, list[int]] = {n: [] for n in self.order}
+        producers: dict[NetworkId, list[int]] = {n: [] for n in self.order}
         couplings = interdependencies.couplings if interdependencies else ()
         for c in couplings:
-            consumer_nodes[c.consumer_network].append(c.consumer_node)
-            self._producers[c.consumer_network].append(
-                (c.producer_network, c.producer_node))
-        for net in self.order:
-            fed = federates[net]
-            fed.consumer_nodes = np.array(consumer_nodes[net], dtype=int)
-            fed.foreign_inputs = np.ones(len(fed.consumer_nodes))
-            fed.coupling_count = np.bincount(
-                fed.consumer_nodes, minlength=fed.node_count).astype(float)
+            consumer_net, consumer_node, producer_net, producer_node = c
+            if consumer_net not in offsets or producer_net not in offsets:
+                raise ValueError(f"coupling names a network outside the federation: {c}")
+            if not 0 <= producer_node < sizes[producer_net]:
+                raise UnknownNode(f"producer node out of range: {c}")
+            consumer_nodes[consumer_net].append(consumer_node)
+            producers[consumer_net].append(offsets[producer_net] + producer_node)
+        self._feds = [federates[net] for net in self.order]
+        self._gather = []
+        for fed, net in zip(self._feds, self.order):
+            fed.set_consumers(consumer_nodes[net])
+            if producers[net]:
+                self._gather.append((fed, np.array(producers[net], dtype=np.intp)))
 
     def exchange(self) -> None:
-        """Two-phase barrier: read all boundaries, then write all consumers."""
-        read: dict[NetworkId, np.ndarray] = {
-            net: self.federates[net].performance.copy() for net in self.order}
-        for net in self.order:
-            fed = self.federates[net]
-            for slot, (prod_net, prod_node) in enumerate(self._producers[net]):
-                fed.foreign_inputs[slot] = read[prod_net][prod_node]
+        """Two-phase barrier: read all boundaries, then write all consumers.
+
+        The read phase copies every federate's performance into one
+        vector; the write phase gathers each consumer's slots from it
+        into its existing ``foreign_inputs`` array.
+        """
+        read = np.concatenate([fed.performance for fed in self._feds])
+        for fed, index in self._gather:
+            read.take(index, out=fed.foreign_inputs)
 
 
 def _deliver(federation: Federation, actions: list) -> None:
@@ -129,11 +140,13 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
         actions_at.setdefault(ev.retract_time, []).append((0, ev.network_id, nodes))
 
     feds = [federation.federates[n] for n in federation.order]
-    baselines = {n: float(federation.federates[n].performance.sum())
-                 for n in federation.order}
+    baselines = {n: float(fed.performance.sum())
+                 for n, fed in zip(federation.order, feds)}
     series = {n: np.empty(horizon + 1) for n in federation.order}
-    for net in federation.order:
-        series[net][0] = 100.0 * federation.federates[net].performance.sum() / baselines[net]
+    records = [(fed, series[n], baselines[n])
+               for n, fed in zip(federation.order, feds)]
+    for fed, values, baseline in records:
+        values[0] = 100.0 * fed.performance.sum() / baseline
 
     federation.t = 0
     federation.exchange()  # seed foreign inputs with true initial values
@@ -149,9 +162,8 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
                 for fed in feds:
                     fed.step()
             federation.t = t
-            for net in federation.order:
-                series[net][t] = (100.0 * federation.federates[net].performance.sum()
-                                  / baselines[net])
+            for fed, values, baseline in records:
+                values[t] = 100.0 * fed.performance.sum() / baseline
             if t % schedule.tg == 0:
                 federation.exchange()
             yield t

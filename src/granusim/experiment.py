@@ -309,20 +309,26 @@ def timing_profile(config: ScenarioConfig, tg_list: list[int],
     timestep by timestep: one fresh run per level is advanced in
     lockstep through ``run_steps`` and each level's timesteps are timed
     on their own.  A slow spell of the host then lands on all levels
-    alike instead of on one.  Each granularity keeps its fastest round;
-    only the simulation loop is timed.
+    alike instead of on one.  A timestep does the same work in every
+    round, so each keeps its fastest round, and a granularity's cost is
+    the mean of its timesteps' fastest times; only the simulation loop
+    is timed.
     """
-    best = [float("inf")] * len(tg_list)
-    for _ in range(repeats):
+    best = [[float("inf")] * config.horizon for _ in tg_list]
+    for round_ in range(repeats):
         runs = []
         for tg in tg_list:
             federation, schedule, event = _prepare_run(config, tg, rt, ds)
             runs.append(run_steps(federation, schedule, [event]))
-        spent = [0.0] * len(runs)
-        for _ in range(config.horizon):
-            for i, steps in enumerate(runs):
+        # Round r advances the levels starting from level r, so no level
+        # holds one place in the interleaving in every round.
+        first = round_ % len(runs)
+        order = list(zip(runs, best))
+        order = order[first:] + order[:first]
+        for t in range(config.horizon):
+            for steps, fastest in order:
                 started = time.perf_counter()
                 next(steps)
-                spent[i] += time.perf_counter() - started
-        best = [min(b, s / config.horizon) for b, s in zip(best, spent)]
-    return list(zip(tg_list, best))
+                fastest[t] = min(fastest[t], time.perf_counter() - started)
+    return [(tg, sum(fastest) / config.horizon)
+            for tg, fastest in zip(tg_list, best)]

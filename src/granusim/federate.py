@@ -49,21 +49,44 @@ class FederateState:
         self.intrinsic = np.array(topology.intrinsic_performance, dtype=float)
         self.performance = self.intrinsic.copy()
         self.disrupted = np.zeros(n, dtype=bool)
+        # 1.0 where the node is up, 0.0 where disrupted; kept in step
+        # with ``disrupted`` so the step masks by multiplication.
+        self._keep = np.ones(n)
         self.history: deque[np.ndarray] = deque(
             [self.performance.copy() for _ in range(lag)], maxlen=lag)
 
-        # In-adjacency: in_matrix[i, j] = 1 iff edge j -> i.
+        # In-adjacency: in_matrix[i, j] = 1 iff edge j -> i.  Edges are
+        # distinct, so one assignment sets each entry once.
+        edges = np.array(topology.edges, dtype=int).reshape(-1, 2)
         self.in_matrix = np.zeros((n, n))
-        for src, dst in topology.edges:
-            self.in_matrix[dst, src] = 1.0
+        self.in_matrix[edges[:, 1], edges[:, 0]] = 1.0
         self.in_degree = self.in_matrix.sum(axis=1)
 
-        # consumer_nodes[k] is the local node fed by foreign slot k;
-        # the coordinator writes foreign_inputs at sync instants.
-        self.consumer_nodes = np.array(consumer_nodes or [], dtype=int)
+        # Step constants that depend on the topology and the weights.
+        self._in_divisor = np.maximum(self.in_degree, 1.0)
+        no_in = self.in_degree == 0
+        self._no_in = no_in if no_in.any() else None
+        self._intrinsic_term = w_int * self.intrinsic
+        self._local_weight = w_int + w_in
+
+        self.set_consumers(consumer_nodes or [])
+
+    def set_consumers(self, consumer_nodes) -> None:
+        """Wire foreign slot k to local node ``consumer_nodes[k]``.
+
+        Resets every slot to 1.0 and derives the step constants that
+        depend on the coupling: the per-node slot count, its divisor and
+        the mask of uncoupled nodes, which renormalize w_ext away.  The
+        coordinator writes ``foreign_inputs`` at sync instants.
+        """
+        self._check_nodes(consumer_nodes)
+        self.consumer_nodes = np.array(consumer_nodes, dtype=int)
         self.foreign_inputs = np.ones(len(self.consumer_nodes))
         self.coupling_count = np.bincount(
-            self.consumer_nodes, minlength=n).astype(float)
+            self.consumer_nodes, minlength=self.node_count).astype(float)
+        self._coupling_divisor = np.maximum(self.coupling_count, 1.0)
+        uncoupled = self.coupling_count == 0
+        self._uncoupled = uncoupled if uncoupled.any() else None
 
     @property
     def node_count(self) -> int:
@@ -78,36 +101,56 @@ class FederateState:
         return nodes
 
     def step(self) -> None:
-        """Advance the federate by one internal timestep."""
-        n = self.node_count
-        lagged = self.history[0]
-        masked = np.where(self.disrupted, 0.0, lagged)
-        in_sum = self.in_matrix @ masked
-        in_mean = np.where(self.in_degree > 0,
-                           in_sum / np.maximum(self.in_degree, 1.0),
-                           self.intrinsic)
-        base = self.w_int * self.intrinsic + self.w_in * in_mean
+        """Advance the federate by one internal timestep.
+
+        The rule runs as in-place numpy operations on constants set up
+        once: the in-degree divisor ``max(in_degree, 1)`` and the mask of
+        nodes without in-edges, ``w_int * intrinsic`` and ``w_int +
+        w_in`` (from ``__init__``); the slot-count divisor and the mask
+        of uncoupled nodes (from ``set_consumers``); and the 1/0 keep
+        mask of undisrupted nodes (from ``apply_disruption`` and
+        ``retract_disruption``).  Each array operation is the one of the
+        rule in the same order, so results are bit-for-bit those of the
+        plain formula: one matvec of the masked lagged state, divide,
+        select the intrinsic level, scale; slot sums by ``bincount``,
+        then divide; clamp, then zero the disrupted nodes.
+
+        The new state is a fresh array that becomes both
+        ``performance`` and the newest ``history`` entry.
+        """
+        keep = self._keep
+        p = self.in_matrix @ (self.history[0] * keep)
+        p /= self._in_divisor
+        if self._no_in is not None:
+            np.copyto(p, self.intrinsic, where=self._no_in)
+        p *= self.w_in
+        p += self._intrinsic_term
         if len(self.consumer_nodes):
-            foreign_sum = np.bincount(self.consumer_nodes,
-                                      weights=self.foreign_inputs,
-                                      minlength=n)
-            foreign_mean = np.divide(foreign_sum, self.coupling_count,
-                                     out=np.zeros(n),
-                                     where=self.coupling_count > 0)
-            p = np.where(self.coupling_count > 0,
-                         base + self.w_ext * foreign_mean,
-                         base / (self.w_int + self.w_in))
-        else:
-            p = base / (self.w_int + self.w_in)
-        p = np.clip(p, 0.0, 1.0)
-        p[self.disrupted] = 0.0
+            foreign = np.bincount(self.consumer_nodes,
+                                  weights=self.foreign_inputs,
+                                  minlength=len(p))
+            foreign /= self._coupling_divisor
+            foreign *= self.w_ext
+            p += foreign
+        if self._uncoupled is not None:
+            np.divide(p, self._local_weight, out=p, where=self._uncoupled)
+        np.maximum(p, 0.0, out=p)
+        np.minimum(p, 1.0, out=p)
+        p *= keep
         self.performance = p
-        self.history.append(p.copy())
+        self.history.append(p)
 
     def apply_disruption(self, node_set) -> None:
-        """Mark nodes disrupted and force their performance to zero now."""
+        """Mark nodes disrupted and force their performance to zero now.
+
+        ``performance`` is copied before the write: ``step`` stores the
+        same array as the newest ``history`` entry, and an in-place write
+        would change the lagged state the out-neighbours read.
+        """
         nodes = self._check_nodes(node_set)
         self.disrupted[nodes] = True
+        self._keep[nodes] = 0.0
+        self.performance = self.performance.copy()
         self.performance[nodes] = 0.0
 
     def retract_disruption(self, node_set) -> None:
@@ -120,12 +163,16 @@ class FederateState:
         read the lagged zero from ``history`` for ``lag`` more steps, so
         downstream nodes recover through the dynamics only.  The deficit
         shrinks by a factor of about ``w_in`` per step, and the first
-        sync at or after retraction exports what is left of it.
+        sync at or after retraction exports what is left of it.  As in
+        ``apply_disruption``, ``performance`` is copied before the write
+        so the write does not reach ``history``.
         """
         nodes = self._check_nodes(node_set)
         if not self.disrupted[nodes].all():
             raise ValueError(f"retract of nodes that are not disrupted: {node_set}")
         self.disrupted[nodes] = False
+        self._keep[nodes] = 1.0
+        self.performance = self.performance.copy()
         self.performance[nodes] = self.intrinsic[nodes]
 
     def read_boundary(self, nodes) -> np.ndarray:

@@ -98,9 +98,15 @@ def generate_topology(network_id: NetworkId, node_count: int,
             f"non-loop edges exist for {node_count} nodes"
         )
     rng = stream(seed, f"topology:{network_id.value}")
-    pairs = [(i, j) for i in range(node_count)
-             for j in range(node_count) if i != j]
-    edges = tuple(sorted(rng.sample(pairs, edge_count)))
+    # Sample positions in the row-major list of pairs (i, j), i != j,
+    # without building it: ``random.sample`` draws from the length alone,
+    # so the edges are those of sampling the list itself.  Position k is
+    # row i, and column r of the n - 1 columns that skip i.
+    edges = []
+    for k in rng.sample(range(max_edges), edge_count):
+        i, r = divmod(k, node_count - 1)
+        edges.append((i, r + (r >= i)))
+    edges = tuple(sorted(edges))
     return Topology(
         network_id=network_id,
         node_count=node_count,

@@ -19,6 +19,13 @@ def make_topology(edges, n, network_id=NetworkId.WATER, intrinsic=None):
     )
 
 
+def sample_edges_from_pair_list(rng, n, m):
+    """``generate_topology``'s edges by their definition: m pairs drawn
+    from the list of all n(n-1) non-loop pairs in row-major order."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return tuple(sorted(rng.sample(pairs, m)))
+
+
 class ScalarFederate:
     """Pure-Python per-node re-evaluation of the update rule."""
 
@@ -69,6 +76,46 @@ class ScalarFederate:
         for i in nodes:
             self.down[i] = False
             self.perf[i] = self.intrinsic[i]
+
+
+def lockstep_series(nets, wiring, tg, horizon, events):
+    """MoP series of scalar federates advanced by hand under the barrier.
+
+    ``nets`` maps a network id to (edges, node count, lag); ``wiring``
+    lists (consumer network, consumer node, producer network, producer
+    node), one entry per foreign slot in slot order; ``events`` lists
+    (apply time, retract time, network, nodes).  Every timestep delivers
+    retractions, then applications, steps every federate and records
+    its MoP; at multiples of ``tg``, and once before the first step,
+    every consumer slot takes the producer's value read before any slot
+    is written.
+    """
+    refs = {net: ScalarFederate(edges, n, lag=lag,
+                                consumers=[w[1] for w in wiring if w[0] == net])
+            for net, (edges, n, lag) in nets.items()}
+    sources = {net: [(w[2], w[3]) for w in wiring if w[0] == net] for net in nets}
+    baselines = {net: sum(refs[net].perf) for net in nets}
+
+    def barrier():
+        snapshot = {net: list(refs[net].perf) for net in nets}
+        for net in nets:
+            refs[net].foreign = [snapshot[pn][pnode] for pn, pnode in sources[net]]
+
+    series = {net: [100.0] for net in nets}
+    barrier()
+    for t in range(1, horizon + 1):
+        for apply_t, retract_t, net, nodes in events:
+            if t == retract_t:
+                refs[net].retract(nodes)
+        for apply_t, retract_t, net, nodes in events:
+            if t == apply_t:
+                refs[net].apply(nodes)
+        for net in nets:
+            refs[net].step()
+            series[net].append(100.0 * sum(refs[net].perf) / baselines[net])
+        if t % tg == 0:
+            barrier()
+    return series
 
 
 def sequential_shares_oracle(columns, y):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granusim.coordinator import (Federation, SyncSchedule, run,
                                   run_sequential_reference, run_steps)
 from granusim.disruption import DisruptionEvent, fixed_pattern
-from granusim.errors import ScheduleError
+from granusim.errors import ScheduleError, UnknownNode
 from granusim.experiment import ScenarioConfig, build_federation
 from granusim.federate import FederateState
-from granusim.topology import Coupling, InterdependencyMap, NetworkId
-from oracles import ScalarFederate, make_topology
+from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
+from oracles import lockstep_series, make_topology
 
 
 def small_federation():
@@ -145,42 +147,128 @@ def test_matches_manual_lockstep_oracle():
         (NetworkId.BUSINESS, 0, NetworkId.WATER, 2),
         (NetworkId.BUSINESS, 1, NetworkId.POWER, 1),
     ]
-    consumers = {net: [] for net in nets}
-    producers = {net: [] for net in nets}
-    for cn, cnode, pn, pnode in wiring:
-        consumers[cn].append(cnode)
-        producers[cn].append((pn, pnode))
-    refs = {net: ScalarFederate(edges, n, lag=lag, consumers=consumers[net])
-            for net, (edges, n, lag) in nets.items()}
-
     tg, horizon = 2, 16
-    apply_t, retract_t, nodes = 3, 7, [0, 2]
-    expected = {net: [100.0] for net in nets}
-    for t in range(1, horizon + 1):
-        if t == apply_t:
-            refs[NetworkId.WATER].apply(nodes)
-        if t == retract_t:
-            refs[NetworkId.WATER].retract(nodes)
-        for net in nets:
-            refs[net].step()
-        for net in nets:
-            n = nets[net][1]
-            expected[net].append(100.0 * sum(refs[net].perf) / n)
-        if t % tg == 0:
-            snapshot = {net: list(refs[net].perf) for net in nets}
-            for net in nets:
-                refs[net].foreign = [snapshot[pn][pnode]
-                                     for pn, pnode in producers[net]]
+    event = (3, 7, NetworkId.WATER, (0, 2))
+    expected = lockstep_series(nets, wiring, tg, horizon, [event])
 
     fed = Federation(
         {net: FederateState(make_topology(edges, n, net), lag=lag)
          for net, (edges, n, lag) in nets.items()},
         InterdependencyMap(couplings=tuple(Coupling(*w) for w in wiring)))
     trace = run(fed, SyncSchedule(tg=tg, horizon=horizon),
-                [DisruptionEvent(apply_t, retract_t, NetworkId.WATER,
-                                 tuple(nodes))])
+                [DisruptionEvent(*event)])
     for net in nets:
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+@st.composite
+def small_federations(draw):
+    """Two or three networks of 1-6 nodes, each wired fully, partly or
+    not at all (nodes may hold several slots), any tg, and one event."""
+    nets_drawn = draw(st.sampled_from([
+        NETWORK_ORDER, NETWORK_ORDER[:2], NETWORK_ORDER[1:],
+        (NetworkId.WATER, NetworkId.BUSINESS)]))
+    nets = {}
+    for net in nets_drawn:
+        n = draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+        nets[net] = (edges, n, draw(st.integers(1, 3)))
+    wiring = []
+    for net, (_, n, _) in nets.items():
+        mode = draw(st.sampled_from(["full", "partial", "none"]))
+        if mode == "none":
+            continue
+        nodes = (range(n) if mode == "full" else
+                 draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+        partners = [m for m in nets if m != net]
+        for node in nodes:
+            for _ in range(draw(st.integers(1, 3))):
+                producer = draw(st.sampled_from(partners))
+                wiring.append((net, node, producer,
+                               draw(st.integers(0, nets[producer][1] - 1))))
+    wiring = draw(st.permutations(wiring))
+    horizon = draw(st.integers(2, 24))
+    tg = draw(st.integers(1, horizon + 2))
+    origin = draw(st.sampled_from(nets_drawn))
+    nodes = tuple(sorted(draw(st.lists(st.integers(0, nets[origin][1] - 1),
+                                       min_size=1, unique=True))))
+    apply_t = draw(st.integers(1, horizon - 1))
+    rt = draw(st.one_of(st.just(1), st.integers(1, horizon - apply_t)))
+    return nets, wiring, tg, horizon, (apply_t, apply_t + rt, origin, nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_federations())
+def test_run_matches_lockstep_oracle_on_random_federations(case):
+    nets, wiring, tg, horizon, event = case
+    expected = lockstep_series(nets, wiring, tg, horizon, [event])
+    fed = Federation(
+        {net: FederateState(make_topology(edges, n, net), lag=lag)
+         for net, (edges, n, lag) in nets.items()},
+        InterdependencyMap(couplings=tuple(Coupling(*w) for w in wiring)))
+    trace = run(fed, SyncSchedule(tg=tg, horizon=horizon), [DisruptionEvent(*event)])
+    for net in nets:
+        assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+def test_exchange_writes_a_snapshot_of_every_producer_in_place():
+    water = make_topology([(0, 1), (1, 2)], 3, NetworkId.WATER, intrinsic=[0.2, 0.5, 0.9])
+    power = make_topology([(1, 0)], 2, NetworkId.POWER, intrinsic=[0.7, 0.4])
+    business = make_topology([], 2, NetworkId.BUSINESS, intrinsic=[0.6, 0.3])
+    wiring = [
+        (NetworkId.BUSINESS, 1, NetworkId.POWER, 0),
+        (NetworkId.POWER, 0, NetworkId.WATER, 2),
+        (NetworkId.BUSINESS, 1, NetworkId.WATER, 1),
+        (NetworkId.BUSINESS, 0, NetworkId.WATER, 2),
+        (NetworkId.WATER, 2, NetworkId.BUSINESS, 1),
+        (NetworkId.POWER, 0, NetworkId.BUSINESS, 0),
+    ]
+    fed = Federation(
+        {NetworkId.WATER: FederateState(water), NetworkId.POWER: FederateState(power),
+         NetworkId.BUSINESS: FederateState(business, lag=2)},
+        InterdependencyMap(couplings=tuple(Coupling(*w) for w in wiring)))
+    feds = fed.federates
+    slots = {net: feds[net].foreign_inputs for net in fed.order}
+    feds[NetworkId.WATER].apply_disruption([1])
+    for _ in range(3):
+        for net in fed.order:
+            feds[net].step()
+
+    read = {net: feds[net].performance.copy() for net in fed.order}
+    fed.exchange()
+
+    def expected_slots():
+        return {net: [read[pn][pnode] for cn, _, pn, pnode in wiring if cn == net]
+                for net in fed.order}
+
+    assert all(feds[net].foreign_inputs is slots[net] for net in fed.order)
+    assert {net: slots[net].tolist() for net in fed.order} == expected_slots()
+    # Producers moving after the read leave the slots at the read values.
+    for net in fed.order:
+        feds[net].step()
+    assert any(not np.array_equal(feds[net].performance, read[net]) for net in fed.order)
+    assert {net: slots[net].tolist() for net in fed.order} == expected_slots()
+    # A barrier with no producer moved since the last one writes the same values.
+    read = {net: feds[net].performance.copy() for net in fed.order}
+    fed.exchange()
+    written = {net: slots[net].copy() for net in fed.order}
+    fed.exchange()
+    assert all(feds[net].foreign_inputs is slots[net] for net in fed.order)
+    assert {net: slots[net].tolist() for net in fed.order} == expected_slots()
+    assert all(np.array_equal(slots[net], written[net]) for net in fed.order)
+
+
+def test_couplings_outside_the_federation_rejected():
+    water = FederateState(make_topology([], 2, NetworkId.WATER))
+    power = FederateState(make_topology([], 3, NetworkId.POWER))
+    feds = {NetworkId.WATER: water, NetworkId.POWER: power}
+    for bad, error in [((NetworkId.WATER, 0, NetworkId.POWER, 3), UnknownNode),
+                       ((NetworkId.WATER, 0, NetworkId.POWER, -1), UnknownNode),
+                       ((NetworkId.WATER, 2, NetworkId.POWER, 0), UnknownNode),
+                       ((NetworkId.WATER, 0, NetworkId.BUSINESS, 0), ValueError)]:
+        with pytest.raises(error):
+            Federation(feds, InterdependencyMap(couplings=(Coupling(*bad),)))
 
 
 def test_default_federation_sub_granularity_window_stays_quiet():

@@ -122,6 +122,33 @@ def test_read_boundary_reports_current_values():
     assert fed.performance[0] == 0.0
 
 
+def test_disruption_writes_do_not_reach_the_history():
+    fed = FederateState(make_topology([(0, 1), (1, 2)], 3), lag=2)
+    fed.step()
+    fed.step()
+    before = [h.copy() for h in fed.history]
+    fed.apply_disruption([0, 1])
+    assert all(np.array_equal(h, b) for h, b in zip(fed.history, before))
+    fed.step()
+    before = [h.copy() for h in fed.history]
+    fed.retract_disruption([0, 1])
+    assert all(np.array_equal(h, b) for h, b in zip(fed.history, before))
+
+
+def test_set_consumers_rederives_the_coupling_constants():
+    edges = [(0, 1), (2, 1), (1, 3)]
+    rewired = FederateState(make_topology(edges, 4), consumer_nodes=[0, 0])
+    rewired.set_consumers([1, 3, 3])
+    fresh = FederateState(make_topology(edges, 4), consumer_nodes=[1, 3, 3])
+    assert rewired.coupling_count.tolist() == [0.0, 1.0, 0.0, 2.0]
+    for fed in (rewired, fresh):
+        fed.foreign_inputs[:] = [0.5, 0.25, 0.0]
+        fed.apply_disruption([2])
+        for _ in range(4):
+            fed.step()
+    assert np.array_equal(rewired.performance, fresh.performance)
+
+
 def test_lag_two_delays_recovery():
     # The disruption flag masks inputs immediately, but after retraction
     # the stale zeros linger in the history for ``lag`` steps.

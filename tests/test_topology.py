@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from granusim.errors import EdgeCountOverflow
 from granusim.topology import (InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
-from oracles import make_topology
+from granusim.rng import stream
+from oracles import make_topology, sample_edges_from_pair_list
 
 
 def test_water_network_has_published_counts(water22):
@@ -21,6 +22,16 @@ def test_single_node_graph_is_empty():
     topo = generate_topology(NetworkId.POWER, 1, 0, seed=1)
     assert topo.node_count == 1
     assert topo.edges == ()
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 2), (5, 20), (22, 77), (21, 77),
+                                  (20, 75), (40, 140), (300, 1050)])
+def test_edges_equal_sampling_the_pair_list(n, m):
+    for seed in (1, 20200831, 4093):
+        for net in NetworkId:
+            rng = stream(seed, f"topology:{net.value}")
+            expected = sample_edges_from_pair_list(rng, n, m)
+            assert generate_topology(net, n, m, seed).edges == expected
 
 
 def test_edge_count_overflow():
