@@ -2,7 +2,7 @@
 synchronization granularity of a federated simulation shapes the
 propagation of disruptions between networks."""
 
-from .coordinator import Federation, SyncSchedule, run, run_sequential_reference
+from .coordinator import Federation, SyncSchedule, run
 from .disruption import DisruptionEvent, DisruptionStreamConfig, fixed_pattern, poisson_stream
 from .federate import FederateState
 from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt, mop
@@ -16,5 +16,5 @@ __all__ = [
     "InterdependencyMap", "MoPTrace", "NetworkId", "RunOutcome", "SyncSchedule",
     "Topology", "classify_visibility", "compute_spds", "compute_sprt",
     "fixed_pattern", "generate_interdependencies", "generate_topology", "mop",
-    "poisson_stream", "run", "run_sequential_reference",
+    "poisson_stream", "run",
 ]

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel runs; 1 forces the sequential reference path")
+                   help="worker processes for the runs; 1 runs them in this process")
     p.add_argument("--traces", help="directory for per-run MoP traces")
     p.add_argument("--align-sync", action="store_true")
     p.set_defaults(func=_cmd_experiment)

@@ -11,13 +11,12 @@ before applications, ties broken by network order then node index.
 """
 
 from collections.abc import Generator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .disruption import DisruptionEvent
-from .errors import ScheduleError, UnknownNode
+from .errors import ScheduleError, UnknownNode, ZeroBaseline
 from .federate import FederateState
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
@@ -34,10 +33,6 @@ class SyncSchedule:
         if self.horizon < 1:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
-    def sync_times(self) -> list[int]:
-        """Multiples of tg in (0, horizon]."""
-        return list(range(self.tg, self.horizon + 1, self.tg))
-
 
 class Federation:
     """Federate states plus the coupling wiring between them."""
@@ -51,7 +46,9 @@ class Federation:
         if extra:
             raise ValueError(f"unknown network ids: {extra}")
         self.federates = federates
-        self.t = 0
+        # Set by the first run: a run mutates the federates, so a second
+        # one would start from the end state of the first.
+        self.ran = False
 
         # Slot k of each consumer's foreign_inputs is fed by the producer
         # node at a flat index into the federates' performance vectors
@@ -104,14 +101,9 @@ def _deliver(federation: Federation, actions: list) -> None:
 
 
 def run(federation: Federation, schedule: SyncSchedule,
-        events: list[DisruptionEvent], parallel: bool = False) -> MoPTrace:
-    """Advance the federation to the horizon and return the full MoP trace.
-
-    With ``parallel`` the federates are stepped concurrently between
-    barriers; the trace is bit-identical to the sequential reference
-    either way because no state is shared between barriers.
-    """
-    steps = run_steps(federation, schedule, events, parallel)
+        events: list[DisruptionEvent]) -> MoPTrace:
+    """Advance the federation to the horizon and return the full MoP trace."""
+    steps = run_steps(federation, schedule, events)
     while True:
         try:
             next(steps)
@@ -120,15 +112,18 @@ def run(federation: Federation, schedule: SyncSchedule,
 
 
 def run_steps(federation: Federation, schedule: SyncSchedule,
-              events: list[DisruptionEvent],
-              parallel: bool = False) -> Generator[int, None, MoPTrace]:
+              events: list[DisruptionEvent]) -> Generator[int, None, MoPTrace]:
     """The loop of ``run`` as a generator, one timestep per ``next``.
 
     Yields t once timestep t has been delivered, stepped, recorded and,
     at a sync instant, exchanged; the first ``next`` also does the
     set-up.  Returns the MoP trace.  Lets a caller advance several runs
-    in lockstep.
+    in lockstep.  A federation runs once: set-up raises
+    ``ScheduleError`` on one that has run before, and ``ZeroBaseline``
+    when a network's initial performance sums to zero.
     """
+    if federation.ran:
+        raise ScheduleError("federation has already run; build a fresh one")
     horizon = schedule.horizon
     actions_at: dict[int, list] = {}
     for ev in events:
@@ -142,40 +137,28 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     feds = [federation.federates[n] for n in federation.order]
     baselines = {n: float(fed.performance.sum())
                  for n, fed in zip(federation.order, feds)}
+    for net, baseline in baselines.items():
+        if baseline == 0.0:
+            raise ZeroBaseline(f"{net.value}: initial performance sums to zero")
+    federation.ran = True
     series = {n: np.empty(horizon + 1) for n in federation.order}
     records = [(fed, series[n], baselines[n])
                for n, fed in zip(federation.order, feds)]
     for fed, values, baseline in records:
         values[0] = 100.0 * fed.performance.sum() / baseline
 
-    federation.t = 0
     federation.exchange()  # seed foreign inputs with true initial values
 
-    pool = ThreadPoolExecutor(max_workers=len(feds)) if parallel and len(feds) > 1 else None
-    try:
-        for t in range(1, horizon + 1):
-            if t in actions_at:
-                _deliver(federation, actions_at[t])
-            if pool is not None:
-                list(pool.map(lambda f: f.step(), feds))
-            else:
-                for fed in feds:
-                    fed.step()
-            federation.t = t
-            for fed, values, baseline in records:
-                values[t] = 100.0 * fed.performance.sum() / baseline
-            if t % schedule.tg == 0:
-                federation.exchange()
-            yield t
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(1, horizon + 1):
+        if t in actions_at:
+            _deliver(federation, actions_at[t])
+        for fed in feds:
+            fed.step()
+        for fed, values, baseline in records:
+            values[t] = 100.0 * fed.performance.sum() / baseline
+        if t % schedule.tg == 0:
+            federation.exchange()
+        yield t
 
     return MoPTrace(networks=tuple(federation.order), series=series,
                     baselines=baselines)
-
-
-def run_sequential_reference(federation: Federation, schedule: SyncSchedule,
-                             events: list[DisruptionEvent]) -> MoPTrace:
-    """Single-threaded round-robin reference; the determinism oracle."""
-    return run(federation, schedule, events, parallel=False)

@@ -18,15 +18,12 @@ class UnknownNode(GranusimError):
 
 
 class ScheduleError(GranusimError):
-    """An event falls outside the simulation horizon."""
+    """An event falls outside the simulation horizon, or a federation
+    is run a second time."""
 
 
 class ZeroBaseline(GranusimError):
     """Baseline performance sum is zero; MoP is undefined."""
-
-
-class RangeTooSmall(GranusimError):
-    """Integer range too small for the requested number of strata."""
 
 
 class CollinearError(GranusimError):

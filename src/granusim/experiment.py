@@ -1,10 +1,9 @@
 """Factorial experiment layout, execution, and persistence.
 
-The shipped default levels are the published 5x5x5 design; fresh
-designs can be drawn with ``lhs_levels``.  Runs are independent and may
-execute in parallel; the results file is always in layout order and all
-columns except sec_per_step are a pure function of (seed, config,
-layout).
+The shipped default levels are the published 5x5x5 design.  Runs are
+independent and may execute in worker processes; the results file is
+always in layout order and all columns except sec_per_step are a pure
+function of (seed, config, layout).
 """
 
 import concurrent.futures
@@ -17,10 +16,9 @@ from dataclasses import dataclass
 
 from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
-from .errors import RangeTooSmall, ScenarioError
+from .errors import ScenarioError
 from .federate import FederateState
 from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt
-from .rng import stream
 from .topology import (NetworkId, Topology, generate_interdependencies,
                        generate_topology)
 
@@ -147,24 +145,6 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
-def lhs_levels(k: int, lo: int, hi: int, seed: int) -> list[int]:
-    """Stratified draw: one integer from each of k equal strata of [lo, hi]."""
-    if k < 1:
-        raise ValueError(f"level count must be positive, got {k}")
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if hi - lo + 1 < k:
-        raise RangeTooSmall(f"range [{lo}, {hi}] cannot hold {k} strata")
-    rng = stream(seed, f"lhs:{k}:{lo}:{hi}")
-    span = (hi - lo + 1) / k
-    levels = []
-    for i in range(k):
-        first = lo + int(-(-i * span // 1))      # ceil(lo + i*span)
-        last = lo + int(-(-(i + 1) * span // 1)) - 1
-        levels.append(rng.randint(first, last))
-    return sorted(levels)
-
-
 def build_layout(levels: FactorLevels) -> list[tuple[int, int, int]]:
     """Cartesian product of the levels in lexicographic (ds, rt, tg) order."""
     return [(tg, rt, ds)
@@ -243,14 +223,14 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
     return federation, SyncSchedule(tg=tg, horizon=config.horizon), event
 
 
-def run_single(config: ScenarioConfig, tg: int, rt: int, ds: int,
-               parallel_federates: bool = False) -> tuple[RunOutcome, MoPTrace, tuple[int, ...]]:
+def run_single(config: ScenarioConfig, tg: int, rt: int,
+               ds: int) -> tuple[RunOutcome, MoPTrace, tuple[int, ...]]:
     """Run one (tg, rt, ds) configuration from a fresh deterministic federation."""
     federation, schedule, event = _prepare_run(config, tg, rt, ds)
     t0, pattern = event.apply_time, event.nodes
 
     started = time.perf_counter()
-    trace = run(federation, schedule, [event], parallel=parallel_federates)
+    trace = run(federation, schedule, [event])
     elapsed = time.perf_counter() - started
 
     spds = compute_spds(trace, config.target, t0)

@@ -11,7 +11,7 @@ where m_i averages predecessor performance from ``lag`` timesteps back
 with disrupted predecessors contributing zero (lost supply, not
 renormalized demand), a node without in-edges falls back to b_i, and a
 node without couplings renormalizes w_ext away.  Disrupted nodes are
-pinned to zero until retracted.
+pinned to zero until every disruption covering them is retracted.
 """
 
 import json
@@ -48,9 +48,11 @@ class FederateState:
         n = topology.node_count
         self.intrinsic = np.array(topology.intrinsic_performance, dtype=float)
         self.performance = self.intrinsic.copy()
-        self.disrupted = np.zeros(n, dtype=bool)
-        # 1.0 where the node is up, 0.0 where disrupted; kept in step
-        # with ``disrupted`` so the step masks by multiplication.
+        # Number of active disruptions per node, so overlapping events
+        # compose: a node is up again only when its count is back at 0.
+        self.disrupted = np.zeros(n, dtype=int)
+        # 1.0 where the count is 0, else 0.0; kept in step with
+        # ``disrupted`` so the step masks by multiplication.
         self._keep = np.ones(n)
         self.history: deque[np.ndarray] = deque(
             [self.performance.copy() for _ in range(lag)], maxlen=lag)
@@ -141,50 +143,37 @@ class FederateState:
         self.history.append(p)
 
     def apply_disruption(self, node_set) -> None:
-        """Mark nodes disrupted and force their performance to zero now.
+        """Add one active disruption to each node.
 
-        ``performance`` is copied before the write: ``step`` stores the
-        same array as the newest ``history`` entry, and an in-place write
-        would change the lagged state the out-neighbours read.
+        Only the masks change: ``performance`` keeps its value until the
+        next ``step()``, which pins the nodes to zero and hides them from
+        their out-neighbours.
         """
         nodes = self._check_nodes(node_set)
-        self.disrupted[nodes] = True
+        self.disrupted[nodes] += 1
         self._keep[nodes] = 0.0
-        self.performance = self.performance.copy()
-        self.performance[nodes] = 0.0
 
     def retract_disruption(self, node_set) -> None:
-        """Clear the disruption flags of the nodes.
+        """Remove one active disruption from each node.
 
-        The intrinsic levels written into ``performance`` here are not
-        what the network sees: inside ``run`` the next ``step()``
-        overwrites them before anything reads them, and the nodes come
-        back through the update rule at that step.  Their out-neighbours
-        read the lagged zero from ``history`` for ``lag`` more steps, so
-        downstream nodes recover through the dynamics only.  The deficit
-        shrinks by a factor of about ``w_in`` per step, and the first
-        sync at or after retraction exports what is left of it.  As in
-        ``apply_disruption``, ``performance`` is copied before the write
-        so the write does not reach ``history``.
+        A node whose count falls to zero comes back through the update
+        rule at the next ``step()``.  Its out-neighbours read the lagged
+        zero from ``history`` for ``lag`` more steps, so downstream nodes
+        recover through the dynamics only.  The deficit shrinks by a
+        factor of about ``w_in`` per step, and the first sync at or after
+        retraction exports what is left of it.
         """
         nodes = self._check_nodes(node_set)
         if not self.disrupted[nodes].all():
             raise ValueError(f"retract of nodes that are not disrupted: {node_set}")
-        self.disrupted[nodes] = False
-        self._keep[nodes] = 1.0
-        self.performance = self.performance.copy()
-        self.performance[nodes] = self.intrinsic[nodes]
-
-    def read_boundary(self, nodes) -> np.ndarray:
-        """Instantaneous performance of locally-owned coupled nodes."""
-        nodes = np.asarray(nodes, dtype=int)
-        return self.performance[nodes].copy()
+        self.disrupted[nodes] -= 1
+        self._keep[nodes] = self.disrupted[nodes] == 0
 
     def snapshot_json(self) -> str:
         doc = {
             "network_id": self.topology.network_id.value,
             "performance": self.performance.tolist(),
-            "disrupted": self.disrupted.astype(int).tolist(),
+            "disrupted": self.disrupted.tolist(),
             "foreign_inputs": self.foreign_inputs.tolist(),
             "history": [h.tolist() for h in self.history],
             "lag": self.lag,

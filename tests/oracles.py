@@ -7,7 +7,8 @@ meaningful evidence rather than tautology.
 
 import numpy as np
 
-from granusim.topology import NetworkId, Topology
+from granusim.experiment import build_topologies
+from granusim.topology import NetworkId, Topology, generate_interdependencies
 
 
 def make_topology(edges, n, network_id=NetworkId.WATER, intrinsic=None):
@@ -38,7 +39,7 @@ class ScalarFederate:
             self.preds[dst].append(src)
         self.intrinsic = list(intrinsic or [1.0] * n)
         self.perf = list(self.intrinsic)
-        self.down = [False] * n
+        self.down = [0] * n  # active disruptions per node
         self.hist = [list(self.perf) for _ in range(lag)]
         self.consumers = list(consumers)
         self.foreign = [1.0] * len(self.consumers)
@@ -69,13 +70,29 @@ class ScalarFederate:
 
     def apply(self, nodes):
         for i in nodes:
-            self.down[i] = True
-            self.perf[i] = 0.0
+            self.down[i] += 1
 
     def retract(self, nodes):
         for i in nodes:
-            self.down[i] = False
-            self.perf[i] = self.intrinsic[i]
+            assert self.down[i] > 0, f"retract of node {i} that is not disrupted"
+            self.down[i] -= 1
+
+
+def scenario_lockstep_inputs(config):
+    """``lockstep_series`` networks and wiring of a scenario's federation.
+
+    Only the inputs come from the package (topologies and couplings);
+    the dynamics are re-evaluated by the scalar federates, which use the
+    default weights and an intrinsic level of 1.0.
+    """
+    topologies = build_topologies(config)
+    couplings = generate_interdependencies(
+        topologies, config.couplings_per_node, config.master_seed).couplings
+    assert all(spec.weights == (0.3, 0.4, 0.3) for spec in config.networks)
+    assert all(set(t.intrinsic_performance) == {1.0} for t in topologies)
+    nets = {spec.network_id: (t.edges, t.node_count, spec.lag)
+            for spec, t in zip(config.networks, topologies)}
+    return nets, [tuple(c) for c in couplings]
 
 
 def lockstep_series(nets, wiring, tg, horizon, events):

@@ -20,13 +20,14 @@ from granusim.coordinator import SyncSchedule, run
 from granusim.disruption import DisruptionEvent, fixed_pattern
 from granusim.experiment import (FactorLevels, ScenarioConfig, build_layout,
                                  build_federation, build_topologies,
-                                 pattern_hash, results_csv, run_experiment,
-                                 run_single, timing_profile)
+                                 disruption_onset, pattern_hash, results_csv,
+                                 run_experiment, run_single, timing_profile)
 from granusim.federate import FederateState
 from granusim.metrics import compute_spds
 from granusim.topology import NETWORK_ORDER, generate_interdependencies
-from oracles import (ScalarFederate, make_topology, ols_normal_equations,
-                     penalized_loglik, sequential_shares_oracle)
+from oracles import (ScalarFederate, lockstep_series, make_topology,
+                     ols_normal_equations, penalized_loglik,
+                     scenario_lockstep_inputs, sequential_shares_oracle)
 
 
 def verdict(capsys, num, name, ok, detail=""):
@@ -52,6 +53,9 @@ def factorial(tmp_path_factory):
 
 
 def test_criterion_1_determinism(capsys):
+    # Each configuration runs twice and must repeat byte for byte, and
+    # its trace must match the scalar lockstep oracle, an independent
+    # evaluation of the same federation.
     started = time.perf_counter()
     rng = random.Random(20200831)
     diffs = 0
@@ -60,14 +64,19 @@ def test_criterion_1_determinism(capsys):
         rt = rng.randint(1, 25)
         ds = rng.randint(1, 22)
         config = ScenarioConfig(master_seed=rng.randrange(2 ** 32), horizon=300)
-        seq_out, seq_trace, _ = run_single(config, tg, rt, ds,
-                                           parallel_federates=False)
-        par_out, par_trace, _ = run_single(config, tg, rt, ds,
-                                           parallel_federates=True)
-        if seq_trace.to_csv() != par_trace.to_csv():
+        first_out, first_trace, pattern = run_single(config, tg, rt, ds)
+        again_out, again_trace, _ = run_single(config, tg, rt, ds)
+        if first_trace.to_csv() != again_trace.to_csv():
             diffs += 1
-        if (seq_out.spds, seq_out.sprt, seq_out.visible) != \
-                (par_out.spds, par_out.sprt, par_out.visible):
+        if (first_out.spds, first_out.sprt, first_out.visible) != \
+                (again_out.spds, again_out.sprt, again_out.visible):
+            diffs += 1
+        nets, wiring = scenario_lockstep_inputs(config)
+        t0 = disruption_onset(config, tg)
+        expected = lockstep_series(nets, wiring, tg, config.horizon,
+                                   [(t0, t0 + rt, config.origin, pattern)])
+        if not all(np.allclose(first_trace.series[net], expected[net],
+                               atol=1e-12, rtol=0) for net in nets):
             diffs += 1
 
     def strip_timing(text):

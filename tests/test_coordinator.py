@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granusim.coordinator import (Federation, SyncSchedule, run,
-                                  run_sequential_reference, run_steps)
-from granusim.disruption import DisruptionEvent, fixed_pattern
-from granusim.errors import ScheduleError, UnknownNode
+from granusim.coordinator import Federation, SyncSchedule, run, run_steps
+from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
+                                 fixed_pattern, poisson_stream)
+from granusim.errors import ScheduleError, UnknownNode, ZeroBaseline
 from granusim.experiment import ScenarioConfig, build_federation
 from granusim.federate import FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
-from oracles import lockstep_series, make_topology
+from oracles import lockstep_series, make_topology, scenario_lockstep_inputs
 
 
 def small_federation():
@@ -31,12 +31,6 @@ def small_federation():
     return Federation(federates, couplings)
 
 
-def test_sync_times_are_multiples_within_horizon():
-    assert SyncSchedule(tg=3, horizon=10).sync_times() == [3, 6, 9]
-    assert SyncSchedule(tg=1, horizon=4).sync_times() == [1, 2, 3, 4]
-    assert SyncSchedule(tg=50, horizon=10).sync_times() == []
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError):
         SyncSchedule(tg=0, horizon=10)
@@ -55,15 +49,6 @@ def test_empty_events_stay_at_100():
     trace = run(small_federation(), SyncSchedule(tg=2, horizon=15), [])
     for net in trace.networks:
         assert np.array_equal(trace.series[net], np.full(16, 100.0))
-
-
-def test_parallel_equals_sequential_reference():
-    event = DisruptionEvent(3, 9, NetworkId.WATER, (0, 1))
-    seq = run_sequential_reference(small_federation(),
-                                   SyncSchedule(tg=2, horizon=40), [event])
-    par = run(small_federation(), SyncSchedule(tg=2, horizon=40), [event],
-              parallel=True)
-    assert seq.to_csv() == par.to_csv()
 
 
 def test_registration_order_is_canonicalized():
@@ -301,3 +286,49 @@ def test_run_steps_yields_each_timestep_and_returns_the_run_trace():
     trace = done.value.value
     assert all(np.array_equal(trace.series[n], expected.series[n])
                for n in expected.networks)
+
+
+def test_second_run_on_the_same_federation_rejected():
+    fed = small_federation()
+    schedule = SyncSchedule(tg=2, horizon=10)
+    events = [DisruptionEvent(3, 6, NetworkId.WATER, (1,))]
+    run(fed, schedule, events)
+    with pytest.raises(ScheduleError):
+        run(fed, schedule, events)
+    with pytest.raises(ScheduleError):
+        next(run_steps(fed, schedule, []))
+
+
+def test_zero_baseline_rejected_at_set_up():
+    water = FederateState(make_topology([], 1, NetworkId.WATER, intrinsic=[0.0]))
+    with pytest.raises(ZeroBaseline):
+        run(Federation({NetworkId.WATER: water}), SyncSchedule(tg=1, horizon=5), [])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       rate=st.floats(0.02, 0.5),
+       sizes=st.tuples(st.integers(1, 22), st.integers(0, 21)),
+       rts=st.tuples(st.integers(1, 30), st.integers(0, 30)),
+       horizon=st.integers(2, 160),
+       tg=st.integers(1, 30))
+@example(seed=7, rate=0.2, sizes=(2, 6), rts=(5, 15), horizon=400, tg=12)
+def test_poisson_streams_on_the_paper_network_match_the_oracle(
+        seed, rate, sizes, rts, horizon, tg):
+    # Streams overlap freely: a node hit by several live events stays
+    # down until the last of them is retracted.
+    config = ScenarioConfig()
+    size_range = (sizes[0], min(sizes[0] + sizes[1], 22))
+    rt_range = (rts[0], rts[0] + rts[1])
+    federation = build_federation(config)
+    water = federation.federates[NetworkId.WATER].topology
+    events = poisson_stream(
+        DisruptionStreamConfig(rate, size_range, rt_range, horizon), water, seed)
+    trace = run(federation, SyncSchedule(tg=tg, horizon=horizon), events)
+
+    nets, wiring = scenario_lockstep_inputs(config)
+    expected = lockstep_series(
+        nets, wiring, tg, horizon,
+        [(e.apply_time, e.retract_time, e.network_id, e.nodes) for e in events])
+    for net in nets:
+        assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)

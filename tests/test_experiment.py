@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from granusim.errors import RangeTooSmall, ScenarioError
+from granusim.errors import ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
                                  FactorLevels, ScenarioConfig,
                                  build_layout, build_topologies,
-                                 disruption_onset, lhs_levels, pattern_hash,
+                                 disruption_onset, pattern_hash,
                                  results_csv, run_experiment, run_single,
                                  timing_profile)
 from granusim.topology import NetworkId
@@ -55,23 +55,6 @@ def test_layout_degenerate_and_small():
     assert layout[0] == (1, 1, 1)
     assert layout[1] == (2, 1, 1)  # tg varies fastest
     assert layout[-1] == (2, 3, 4)
-
-
-def test_lhs_levels_one_per_stratum():
-    levels = lhs_levels(5, 1, 30, seed=123)
-    strata = [(1, 6), (7, 12), (13, 18), (19, 24), (25, 30)]
-    assert len(levels) == 5
-    for value, (lo, hi) in zip(sorted(levels), strata):
-        assert lo <= value <= hi
-
-
-def test_lhs_levels_trivial_and_errors():
-    assert lhs_levels(1, 7, 7, seed=0) == [7]
-    with pytest.raises(RangeTooSmall):
-        lhs_levels(5, 1, 3, seed=0)
-    with pytest.raises(ValueError):
-        lhs_levels(0, 1, 10, seed=0)
-    assert lhs_levels(5, 1, 30, seed=123) == lhs_levels(5, 1, 30, seed=123)
 
 
 def test_scenario_roundtrip():

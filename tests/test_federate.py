@@ -30,9 +30,9 @@ def test_isolated_node_is_fixed_point():
 def test_disrupted_node_outputs_zero():
     fed = FederateState(make_topology([(0, 1)], 2))
     fed.apply_disruption([0])
-    assert fed.performance[0] == 0.0
-    fed.step()
-    assert fed.performance[0] == 0.0
+    for _ in range(2):
+        fed.step()
+        assert fed.performance[0] == 0.0
 
 
 def test_chain_hand_value_with_foreign_inputs():
@@ -56,6 +56,7 @@ def test_apply_empty_set_is_noop():
 def test_apply_all_nodes_zeroes_the_network(water22):
     fed = FederateState(water22)
     fed.apply_disruption(range(22))
+    fed.step()
     assert fed.performance.sum() == 0.0
 
 
@@ -97,6 +98,23 @@ def test_retract_of_undisrupted_rejected():
         fed.retract_disruption([0])
 
 
+def test_overlapping_disruptions_count_per_node():
+    # Node 1 is covered by both events and stays down until the second
+    # one is retracted; a third retract finds nothing left to retract.
+    fed = FederateState(make_topology([], 3))
+    fed.apply_disruption([0, 1])
+    fed.apply_disruption([1, 2])
+    assert fed.disrupted.tolist() == [1, 2, 1]
+    fed.retract_disruption([0, 1])
+    fed.step()
+    assert fed.performance.tolist() == [1.0, 0.0, 0.0]
+    fed.retract_disruption([1, 2])
+    fed.step()
+    assert fed.performance.tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        fed.retract_disruption([1])
+
+
 def test_single_node_disrupt_retract_trace():
     # Expected trace: 1, then k zeros, then 1 again.
     k = 4
@@ -110,16 +128,6 @@ def test_single_node_disrupt_retract_trace():
     fed.step()
     trace.append(fed.performance[0])
     assert trace == [1.0] + [0.0] * k + [1.0]
-
-
-def test_read_boundary_reports_current_values():
-    fed = FederateState(make_topology([(0, 1)], 2))
-    assert fed.read_boundary([0, 1]).tolist() == [1.0, 1.0]
-    fed.apply_disruption([0])
-    values = fed.read_boundary([0, 1])
-    assert values[0] == 0.0
-    values[0] = 0.5  # returned copy; state must not change
-    assert fed.performance[0] == 0.0
 
 
 def test_disruption_writes_do_not_reach_the_history():
