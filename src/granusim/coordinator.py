@@ -81,11 +81,13 @@ class Federation:
 
         The read phase copies every federate's performance into one
         vector; the write phase gathers each consumer's slots from it
-        into its existing ``foreign_inputs`` array.
+        into its existing ``foreign_inputs`` array and latches the
+        foreign channel the consumer's steps add until the next barrier.
         """
         read = np.concatenate([fed.performance for fed in self._feds])
         for fed, index in self._gather:
             read.take(index, out=fed.foreign_inputs)
+            fed.latch_foreign_inputs()
 
 
 def _deliver(federation: Federation, actions: list) -> None:
@@ -117,10 +119,14 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
 
     Yields t once timestep t has been delivered, stepped, recorded and,
     at a sync instant, exchanged; the first ``next`` also does the
-    set-up.  Returns the MoP trace.  Lets a caller advance several runs
-    in lockstep.  A federation runs once: set-up raises
-    ``ScheduleError`` on one that has run before, and ``ZeroBaseline``
-    when a network's initial performance sums to zero.
+    set-up.  Returns the MoP trace, whose values are final only then:
+    each timestep records its raw performance sums, and the series are
+    scaled to percent of baseline once at the end.  Lets a caller
+    advance several runs in lockstep.  A federation runs once: set-up
+    raises ``ScheduleError`` on one that has run before or on an event
+    outside the horizon or on a network outside the federation,
+    ``UnknownNode`` on an event naming a node the network lacks, and
+    ``ZeroBaseline`` when a network's initial performance sums to zero.
     """
     if federation.ran:
         raise ScheduleError("federation has already run; build a fresh one")
@@ -130,6 +136,11 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
         if ev.apply_time > horizon or ev.retract_time > horizon:
             raise ScheduleError(
                 f"event at {ev.apply_time}/{ev.retract_time} exceeds horizon {horizon}")
+        if ev.network_id not in federation.federates:
+            raise ScheduleError(
+                f"event at {ev.apply_time} names network {ev.network_id.value!r} "
+                "outside the federation")
+        federation.federates[ev.network_id].check_nodes(ev.nodes)
         nodes = tuple(sorted(ev.nodes))
         actions_at.setdefault(ev.apply_time, []).append((1, ev.network_id, nodes))
         actions_at.setdefault(ev.retract_time, []).append((0, ev.network_id, nodes))
@@ -141,11 +152,13 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
         if baseline == 0.0:
             raise ZeroBaseline(f"{net.value}: initial performance sums to zero")
     federation.ran = True
+    # Raw sums per timestep; ``*= 100.0`` then ``/= baseline`` at the end
+    # is the IEEE sequence of ``100.0 * sum / baseline`` per value.
     series = {n: np.empty(horizon + 1) for n in federation.order}
-    records = [(fed, series[n], baselines[n])
-               for n, fed in zip(federation.order, feds)]
-    for fed, values, baseline in records:
-        values[0] = 100.0 * fed.performance.sum() / baseline
+    records = [(fed, series[n]) for n, fed in zip(federation.order, feds)]
+    add = np.add.reduce
+    for fed, values in records:
+        values[0] = add(fed.performance)
 
     federation.exchange()  # seed foreign inputs with true initial values
 
@@ -154,11 +167,14 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
             _deliver(federation, actions_at[t])
         for fed in feds:
             fed.step()
-        for fed, values, baseline in records:
-            values[t] = 100.0 * fed.performance.sum() / baseline
+        for fed, values in records:
+            values[t] = add(fed.performance)
         if t % schedule.tg == 0:
             federation.exchange()
         yield t
 
+    for net, values in series.items():
+        values *= 100.0
+        values /= baselines[net]
     return MoPTrace(networks=tuple(federation.order), series=series,
                     baselines=baselines)

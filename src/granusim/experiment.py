@@ -52,6 +52,22 @@ class NetworkSpec:
     weights: tuple[float, float, float] = (0.3, 0.4, 0.3)
     lag: int = 1
 
+    def __post_init__(self):
+        n = self.node_count
+        if n < 1:
+            raise ScenarioError(f"nodes: must be positive, got {n}")
+        if not 0 <= self.edge_count <= n * (n - 1):
+            raise ScenarioError(
+                f"edges: must lie in [0, {n * (n - 1)}] for {n} nodes, got {self.edge_count}")
+        w = self.weights
+        if (len(w) != 3
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
+                or min(w) < 0 or abs(sum(w) - 1.0) > 1e-9):
+            raise ScenarioError(
+                f"weights: expected 3 nonnegative numbers summing to 1, got {list(w)}")
+        if self.lag < 1:
+            raise ScenarioError(f"lag: must be positive, got {self.lag}")
+
 
 DEFAULT_NETWORKS = (
     NetworkSpec(NetworkId.WATER, 22, 77, lag=1),
@@ -81,6 +97,8 @@ class ScenarioConfig:
             raise ScenarioError("warmup: must be positive")
         if self.horizon < 1:
             raise ScenarioError("horizon: must be positive")
+        if self.couplings_per_node < 1:
+            raise ScenarioError("couplings_per_node: must be positive")
 
     def network(self, network_id: NetworkId) -> NetworkSpec:
         for spec in self.networks:
@@ -129,8 +147,12 @@ class ScenarioConfig:
                 except ValueError:
                     raise ScenarioError(f"field '{name}': unknown network {doc[name]!r}")
         if "networks" in doc:
+            if not isinstance(doc["networks"], list):
+                raise ScenarioError("field 'networks': expected a list")
             specs = []
             for i, net in enumerate(doc["networks"]):
+                if not isinstance(net, dict):
+                    raise ScenarioError(f"field 'networks[{i}]': expected an object")
                 try:
                     specs.append(NetworkSpec(
                         network_id=NetworkId(net["id"]),
@@ -139,7 +161,7 @@ class ScenarioConfig:
                         weights=tuple(net.get("weights", (0.3, 0.4, 0.3))),
                         lag=int(net.get("lag", 1)),
                     ))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, ScenarioError) as exc:
                     raise ScenarioError(f"field 'networks[{i}]': {exc}") from exc
             kwargs["networks"] = tuple(specs)
         return cls(**kwargs)

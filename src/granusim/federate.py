@@ -2,16 +2,22 @@
 
 Each node combines three channels into its next performance value:
 its intrinsic level, the lagged mean of its in-network predecessors,
-and the mean of its cross-network inputs (frozen between
-synchronization points):
+and the mean of its cross-network inputs:
 
-    p_i <- clamp(w_int * b_i + w_in * m_i + w_ext * f_i, 0, 1)
+    p_i <- min(w_int * b_i + w_in * m_i + w_ext * f_i, 1)
 
 where m_i averages predecessor performance from ``lag`` timesteps back
 with disrupted predecessors contributing zero (lost supply, not
 renormalized demand), a node without in-edges falls back to b_i, and a
-node without couplings renormalizes w_ext away.  Disrupted nodes are
-pinned to zero until every disruption covering them is retracted.
+node without couplings renormalizes w_ext away.  Weights and intrinsic
+levels are nonnegative, so p_i never needs a lower clamp.  Disrupted
+nodes are pinned to zero until every disruption covering them is
+retracted.
+
+The foreign channel w_ext * f_i can only change at a synchronization
+point: ``latch_foreign_inputs`` computes it from the slot values when
+the coordinator's barrier has written them, and ``step`` adds it as it
+is until the next barrier.
 """
 
 import json
@@ -41,19 +47,25 @@ class FederateState:
             raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
         if lag < 1:
             raise ValueError(f"lag must be a positive integer, got {lag}")
+        intrinsic = np.array(topology.intrinsic_performance, dtype=float)
+        if not ((intrinsic >= 0.0) & (intrinsic <= 1.0)).all():
+            raise ValueError("intrinsic performance levels must lie in [0, 1], "
+                             f"got {topology.intrinsic_performance}")
         self.topology = topology
         self.w_int, self.w_in, self.w_ext = w_int, w_in, w_ext
         self.lag = lag
 
         n = topology.node_count
-        self.intrinsic = np.array(topology.intrinsic_performance, dtype=float)
+        self.intrinsic = intrinsic
         self.performance = self.intrinsic.copy()
         # Number of active disruptions per node, so overlapping events
         # compose: a node is up again only when its count is back at 0.
         self.disrupted = np.zeros(n, dtype=int)
         # 1.0 where the count is 0, else 0.0; kept in step with
-        # ``disrupted`` so the step masks by multiplication.
+        # ``disrupted`` so the step masks by multiplication, which it
+        # skips while no node is down (x * 1.0 is x).
         self._keep = np.ones(n)
+        self._any_down = False
         self.history: deque[np.ndarray] = deque(
             [self.performance.copy() for _ in range(lag)], maxlen=lag)
 
@@ -76,12 +88,14 @@ class FederateState:
     def set_consumers(self, consumer_nodes) -> None:
         """Wire foreign slot k to local node ``consumer_nodes[k]``.
 
-        Resets every slot to 1.0 and derives the step constants that
-        depend on the coupling: the per-node slot count, its divisor and
-        the mask of uncoupled nodes, which renormalize w_ext away.  The
-        coordinator writes ``foreign_inputs`` at sync instants.
+        Resets every slot to 1.0, derives the step constants that depend
+        on the coupling (the per-node slot count, its divisor and the
+        mask of uncoupled nodes, which renormalize w_ext away) and
+        latches the foreign channel of the 1.0 slots.  The coordinator
+        writes ``foreign_inputs`` at sync instants and then calls
+        ``latch_foreign_inputs``.
         """
-        self._check_nodes(consumer_nodes)
+        self.check_nodes(consumer_nodes)
         self.consumer_nodes = np.array(consumer_nodes, dtype=int)
         self.foreign_inputs = np.ones(len(self.consumer_nodes))
         self.coupling_count = np.bincount(
@@ -89,12 +103,32 @@ class FederateState:
         self._coupling_divisor = np.maximum(self.coupling_count, 1.0)
         uncoupled = self.coupling_count == 0
         self._uncoupled = uncoupled if uncoupled.any() else None
+        self.latch_foreign_inputs()
+
+    def latch_foreign_inputs(self) -> None:
+        """Fix the foreign channel from the current slot values.
+
+        Computes the per-node term ``w_ext * mean(slots)``: slot sums by
+        ``bincount``, divided by the slot-count divisor, scaled by
+        ``w_ext``.  Every ``step()`` until the next call adds this term
+        as it is, so a write to ``foreign_inputs`` reaches the dynamics
+        only once it is latched.  With no slots there is no term.
+        """
+        if not len(self.consumer_nodes):
+            self._foreign_term = None
+            return
+        term = np.bincount(self.consumer_nodes, weights=self.foreign_inputs,
+                           minlength=self.node_count)
+        term /= self._coupling_divisor
+        term *= self.w_ext
+        self._foreign_term = term
 
     @property
     def node_count(self) -> int:
         return self.topology.node_count
 
-    def _check_nodes(self, node_set) -> np.ndarray:
+    def check_nodes(self, node_set) -> np.ndarray:
+        """Sorted distinct node indices; ``UnknownNode`` if any is out of range."""
         nodes = np.asarray(sorted(set(node_set)), dtype=int)
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.node_count):
             raise UnknownNode(
@@ -108,37 +142,37 @@ class FederateState:
         The rule runs as in-place numpy operations on constants set up
         once: the in-degree divisor ``max(in_degree, 1)`` and the mask of
         nodes without in-edges, ``w_int * intrinsic`` and ``w_int +
-        w_in`` (from ``__init__``); the slot-count divisor and the mask
-        of uncoupled nodes (from ``set_consumers``); and the 1/0 keep
-        mask of undisrupted nodes (from ``apply_disruption`` and
+        w_in`` (from ``__init__``); the mask of uncoupled nodes (from
+        ``set_consumers``); the foreign channel, fixed at the last
+        barrier (from ``latch_foreign_inputs``); and the 1/0 keep mask
+        of undisrupted nodes (from ``apply_disruption`` and
         ``retract_disruption``).  Each array operation is the one of the
         rule in the same order, so results are bit-for-bit those of the
         plain formula: one matvec of the masked lagged state, divide,
-        select the intrinsic level, scale; slot sums by ``bincount``,
-        then divide; clamp, then zero the disrupted nodes.
+        select the intrinsic level, scale; add the foreign channel;
+        clamp at 1, then zero the disrupted nodes.  While no node is
+        down the two masking products are skipped, since multiplying by
+        1.0 changes no bit.
 
         The new state is a fresh array that becomes both
         ``performance`` and the newest ``history`` entry.
         """
-        keep = self._keep
-        p = self.in_matrix @ (self.history[0] * keep)
+        if self._any_down:
+            p = self.in_matrix.dot(self.history[0] * self._keep)
+        else:
+            p = self.in_matrix.dot(self.history[0])
         p /= self._in_divisor
         if self._no_in is not None:
             np.copyto(p, self.intrinsic, where=self._no_in)
         p *= self.w_in
         p += self._intrinsic_term
-        if len(self.consumer_nodes):
-            foreign = np.bincount(self.consumer_nodes,
-                                  weights=self.foreign_inputs,
-                                  minlength=len(p))
-            foreign /= self._coupling_divisor
-            foreign *= self.w_ext
-            p += foreign
+        if self._foreign_term is not None:
+            p += self._foreign_term
         if self._uncoupled is not None:
             np.divide(p, self._local_weight, out=p, where=self._uncoupled)
-        np.maximum(p, 0.0, out=p)
         np.minimum(p, 1.0, out=p)
-        p *= keep
+        if self._any_down:
+            p *= self._keep
         self.performance = p
         self.history.append(p)
 
@@ -149,9 +183,10 @@ class FederateState:
         next ``step()``, which pins the nodes to zero and hides them from
         their out-neighbours.
         """
-        nodes = self._check_nodes(node_set)
+        nodes = self.check_nodes(node_set)
         self.disrupted[nodes] += 1
         self._keep[nodes] = 0.0
+        self._any_down = bool(self.disrupted.any())
 
     def retract_disruption(self, node_set) -> None:
         """Remove one active disruption from each node.
@@ -163,11 +198,12 @@ class FederateState:
         factor of about ``w_in`` per step, and the first sync at or after
         retraction exports what is left of it.
         """
-        nodes = self._check_nodes(node_set)
+        nodes = self.check_nodes(node_set)
         if not self.disrupted[nodes].all():
             raise ValueError(f"retract of nodes that are not disrupted: {node_set}")
         self.disrupted[nodes] -= 1
         self._keep[nodes] = self.disrupted[nodes] == 0
+        self._any_down = bool(self.disrupted.any())
 
     def snapshot_json(self) -> str:
         doc = {

@@ -110,6 +110,13 @@ def test_malformed_scenario_rejected_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scenario_with_a_bad_network_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "scenario.json"
+    bad.write_text('{"networks": [{"id": "water", "nodes": 3, "edges": 7}]}')
+    assert main(["run", "--scenario", str(bad), "--tg", "5", "--rt", "2", "--ds", "2"]) == 2
+    assert "edges" in capsys.readouterr().err
+
+
 def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
     base = tmp_path / "base"
     main(["generate", "--out", str(base)])

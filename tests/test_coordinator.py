@@ -332,3 +332,46 @@ def test_poisson_streams_on_the_paper_network_match_the_oracle(
         [(e.apply_time, e.retract_time, e.network_id, e.nodes) for e in events])
     for net in nets:
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+def test_run_steps_records_each_mop_as_the_percent_of_baseline():
+    config = ScenarioConfig()
+    federation = build_federation(config)
+    feds = federation.federates
+    pattern = fixed_pattern(12, feds[config.origin].topology, config.master_seed)
+    events = [DisruptionEvent(51, 60, config.origin, pattern)]
+    steps = run_steps(federation, SyncSchedule(tg=12, horizon=300), events)
+    baselines = {net: float(feds[net].performance.sum()) for net in federation.order}
+    seen = {net: [100.0 * feds[net].performance.sum() / baselines[net]]
+            for net in federation.order}
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            trace = done.value
+            break
+        for net in federation.order:
+            seen[net].append(100.0 * feds[net].performance.sum() / baselines[net])
+    for net in federation.order:
+        assert trace.series[net].min() < 100.0
+        assert trace.series[net].tobytes() == np.array(seen[net]).tobytes()
+
+
+@pytest.mark.parametrize("event, error", [
+    (DisruptionEvent(60, 70, NetworkId.WATER, (1, 3)), UnknownNode),
+    (DisruptionEvent(60, 70, NetworkId.POWER, (0,)), ScheduleError),
+])
+def test_events_checked_before_the_first_step(event, error):
+    # Water has 3 nodes and the federation has no power network.
+    water = FederateState(make_topology([(0, 1), (1, 2)], 3, NetworkId.WATER))
+    business = FederateState(make_topology([(1, 0)], 2, NetworkId.BUSINESS))
+    fed = Federation({NetworkId.WATER: water, NetworkId.BUSINESS: business},
+                     InterdependencyMap(couplings=(
+                         Coupling(NetworkId.BUSINESS, 0, NetworkId.WATER, 2),)))
+    steps = run_steps(fed, SyncSchedule(tg=5, horizon=100), [event])
+    with pytest.raises(error):
+        next(steps)
+    # A step makes its new state both ``performance`` and the newest
+    # history entry; set-up before any step leaves them distinct.
+    assert not fed.ran
+    assert all(state.history[-1] is not state.performance for state in (water, business))

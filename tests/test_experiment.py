@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -73,6 +74,23 @@ def test_scenario_rejects_malformed_json():
         ScenarioConfig.from_json('{"origin": "gas"}')
     with pytest.raises(ScenarioError, match="networks"):
         ScenarioConfig.from_json('{"networks": [{"id": "water"}]}')
+
+
+WATER = {"id": "water", "nodes": 4, "edges": 6}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"networks": [dict(WATER, weights=[0.5, 0.5])]}, "weights"),
+    ({"networks": [dict(WATER, weights=[0.5, 0.5, 0.5])]}, "weights"),
+    ({"networks": [dict(WATER, nodes=0, edges=0)]}, "nodes"),
+    ({"networks": [dict(WATER, lag=0)]}, "lag"),
+    ({"networks": [dict(WATER, edges=13)]}, "edges"),
+    ({"couplings_per_node": 0}, "couplings_per_node"),
+    ({"networks": {"water": WATER}}, "'networks'"),
+])
+def test_scenario_fields_checked_when_parsed(doc, field):
+    with pytest.raises(ScenarioError, match=field):
+        ScenarioConfig.from_json(json.dumps(doc))
 
 
 def test_scenario_validation():

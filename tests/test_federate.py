@@ -20,6 +20,12 @@ def test_weights_must_sum_to_one():
         FederateState(topo, lag=0)
 
 
+@pytest.mark.parametrize("intrinsic", [[1.0, -0.1], [1.5, 1.0], [float("nan"), 1.0]])
+def test_intrinsic_levels_outside_unit_interval_rejected(intrinsic):
+    with pytest.raises(ValueError, match="intrinsic"):
+        FederateState(make_topology([], 2, intrinsic=intrinsic))
+
+
 def test_isolated_node_is_fixed_point():
     fed = FederateState(make_topology([], 1))
     for _ in range(10):
@@ -151,10 +157,28 @@ def test_set_consumers_rederives_the_coupling_constants():
     assert rewired.coupling_count.tolist() == [0.0, 1.0, 0.0, 2.0]
     for fed in (rewired, fresh):
         fed.foreign_inputs[:] = [0.5, 0.25, 0.0]
+        fed.latch_foreign_inputs()
         fed.apply_disruption([2])
         for _ in range(4):
             fed.step()
     assert np.array_equal(rewired.performance, fresh.performance)
+
+
+def test_slot_writes_reach_the_step_only_once_latched():
+    edges = [(0, 1), (1, 2)]
+    latched = FederateState(make_topology(edges, 3), consumer_nodes=[0, 2, 2])
+    untouched = FederateState(make_topology(edges, 3), consumer_nodes=[0, 2, 2])
+    latched.foreign_inputs[:] = [0.5, 0.25, 0.0]
+    for _ in range(3):
+        latched.step()
+        untouched.step()
+        assert np.array_equal(latched.performance, untouched.performance)
+    latched.latch_foreign_inputs()
+    latched.step()
+    untouched.step()
+    # 0.3 + 0.4 + 0.3 * 0.5 at node 0; 0.3 + 0.4 + 0.3 * 0.125 at node 2.
+    assert latched.performance.tolist() == pytest.approx([0.85, 1.0, 0.7375], abs=1e-12)
+    assert untouched.performance.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_lag_two_delays_recovery():
@@ -209,6 +233,7 @@ def test_matches_scalar_oracle_on_random_runs():
                 down = set()
             foreign = rng.uniform(0, 1, size=len(consumers))
             fed.foreign_inputs[:] = foreign
+            fed.latch_foreign_inputs()
             ref.foreign = list(foreign)
             fed.step()
             ref.step()
@@ -233,6 +258,7 @@ def test_performance_stays_bounded(raw, lag, seed):
     fed.apply_disruption([1])
     for t in range(20):
         fed.foreign_inputs[:] = rng.uniform(0, 1, size=3)
+        fed.latch_foreign_inputs()
         if t == 10:
             fed.retract_disruption([1])
         fed.step()
