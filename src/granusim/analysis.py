@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearError, DegenerateModel
+from .errors import CollinearError, DegenerateModel, MissingColumns
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -23,15 +23,23 @@ TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
 #: Ridge penalty keeping the logistic MLE finite under perfect separation.
 LOGISTIC_RIDGE = 1e-6
 
+#: Columns of a results file that ``load_results`` reads.
+RESULTS_COLUMNS = ("tg", "rt", "ds", "spds_pct", "sprt_steps", "visible", "status")
+
 
 def load_results(path) -> dict[str, np.ndarray]:
     """Read a results CSV into numeric columns, keeping only ok rows.
 
     Censored runs get sprt = NaN; callers drop them for recovery-time
-    models but keep them for visibility models.
+    models but keep them for visibility models.  A header without one of
+    ``RESULTS_COLUMNS`` raises ``MissingColumns`` naming each one.
     """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
+        reader = csv.DictReader(fh)
+        missing = [c for c in RESULTS_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise MissingColumns(f"{path}: results columns missing: {', '.join(missing)}")
+        rows = [r for r in reader if r["status"] == "ok"]
     if not rows:
         raise ValueError(f"no usable rows in {path}")
     table = {

@@ -4,7 +4,14 @@ Federates run freely for ``tg`` internal timesteps, then barrier:
 boundary values are collected from every federate (read phase) before
 any consumer's foreign inputs are written (write phase), so no federate
 ever sees a mix of pre- and post-exchange values.  Between sync
-instants no information crosses federate boundaries.
+instants no information crosses federate boundaries.  The barrier owns
+one slot vector and one foreign-term vector for the whole federation;
+each federate's ``foreign_inputs`` and foreign channel are views into
+them, so one gather and one latch serve every consumer.
+
+The MoP series are summed in blocks of ``MOP_BLOCK`` (32) timesteps:
+the loop keeps each new state by reference and reduces a block at once,
+with the bits of summing each timestep on its own.
 
 Events are delivered at their exact internal timestep, retractions
 before applications, ties broken by network order then node index.
@@ -17,9 +24,12 @@ import numpy as np
 
 from .disruption import DisruptionEvent
 from .errors import ScheduleError, UnknownNode, ZeroBaseline
-from .federate import FederateState
+from .federate import FederateState, latch
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
+
+#: Timesteps whose states ``run_steps`` keeps before summing them at once.
+MOP_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -69,25 +79,44 @@ class Federation:
                 raise UnknownNode(f"producer node out of range: {c}")
             consumer_nodes[consumer_net].append(consumer_node)
             producers[consumer_net].append(offsets[producer_net] + producer_node)
+        # One barrier for the whole federation: the slot vector holds
+        # every consumer's foreign_inputs end to end in ``order``, the
+        # term vector every node's foreign channel, and each federate
+        # keeps views into both.
         self._feds = [federates[net] for net in self.order]
-        self._gather = []
+        self._producers = np.array(
+            [p for net in self.order for p in producers[net]], dtype=np.intp)
+        self._slots = np.ones(len(self._producers))
+        self._terms = np.zeros(total)
+        start = 0
         for fed, net in zip(self._feds, self.order):
-            fed.set_consumers(consumer_nodes[net])
-            if producers[net]:
-                self._gather.append((fed, np.array(producers[net], dtype=np.intp)))
+            stop = start + len(producers[net])
+            node_terms = self._terms[offsets[net]:offsets[net] + sizes[net]]
+            fed.set_consumers(consumer_nodes[net], slots=self._slots[start:stop],
+                              term=node_terms)
+            start = stop
+        self._consumers = np.concatenate(
+            [fed.consumer_nodes + offsets[net] for fed, net in zip(self._feds, self.order)])
+        self._divisor = np.maximum(
+            np.concatenate([fed.coupling_count for fed in self._feds]), 1.0)
+        self._w_ext = np.concatenate(
+            [np.full(fed.node_count, fed.w_ext) for fed in self._feds])
 
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
 
         The read phase copies every federate's performance into one
-        vector; the write phase gathers each consumer's slots from it
-        into its existing ``foreign_inputs`` array and latches the
-        foreign channel the consumer's steps add until the next barrier.
+        vector.  The write phase gathers every consumer slot from it
+        into the federation's slot vector, then latches the foreign
+        channel of every node at once into the term vector (``latch``).
+        Each federate's ``foreign_inputs`` and foreign channel are views
+        into those two vectors, so its steps add the new term until the
+        next barrier.  Five numpy calls, whatever the number of
+        federates.
         """
         read = np.concatenate([fed.performance for fed in self._feds])
-        for fed, index in self._gather:
-            read.take(index, out=fed.foreign_inputs)
-            fed.latch_foreign_inputs()
+        read.take(self._producers, out=self._slots)
+        latch(self._consumers, self._slots, self._divisor, self._w_ext, self._terms)
 
 
 def _deliver(federation: Federation, actions: list) -> None:
@@ -105,12 +134,12 @@ def _deliver(federation: Federation, actions: list) -> None:
 def run(federation: Federation, schedule: SyncSchedule,
         events: list[DisruptionEvent]) -> MoPTrace:
     """Advance the federation to the horizon and return the full MoP trace."""
-    steps = run_steps(federation, schedule, events)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value
+    advance = run_steps(federation, schedule, events).__next__
+    try:
+        while True:
+            advance()
+    except StopIteration as done:
+        return done.value
 
 
 def run_steps(federation: Federation, schedule: SyncSchedule,
@@ -120,17 +149,23 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     Yields t once timestep t has been delivered, stepped, recorded and,
     at a sync instant, exchanged; the first ``next`` also does the
     set-up.  Returns the MoP trace, whose values are final only then:
-    each timestep records its raw performance sums, and the series are
-    scaled to percent of baseline once at the end.  Lets a caller
-    advance several runs in lockstep.  A federation runs once: set-up
-    raises ``ScheduleError`` on one that has run before or on an event
-    outside the horizon or on a network outside the federation,
-    ``UnknownNode`` on an event naming a node the network lacks, and
-    ``ZeroBaseline`` when a network's initial performance sums to zero.
+    each timestep keeps every federate's new state by reference, and
+    every ``MOP_BLOCK`` timesteps (and at the horizon) one row-wise
+    ``np.add.reduce`` per network turns the block into raw performance
+    sums, which are scaled to percent of baseline once at the end.  A
+    row sums with the same pairwise order as the 1-D reduction of that
+    state, so the values are bit-for-bit those of summing each timestep
+    on its own; bounding the block keeps at most ``MOP_BLOCK`` states
+    per federate alive.  Lets a caller advance several runs in
+    lockstep.  A federation runs once: set-up raises ``ScheduleError``
+    on one that has run before or on an event outside the horizon or
+    on a network outside the federation, ``UnknownNode`` on an event
+    naming a node the network lacks, and ``ZeroBaseline`` when a
+    network's initial performance sums to zero.
     """
     if federation.ran:
         raise ScheduleError("federation has already run; build a fresh one")
-    horizon = schedule.horizon
+    horizon, tg = schedule.horizon, schedule.tg
     actions_at: dict[int, list] = {}
     for ev in events:
         if ev.apply_time > horizon or ev.retract_time > horizon:
@@ -155,23 +190,27 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     # Raw sums per timestep; ``*= 100.0`` then ``/= baseline`` at the end
     # is the IEEE sequence of ``100.0 * sum / baseline`` per value.
     series = {n: np.empty(horizon + 1) for n in federation.order}
-    records = [(fed, series[n]) for n, fed in zip(federation.order, feds)]
     add = np.add.reduce
-    for fed, values in records:
+    records = [(fed, series[n], []) for n, fed in zip(federation.order, feds)]
+    for fed, values, _ in records:
         values[0] = add(fed.performance)
 
     federation.exchange()  # seed foreign inputs with true initial values
 
-    for t in range(1, horizon + 1):
-        if t in actions_at:
-            _deliver(federation, actions_at[t])
-        for fed in feds:
-            fed.step()
-        for fed, values in records:
-            values[t] = add(fed.performance)
-        if t % schedule.tg == 0:
-            federation.exchange()
-        yield t
+    for start in range(1, horizon + 1, MOP_BLOCK):
+        stop = min(start + MOP_BLOCK, horizon + 1)
+        for t in range(start, stop):
+            if t in actions_at:
+                _deliver(federation, actions_at[t])
+            for fed, _, block in records:
+                fed.step()
+                block.append(fed.performance)
+            if t % tg == 0:
+                federation.exchange()
+            yield t
+        for _, values, block in records:
+            add(np.array(block), axis=1, out=values[start:stop])
+            block.clear()
 
     for net, values in series.items():
         values *= 100.0

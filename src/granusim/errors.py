@@ -36,3 +36,7 @@ class DegenerateModel(GranusimError):
 
 class ScenarioError(GranusimError):
     """Scenario file is malformed; message names the offending field."""
+
+
+class MissingColumns(GranusimError):
+    """A results file lacks columns the analysis reads; message lists them."""

@@ -8,6 +8,7 @@ function of (seed, config, layout).
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -19,8 +20,8 @@ from .disruption import DisruptionEvent, fixed_pattern
 from .errors import ScenarioError
 from .federate import FederateState
 from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt
-from .topology import (NetworkId, Topology, generate_interdependencies,
-                       generate_topology)
+from .topology import (InterdependencyMap, NetworkId, Topology,
+                       generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -181,10 +182,20 @@ def build_topologies(config: ScenarioConfig) -> list[Topology]:
             for n in config.networks]
 
 
-def build_federation(config: ScenarioConfig) -> Federation:
-    topologies = build_topologies(config)
-    interdeps = generate_interdependencies(
+@functools.lru_cache(maxsize=1)
+def _wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], InterdependencyMap]:
+    """Topologies and couplings of a scenario, generated once per config.
+
+    Both are frozen, so every federation built from the config shares
+    them; each build still makes fresh federate states.
+    """
+    topologies = tuple(build_topologies(config))
+    return topologies, generate_interdependencies(
         topologies, config.couplings_per_node, config.master_seed)
+
+
+def build_federation(config: ScenarioConfig) -> Federation:
+    topologies, interdeps = _wiring(config)
     federates = {}
     for spec, topo in zip(config.networks, topologies):
         federates[spec.network_id] = FederateState(

@@ -15,8 +15,9 @@ nodes are pinned to zero until every disruption covering them is
 retracted.
 
 The foreign channel w_ext * f_i can only change at a synchronization
-point: ``latch_foreign_inputs`` computes it from the slot values when
-the coordinator's barrier has written them, and ``step`` adds it as it
+point: ``latch`` computes it from the slot values, for every federate
+at once when the coordinator's barrier has written them or for one
+federate through ``latch_foreign_inputs``, and ``step`` adds it as it
 is until the next barrier.
 """
 
@@ -29,6 +30,21 @@ from .errors import UnknownNode
 from .topology import Topology
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
+
+
+def latch(consumers, slots, divisor, w_ext, out) -> None:
+    """Write the foreign channel ``w_ext * mean(slots)`` per node to ``out``.
+
+    Slot values are summed per node by ``bincount`` in slot order, then
+    divided by the per-node slot-count divisor and scaled by ``w_ext``.
+    The one formula of both ``FederateState.latch_foreign_inputs`` (one
+    federate) and the coordinator's barrier (every federate at once,
+    node indices offset and ``divisor`` and ``w_ext`` laid end to end):
+    each node sums its own slots in the same order and the rest is
+    elementwise, so both give the same bits.
+    """
+    np.divide(np.bincount(consumers, weights=slots, minlength=len(out)), divisor, out=out)
+    out *= w_ext
 
 
 class FederateState:
@@ -82,46 +98,53 @@ class FederateState:
         self._no_in = no_in if no_in.any() else None
         self._intrinsic_term = w_int * self.intrinsic
         self._local_weight = w_int + w_in
+        # Array operands: ``x * w`` has the bits of ``x * w_in`` but skips
+        # converting the Python scalar on every call.
+        self._w_in = np.full(n, w_in)
+        self._ones = np.ones(n)
 
         self.set_consumers(consumer_nodes or [])
 
-    def set_consumers(self, consumer_nodes) -> None:
+    def set_consumers(self, consumer_nodes, slots=None, term=None) -> None:
         """Wire foreign slot k to local node ``consumer_nodes[k]``.
 
         Resets every slot to 1.0, derives the step constants that depend
         on the coupling (the per-node slot count, its divisor and the
         mask of uncoupled nodes, which renormalize w_ext away) and
-        latches the foreign channel of the 1.0 slots.  The coordinator
-        writes ``foreign_inputs`` at sync instants and then calls
-        ``latch_foreign_inputs``.
+        latches the foreign channel of the 1.0 slots.  ``slots`` (one
+        entry per slot) and ``term`` (one per node) are where
+        ``foreign_inputs`` and the foreign channel live; a federation
+        passes views into its own barrier vectors, and without them the
+        federate allocates its own.  The coordinator writes the slots at
+        sync instants and latches every consumer's term at once.
         """
         self.check_nodes(consumer_nodes)
         self.consumer_nodes = np.array(consumer_nodes, dtype=int)
-        self.foreign_inputs = np.ones(len(self.consumer_nodes))
+        k, n = len(self.consumer_nodes), self.node_count
+        self.foreign_inputs = np.empty(k) if slots is None else slots
+        self.foreign_inputs[:] = 1.0
         self.coupling_count = np.bincount(
-            self.consumer_nodes, minlength=self.node_count).astype(float)
+            self.consumer_nodes, minlength=n).astype(float)
         self._coupling_divisor = np.maximum(self.coupling_count, 1.0)
         uncoupled = self.coupling_count == 0
         self._uncoupled = uncoupled if uncoupled.any() else None
-        self.latch_foreign_inputs()
+        # With no slots there is no foreign channel.
+        self._foreign_term = None
+        if k:
+            self._foreign_term = np.empty(n) if term is None else term
+            self.latch_foreign_inputs()
 
     def latch_foreign_inputs(self) -> None:
         """Fix the foreign channel from the current slot values.
 
-        Computes the per-node term ``w_ext * mean(slots)``: slot sums by
-        ``bincount``, divided by the slot-count divisor, scaled by
-        ``w_ext``.  Every ``step()`` until the next call adds this term
+        Writes the per-node term ``w_ext * mean(slots)`` in place (see
+        ``latch``).  Every ``step()`` until the next call adds this term
         as it is, so a write to ``foreign_inputs`` reaches the dynamics
         only once it is latched.  With no slots there is no term.
         """
-        if not len(self.consumer_nodes):
-            self._foreign_term = None
-            return
-        term = np.bincount(self.consumer_nodes, weights=self.foreign_inputs,
-                           minlength=self.node_count)
-        term /= self._coupling_divisor
-        term *= self.w_ext
-        self._foreign_term = term
+        if self._foreign_term is not None:
+            latch(self.consumer_nodes, self.foreign_inputs, self._coupling_divisor,
+                  self.w_ext, self._foreign_term)
 
     @property
     def node_count(self) -> int:
@@ -141,10 +164,10 @@ class FederateState:
 
         The rule runs as in-place numpy operations on constants set up
         once: the in-degree divisor ``max(in_degree, 1)`` and the mask of
-        nodes without in-edges, ``w_int * intrinsic`` and ``w_int +
-        w_in`` (from ``__init__``); the mask of uncoupled nodes (from
-        ``set_consumers``); the foreign channel, fixed at the last
-        barrier (from ``latch_foreign_inputs``); and the 1/0 keep mask
+        nodes without in-edges, ``w_int * intrinsic``, ``w_int + w_in``
+        and the ``w_in`` and 1.0 operand arrays (from ``__init__``); the
+        mask of uncoupled nodes (from ``set_consumers``); the foreign
+        channel, fixed at the last barrier (``latch``); and the 1/0 keep mask
         of undisrupted nodes (from ``apply_disruption`` and
         ``retract_disruption``).  Each array operation is the one of the
         rule in the same order, so results are bit-for-bit those of the
@@ -164,13 +187,13 @@ class FederateState:
         p /= self._in_divisor
         if self._no_in is not None:
             np.copyto(p, self.intrinsic, where=self._no_in)
-        p *= self.w_in
+        p *= self._w_in
         p += self._intrinsic_term
         if self._foreign_term is not None:
             p += self._foreign_term
         if self._uncoupled is not None:
             np.divide(p, self._local_weight, out=p, where=self._uncoupled)
-        np.minimum(p, 1.0, out=p)
+        np.minimum(p, self._ones, out=p)
         if self._any_down:
             p *= self._keep
         self.performance = p

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -10,7 +12,7 @@ from granusim.analysis import (LOGISTIC_RIDGE, TERM_ORDER,
                                fit_visibility_logistic, load_results,
                                ratio_scatter_csv, recommend_tg, report_json,
                                variance_shares, visibility_curve_csv)
-from granusim.errors import CollinearError, DegenerateModel
+from granusim.errors import CollinearError, DegenerateModel, MissingColumns
 from oracles import (ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
 
@@ -255,6 +257,21 @@ def test_load_results_rejects_empty(tmp_path):
     path.write_text(RESULTS_TEXT.splitlines()[0] + "\n")
     with pytest.raises(ValueError):
         load_results(path)
+
+
+def without_columns(text, dropped):
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [i for i, name in enumerate(rows[0]) if name not in dropped]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("dropped", [("status",), ("sprt_steps", "visible")])
+def test_load_results_names_missing_columns(tmp_path, dropped):
+    path = tmp_path / "results.csv"
+    path.write_text(without_columns(RESULTS_TEXT, dropped))
+    with pytest.raises(MissingColumns) as err:
+        load_results(path)
+    assert str(err.value).endswith("results columns missing: " + ", ".join(dropped))
 
 
 def synthetic_results_table(n=60, seed=11):

@@ -101,6 +101,21 @@ def test_runtime_error_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["recommend", "--expected-rt", "22"]])
+def test_results_without_a_column_exit_2(results_csv_path, tmp_path, capsys, command):
+    lines = results_csv_path.read_text().splitlines()
+    stripped = tmp_path / "results.csv"
+    stripped.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    out = tmp_path / "report.json"
+    argv = [command[0], "--in", str(stripped), *command[1:]]
+    if command[0] == "analyze":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "results columns missing: status" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_malformed_scenario_rejected_without_output(tmp_path, capsys):
     bad = tmp_path / "scenario.json"
     bad.write_text('{"horizon": "tall"}')

@@ -197,6 +197,66 @@ def test_run_matches_lockstep_oracle_on_random_federations(case):
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
 
 
+WEIGHTS = [(0.3, 0.4, 0.3), (0.2, 0.2, 0.6), (0.5, 0.5, 0.0), (0.1, 0.6, 0.3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_federations(), data=st.data())
+def test_barrier_latches_each_consumer_like_its_own_latch(case, data):
+    # The federation latches every node at once; each consumer's share
+    # of that must be bit-equal to latching its own slots on its own.
+    nets, wiring, _, horizon, (_, _, origin, nodes) = case
+    topologies = {net: make_topology(edges, n, net) for net, (edges, n, _) in nets.items()}
+    weights = {net: data.draw(st.sampled_from(WEIGHTS)) for net in nets}
+    fed = Federation(
+        {net: FederateState(topologies[net], weights=weights[net], lag=nets[net][2])
+         for net in nets},
+        InterdependencyMap(couplings=tuple(Coupling(*w) for w in wiring)))
+    feds = fed.federates
+    feds[origin].apply_disruption(nodes)
+    for _ in range(horizon % 5 + 1):
+        for state in feds.values():
+            state.step()
+        fed.exchange()
+    for net, state in feds.items():
+        alone = FederateState(topologies[net], weights=weights[net], lag=nets[net][2],
+                              consumer_nodes=state.consumer_nodes.tolist())
+        assert (state._foreign_term is None) == (alone._foreign_term is None)
+        if alone._foreign_term is None:
+            continue
+        alone.foreign_inputs[:] = state.foreign_inputs
+        alone.latch_foreign_inputs()
+        assert state._foreign_term.tobytes() == alone._foreign_term.tobytes()
+
+
+def test_a_federate_latch_keeps_it_linked_to_the_barrier():
+    config = ScenarioConfig()
+    pattern = fixed_pattern(12, build_federation(config).federates[config.origin].topology,
+                            config.master_seed)
+    event = DisruptionEvent(5, 9, config.origin, pattern)
+    schedule = SyncSchedule(tg=4, horizon=30)
+    plain = run(build_federation(config), schedule, [event])
+    relatched = build_federation(config)
+    for state in relatched.federates.values():
+        state.latch_foreign_inputs()
+    trace = run(relatched, schedule, [event])
+    # The dip crosses to business only through later barriers, which
+    # reach its steps only if the latch wrote into the barrier's vectors.
+    assert trace.series[config.target].min() < plain.series[config.target][0]
+    assert all(trace.series[n].tobytes() == plain.series[n].tobytes()
+               for n in plain.networks)
+
+
+def test_a_federate_with_no_slots_keeps_no_foreign_term():
+    fed = small_federation()  # nothing feeds water
+    water = fed.federates[NetworkId.WATER]
+    assert water.foreign_inputs.size == 0 and water._foreign_term is None
+    fed.exchange()
+    water.latch_foreign_inputs()
+    assert water._foreign_term is None
+    assert fed.federates[NetworkId.BUSINESS]._foreign_term is not None
+
+
 def test_exchange_writes_a_snapshot_of_every_producer_in_place():
     water = make_topology([(0, 1), (1, 2)], 3, NetworkId.WATER, intrinsic=[0.2, 0.5, 0.9])
     power = make_topology([(1, 0)], 2, NetworkId.POWER, intrinsic=[0.7, 0.4])
@@ -334,13 +394,22 @@ def test_poisson_streams_on_the_paper_network_match_the_oracle(
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
 
 
-def test_run_steps_records_each_mop_as_the_percent_of_baseline():
+@pytest.mark.parametrize("horizon", [1, 31, 32, 33, 64, 65, 300])
+def test_run_steps_records_each_mop_as_the_percent_of_baseline(horizon):
+    # Horizons on either side of one and two MoP blocks (32 timesteps).
     config = ScenarioConfig()
     federation = build_federation(config)
     feds = federation.federates
-    pattern = fixed_pattern(12, feds[config.origin].topology, config.master_seed)
-    events = [DisruptionEvent(51, 60, config.origin, pattern)]
-    steps = run_steps(federation, SyncSchedule(tg=12, horizon=300), events)
+    if horizon >= 60:
+        pattern = fixed_pattern(12, feds[config.origin].topology, config.master_seed)
+        events = [DisruptionEvent(51, 60, config.origin, pattern)]
+    else:
+        # No event fits a short horizon, and nothing crosses a barrier
+        # by t=1: every network has a pattern down from step 1.
+        events = []
+        for fed in feds.values():
+            fed.apply_disruption(fixed_pattern(8, fed.topology, config.master_seed))
+    steps = run_steps(federation, SyncSchedule(tg=12, horizon=horizon), events)
     baselines = {net: float(feds[net].performance.sum()) for net in federation.order}
     seen = {net: [100.0 * feds[net].performance.sum() / baselines[net]]
             for net in federation.order}

@@ -2,12 +2,14 @@ import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from granusim.errors import ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
                                  FactorLevels, ScenarioConfig,
-                                 build_layout, build_topologies,
+                                 build_federation, build_layout,
+                                 build_topologies,
                                  disruption_onset, pattern_hash,
                                  results_csv, run_experiment, run_single,
                                  timing_profile)
@@ -123,6 +125,40 @@ def test_build_topologies_deterministic():
     b = [t.to_json() for t in build_topologies(SMALL)]
     assert a == b
     assert [t.node_count for t in build_topologies(SMALL)] == [22, 21, 20]
+
+
+def test_federations_of_one_config_share_no_mutable_array():
+    # The wiring is built once per config; the states it feeds are not.
+    a, b = build_federation(SMALL), build_federation(SMALL)
+    for net in a.order:
+        fa, fb = a.federates[net], b.federates[net]
+        assert fa.topology is fb.topology
+
+        def arrays(f):
+            return [f.performance, f.foreign_inputs, f.disrupted, f._keep,
+                    f._foreign_term, *f.history]
+        for x in arrays(fa):
+            assert not any(np.shares_memory(x, y) for y in arrays(fb))
+
+
+def test_wiring_follows_the_seed_and_the_network_spec():
+    def wiring(config):
+        fed = build_federation(config)
+        return ([fed.federates[net].topology for net in fed.order],
+                [fed.federates[net].consumer_nodes.tolist() for net in fed.order])
+
+    first = wiring(SMALL)
+    assert first[0] == build_topologies(SMALL)
+    reseeded = replace(SMALL, master_seed=SMALL.master_seed + 1)
+    resized = replace(SMALL, networks=(replace(DEFAULT_NETWORKS[0], edge_count=70),
+                                       *DEFAULT_NETWORKS[1:]))
+    recoupled = replace(SMALL, couplings_per_node=2)
+    for other in (reseeded, resized, recoupled):
+        topologies, consumers = wiring(other)
+        assert topologies == build_topologies(other)
+        assert (topologies, consumers) != first
+        assert wiring(SMALL) == first
+    assert len(wiring(resized)[0][0].edges) == 70
 
 
 def test_run_single_outcome_shape():
