@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearError, DegenerateModel, MissingColumns
+from .errors import CollinearError, DegenerateModel, InvalidRecoveryTime, MissingColumns
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -190,7 +190,11 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     """Largest granularity keeping visibility probability at target_p.
 
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
+    ``InvalidRecoveryTime`` unless expected_rt is positive and finite.
     """
+    if not (math.isfinite(expected_rt) and expected_rt > 0):
+        raise InvalidRecoveryTime(
+            f"expected recovery time must be a positive finite number, got {expected_rt}")
     if not 0.0 < target_p < 1.0:
         raise ValueError(f"target_p must be in (0, 1), got {target_p}")
     if model.slope <= 0:

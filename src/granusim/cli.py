@@ -44,6 +44,13 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _check_parent(path: Path) -> None:
+    # Fail before any work rather than at the final write.
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory {path.parent} does not exist "
+                                f"(for {path})")
+
+
 def _load_scenario(args) -> ScenarioConfig:
     if getattr(args, "scenario", None):
         config = ScenarioConfig.from_json(Path(args.scenario).read_text())
@@ -80,6 +87,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_scenario(args)
+    if args.trace:
+        _check_parent(Path(args.trace))
     outcome, trace, pattern = experiment.run_single(
         config, args.tg, args.rt, args.ds)
     if args.trace:
@@ -99,6 +108,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _load_scenario(args)
+    out = Path(args.out)
+    _check_parent(out)
     layout = build_layout(FactorLevels())
     traces_dir = None
     if args.traces:
@@ -106,7 +117,7 @@ def _cmd_experiment(args) -> int:
         traces_dir.mkdir(parents=True, exist_ok=True)
     rows = experiment.run_experiment(config, layout, jobs=args.jobs,
                                      traces_dir=traces_dir)
-    _write_atomic(Path(args.out), experiment.results_csv(rows))
+    _write_atomic(out, experiment.results_csv(rows))
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {args.out}"
           + (f" ({failed} failed)" if failed else ""))

@@ -5,9 +5,9 @@ boundary values are collected from every federate (read phase) before
 any consumer's foreign inputs are written (write phase), so no federate
 ever sees a mix of pre- and post-exchange values.  Between sync
 instants no information crosses federate boundaries.  The barrier owns
-one slot vector and one foreign-term vector for the whole federation;
-each federate's ``foreign_inputs`` and foreign channel are views into
-them, so one gather and one latch serve every consumer.
+one slot vector and one step-term vector for the whole federation;
+each federate's ``foreign_inputs`` and step term are views into them,
+so one gather and one latch serve every consumer.
 
 The MoP series are summed in blocks of ``MOP_BLOCK`` (32) timesteps:
 the loop keeps each new state by reference and reduces a block at once,
@@ -81,8 +81,8 @@ class Federation:
             producers[consumer_net].append(offsets[producer_net] + producer_node)
         # One barrier for the whole federation: the slot vector holds
         # every consumer's foreign_inputs end to end in ``order``, the
-        # term vector every node's foreign channel, and each federate
-        # keeps views into both.
+        # term vector every node's step term, and each federate keeps
+        # views into both.
         self._feds = [federates[net] for net in self.order]
         self._producers = np.array(
             [p for net in self.order for p in producers[net]], dtype=np.intp)
@@ -101,22 +101,24 @@ class Federation:
             np.concatenate([fed.coupling_count for fed in self._feds]), 1.0)
         self._w_ext = np.concatenate(
             [np.full(fed.node_count, fed.w_ext) for fed in self._feds])
+        self._base = np.concatenate([fed.base for fed in self._feds])
 
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
 
         The read phase copies every federate's performance into one
         vector.  The write phase gathers every consumer slot from it
-        into the federation's slot vector, then latches the foreign
-        channel of every node at once into the term vector (``latch``).
-        Each federate's ``foreign_inputs`` and foreign channel are views
-        into those two vectors, so its steps add the new term until the
-        next barrier.  Five numpy calls, whatever the number of
-        federates.
+        into the federation's slot vector, then latches the step term
+        ``base + w_ext * mean(slots)`` of every node at once into the
+        term vector (``latch``).  Each federate's ``foreign_inputs`` and
+        step term are views into those two vectors, so its steps add the
+        new term until the next barrier.  Six numpy calls, whatever the
+        number of federates.
         """
         read = np.concatenate([fed.performance for fed in self._feds])
         read.take(self._producers, out=self._slots)
-        latch(self._consumers, self._slots, self._divisor, self._w_ext, self._terms)
+        latch(self._consumers, self._slots, self._divisor, self._w_ext, self._base,
+              self._terms)
 
 
 def _deliver(federation: Federation, actions: list) -> None:

@@ -30,6 +30,10 @@ class CollinearError(GranusimError):
     """Design matrix is rank-deficient."""
 
 
+class InvalidRecoveryTime(GranusimError):
+    """An expected recovery time is not a positive finite number."""
+
+
 class DegenerateModel(GranusimError):
     """Model cannot be fit or queried (single class, zero slope, ...)."""
 

@@ -14,11 +14,18 @@ levels are nonnegative, so p_i never needs a lower clamp.  Disrupted
 nodes are pinned to zero until every disruption covering them is
 retracted.
 
-The foreign channel w_ext * f_i can only change at a synchronization
-point: ``latch`` computes it from the slot values, for every federate
-at once when the coordinator's barrier has written them or for one
-federate through ``latch_foreign_inputs``, and ``step`` adds it as it
-is until the next barrier.
+The rule runs in affine form, ``p = min(M x + term, 1)``.  ``M`` is the
+in-adjacency with row i scaled by ``w_in / max(in_degree_i, 1)``, so
+``M x`` is ``w_in * m_i`` and the rows of nodes without in-edges are
+zero.  ``term`` is the constant ``base_i = w_int * b_i`` (plus
+``w_in * b_i`` on nodes without in-edges) plus the foreign channel
+``w_ext * f_i``, which can only change at a synchronization point:
+``latch`` writes it from the slot values, for every federate at once
+when the coordinator's barrier has written them or for one federate
+through ``latch_foreign_inputs``, and ``step`` adds it as it is until
+the next barrier.  Uncoupled nodes are divided by ``w_int + w_in`` on
+their own after the add.  The sums run in another order than the plain
+formula, so values agree with it within 1e-12, not bit for bit.
 """
 
 import json
@@ -32,19 +39,22 @@ from .topology import Topology
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
 
-def latch(consumers, slots, divisor, w_ext, out) -> None:
-    """Write the foreign channel ``w_ext * mean(slots)`` per node to ``out``.
+def latch(consumers, slots, divisor, w_ext, base, out) -> None:
+    """Write the step term ``base + w_ext * mean(slots)`` per node to ``out``.
 
     Slot values are summed per node by ``bincount`` in slot order, then
-    divided by the per-node slot-count divisor and scaled by ``w_ext``.
-    The one formula of both ``FederateState.latch_foreign_inputs`` (one
-    federate) and the coordinator's barrier (every federate at once,
-    node indices offset and ``divisor`` and ``w_ext`` laid end to end):
-    each node sums its own slots in the same order and the rest is
-    elementwise, so both give the same bits.
+    divided by the per-node slot-count divisor, scaled by ``w_ext`` and
+    added to the node's constant ``base``; a node without slots gets
+    ``base`` alone.  The one formula of both
+    ``FederateState.latch_foreign_inputs`` (one federate) and the
+    coordinator's barrier (every federate at once, node indices offset
+    and ``divisor``, ``w_ext`` and ``base`` laid end to end): each node
+    sums its own slots in the same order and the rest is elementwise,
+    so both give the same bits.
     """
     np.divide(np.bincount(consumers, weights=slots, minlength=len(out)), divisor, out=out)
     out *= w_ext
+    out += base
 
 
 class FederateState:
@@ -85,22 +95,23 @@ class FederateState:
         self.history: deque[np.ndarray] = deque(
             [self.performance.copy() for _ in range(lag)], maxlen=lag)
 
-        # In-adjacency: in_matrix[i, j] = 1 iff edge j -> i.  Edges are
-        # distinct, so one assignment sets each entry once.
+        # Scaled in-adjacency: in_matrix[i, j] = w_in / in_degree_i iff
+        # edge j -> i, so row i of ``in_matrix @ x`` is w_in times the
+        # predecessor mean.  Edges are distinct, so one assignment sets
+        # each entry once, and no unscaled copy is kept.
         edges = np.array(topology.edges, dtype=int).reshape(-1, 2)
+        in_degree = np.bincount(edges[:, 1], minlength=n)
+        row_scale = w_in / np.maximum(in_degree, 1.0)
         self.in_matrix = np.zeros((n, n))
-        self.in_matrix[edges[:, 1], edges[:, 0]] = 1.0
-        self.in_degree = self.in_matrix.sum(axis=1)
+        self.in_matrix[edges[:, 1], edges[:, 0]] = row_scale[edges[:, 1]]
 
-        # Step constants that depend on the topology and the weights.
-        self._in_divisor = np.maximum(self.in_degree, 1.0)
-        no_in = self.in_degree == 0
-        self._no_in = no_in if no_in.any() else None
-        self._intrinsic_term = w_int * self.intrinsic
+        # The constant part of the step term: w_int * b, and on nodes
+        # without in-edges (zero rows) the fallback w_in * b as well.
+        self.base = w_int * self.intrinsic
+        no_in = in_degree == 0
+        self.base[no_in] += w_in * self.intrinsic[no_in]
         self._local_weight = w_int + w_in
-        # Array operands: ``x * w`` has the bits of ``x * w_in`` but skips
-        # converting the Python scalar on every call.
-        self._w_in = np.full(n, w_in)
+        # Array operand: skips converting the Python scalar on every call.
         self._ones = np.ones(n)
 
         self.set_consumers(consumer_nodes or [])
@@ -111,12 +122,12 @@ class FederateState:
         Resets every slot to 1.0, derives the step constants that depend
         on the coupling (the per-node slot count, its divisor and the
         mask of uncoupled nodes, which renormalize w_ext away) and
-        latches the foreign channel of the 1.0 slots.  ``slots`` (one
-        entry per slot) and ``term`` (one per node) are where
-        ``foreign_inputs`` and the foreign channel live; a federation
-        passes views into its own barrier vectors, and without them the
+        latches the step term of the 1.0 slots.  ``slots`` (one entry
+        per slot) and ``term`` (one per node) are where
+        ``foreign_inputs`` and the step term live; a federation passes
+        views into its own barrier vectors, and without them the
         federate allocates its own.  The coordinator writes the slots at
-        sync instants and latches every consumer's term at once.
+        sync instants and latches every node's term at once.
         """
         self.check_nodes(consumer_nodes)
         self.consumer_nodes = np.array(consumer_nodes, dtype=int)
@@ -128,23 +139,19 @@ class FederateState:
         self._coupling_divisor = np.maximum(self.coupling_count, 1.0)
         uncoupled = self.coupling_count == 0
         self._uncoupled = uncoupled if uncoupled.any() else None
-        # With no slots there is no foreign channel.
-        self._foreign_term = None
-        if k:
-            self._foreign_term = np.empty(n) if term is None else term
-            self.latch_foreign_inputs()
+        self.term = np.empty(n) if term is None else term
+        self.latch_foreign_inputs()
 
     def latch_foreign_inputs(self) -> None:
-        """Fix the foreign channel from the current slot values.
+        """Fix the step term from the current slot values.
 
-        Writes the per-node term ``w_ext * mean(slots)`` in place (see
+        Writes ``base + w_ext * mean(slots)`` per node in place (see
         ``latch``).  Every ``step()`` until the next call adds this term
         as it is, so a write to ``foreign_inputs`` reaches the dynamics
-        only once it is latched.  With no slots there is no term.
+        only once it is latched.  With no slots the term is ``base``.
         """
-        if self._foreign_term is not None:
-            latch(self.consumer_nodes, self.foreign_inputs, self._coupling_divisor,
-                  self.w_ext, self._foreign_term)
+        latch(self.consumer_nodes, self.foreign_inputs, self._coupling_divisor,
+              self.w_ext, self.base, self.term)
 
     @property
     def node_count(self) -> int:
@@ -162,20 +169,16 @@ class FederateState:
     def step(self) -> None:
         """Advance the federate by one internal timestep.
 
-        The rule runs as in-place numpy operations on constants set up
-        once: the in-degree divisor ``max(in_degree, 1)`` and the mask of
-        nodes without in-edges, ``w_int * intrinsic``, ``w_int + w_in``
-        and the ``w_in`` and 1.0 operand arrays (from ``__init__``); the
-        mask of uncoupled nodes (from ``set_consumers``); the foreign
-        channel, fixed at the last barrier (``latch``); and the 1/0 keep mask
-        of undisrupted nodes (from ``apply_disruption`` and
-        ``retract_disruption``).  Each array operation is the one of the
-        rule in the same order, so results are bit-for-bit those of the
-        plain formula: one matvec of the masked lagged state, divide,
-        select the intrinsic level, scale; add the foreign channel;
-        clamp at 1, then zero the disrupted nodes.  While no node is
-        down the two masking products are skipped, since multiplying by
-        1.0 changes no bit.
+        The rule in affine form: one matvec of the lagged state with the
+        scaled in-adjacency (``__init__``), add the step term fixed at
+        the last barrier (``latch``), renormalize the uncoupled nodes
+        (mask from ``set_consumers``), clamp at 1.  While some node is
+        down the 1/0 keep mask of undisrupted nodes (kept by
+        ``apply_disruption`` and ``retract_disruption``) zeroes the
+        disrupted predecessors before the matvec and the disrupted
+        nodes after the clamp; otherwise both products are skipped,
+        since multiplying by 1.0 changes no bit.  The result is within
+        1e-12 of the plain formula (see the module docstring).
 
         The new state is a fresh array that becomes both
         ``performance`` and the newest ``history`` entry.
@@ -184,13 +187,7 @@ class FederateState:
             p = self.in_matrix.dot(self.history[0] * self._keep)
         else:
             p = self.in_matrix.dot(self.history[0])
-        p /= self._in_divisor
-        if self._no_in is not None:
-            np.copyto(p, self.intrinsic, where=self._no_in)
-        p *= self._w_in
-        p += self._intrinsic_term
-        if self._foreign_term is not None:
-            p += self._foreign_term
+        p += self.term
         if self._uncoupled is not None:
             np.divide(p, self._local_weight, out=p, where=self._uncoupled)
         np.minimum(p, self._ones, out=p)

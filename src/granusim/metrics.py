@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroBaseline
 from .topology import NETWORK_ORDER, NetworkId
 
 # Propagated disruptions count as visible when the target network drops
@@ -14,13 +13,6 @@ VISIBILITY_THRESHOLD_PCT = 5.0
 
 # A network counts as recovered when its MoP is back at 99% of baseline.
 RECOVERY_LEVEL_PCT = 99.0
-
-
-def mop(performance_sum: float, baseline_sum: float) -> float:
-    """Network performance as a percentage of its pre-disruption baseline."""
-    if baseline_sum == 0:
-        raise ZeroBaseline("baseline performance sum is zero")
-    return 100.0 * performance_sum / baseline_sum
 
 
 @dataclass(frozen=True)

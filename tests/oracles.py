@@ -81,16 +81,15 @@ class ScalarFederate:
 def scenario_lockstep_inputs(config):
     """``lockstep_series`` networks and wiring of a scenario's federation.
 
-    Only the inputs come from the package (topologies and couplings);
-    the dynamics are re-evaluated by the scalar federates, which use the
-    default weights and an intrinsic level of 1.0.
+    Only the inputs come from the package (topologies, couplings, the
+    weights and lags of the scenario); the dynamics are re-evaluated by
+    the scalar federates.
     """
     topologies = build_topologies(config)
     couplings = generate_interdependencies(
         topologies, config.couplings_per_node, config.master_seed).couplings
-    assert all(spec.weights == (0.3, 0.4, 0.3) for spec in config.networks)
-    assert all(set(t.intrinsic_performance) == {1.0} for t in topologies)
-    nets = {spec.network_id: (t.edges, t.node_count, spec.lag)
+    nets = {spec.network_id: (t.edges, t.node_count, spec.lag, spec.weights,
+                              t.intrinsic_performance)
             for spec, t in zip(config.networks, topologies)}
     return nets, [tuple(c) for c in couplings]
 
@@ -98,7 +97,8 @@ def scenario_lockstep_inputs(config):
 def lockstep_series(nets, wiring, tg, horizon, events):
     """MoP series of scalar federates advanced by hand under the barrier.
 
-    ``nets`` maps a network id to (edges, node count, lag); ``wiring``
+    ``nets`` maps a network id to (edges, node count, lag, weights,
+    intrinsic levels); ``wiring``
     lists (consumer network, consumer node, producer network, producer
     node), one entry per foreign slot in slot order; ``events`` lists
     (apply time, retract time, network, nodes).  Every timestep delivers
@@ -107,9 +107,9 @@ def lockstep_series(nets, wiring, tg, horizon, events):
     every consumer slot takes the producer's value read before any slot
     is written.
     """
-    refs = {net: ScalarFederate(edges, n, lag=lag,
+    refs = {net: ScalarFederate(edges, n, weights=weights, lag=lag, intrinsic=intrinsic,
                                 consumers=[w[1] for w in wiring if w[0] == net])
-            for net, (edges, n, lag) in nets.items()}
+            for net, (edges, n, lag, weights, intrinsic) in nets.items()}
     sources = {net: [(w[2], w[3]) for w in wiring if w[0] == net] for net in nets}
     baselines = {net: sum(refs[net].perf) for net in nets}
 

@@ -12,7 +12,8 @@ from granusim.analysis import (LOGISTIC_RIDGE, TERM_ORDER,
                                fit_visibility_logistic, load_results,
                                ratio_scatter_csv, recommend_tg, report_json,
                                variance_shares, visibility_curve_csv)
-from granusim.errors import CollinearError, DegenerateModel, MissingColumns
+from granusim.errors import (CollinearError, DegenerateModel, InvalidRecoveryTime,
+                             MissingColumns)
 from oracles import (ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
 
@@ -231,6 +232,14 @@ def test_recommend_tg_validates_inputs():
     bad = LogisticVisibilityModel(intercept=1.0, slope=-2.0, gradient_norm=0.0)
     with pytest.raises(DegenerateModel):
         recommend_tg(bad, 22, 0.5)
+
+
+@pytest.mark.parametrize("expected_rt", [float("inf"), float("-inf"), float("nan"), 0.0, -3.0])
+def test_recommend_tg_rejects_a_recovery_time_that_is_not_positive_and_finite(
+        expected_rt):
+    model = LogisticVisibilityModel(intercept=-4.4, slope=5.0, gradient_norm=0.0)
+    with pytest.raises(InvalidRecoveryTime, match="positive finite"):
+        recommend_tg(model, expected_rt, 0.5)
 
 
 RESULTS_TEXT = """\

@@ -89,6 +89,39 @@ def test_recommend_prints_integer(results_csv_path, capsys):
     assert int(out) >= 1
 
 
+@pytest.mark.parametrize("expected_rt", ["inf", "nan", "0", "-3"])
+def test_recommend_rejects_a_bad_expected_recovery_time(results_csv_path, capsys,
+                                                         expected_rt):
+    assert main(["recommend", "--in", str(results_csv_path),
+                 "--expected-rt", expected_rt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: expected recovery time must be a positive finite number, "
+        f"got {float(expected_rt)}"]
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--jobs", "1", "--out"],
+    ["run", "--tg", "5", "--rt", "2", "--ds", "8", "--trace"],
+])
+def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, capsys,
+                                                       command):
+    # A failed run becomes an error row, so count the calls instead.
+    calls = []
+
+    def no_run(*args):
+        calls.append(args)
+        raise RuntimeError("simulated a row before checking the output path")
+
+    monkeypatch.setattr("granusim.experiment.run_single", no_run)
+    missing = tmp_path / "missing_dir"
+    assert main([*command, str(missing / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {missing} does not exist (for {missing / 'r.csv'})\n"
+    assert calls == [] and not missing.exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["run", "--rt", "1", "--ds", "8"]) == 1
     err = capsys.readouterr().err

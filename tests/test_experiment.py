@@ -136,7 +136,7 @@ def test_federations_of_one_config_share_no_mutable_array():
 
         def arrays(f):
             return [f.performance, f.foreign_inputs, f.disrupted, f._keep,
-                    f._foreign_term, *f.history]
+                    f.term, *f.history]
         for x in arrays(fa):
             assert not any(np.shares_memory(x, y) for y in arrays(fb))
 

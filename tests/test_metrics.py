@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granusim.errors import ZeroBaseline
 from granusim.metrics import (MoPTrace, RunOutcome, classify_visibility,
-                              compute_spds, compute_sprt, mop)
+                              compute_spds, compute_sprt)
 from granusim.topology import NetworkId
 
 
@@ -13,24 +12,6 @@ def make_trace(values, network=NetworkId.BUSINESS):
     series = {network: np.asarray(values, dtype=float)}
     return MoPTrace(networks=(network,), series=series,
                     baselines={network: 1.0})
-
-
-def test_mop_at_baseline_is_100():
-    assert mop(22.0, 22.0) == 100.0
-
-
-def test_mop_all_zero():
-    assert mop(0.0, 22.0) == 0.0
-
-
-def test_mop_zero_baseline_rejected():
-    with pytest.raises(ZeroBaseline):
-        mop(1.0, 0.0)
-
-
-def test_mop_eight_of_22_down():
-    # First sample after removing 8 of 22 unit nodes.
-    assert mop(14.0, 22.0) == pytest.approx(100 * 14 / 22)
 
 
 def test_trace_horizon():
