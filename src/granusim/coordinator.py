@@ -7,7 +7,9 @@ ever sees a mix of pre- and post-exchange values.  Between sync
 instants no information crosses federate boundaries.  The barrier owns
 one slot vector and one step-term vector for the whole federation;
 each federate's ``foreign_inputs`` and step term are views into them,
-so one gather and one latch serve every consumer.
+so one gather and one latch serve every consumer.  The federation
+builds its slot indices from the map's ``coupling_array`` with numpy
+and wires, and so latches, each federate once.
 
 The MoP series are summed in blocks of ``MOP_BLOCK`` (32) timesteps:
 the loop keeps each new state by reference and reduces a block at once,
@@ -45,7 +47,15 @@ class SyncSchedule:
 
 
 class Federation:
-    """Federate states plus the coupling wiring between them."""
+    """Federate states plus the coupling wiring between them.
+
+    The slots are the map's couplings, grouped by consumer network in
+    network order and in map order within one.  A coupling that names a
+    network outside the federation raises ``ValueError``, a producer
+    node out of range ``UnknownNode`` (the first coupling at fault is
+    named), and so does a consumer node out of range, when its federate
+    is wired.
+    """
 
     def __init__(self, federates: dict[NetworkId, FederateState],
                  interdependencies: InterdependencyMap | None = None):
@@ -62,45 +72,46 @@ class Federation:
 
         # Slot k of each consumer's foreign_inputs is fed by the producer
         # node at a flat index into the federates' performance vectors
-        # laid end to end in ``order``.
-        sizes = {net: federates[net].node_count for net in self.order}
-        offsets, total = {}, 0
-        for net in self.order:
-            offsets[net] = total
-            total += sizes[net]
-        consumer_nodes: dict[NetworkId, list[int]] = {n: [] for n in self.order}
-        producers: dict[NetworkId, list[int]] = {n: [] for n in self.order}
-        couplings = interdependencies.couplings if interdependencies else ()
-        for c in couplings:
-            consumer_net, consumer_node, producer_net, producer_node = c
-            if consumer_net not in offsets or producer_net not in offsets:
+        # laid end to end in ``order``.  The slots are the couplings in
+        # map order, stably grouped by consumer network in ``order``.
+        self._feds = [federates[net] for net in self.order]
+        sizes = np.array([fed.node_count for fed in self._feds], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        # Position in ``order`` of each network of NETWORK_ORDER, -1 if absent.
+        position = np.full(len(NETWORK_ORDER), -1)
+        position[[NETWORK_ORDER.index(net) for net in self.order]] = range(len(self.order))
+        consumer_net, consumer_node, producer_net, producer_node = (
+            interdependencies.coupling_array if interdependencies
+            else np.zeros((4, 0), np.intp))
+        consumer_at, producer_at = position[consumer_net], position[producer_net]
+        outside = (consumer_at < 0) | (producer_at < 0)
+        # Position -1 reads the trailing 0, so an outside producer is out of range too.
+        limit = np.append(sizes, 0)[producer_at]
+        bad = outside | (producer_node < 0) | (producer_node >= limit)
+        if bad.any():
+            first = bad.argmax()
+            c = interdependencies.couplings[first]
+            if outside[first]:
                 raise ValueError(f"coupling names a network outside the federation: {c}")
-            if not 0 <= producer_node < sizes[producer_net]:
-                raise UnknownNode(f"producer node out of range: {c}")
-            consumer_nodes[consumer_net].append(consumer_node)
-            producers[consumer_net].append(offsets[producer_net] + producer_node)
+            raise UnknownNode(f"producer node out of range: {c}")
+        by_consumer = np.argsort(consumer_at, kind="stable")
+        consumer_at, consumer_node = consumer_at[by_consumer], consumer_node[by_consumer]
+        self._producers = (offsets[producer_at] + producer_node)[by_consumer]
+        slot_bounds = np.searchsorted(consumer_at, range(len(self.order) + 1))
         # One barrier for the whole federation: the slot vector holds
         # every consumer's foreign_inputs end to end in ``order``, the
         # term vector every node's step term, and each federate keeps
-        # views into both.
-        self._feds = [federates[net] for net in self.order]
-        self._producers = np.array(
-            [p for net in self.order for p in producers[net]], dtype=np.intp)
+        # views into both.  Wiring latches each federate once.
         self._slots = np.ones(len(self._producers))
-        self._terms = np.zeros(total)
-        start = 0
-        for fed, net in zip(self._feds, self.order):
-            stop = start + len(producers[net])
-            node_terms = self._terms[offsets[net]:offsets[net] + sizes[net]]
-            fed.set_consumers(consumer_nodes[net], slots=self._slots[start:stop],
-                              term=node_terms)
-            start = stop
-        self._consumers = np.concatenate(
-            [fed.consumer_nodes + offsets[net] for fed, net in zip(self._feds, self.order)])
+        self._terms = np.zeros(offsets[-1])
+        for i, fed in enumerate(self._feds):
+            slots = slice(slot_bounds[i], slot_bounds[i + 1])
+            fed.set_consumers(consumer_node[slots], slots=self._slots[slots],
+                              term=self._terms[offsets[i]:offsets[i + 1]])
+        self._consumers = offsets[consumer_at] + consumer_node
         self._divisor = np.maximum(
             np.concatenate([fed.coupling_count for fed in self._feds]), 1.0)
-        self._w_ext = np.concatenate(
-            [np.full(fed.node_count, fed.w_ext) for fed in self._feds])
+        self._w_ext = np.repeat([fed.w_ext for fed in self._feds], sizes)
         self._base = np.concatenate([fed.base for fed in self._feds])
 
     def exchange(self) -> None:

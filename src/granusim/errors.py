@@ -30,6 +30,10 @@ class CollinearError(GranusimError):
     """Design matrix is rank-deficient."""
 
 
+class InvalidFactor(GranusimError):
+    """A run's tg, rt or ds is below 1; message names the factor."""
+
+
 class InvalidRecoveryTime(GranusimError):
     """An expected recovery time is not a positive finite number."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
-from .errors import ScenarioError
+from .errors import InvalidFactor, ScenarioError
 from .federate import FederateState
 from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt
 from .topology import (InterdependencyMap, NetworkId, Topology,
@@ -242,7 +242,13 @@ class ResultRow:
 
 def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
                  ds: int) -> tuple[Federation, SyncSchedule, DisruptionEvent]:
-    """Fresh federation, schedule and disruption of one configuration."""
+    """Fresh federation, schedule and disruption of one configuration.
+
+    ``InvalidFactor`` if tg, rt or ds is below 1, before anything uses it.
+    """
+    for name, level in (("tg", tg), ("rt", rt), ("ds", ds)):
+        if level < 1:
+            raise InvalidFactor(f"{name}: must be a positive integer, got {level}")
     t0 = disruption_onset(config, tg)
     if config.horizon < t0 + rt + RECOVERY_HEADROOM:
         raise ScenarioError(

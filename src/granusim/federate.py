@@ -99,7 +99,7 @@ class FederateState:
         # edge j -> i, so row i of ``in_matrix @ x`` is w_in times the
         # predecessor mean.  Edges are distinct, so one assignment sets
         # each entry once, and no unscaled copy is kept.
-        edges = np.array(topology.edges, dtype=int).reshape(-1, 2)
+        edges = topology.edge_array
         in_degree = np.bincount(edges[:, 1], minlength=n)
         row_scale = w_in / np.maximum(in_degree, 1.0)
         self.in_matrix = np.zeros((n, n))
@@ -114,7 +114,19 @@ class FederateState:
         # Array operand: skips converting the Python scalar on every call.
         self._ones = np.ones(n)
 
-        self.set_consumers(consumer_nodes or [])
+        if consumer_nodes is None:
+            # No slots until ``set_consumers`` wires some, as a federation
+            # does once for each of its federates: every node
+            # renormalizes w_ext away, and the step term is the base,
+            # which is what ``latch`` writes when no slot feeds a node.
+            self.consumer_nodes = np.zeros(0, dtype=int)
+            self.foreign_inputs = np.zeros(0)
+            self.coupling_count = np.zeros(n)
+            self._coupling_divisor = self._ones
+            self._uncoupled = np.ones(n, dtype=bool)
+            self.term = self.base.copy()
+        else:
+            self.set_consumers(consumer_nodes)
 
     def set_consumers(self, consumer_nodes, slots=None, term=None) -> None:
         """Wire foreign slot k to local node ``consumer_nodes[k]``.
@@ -128,9 +140,10 @@ class FederateState:
         views into its own barrier vectors, and without them the
         federate allocates its own.  The coordinator writes the slots at
         sync instants and latches every node's term at once.
+        ``UnknownNode`` if a consumer node is out of range.
         """
-        self.check_nodes(consumer_nodes)
         self.consumer_nodes = np.array(consumer_nodes, dtype=int)
+        self._check_range(self.consumer_nodes, consumer_nodes)
         k, n = len(self.consumer_nodes), self.node_count
         self.foreign_inputs = np.empty(k) if slots is None else slots
         self.foreign_inputs[:] = 1.0
@@ -160,11 +173,14 @@ class FederateState:
     def check_nodes(self, node_set) -> np.ndarray:
         """Sorted distinct node indices; ``UnknownNode`` if any is out of range."""
         nodes = np.asarray(sorted(set(node_set)), dtype=int)
+        self._check_range(nodes, node_set)
+        return nodes
+
+    def _check_range(self, nodes: np.ndarray, node_set) -> None:
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.node_count):
             raise UnknownNode(
                 f"node indices {node_set} out of range for "
                 f"{self.topology.network_id.value} ({self.node_count} nodes)")
-        return nodes
 
     def step(self) -> None:
         """Advance the federate by one internal timestep.

@@ -1,4 +1,9 @@
-"""Measure-of-performance traces and derived outcome metrics."""
+"""Measure-of-performance traces and derived outcome metrics.
+
+A ``MoPTrace`` holds the percent-of-baseline series of every network;
+``MoPTrace.to_csv`` writes it as the trace CSV of ``run --trace`` and
+``experiment --traces``, formatting the whole text in one pass.
+"""
 
 from dataclasses import dataclass, field
 
@@ -28,13 +33,18 @@ class MoPTrace:
         return len(next(iter(self.series.values()))) - 1
 
     def to_csv(self) -> str:
+        """The trace as CSV text: ``t`` and one ``mop_<network>`` column
+        per network in network order, each value with six decimals.
+
+        Written in one pass: a row format with one ``{:.6f}`` field per
+        network is mapped over the timesteps and each series as a list
+        of Python floats, so no value is formatted on its own.
+        """
         cols = [n for n in NETWORK_ORDER if n in self.series]
         header = "t," + ",".join(f"mop_{n.value}" for n in cols)
-        lines = [header]
-        for t in range(self.horizon + 1):
-            row = ",".join(f"{self.series[n][t]:.6f}" for n in cols)
-            lines.append(f"{t},{row}")
-        return "\n".join(lines) + "\n"
+        rows = map(("{}" + ",{:.6f}" * len(cols)).format, range(self.horizon + 1),
+                   *(self.series[n].tolist() for n in cols))
+        return "\n".join((header, *rows)) + "\n"
 
 
 def compute_spds(trace: MoPTrace, network: NetworkId, apply_time: int) -> float:

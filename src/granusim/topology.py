@@ -5,12 +5,19 @@ non-loop directed edges, so node and edge counts are met exactly.
 Couplings wire every node of every network to each partner network:
 the first coupling per partner is the deterministic backbone
 b = a mod |B|, the rest are drawn from a seeded stream.
+
+Both are frozen, so their array forms (``Topology.edge_array``,
+``InterdependencyMap.coupling_array``) are derived once per object and
+shared, read-only, by every federation built from it.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EdgeCountOverflow
 from .rng import stream
@@ -25,12 +32,22 @@ class NetworkId(str, Enum):
 NETWORK_ORDER = (NetworkId.WATER, NetworkId.POWER, NetworkId.BUSINESS)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Topology:
     network_id: NetworkId
     node_count: int
     edges: tuple[tuple[int, int], ...]
     intrinsic_performance: tuple[float, ...]
+
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (edges, 2) array of (source, target)."""
+        return _read_only(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
 
     def to_json(self) -> str:
         doc = {
@@ -64,6 +81,17 @@ class Coupling(NamedTuple):
 @dataclass(frozen=True)
 class InterdependencyMap:
     couplings: tuple[Coupling, ...]
+
+    @functools.cached_property
+    def coupling_array(self) -> np.ndarray:
+        """The couplings as a read-only (4, couplings) array, one row per
+        ``Coupling`` field in field order; networks are positions in
+        ``NETWORK_ORDER``."""
+        rank = {net: i for i, net in enumerate(NETWORK_ORDER)}.__getitem__
+        consumer_net, consumer, producer_net, producer = (
+            zip(*self.couplings) if self.couplings else ((),) * 4)
+        return _read_only(np.array([list(map(rank, consumer_net)), consumer,
+                                    list(map(rank, producer_net)), producer], dtype=np.intp))
 
     def to_json(self) -> str:
         doc = {

@@ -8,7 +8,7 @@ meaningful evidence rather than tautology.
 import numpy as np
 
 from granusim.experiment import build_topologies
-from granusim.topology import NetworkId, Topology, generate_interdependencies
+from granusim.topology import NETWORK_ORDER, NetworkId, Topology, generate_interdependencies
 
 
 def make_topology(edges, n, network_id=NetworkId.WATER, intrinsic=None):
@@ -133,6 +133,40 @@ def lockstep_series(nets, wiring, tg, horizon, events):
         if t % tg == 0:
             barrier()
     return series
+
+
+def trace_csv(trace):
+    """A trace's CSV text formatted row by row and value by value."""
+    cols = [n for n in NETWORK_ORDER if n in trace.series]
+    lines = ["t," + ",".join(f"mop_{n.value}" for n in cols)]
+    for t in range(trace.horizon + 1):
+        row = ",".join(f"{trace.series[n][t]:.6f}" for n in cols)
+        lines.append(f"{t},{row}")
+    return "\n".join(lines) + "\n"
+
+
+def barrier_indices(sizes, couplings):
+    """The barrier's slot wiring built by one pass over the couplings.
+
+    ``sizes`` maps each network of a federation to its node count, in
+    network order, which lays the networks' nodes end to end; couplings
+    are (consumer network, consumer node, producer network, producer
+    node).  The slots are grouped by consumer network in that order and
+    keep map order within a network.  Returns each slot's producer and
+    consumer as flat node indices, and each network's consumer nodes.
+    """
+    offsets, total = {}, 0
+    for net, n in sizes.items():
+        offsets[net] = total
+        total += n
+    nodes = {net: [] for net in sizes}
+    producers = {net: [] for net in sizes}
+    for consumer_net, consumer_node, producer_net, producer_node in couplings:
+        nodes[consumer_net].append(consumer_node)
+        producers[consumer_net].append(offsets[producer_net] + producer_node)
+    return ([p for net in sizes for p in producers[net]],
+            [offsets[net] + c for net in sizes for c in nodes[net]],
+            nodes)
 
 
 def sequential_shares_oracle(columns, y):

@@ -122,6 +122,20 @@ def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, ca
     assert calls == [] and not missing.exists()
 
 
+@pytest.mark.parametrize("levels, named, level", [
+    (["--tg", "0", "--rt", "2", "--ds", "8", "--align-sync"], "tg", 0),
+    (["--tg", "-3", "--rt", "2", "--ds", "8"], "tg", -3),
+    (["--tg", "2", "--rt", "0", "--ds", "8"], "rt", 0),
+    (["--tg", "2", "--rt", "2", "--ds", "0"], "ds", 0),
+])
+def test_run_with_a_factor_below_one_exits_2(capsys, levels, named, level):
+    assert main(["run", *levels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {named}: must be a positive integer, got {level}"]
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["run", "--rt", "1", "--ds", "8"]) == 1
     err = capsys.readouterr().err

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +13,7 @@ from granusim.errors import ScheduleError, UnknownNode, ZeroBaseline
 from granusim.experiment import ScenarioConfig, build_federation
 from granusim.federate import FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
-from oracles import lockstep_series, make_topology, scenario_lockstep_inputs
+from oracles import barrier_indices, lockstep_series, make_topology, scenario_lockstep_inputs
 
 
 def small_federation():
@@ -322,6 +325,73 @@ def test_couplings_outside_the_federation_rejected():
                        ((NetworkId.WATER, 0, NetworkId.BUSINESS, 0), ValueError)]:
         with pytest.raises(error):
             Federation(feds, InterdependencyMap(couplings=(Coupling(*bad),)))
+    # The first coupling at fault names the error and itself; a consumer
+    # node out of range is found only after every producer is checked.
+    good = Coupling(NetworkId.POWER, 1, NetworkId.WATER, 1)
+    producer = Coupling(NetworkId.WATER, 0, NetworkId.POWER, 3)
+    outside = Coupling(NetworkId.BUSINESS, 0, NetworkId.WATER, 0)
+    consumer = Coupling(NetworkId.WATER, 2, NetworkId.POWER, 0)
+    for couplings, error, named in [((good, producer, outside), UnknownNode, producer),
+                                    ((good, outside, producer), ValueError, outside),
+                                    ((consumer, outside), ValueError, outside)]:
+        with pytest.raises(error, match=re.escape(str(named))):
+            Federation(feds, InterdependencyMap(couplings=couplings))
+
+
+@st.composite
+def random_wirings(draw):
+    """Two or three networks of 1-6 nodes, registered in any order, and
+    up to 40 couplings between any two of them."""
+    order = draw(st.permutations(NETWORK_ORDER))
+    sizes = {net: draw(st.integers(1, 6)) for net in order[:draw(st.integers(2, 3))]}
+
+    def coupling(consumer, producer):
+        return st.tuples(st.just(consumer), st.integers(0, sizes[consumer] - 1),
+                         st.just(producer), st.integers(0, sizes[producer] - 1))
+
+    nets = list(sizes)
+    return sizes, draw(st.lists(
+        st.tuples(st.sampled_from(nets), st.sampled_from(nets)).flatmap(
+            lambda pair: coupling(*pair)), max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=random_wirings())
+@example(case=({NetworkId.POWER: 3, NetworkId.WATER: 2}, []))
+def test_barrier_indices_match_a_loop_over_the_couplings(case):
+    sizes, couplings = case
+    fed = Federation({net: FederateState(make_topology([], n, net)) for net, n in sizes.items()},
+                     InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
+    producers, consumers, nodes = barrier_indices(
+        {net: sizes[net] for net in NETWORK_ORDER if net in sizes}, couplings)
+    assert fed._producers.tolist() == producers
+    assert fed._consumers.tolist() == consumers
+    for net, state in fed.federates.items():
+        assert state.consumer_nodes.tolist() == nodes[net]
+        assert state.foreign_inputs.size == len(nodes[net])
+        assert state.foreign_inputs.base is fed._slots
+        assert state.term.base is fed._terms
+
+
+def test_each_federate_is_wired_and_latched_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(FederateState, name)
+
+        def wrapper(state, *args, **kwargs):
+            calls[name, id(state)] += 1
+            return method(state, *args, **kwargs)
+        return wrapper
+
+    for name in ("set_consumers", "latch_foreign_inputs"):
+        monkeypatch.setattr(FederateState, name, counted(name))
+    for build in (small_federation, lambda: build_federation(ScenarioConfig())):
+        fed = build()
+        expected = {(name, id(state)): 1 for state in fed.federates.values()
+                    for name in ("set_consumers", "latch_foreign_inputs")}
+        assert calls == expected
+        calls.clear()
 
 
 def test_default_federation_sub_granularity_window_stays_quiet():

@@ -1,15 +1,16 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from granusim.errors import ScenarioError
+from granusim.errors import InvalidFactor, ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
                                  FactorLevels, ScenarioConfig,
                                  build_federation, build_layout,
-                                 build_topologies,
+                                 _wiring, build_topologies,
                                  disruption_onset, pattern_hash,
                                  results_csv, run_experiment, run_single,
                                  timing_profile)
@@ -129,16 +130,24 @@ def test_build_topologies_deterministic():
 
 def test_federations_of_one_config_share_no_mutable_array():
     # The wiring is built once per config; the states it feeds are not.
+    # What the builds share is frozen, and so are its array forms.
     a, b = build_federation(SMALL), build_federation(SMALL)
+    shared = [_wiring(SMALL)[1].coupling_array]
     for net in a.order:
         fa, fb = a.federates[net], b.federates[net]
         assert fa.topology is fb.topology
+        shared.append(fa.topology.edge_array)
 
         def arrays(f):
             return [f.performance, f.foreign_inputs, f.disrupted, f._keep,
                     f.term, *f.history]
         for x in arrays(fa):
             assert not any(np.shares_memory(x, y) for y in arrays(fb))
+    assert shared[0] is _wiring(SMALL)[1].coupling_array
+    for x in shared:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1
 
 
 def test_wiring_follows_the_seed_and_the_network_spec():
@@ -159,6 +168,22 @@ def test_wiring_follows_the_seed_and_the_network_spec():
         assert (topologies, consumers) != first
         assert wiring(SMALL) == first
     assert len(wiring(resized)[0][0].edges) == 70
+
+
+@pytest.mark.parametrize("config, tg, rt, ds, named", [
+    (replace(SMALL, align_sync=True), 0, 2, 8, "tg"),
+    (SMALL, -3, 2, 8, "tg"),
+    (SMALL, 2, 0, 8, "rt"),
+    (SMALL, 2, 2, 0, "ds"),
+])
+def test_factor_levels_below_one_rejected_by_name(config, tg, rt, ds, named):
+    # Checked before the onset, which takes t0 % tg when aligned.
+    level = {"tg": tg, "rt": rt, "ds": ds}[named]
+    message = f"{named}: must be a positive integer, got {level}"
+    with pytest.raises(InvalidFactor, match=re.escape(message)):
+        run_single(config, tg, rt, ds)
+    [row] = run_experiment(config, [(tg, rt, ds)], jobs=1)
+    assert row.status == f"error: {message}"
 
 
 def test_run_single_outcome_shape():

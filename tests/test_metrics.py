@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granusim.metrics import (MoPTrace, RunOutcome, classify_visibility,
                               compute_spds, compute_sprt)
-from granusim.topology import NetworkId
+from granusim.topology import NETWORK_ORDER, NetworkId
+from oracles import trace_csv
 
 
 def make_trace(values, network=NetworkId.BUSINESS):
@@ -28,6 +29,31 @@ def test_trace_csv_format():
     assert lines[0] == "t,mop_water,mop_business"
     assert lines[1] == "0,100.000000,100.000000"
     assert lines[2] == "1,62.500000,100.000000"
+
+
+# Signed zero, a value that rounds up at the sixth decimal, a wide value
+# and the non-finite ones.
+EDGE_VALUES = [-0.0, 99.9999995, 1e6, float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizon=st.integers(0, 500),
+       networks=st.permutations(NETWORK_ORDER).flatmap(
+           lambda order: st.integers(1, 3).map(lambda k: order[:k])),
+       palette=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_VALUES)),
+                        min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(horizon=0, networks=(NetworkId.BUSINESS,), palette=[-0.0], seed=0)
+@example(horizon=500, networks=(NetworkId.BUSINESS, NetworkId.WATER, NetworkId.POWER),
+         palette=EDGE_VALUES, seed=1)
+def test_trace_csv_is_the_row_by_row_text(horizon, networks, palette, seed):
+    # Networks registered in any order; each series draws its values
+    # from the palette, so long horizons still see every edge value.
+    rng = np.random.default_rng(seed)
+    series = {net: rng.choice(np.array(palette), size=horizon + 1) for net in networks}
+    trace = MoPTrace(networks=tuple(networks), series=series,
+                     baselines={net: 1.0 for net in networks})
+    assert trace.to_csv() == trace_csv(trace)
 
 
 def test_spds_flat_trace_is_zero():
