@@ -20,7 +20,6 @@ from pathlib import Path
 from . import analysis, experiment
 from .errors import GranusimError
 from .experiment import FactorLevels, ScenarioConfig, build_layout
-from .topology import generate_interdependencies
 
 
 class _UsageError(Exception):
@@ -75,9 +74,7 @@ def _cmd_generate(args) -> int:
     config = _load_scenario(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    topologies = experiment.build_topologies(config)
-    interdeps = generate_interdependencies(
-        topologies, config.couplings_per_node, config.master_seed)
+    topologies, interdeps = experiment.wiring(config)
     for topo in topologies:
         _write_atomic(out / f"{topo.network_id.value}.json", topo.to_json() + "\n")
     _write_atomic(out / "interdependencies.json", interdeps.to_json() + "\n")

@@ -4,12 +4,13 @@ Federates run freely for ``tg`` internal timesteps, then barrier:
 boundary values are collected from every federate (read phase) before
 any consumer's foreign inputs are written (write phase), so no federate
 ever sees a mix of pre- and post-exchange values.  Between sync
-instants no information crosses federate boundaries.  The barrier owns
-one slot vector and one step-term vector for the whole federation;
-each federate's ``foreign_inputs`` and step term are views into them,
-so one gather and one latch serve every consumer.  The federation
-builds its slot indices from the map's ``coupling_array`` with numpy
-and wires, and so latches, each federate once.
+instants no information crosses federate boundaries.  The federation
+is the one owner of the foreign channel: it checks the couplings,
+builds its slot indices from the map's ``coupling_array`` with numpy,
+and holds one slot vector and one step-term vector for every federate.
+Each federate's ``foreign_inputs`` and step term are views into them,
+so one gather and one latch serve every consumer, at the barrier and
+once when the federation is built.
 
 The MoP series are summed in blocks of ``MOP_BLOCK`` (32) timesteps:
 the loop keeps each new state by reference and reduces a block at once,
@@ -26,7 +27,7 @@ import numpy as np
 
 from .disruption import DisruptionEvent
 from .errors import ScheduleError, UnknownNode, ZeroBaseline
-from .federate import FederateState, latch
+from .federate import FederateState
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
 
@@ -50,11 +51,13 @@ class Federation:
     """Federate states plus the coupling wiring between them.
 
     The slots are the map's couplings, grouped by consumer network in
-    network order and in map order within one.  A coupling that names a
-    network outside the federation raises ``ValueError``, a producer
-    node out of range ``UnknownNode`` (the first coupling at fault is
-    named), and so does a consumer node out of range, when its federate
-    is wired.
+    network order and in map order within one.  Building a federation
+    rebinds each federate's ``foreign_inputs``, ``term`` and
+    ``uncoupled`` to its share of the barrier.  A coupling that names a
+    network outside the federation raises ``ValueError`` and a producer
+    node out of range ``UnknownNode``; only then is a consumer node out
+    of range looked for, and it raises ``UnknownNode`` too.  The first
+    coupling at fault is named.
     """
 
     def __init__(self, federates: dict[NetworkId, FederateState],
@@ -85,51 +88,67 @@ class Federation:
             else np.zeros((4, 0), np.intp))
         consumer_at, producer_at = position[consumer_net], position[producer_net]
         outside = (consumer_at < 0) | (producer_at < 0)
-        # Position -1 reads the trailing 0, so an outside producer is out of range too.
-        limit = np.append(sizes, 0)[producer_at]
-        bad = outside | (producer_node < 0) | (producer_node >= limit)
-        if bad.any():
-            first = bad.argmax()
-            c = interdependencies.couplings[first]
-            if outside[first]:
-                raise ValueError(f"coupling names a network outside the federation: {c}")
-            raise UnknownNode(f"producer node out of range: {c}")
+        # Position -1 reads the trailing 0, so a node of an outside
+        # network is out of range too.
+        limit = np.append(sizes, 0)
+        bad_producer = outside | (producer_node < 0) | (producer_node >= limit[producer_at])
+        bad_consumer = (consumer_node < 0) | (consumer_node >= limit[consumer_at])
+        for end, bad in (("producer", bad_producer), ("consumer", bad_consumer)):
+            if bad.any():
+                first = bad.argmax()
+                c = interdependencies.couplings[first]
+                if outside[first]:
+                    raise ValueError(f"coupling names a network outside the federation: {c}")
+                raise UnknownNode(f"{end} node out of range: {c}")
         by_consumer = np.argsort(consumer_at, kind="stable")
-        consumer_at, consumer_node = consumer_at[by_consumer], consumer_node[by_consumer]
         self._producers = (offsets[producer_at] + producer_node)[by_consumer]
-        slot_bounds = np.searchsorted(consumer_at, range(len(self.order) + 1))
+        self._consumers = (offsets[consumer_at] + consumer_node)[by_consumer]
+        slot_bounds = np.searchsorted(consumer_at[by_consumer], range(len(self.order) + 1))
         # One barrier for the whole federation: the slot vector holds
         # every consumer's foreign_inputs end to end in ``order``, the
         # term vector every node's step term, and each federate keeps
-        # views into both.  Wiring latches each federate once.
-        self._slots = np.ones(len(self._producers))
-        self._terms = np.zeros(offsets[-1])
-        for i, fed in enumerate(self._feds):
-            slots = slice(slot_bounds[i], slot_bounds[i + 1])
-            fed.set_consumers(consumer_node[slots], slots=self._slots[slots],
-                              term=self._terms[offsets[i]:offsets[i + 1]])
-        self._consumers = offsets[consumer_at] + consumer_node
-        self._divisor = np.maximum(
-            np.concatenate([fed.coupling_count for fed in self._feds]), 1.0)
+        # views into both.  A node without slots renormalizes w_ext away.
+        slot_count = np.bincount(self._consumers, minlength=offsets[-1])
+        self._divisor = np.maximum(slot_count, 1.0)
         self._w_ext = np.repeat([fed.w_ext for fed in self._feds], sizes)
         self._base = np.concatenate([fed.base for fed in self._feds])
+        self._slots = np.ones(len(self._producers))
+        self._terms = np.empty(offsets[-1])
+        for i, fed in enumerate(self._feds):
+            fed.foreign_inputs = self._slots[slot_bounds[i]:slot_bounds[i + 1]]
+            fed.term = self._terms[offsets[i]:offsets[i + 1]]
+            uncoupled = slot_count[offsets[i]:offsets[i + 1]] == 0
+            fed.uncoupled = uncoupled if uncoupled.any() else None
+        self._latch()
 
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
 
         The read phase copies every federate's performance into one
         vector.  The write phase gathers every consumer slot from it
-        into the federation's slot vector, then latches the step term
-        ``base + w_ext * mean(slots)`` of every node at once into the
-        term vector (``latch``).  Each federate's ``foreign_inputs`` and
+        into the federation's slot vector, then latches every node's
+        step term (``_latch``).  Each federate's ``foreign_inputs`` and
         step term are views into those two vectors, so its steps add the
         new term until the next barrier.  Six numpy calls, whatever the
         number of federates.
         """
         read = np.concatenate([fed.performance for fed in self._feds])
         read.take(self._producers, out=self._slots)
-        latch(self._consumers, self._slots, self._divisor, self._w_ext, self._base,
-              self._terms)
+        self._latch()
+
+    def _latch(self) -> None:
+        """Write every node's step term ``base + w_ext * mean(slots)``.
+
+        Slot values are summed per node by ``bincount`` in slot order,
+        divided by the node's slot count (1 for a node without slots,
+        whose term is ``base`` alone), scaled by ``w_ext`` and added to
+        ``base``, in place in the term vector.
+        """
+        np.divide(np.bincount(self._consumers, weights=self._slots,
+                              minlength=len(self._terms)),
+                  self._divisor, out=self._terms)
+        self._terms *= self._w_ext
+        self._terms += self._base
 
 
 def _deliver(federation: Federation, actions: list) -> None:
@@ -171,8 +190,8 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     on its own; bounding the block keeps at most ``MOP_BLOCK`` states
     per federate alive.  Lets a caller advance several runs in
     lockstep.  A federation runs once: set-up raises ``ScheduleError``
-    on one that has run before or on an event outside the horizon or
-    on a network outside the federation, ``UnknownNode`` on an event
+    on one that has run before, on an event outside timesteps 1 to the
+    horizon or on a network outside the federation, ``UnknownNode`` on an event
     naming a node the network lacks, and ``ZeroBaseline`` when a
     network's initial performance sums to zero.
     """
@@ -181,9 +200,10 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     horizon, tg = schedule.horizon, schedule.tg
     actions_at: dict[int, list] = {}
     for ev in events:
-        if ev.apply_time > horizon or ev.retract_time > horizon:
+        # retract_time > apply_time, so both lie in 1..horizon.
+        if ev.apply_time < 1 or ev.retract_time > horizon:
             raise ScheduleError(
-                f"event at {ev.apply_time}/{ev.retract_time} exceeds horizon {horizon}")
+                f"event at {ev.apply_time}/{ev.retract_time} outside timesteps 1..{horizon}")
         if ev.network_id not in federation.federates:
             raise ScheduleError(
                 f"event at {ev.apply_time} names network {ev.network_id.value!r} "

@@ -77,6 +77,13 @@ DEFAULT_NETWORKS = (
 )
 
 
+def _expect(value, typ: type, field: str):
+    """``value`` if it is a JSON ``typ``; JSON booleans are not ints."""
+    if not isinstance(value, typ) or isinstance(value, bool) != (typ is bool):
+        raise ScenarioError(f"{field}: expected {typ.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     master_seed: int = 20200831
@@ -138,9 +145,7 @@ class ScenarioConfig:
                   "couplings_per_node": int, "align_sync": bool}
         for name, typ in simple.items():
             if name in doc:
-                if not isinstance(doc[name], typ) or isinstance(doc[name], bool) != (typ is bool):
-                    raise ScenarioError(f"field '{name}': expected {typ.__name__}")
-                kwargs[name] = doc[name]
+                kwargs[name] = _expect(doc[name], typ, f"field '{name}'")
         for name in ("origin", "target"):
             if name in doc:
                 try:
@@ -157,10 +162,10 @@ class ScenarioConfig:
                 try:
                     specs.append(NetworkSpec(
                         network_id=NetworkId(net["id"]),
-                        node_count=int(net["nodes"]),
-                        edge_count=int(net["edges"]),
+                        node_count=_expect(net["nodes"], int, "nodes"),
+                        edge_count=_expect(net["edges"], int, "edges"),
                         weights=tuple(net.get("weights", (0.3, 0.4, 0.3))),
-                        lag=int(net.get("lag", 1)),
+                        lag=_expect(net.get("lag", 1), int, "lag"),
                     ))
                 except (KeyError, TypeError, ValueError, ScenarioError) as exc:
                     raise ScenarioError(f"field 'networks[{i}]': {exc}") from exc
@@ -183,11 +188,12 @@ def build_topologies(config: ScenarioConfig) -> list[Topology]:
 
 
 @functools.lru_cache(maxsize=1)
-def _wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], InterdependencyMap]:
+def wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], InterdependencyMap]:
     """Topologies and couplings of a scenario, generated once per config.
 
     Both are frozen, so every federation built from the config shares
-    them; each build still makes fresh federate states.
+    them, and ``generate`` writes the same objects; each build still
+    makes fresh federate states.
     """
     topologies = tuple(build_topologies(config))
     return topologies, generate_interdependencies(
@@ -195,7 +201,7 @@ def _wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], Interdependen
 
 
 def build_federation(config: ScenarioConfig) -> Federation:
-    topologies, interdeps = _wiring(config)
+    topologies, interdeps = wiring(config)
     federates = {}
     for spec, topo in zip(config.networks, topologies):
         federates[spec.network_id] = FederateState(

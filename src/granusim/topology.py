@@ -44,6 +44,13 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
     intrinsic_performance: tuple[float, ...]
 
+    def __post_init__(self):
+        # Checked once per frozen topology, not per federate built on it.
+        levels = np.asarray(self.intrinsic_performance, dtype=float)
+        if not ((levels >= 0.0) & (levels <= 1.0)).all():
+            raise ValueError("intrinsic performance levels must lie in [0, 1], "
+                             f"got {self.intrinsic_performance}")
+
     @functools.cached_property
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (edges, 2) array of (source, target)."""

@@ -7,8 +7,11 @@ meaningful evidence rather than tautology.
 
 import numpy as np
 
+from granusim.coordinator import Federation
 from granusim.experiment import build_topologies
-from granusim.topology import NETWORK_ORDER, NetworkId, Topology, generate_interdependencies
+from granusim.federate import FederateState
+from granusim.topology import (NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId,
+                               Topology, generate_interdependencies)
 
 
 def make_topology(edges, n, network_id=NetworkId.WATER, intrinsic=None):
@@ -18,6 +21,22 @@ def make_topology(edges, n, network_id=NetworkId.WATER, intrinsic=None):
         edges=tuple(edges),
         intrinsic_performance=tuple(intrinsic or [1.0] * n),
     )
+
+
+def fed_by_feeder(fed, consumers):
+    """A federation of ``fed`` and a feeder of one isolated node per slot.
+
+    ``fed`` must be a water federate; slot k is wired to its node
+    ``consumers[k]`` and fed by feeder node k.  Returns the federation
+    and the feeder: a test sets ``feeder.performance`` and calls the
+    federation's ``exchange()`` to write and latch the slots.
+    """
+    feeder = FederateState(make_topology([], len(consumers), NetworkId.POWER))
+    couplings = tuple(Coupling(NetworkId.WATER, node, NetworkId.POWER, k)
+                      for k, node in enumerate(consumers))
+    return (Federation({NetworkId.WATER: fed, NetworkId.POWER: feeder},
+                       InterdependencyMap(couplings=couplings)),
+            feeder)
 
 
 def sample_edges_from_pair_list(rng, n, m):

@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,10 +52,16 @@ def test_schedule_validation():
 
 
 def test_event_beyond_horizon_rejected():
-    fed = small_federation()
-    event = DisruptionEvent(5, 30, NetworkId.WATER, (0,))
-    with pytest.raises(ScheduleError):
-        run(fed, SyncSchedule(tg=2, horizon=20), [event])
+    # Timestep 0 is the initial state: an event there or before it
+    # would be delivered late or dropped, so it is rejected like one
+    # past the horizon.
+    for event in (DisruptionEvent(5, 30, NetworkId.WATER, (0,)),
+                  DisruptionEvent(0, 5, NetworkId.WATER, (1,)),
+                  DisruptionEvent(-3, 0, NetworkId.WATER, (1,))):
+        fed = small_federation()
+        with pytest.raises(ScheduleError, match="outside timesteps 1..20"):
+            run(fed, SyncSchedule(tg=2, horizon=20), [event])
+        assert not fed.ran
 
 
 def test_empty_events_stay_at_100():
@@ -210,49 +215,9 @@ def test_run_matches_lockstep_oracle_on_random_federations(case):
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=small_federations())
-def test_barrier_latches_each_consumer_like_its_own_latch(case):
-    # The federation latches every node at once; each federate's share
-    # of that must be bit-equal to latching its own slots on its own.
-    nets, wiring, _, horizon, (_, _, origin, nodes) = case
-    fed = federation_of(nets, wiring)
-    feds = fed.federates
-    feds[origin].apply_disruption(nodes)
-    for _ in range(horizon % 5 + 1):
-        for state in feds.values():
-            state.step()
-        fed.exchange()
-    for net, state in feds.items():
-        _, _, lag, weights, _ = nets[net]
-        alone = FederateState(state.topology, weights=weights, lag=lag,
-                              consumer_nodes=state.consumer_nodes.tolist())
-        alone.foreign_inputs[:] = state.foreign_inputs
-        alone.latch_foreign_inputs()
-        assert state.term.tobytes() == alone.term.tobytes()
-
-
-def test_a_federate_latch_keeps_it_linked_to_the_barrier():
-    config = ScenarioConfig()
-    pattern = fixed_pattern(12, build_federation(config).federates[config.origin].topology,
-                            config.master_seed)
-    event = DisruptionEvent(5, 9, config.origin, pattern)
-    schedule = SyncSchedule(tg=4, horizon=30)
-    plain = run(build_federation(config), schedule, [event])
-    relatched = build_federation(config)
-    for state in relatched.federates.values():
-        state.latch_foreign_inputs()
-    trace = run(relatched, schedule, [event])
-    # The dip crosses to business only through later barriers, which
-    # reach its steps only if the latch wrote into the barrier's vectors.
-    assert trace.series[config.target].min() < plain.series[config.target][0]
-    assert all(trace.series[n].tobytes() == plain.series[n].tobytes()
-               for n in plain.networks)
-
-
 def test_a_federate_with_no_slots_keeps_no_foreign_term():
     # With no slots the step term is the federate's constant base, and
-    # neither the barrier nor its own latch moves it.
+    # the barrier does not move it.
     fed = small_federation()  # nothing feeds water
     water = fed.federates[NetworkId.WATER]
     base = water.base.copy()
@@ -262,8 +227,7 @@ def test_a_federate_with_no_slots_keeps_no_foreign_term():
     water.step()
     fed.exchange()
     assert water.term.tobytes() == base.tobytes()
-    water.latch_foreign_inputs()
-    assert water.term.tobytes() == base.tobytes()
+    assert water.uncoupled.all()
     business = fed.federates[NetworkId.BUSINESS]
     assert business.term.tobytes() != business.base.tobytes()
 
@@ -366,32 +330,17 @@ def test_barrier_indices_match_a_loop_over_the_couplings(case):
         {net: sizes[net] for net in NETWORK_ORDER if net in sizes}, couplings)
     assert fed._producers.tolist() == producers
     assert fed._consumers.tolist() == consumers
+    assert fed._divisor.tolist() == [max(consumers.count(i), 1)
+                                     for i in range(sum(sizes.values()))]
     for net, state in fed.federates.items():
-        assert state.consumer_nodes.tolist() == nodes[net]
+        uncoupled = [i not in nodes[net] for i in range(sizes[net])]
+        if any(uncoupled):
+            assert state.uncoupled.tolist() == uncoupled
+        else:
+            assert state.uncoupled is None
         assert state.foreign_inputs.size == len(nodes[net])
         assert state.foreign_inputs.base is fed._slots
         assert state.term.base is fed._terms
-
-
-def test_each_federate_is_wired_and_latched_once(monkeypatch):
-    calls = Counter()
-
-    def counted(name):
-        method = getattr(FederateState, name)
-
-        def wrapper(state, *args, **kwargs):
-            calls[name, id(state)] += 1
-            return method(state, *args, **kwargs)
-        return wrapper
-
-    for name in ("set_consumers", "latch_foreign_inputs"):
-        monkeypatch.setattr(FederateState, name, counted(name))
-    for build in (small_federation, lambda: build_federation(ScenarioConfig())):
-        fed = build()
-        expected = {(name, id(state)): 1 for state in fed.federates.values()
-                    for name in ("set_consumers", "latch_foreign_inputs")}
-        assert calls == expected
-        calls.clear()
 
 
 def test_default_federation_sub_granularity_window_stays_quiet():

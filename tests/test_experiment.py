@@ -10,10 +10,10 @@ from granusim.errors import InvalidFactor, ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
                                  FactorLevels, ScenarioConfig,
                                  build_federation, build_layout,
-                                 _wiring, build_topologies,
+                                 build_topologies,
                                  disruption_onset, pattern_hash,
                                  results_csv, run_experiment, run_single,
-                                 timing_profile)
+                                 timing_profile, wiring)
 from granusim.topology import NetworkId
 
 SMALL = ScenarioConfig(horizon=280)
@@ -90,6 +90,13 @@ WATER = {"id": "water", "nodes": 4, "edges": 6}
     ({"networks": [dict(WATER, edges=13)]}, "edges"),
     ({"couplings_per_node": 0}, "couplings_per_node"),
     ({"networks": {"water": WATER}}, "'networks'"),
+    # Network counts are JSON ints, like the top-level fields: no
+    # truncated floats, parsed strings or booleans.
+    ({"networks": [dict(WATER, nodes=4.9)]}, "nodes"),
+    ({"networks": [dict(WATER, nodes="4")]}, "nodes"),
+    ({"networks": [dict(WATER, edges=6.0)]}, "edges"),
+    ({"networks": [dict(WATER, lag="2")]}, "lag"),
+    ({"networks": [dict(WATER, lag=True)]}, "lag"),
 ])
 def test_scenario_fields_checked_when_parsed(doc, field):
     with pytest.raises(ScenarioError, match=field):
@@ -132,7 +139,7 @@ def test_federations_of_one_config_share_no_mutable_array():
     # The wiring is built once per config; the states it feeds are not.
     # What the builds share is frozen, and so are its array forms.
     a, b = build_federation(SMALL), build_federation(SMALL)
-    shared = [_wiring(SMALL)[1].coupling_array]
+    shared = [wiring(SMALL)[1].coupling_array]
     for net in a.order:
         fa, fb = a.federates[net], b.federates[net]
         assert fa.topology is fb.topology
@@ -143,7 +150,7 @@ def test_federations_of_one_config_share_no_mutable_array():
                     f.term, *f.history]
         for x in arrays(fa):
             assert not any(np.shares_memory(x, y) for y in arrays(fb))
-    assert shared[0] is _wiring(SMALL)[1].coupling_array
+    assert shared[0] is wiring(SMALL)[1].coupling_array
     for x in shared:
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -151,23 +158,23 @@ def test_federations_of_one_config_share_no_mutable_array():
 
 
 def test_wiring_follows_the_seed_and_the_network_spec():
-    def wiring(config):
+    def built(config):
         fed = build_federation(config)
         return ([fed.federates[net].topology for net in fed.order],
-                [fed.federates[net].consumer_nodes.tolist() for net in fed.order])
+                (fed._producers.tolist(), fed._consumers.tolist()))
 
-    first = wiring(SMALL)
+    first = built(SMALL)
     assert first[0] == build_topologies(SMALL)
     reseeded = replace(SMALL, master_seed=SMALL.master_seed + 1)
     resized = replace(SMALL, networks=(replace(DEFAULT_NETWORKS[0], edge_count=70),
                                        *DEFAULT_NETWORKS[1:]))
     recoupled = replace(SMALL, couplings_per_node=2)
     for other in (reseeded, resized, recoupled):
-        topologies, consumers = wiring(other)
+        topologies, slots = built(other)
         assert topologies == build_topologies(other)
-        assert (topologies, consumers) != first
-        assert wiring(SMALL) == first
-    assert len(wiring(resized)[0][0].edges) == 70
+        assert (topologies, slots) != first
+        assert built(SMALL) == first
+    assert len(built(resized)[0][0].edges) == 70
 
 
 @pytest.mark.parametrize("config, tg, rt, ds, named", [

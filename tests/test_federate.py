@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from granusim.errors import UnknownNode
 from granusim.federate import FederateState
-from oracles import ScalarFederate, make_topology
+from oracles import ScalarFederate, fed_by_feeder, make_topology
 
 
 def test_weights_must_sum_to_one():
@@ -22,8 +22,9 @@ def test_weights_must_sum_to_one():
 
 @pytest.mark.parametrize("intrinsic", [[1.0, -0.1], [1.5, 1.0], [float("nan"), 1.0]])
 def test_intrinsic_levels_outside_unit_interval_rejected(intrinsic):
+    # Checked by the topology, once, not by each federate built on it.
     with pytest.raises(ValueError, match="intrinsic"):
-        FederateState(make_topology([], 2, intrinsic=intrinsic))
+        make_topology([], 2, intrinsic=intrinsic)
 
 
 def test_isolated_node_is_fixed_point():
@@ -43,8 +44,10 @@ def test_disrupted_node_outputs_zero():
 
 def test_chain_hand_value_with_foreign_inputs():
     # Downstream of a disrupted supplier with foreign inputs held at 1:
-    # 0.3*1 + 0.4*0 + 0.3*1 = 0.6 on the next step.
-    fed = FederateState(make_topology([(0, 1)], 2), consumer_nodes=[0, 1])
+    # 0.3*1 + 0.4*0 + 0.3*1 = 0.6 on the next step.  Building the
+    # federation latches the 1.0 slots.
+    fed = FederateState(make_topology([(0, 1)], 2))
+    fed_by_feeder(fed, [0, 1])
     fed.apply_disruption([0])
     fed.step()
     expected = 0.3 * 1.0 + 0.4 * 0.0 + 0.3 * 1.0
@@ -149,31 +152,19 @@ def test_disruption_writes_do_not_reach_the_history():
     assert all(np.array_equal(h, b) for h, b in zip(fed.history, before))
 
 
-def test_set_consumers_rederives_the_coupling_constants():
-    edges = [(0, 1), (2, 1), (1, 3)]
-    rewired = FederateState(make_topology(edges, 4), consumer_nodes=[0, 0])
-    rewired.set_consumers([1, 3, 3])
-    fresh = FederateState(make_topology(edges, 4), consumer_nodes=[1, 3, 3])
-    assert rewired.coupling_count.tolist() == [0.0, 1.0, 0.0, 2.0]
-    for fed in (rewired, fresh):
-        fed.foreign_inputs[:] = [0.5, 0.25, 0.0]
-        fed.latch_foreign_inputs()
-        fed.apply_disruption([2])
-        for _ in range(4):
-            fed.step()
-    assert np.array_equal(rewired.performance, fresh.performance)
-
-
 def test_slot_writes_reach_the_step_only_once_latched():
+    # The feeder moves at once; the federate sees it only after a barrier.
     edges = [(0, 1), (1, 2)]
-    latched = FederateState(make_topology(edges, 3), consumer_nodes=[0, 2, 2])
-    untouched = FederateState(make_topology(edges, 3), consumer_nodes=[0, 2, 2])
-    latched.foreign_inputs[:] = [0.5, 0.25, 0.0]
+    latched = FederateState(make_topology(edges, 3))
+    untouched = FederateState(make_topology(edges, 3))
+    federation, feeder = fed_by_feeder(latched, [0, 2, 2])
+    fed_by_feeder(untouched, [0, 2, 2])
+    feeder.performance = np.array([0.5, 0.25, 0.0])
     for _ in range(3):
         latched.step()
         untouched.step()
         assert np.array_equal(latched.performance, untouched.performance)
-    latched.latch_foreign_inputs()
+    federation.exchange()
     latched.step()
     untouched.step()
     # 0.3 + 0.4 + 0.3 * 0.5 at node 0; 0.3 + 0.4 + 0.3 * 0.125 at node 2.
@@ -217,8 +208,8 @@ def test_matches_scalar_oracle_on_random_runs():
         edges = [pairs[i] for i in sorted(rng.choice(len(pairs), m, replace=False))]
         lag = int(rng.integers(1, 4))
         consumers = [int(c) for c in rng.integers(0, n, size=rng.integers(0, 4))]
-        topo = make_topology(edges, n)
-        fed = FederateState(topo, lag=lag, consumer_nodes=consumers)
+        fed = FederateState(make_topology(edges, n), lag=lag)
+        federation, feeder = fed_by_feeder(fed, consumers)
         ref = ScalarFederate(edges, n, lag=lag, consumers=consumers)
         down = set()
         for t in range(30):
@@ -232,8 +223,8 @@ def test_matches_scalar_oracle_on_random_runs():
                 ref.retract(sorted(down))
                 down = set()
             foreign = rng.uniform(0, 1, size=len(consumers))
-            fed.foreign_inputs[:] = foreign
-            fed.latch_foreign_inputs()
+            feeder.performance = foreign
+            federation.exchange()
             ref.foreign = list(foreign)
             fed.step()
             ref.step()
@@ -253,12 +244,12 @@ def test_performance_stays_bounded(raw, lag, seed):
     n = 5
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     edges = [pairs[i] for i in sorted(rng.choice(len(pairs), 8, replace=False))]
-    fed = FederateState(make_topology(edges, n), weights=weights, lag=lag,
-                        consumer_nodes=[0, 2, 2])
+    fed = FederateState(make_topology(edges, n), weights=weights, lag=lag)
+    federation, feeder = fed_by_feeder(fed, [0, 2, 2])
     fed.apply_disruption([1])
     for t in range(20):
-        fed.foreign_inputs[:] = rng.uniform(0, 1, size=3)
-        fed.latch_foreign_inputs()
+        feeder.performance = rng.uniform(0, 1, size=3)
+        federation.exchange()
         if t == 10:
             fed.retract_disruption([1])
         fed.step()
@@ -269,9 +260,11 @@ def test_quiescence_under_unit_inputs():
     rng = np.random.default_rng(3)
     pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
     edges = [pairs[i] for i in sorted(rng.choice(len(pairs), 12, replace=False))]
-    fed = FederateState(make_topology(edges, 6), consumer_nodes=[1, 4])
+    fed = FederateState(make_topology(edges, 6))
+    federation, _ = fed_by_feeder(fed, [1, 4])
     for _ in range(25):
         fed.step()
+        federation.exchange()
         assert np.array_equal(fed.performance, np.ones(6))
 
 
@@ -295,11 +288,3 @@ def test_superset_disruption_never_helps():
         if set(small) <= set(big):
             assert all(a >= b for a, b in zip(curves[small], curves[big]))
 
-
-def test_snapshot_json_is_deterministic(water22):
-    fed = FederateState(water22)
-    fed.apply_disruption([2, 4])
-    fed.step()
-    snap = fed.snapshot_json()
-    assert '"network_id": "water"' in snap
-    assert snap == fed.snapshot_json()

@@ -3,12 +3,15 @@
 ``perfbench/tracer.py`` patches ``(module, attribute)`` pairs from its
 ``LAYERS`` table at run time.  The table is read from the file's source
 here, without importing the benchmark, so renaming or deleting a traced
-function fails this suite instead of the traced benchmark run.
+function fails this suite instead of the traced benchmark run.  The
+same holds for the attribute its exchange counter reads.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from granusim.experiment import ScenarioConfig, build_federation, wiring
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,3 +38,12 @@ def test_every_traced_layer_resolves():
         if not callable(owner):
             missing.append(f"granusim.{module}.{attr}")
     assert not missing, f"traced layers missing from granusim: {missing}"
+
+
+def test_each_coupling_is_one_foreign_input():
+    # The tracer counts the values an exchange moves as the sizes of
+    # the federates' ``foreign_inputs``: one slot per coupling.
+    config = ScenarioConfig()
+    federation = build_federation(config)
+    moved = sum(f.foreign_inputs.size for f in federation.federates.values())
+    assert moved == len(wiring(config)[1].couplings) == 126
