@@ -9,6 +9,11 @@ class EdgeCountOverflow(GranusimError):
     """Requested more edges than distinct non-loop pairs allow."""
 
 
+class InvalidTopology(GranusimError, ValueError):
+    """A topology's edges or intrinsic levels are malformed: an edge out
+    of range, a self-loop, a repeated edge, or a level outside [0, 1]."""
+
+
 class SizeOverflow(GranusimError):
     """Requested disruption size exceeds the node count."""
 

@@ -7,8 +7,12 @@ the first coupling per partner is the deterministic backbone
 b = a mod |B|, the rest are drawn from a seeded stream.
 
 Both are frozen, so their array forms (``Topology.edge_array``,
-``InterdependencyMap.coupling_array``) are derived once per object and
-shared, read-only, by every federation built from it.
+``Topology.edges_by_target``, ``InterdependencyMap.coupling_array``)
+are derived once per object and shared, read-only, by every federation
+built from it.  A topology checks itself once, when it is made: every
+edge joins two distinct nodes in range, no edge appears twice, and
+there is one intrinsic level in [0, 1] per node; anything else raises
+``InvalidTopology``.
 """
 
 import functools
@@ -19,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EdgeCountOverflow
+from .errors import EdgeCountOverflow, InvalidTopology
 from .rng import stream
 
 
@@ -46,15 +50,39 @@ class Topology:
 
     def __post_init__(self):
         # Checked once per frozen topology, not per federate built on it.
+        # The first edge at fault is named.
+        n = self.node_count
         levels = np.asarray(self.intrinsic_performance, dtype=float)
+        if levels.shape != (n,):
+            raise InvalidTopology(f"intrinsic performance levels: expected one per node ({n}), "
+                                  f"got {levels.size}")
         if not ((levels >= 0.0) & (levels <= 1.0)).all():
-            raise ValueError("intrinsic performance levels must lie in [0, 1], "
-                             f"got {self.intrinsic_performance}")
+            raise InvalidTopology("intrinsic performance levels must lie in [0, 1], "
+                                  f"got {self.intrinsic_performance}")
+        edges = self.edge_array
+        out_of_range = ((edges < 0) | (edges >= n)).any(axis=1)
+        for bad, what in ((out_of_range, f"out of range for {n} nodes"),
+                          (edges[:, 0] == edges[:, 1], "a self-loop")):
+            if bad.any():
+                raise InvalidTopology(f"edge {self.edges[bad.argmax()]} is {what}")
+        # Sorted, a repeated edge sits next to its copy.
+        repeated = (np.diff(self.edges_by_target, axis=1) == 0).all(axis=0)
+        if repeated.any():
+            edge = tuple(self.edges_by_target[:, repeated.argmax()].tolist())
+            raise InvalidTopology(f"edge {edge} appears more than once")
 
     @functools.cached_property
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (edges, 2) array of (source, target)."""
         return _read_only(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
+
+    @functools.cached_property
+    def edges_by_target(self) -> np.ndarray:
+        """The edges as a read-only (2, edges) array, sources in row 0 and
+        targets in row 1, sorted by (target, source)."""
+        sources, targets = self.edge_array.T
+        order = np.lexsort((sources, targets))
+        return _read_only(np.array((sources[order], targets[order])))
 
     def to_json(self) -> str:
         doc = {

@@ -9,8 +9,8 @@ from granusim.coordinator import Federation, SyncSchedule, run, run_steps
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
 from granusim.errors import ScheduleError, UnknownNode, ZeroBaseline
-from granusim.experiment import ScenarioConfig, build_federation
-from granusim.federate import FederateState
+from granusim.experiment import NetworkSpec, ScenarioConfig, build_federation
+from granusim.federate import EDGE_LIST_MIN_NODES, FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
 from oracles import barrier_indices, lockstep_series, make_topology, scenario_lockstep_inputs
 
@@ -417,6 +417,27 @@ def test_poisson_streams_on_the_paper_network_match_the_oracle(
     expected = lockstep_series(
         nets, wiring, tg, horizon,
         [(e.apply_time, e.retract_time, e.network_id, e.nodes) for e in events])
+    for net in nets:
+        assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("tg", [1, 7])
+def test_edge_list_federation_matches_the_lockstep_oracle(tg):
+    # Three networks at the edge-list crossover with 3.5 edges per node,
+    # coupled and lagged like the wide_sync benchmark workload.
+    n = EDGE_LIST_MIN_NODES
+    config = ScenarioConfig(horizon=80, couplings_per_node=3, networks=tuple(
+        NetworkSpec(net, n, 7 * n // 2, lag=lag)
+        for net, lag in zip(NETWORK_ORDER, (1, 1, 2))))
+    federation = build_federation(config)
+    assert all(fed.in_matrix is None for fed in federation.federates.values())
+    water = federation.federates[NetworkId.WATER].topology
+    event = (21, 43, NetworkId.WATER, fixed_pattern(n // 2, water, config.master_seed))
+    trace = run(federation, SyncSchedule(tg=tg, horizon=config.horizon),
+                [DisruptionEvent(*event)])
+
+    nets, wiring = scenario_lockstep_inputs(config)
+    expected = lockstep_series(nets, wiring, tg, config.horizon, [event])
     for net in nets:
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
 

@@ -8,15 +8,20 @@ import pytest
 
 from granusim.errors import InvalidFactor, ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
-                                 FactorLevels, ScenarioConfig,
+                                 FactorLevels, NetworkSpec, ScenarioConfig,
                                  build_federation, build_layout,
                                  build_topologies,
                                  disruption_onset, pattern_hash,
                                  results_csv, run_experiment, run_single,
                                  timing_profile, wiring)
-from granusim.topology import NetworkId
+from granusim.federate import EDGE_LIST_ENTRIES_PER_EDGE, EDGE_LIST_MIN_NODES, uses_edge_list
+from granusim.topology import NETWORK_ORDER, NetworkId
 
 SMALL = ScenarioConfig(horizon=280)
+# The wide_sync benchmark workload's scenario: three 300-node networks
+# with 1,050 edges each, the business network lagged by 2.
+WIDE = ScenarioConfig(horizon=300, couplings_per_node=3, networks=tuple(
+    NetworkSpec(net, 300, 1050, lag=lag) for net, lag in zip(NETWORK_ORDER, (1, 1, 2))))
 
 
 def test_default_levels_are_the_published_draw():
@@ -143,7 +148,7 @@ def test_federations_of_one_config_share_no_mutable_array():
     for net in a.order:
         fa, fb = a.federates[net], b.federates[net]
         assert fa.topology is fb.topology
-        shared.append(fa.topology.edge_array)
+        shared += [fa.topology.edge_array, fa.topology.edges_by_target]
 
         def arrays(f):
             return [f.performance, f.foreign_inputs, f.disrupted, f._keep,
@@ -155,6 +160,19 @@ def test_federations_of_one_config_share_no_mutable_array():
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             x[0, 0] = 1
+
+
+def test_each_federate_picks_its_kernel_from_its_network_size():
+    # The paper's networks keep the dense matrix; wide_sync's run on
+    # their edge lists and build no dense matrix.
+    for config, edge_list in ((ScenarioConfig(), False), (WIDE, True)):
+        for fed in build_federation(config).federates.values():
+            assert (fed.in_matrix is None) == edge_list
+    n = EDGE_LIST_MIN_NODES
+    most_edges = n * n // EDGE_LIST_ENTRIES_PER_EDGE
+    assert not uses_edge_list(n - 1, 0)
+    assert uses_edge_list(n, most_edges)
+    assert not uses_edge_list(n, most_edges + 1)
 
 
 def test_wiring_follows_the_seed_and_the_network_spec():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granusim.errors import UnknownNode
-from granusim.federate import FederateState
+from granusim.federate import EDGE_LIST_MIN_NODES, FederateState
 from oracles import ScalarFederate, fed_by_feeder, make_topology
 
 
@@ -200,15 +200,18 @@ def test_no_in_edges_falls_back_to_intrinsic():
 
 
 def test_matches_scalar_oracle_on_random_runs():
+    # Ten small networks of any density take the dense kernel; three
+    # at 3.5 edges per node from the crossover on take the edge list.
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
+    small = [int(n) for n in rng.integers(2, 7, size=10)]
+    for n in small + [EDGE_LIST_MIN_NODES, 200, 300]:
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        m = int(rng.integers(0, len(pairs) + 1))
+        m = int(rng.integers(0, len(pairs) + 1)) if n in small else 7 * n // 2
         edges = [pairs[i] for i in sorted(rng.choice(len(pairs), m, replace=False))]
         lag = int(rng.integers(1, 4))
-        consumers = [int(c) for c in rng.integers(0, n, size=rng.integers(0, 4))]
+        consumers = [int(c) for c in rng.integers(0, n, size=rng.integers(0, n // 2 + 4))]
         fed = FederateState(make_topology(edges, n), lag=lag)
+        assert (fed.in_matrix is None) == (n not in small)
         federation, feeder = fed_by_feeder(fed, consumers)
         ref = ScalarFederate(edges, n, lag=lag, consumers=consumers)
         down = set()

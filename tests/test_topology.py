@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granusim.errors import EdgeCountOverflow
+from granusim.errors import EdgeCountOverflow, InvalidTopology
 from granusim.topology import (InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from granusim.rng import stream
@@ -72,6 +72,28 @@ def test_topology_json_roundtrip(water22):
     assert Topology.from_json(water22.to_json()) == water22
 
 
+@pytest.mark.parametrize("edges, named", [
+    # Unchecked, a repeated edge counts twice in node 1's in-degree and
+    # node 1 settles at 0.714 instead of 1.0.
+    ([(0, 1), (0, 1)], r"edge \(0, 1\) appears more than once"),
+    ([(2, 1), (0, 1), (2, 1)], r"edge \(2, 1\) appears more than once"),
+    # Unchecked, -1 indexes node 2 from the end ...
+    ([(-1, 1)], r"edge \(-1, 1\) is out of range for 3 nodes"),
+    # ... and 5 raises a bare IndexError when a federate is built.
+    ([(0, 1), (0, 5)], r"edge \(0, 5\) is out of range for 3 nodes"),
+    ([(0, 1), (2, 2)], r"edge \(2, 2\) is a self-loop"),
+])
+def test_malformed_edges_rejected_by_name(edges, named):
+    with pytest.raises(InvalidTopology, match=named) as raised:
+        make_topology(edges, 3)
+    assert isinstance(raised.value, ValueError)
+
+
+def test_one_intrinsic_level_per_node():
+    with pytest.raises(InvalidTopology, match=r"one per node \(3\), got 2"):
+        make_topology([], 3, intrinsic=[1.0, 1.0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6), data=st.data())
 def test_generated_edges_are_valid(n, seed, data):
@@ -81,6 +103,10 @@ def test_generated_edges_are_valid(n, seed, data):
     assert len(set(topo.edges)) == m
     for src, dst in topo.edges:
         assert 0 <= src < n and 0 <= dst < n and src != dst
+    sources, targets = topo.edges_by_target
+    assert list(zip(sources.tolist(), targets.tolist())) == sorted(
+        topo.edges, key=lambda e: (e[1], e[0]))
+    assert not topo.edges_by_target.flags.writeable
 
 
 def _sizes(couplings):

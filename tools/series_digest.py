@@ -1,17 +1,27 @@
-"""Print two sha256 digests of the factorial at two seeds.
+"""Print sha256 digests of the factorial and of wide runs at two seeds.
 
-Runs the 125 configurations of the published 5x5x5 design at master
-seeds 20200831 and 4093, in layout order, and prints:
+Runs, at master seeds 20200831 and 4093:
+
+- the 125 configurations of the published 5x5x5 design, in layout
+  order, on the paper's networks (20-22 nodes), which step on the dense
+  kernel;
+- tg 1, 5 and 27 with rt 22 and ds 90 on the shape of the ``wide_sync``
+  benchmark workload (three 300-node networks with 1,050 edges each,
+  3 couplings per node and partner, business lag 2, horizon 300),
+  which step on the edge-list kernel.
+
+For each it prints:
 
 - the digest of the raw ``uint64`` bytes of each run's MoP series in
   network order (water, power, business).  Two trees that print the
   same one compute the same bits.
 - the digest of the printed outputs: each results row without
-  ``sec_per_step``, followed by the run's trace CSV text.  Two trees
-  that print the same one write the same results and traces, even when
-  their raw bits differ in the last places.
+  ``sec_per_step``, followed by the run's trace CSV text, and for the
+  wide runs ``repr`` of the full-precision spds as well.  Two trees that
+  print the same one write the same results and traces, even when their
+  raw bits differ in the last places.
 
-The raw digest depends on the numpy/BLAS build, which is why this is a
+The raw digests depend on the numpy/BLAS build, which is why this is a
 script and not a test: compare digests taken on one machine.
 
 Run from the repository root:
@@ -27,29 +37,46 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from granusim.experiment import (RESULTS_HEADER, FactorLevels,  # noqa: E402
-                                 ResultRow, ScenarioConfig, build_layout, run_single)
+                                 NetworkSpec, ResultRow, ScenarioConfig,
+                                 build_layout, run_single)
+from granusim.topology import NETWORK_ORDER  # noqa: E402
 
 SEEDS = (20200831, 4093)
 TIMING_COLUMN = RESULTS_HEADER.split(",").index("sec_per_step")
+WIDE = ScenarioConfig(horizon=300, couplings_per_node=3, networks=tuple(
+    NetworkSpec(net, 300, 1050, lag=lag) for net, lag in zip(NETWORK_ORDER, (1, 1, 2))))
+WIDE_LAYOUT = ((1, 22, 90), (5, 22, 90), (27, 22, 90))
 
 
-def main() -> None:
+def digests(config: ScenarioConfig, layout, full_spds: bool) -> tuple[str, str, int]:
+    """Raw and printed digests of every run of ``layout`` at each seed,
+    and the number of series."""
     raw, printed = hashlib.sha256(), hashlib.sha256()
     count = 0
-    layout = build_layout(FactorLevels())
     for seed in SEEDS:
-        config = replace(ScenarioConfig(), master_seed=seed)
+        seeded = replace(config, master_seed=seed)
         for run_id, (tg, rt, ds) in enumerate(layout):
-            outcome, trace, pattern = run_single(config, tg, rt, ds)
+            outcome, trace, pattern = run_single(seeded, tg, rt, ds)
             for net in trace.networks:
                 raw.update(trace.series[net].view("uint64").tobytes())
                 count += 1
             fields = ResultRow(run_id, tg, rt, ds, outcome, pattern).to_csv_fields()
             del fields[TIMING_COLUMN]
-            printed.update((",".join(fields) + "\n" + trace.to_csv()).encode())
+            text = ",".join(fields) + "\n" + trace.to_csv()
+            if full_spds:
+                text += repr(outcome.spds) + "\n"
+            printed.update(text.encode())
+    return raw.hexdigest(), printed.hexdigest(), count
+
+
+def main() -> None:
     seeds = ", ".join(map(str, SEEDS))
-    print(f"{raw.hexdigest()}  raw bits of {count} series, seeds {seeds}")
-    print(f"{printed.hexdigest()}  printed rows and traces of {count // 3} runs, seeds {seeds}")
+    for name, config, layout, full_spds in (
+            ("factorial", ScenarioConfig(), build_layout(FactorLevels()), False),
+            ("wide", WIDE, WIDE_LAYOUT, True)):
+        raw, printed, count = digests(config, layout, full_spds)
+        print(f"{raw}  {name}: raw bits of {count} series, seeds {seeds}")
+        print(f"{printed}  {name}: printed rows and traces of {count // 3} runs, seeds {seeds}")
 
 
 if __name__ == "__main__":
