@@ -60,11 +60,8 @@ class ScalarFederate:
         self.perf = list(self.intrinsic)
         self.down = [0] * n  # active disruptions per node
         self.hist = [list(self.perf) for _ in range(lag)]
-        self.foreign = [1.0] * len(consumers)
-        # The foreign slots of each node, in slot order.
-        self.slots = [[] for _ in range(n)]
-        for k, node in enumerate(consumers):
-            self.slots[node].append(k)
+        self.consumers = list(consumers)
+        self.foreign = [1.0] * len(self.consumers)
 
     def step(self):
         old = self.hist[0]
@@ -76,7 +73,7 @@ class ScalarFederate:
             else:
                 m = self.intrinsic[i]
             base = self.w_int * self.intrinsic[i] + self.w_in * m
-            slots = self.slots[i]
+            slots = [k for k, c in enumerate(self.consumers) if c == i]
             if slots:
                 f = sum(self.foreign[k] for k in slots) / len(slots)
                 p = base + self.w_ext * f
