@@ -5,13 +5,18 @@ the experimental factors (sequential type-I sums of squares, covariate
 treatment, two-way interactions), a logistic model of disruption
 visibility against the recovery-time-to-granularity ratio, and a linear
 model relating the propagated and actual recovery-time ratios.
+
+Both least-squares models are one QR factorisation of ``[1, columns]``:
+a term's share is its squared effect (its entry of ``Q^T y``) over the
+total sum of squares, the residual share RSS over it, and the ratio
+model's ``r_squared`` is its one column's share.  The logistic ridge and
+iteration cap and the curve's point count are module constants.
 """
 
 import csv
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,6 +27,12 @@ TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
 
 #: Ridge penalty keeping the logistic MLE finite under perfect separation.
 LOGISTIC_RIDGE = 1e-6
+
+#: Newton steps the logistic fit takes at most.
+LOGISTIC_MAX_ITER = 200
+
+#: Points of the visibility curve that ``visibility_curve_csv`` writes.
+CURVE_POINTS = 200
 
 #: Columns of a results file that ``load_results`` reads.
 RESULTS_COLUMNS = ("tg", "rt", "ds", "spds_pct", "sprt_steps", "visible", "status")
@@ -42,7 +53,7 @@ def load_results(path) -> dict[str, np.ndarray]:
         rows = [r for r in reader if r["status"] == "ok"]
     if not rows:
         raise ValueError(f"no usable rows in {path}")
-    table = {
+    return {
         "tg": np.array([float(r["tg"]) for r in rows]),
         "rt": np.array([float(r["rt"]) for r in rows]),
         "ds": np.array([float(r["ds"]) for r in rows]),
@@ -51,7 +62,6 @@ def load_results(path) -> dict[str, np.ndarray]:
                           for r in rows]),
         "visible": np.array([r["visible"] == "true" for r in rows]),
     }
-    return table
 
 
 @dataclass(frozen=True)
@@ -64,11 +74,25 @@ class VarianceShareReport:
         return sum(self.shares.values()) + self.residual_share
 
 
-def _term_column(table: dict[str, np.ndarray], term: str) -> np.ndarray:
-    col = np.ones_like(next(iter(table.values())))
-    for factor in term.split(":"):
-        col = col * table[factor]
-    return col
+def _least_squares(columns: dict[str, np.ndarray],
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """OLS of y on ``[1, *columns.values()]`` from one QR factorisation:
+    the coefficients (intercept first), the effects ``Q^T y`` and the RSS.
+
+    ``CollinearError`` names the first column whose ``|R_kk|`` is below
+    ``rows * eps`` times the largest column norm up to it (numpy's rank
+    tolerance, with that norm for the largest singular value), else the
+    first column past the rows.
+    """
+    X = np.column_stack([np.ones(len(y)), *columns.values()])
+    q, r = np.linalg.qr(X)
+    tol = np.maximum.accumulate(np.linalg.norm(X, axis=0)) * (len(y) * np.finfo(float).eps)
+    dependent = np.abs(r.diagonal()) < tol[:len(r)]
+    if dependent.any() or X.shape[1] > len(y):
+        name = list(columns)[(dependent.argmax() if dependent.any() else len(y)) - 1]
+        raise CollinearError(f"design matrix rank-deficient after adding {name}")
+    effects = q.T @ y
+    return np.linalg.solve(r, effects), effects, float(((y - q @ effects) ** 2).sum())
 
 
 def variance_shares(table: dict[str, np.ndarray], response: str,
@@ -76,33 +100,27 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     """Sequential (type I) share of total sum of squares per model term.
 
     Covariates enter a least-squares linear model in the fixed order
-    given; each term's share is the drop in residual sum of squares
-    when the term is added, over the total sum of squares.
+    given; each term's share is its squared QR effect (the drop in
+    residual sum of squares when it is added) over the total.  The
+    ``ValueError``s for the response and the single-factor terms come
+    before the ``CollinearError`` of a dependent term.
     """
     y = np.asarray(table[response], dtype=float)
     if np.isnan(y).any():
         raise ValueError(f"response {response} contains missing values; drop them first")
-    for name in ("tg", "rt", "ds"):
-        if len(np.unique(table[name])) < 2:
+    for name in terms:
+        if ":" not in name and len(np.unique(table[name])) < 2:
             raise ValueError(f"covariate {name} needs at least 2 distinct values")
-    n = len(y)
     ss_total = float(((y - y.mean()) ** 2).sum())
     if ss_total == 0:
         raise ValueError("response has zero variance")
 
-    X = np.ones((n, 1))
-    prev_rss = ss_total
-    shares: dict[str, float] = {}
-    for term in terms:
-        X = np.column_stack([X, _term_column(table, term)])
-        if np.linalg.matrix_rank(X) < X.shape[1]:
-            raise CollinearError(f"design matrix rank-deficient after adding {term}")
-        coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-        rss = float(((y - X @ coef) ** 2).sum())
-        shares[term] = (prev_rss - rss) / ss_total
-        prev_rss = rss
-    return VarianceShareReport(response=response, shares=shares,
-                               residual_share=prev_rss / ss_total)
+    _, effects, rss = _least_squares(
+        {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)
+    return VarianceShareReport(
+        response=response,
+        shares={term: float(e ** 2) / ss_total for term, e in zip(terms, effects[1:])},
+        residual_share=rss / ss_total)
 
 
 @dataclass(frozen=True)
@@ -127,9 +145,7 @@ class LogisticVisibilityModel:
         return self.ratio_at(0.5)
 
 
-def fit_visibility_logistic(table: dict[str, np.ndarray],
-                            ridge: float = LOGISTIC_RIDGE,
-                            max_iter: int = 200) -> LogisticVisibilityModel:
+def fit_visibility_logistic(table: dict[str, np.ndarray]) -> LogisticVisibilityModel:
     """Penalized-likelihood logistic fit of visible ~ rt/tg via Newton/IRLS."""
     x = table["rt"] / table["tg"]
     y = np.asarray(table["visible"], dtype=float)
@@ -140,8 +156,8 @@ def fit_visibility_logistic(table: dict[str, np.ndarray],
     grad_norm = math.inf
     # Only the slope is penalized; a penalty on the intercept would
     # bias the midpoint of otherwise symmetric data away from center.
-    penalty = np.array([0.0, ridge])
-    for _ in range(max_iter):
+    penalty = np.array([0.0, LOGISTIC_RIDGE])
+    for _ in range(LOGISTIC_MAX_ITER):
         mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
         grad = X.T @ (y - mu) - penalty * beta
         grad_norm = float(np.linalg.norm(grad))
@@ -171,16 +187,19 @@ class RatioLinearModel:
 
 
 def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
-    """OLS of sprt/tg on rt/tg over non-censored rows."""
+    """OLS of sprt/tg on rt/tg over non-censored rows.
+
+    ``r_squared`` is the rt/tg column's sequential share, 1.0 when
+    sprt/tg is constant.
+    """
     keep = ~np.isnan(table["sprt"])
     x = (table["rt"] / table["tg"])[keep]
     y = (table["sprt"] / table["tg"])[keep]
     if len(np.unique(x)) < 2:
         raise DegenerateModel("need at least 2 distinct rt/tg values")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (intercept + slope * x)
+    (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, y)
     ss_total = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / ss_total if ss_total > 0 else 1.0
+    r2 = float(effects[1] ** 2) / ss_total if ss_total > 0 else 1.0
     return RatioLinearModel(intercept=float(intercept), slope=float(slope),
                             r_squared=r2)
 
@@ -211,24 +230,16 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
 def analysis_report(table: dict[str, np.ndarray]) -> dict:
     """The full report: variance shares, logistic fit, ratio model."""
     sprt_rows = {k: v[~np.isnan(table["sprt"])] for k, v in table.items()}
-    ratio_table = dict(sprt_rows)
-    ratio_table["rt_over_tg"] = sprt_rows["rt"] / sprt_rows["tg"]
-    ratio_table["sprt_over_tg"] = sprt_rows["sprt"] / sprt_rows["tg"]
+    ratio_table = dict(sprt_rows, rt_over_tg=sprt_rows["rt"] / sprt_rows["tg"],
+                       sprt_over_tg=sprt_rows["sprt"] / sprt_rows["tg"])
 
     report: dict = {}
-    for response, tab in (("spds", table), ("sprt", sprt_rows)):
-        shares = variance_shares(tab, response)
+    for response, tab, terms in (("spds", table, TERM_ORDER),
+                                 ("sprt", sprt_rows, TERM_ORDER),
+                                 ("sprt_over_tg", ratio_table, ("rt_over_tg", "ds", "tg"))):
+        shares = variance_shares(tab, response, terms)
         report[f"variance_shares_{response}"] = {
             "terms": shares.shares, "residual": shares.residual_share}
-    ratio_shares = variance_shares(
-        {"tg": ratio_table["tg"], "rt": ratio_table["rt_over_tg"],
-         "ds": ratio_table["ds"], "sprt_over_tg": ratio_table["sprt_over_tg"]},
-        "sprt_over_tg", terms=("rt", "ds", "tg"))
-    report["variance_shares_sprt_over_tg"] = {
-        "terms": {"rt_over_tg": ratio_shares.shares["rt"],
-                  "ds": ratio_shares.shares["ds"],
-                  "tg": ratio_shares.shares["tg"]},
-        "residual": ratio_shares.residual_share}
 
     logistic = fit_visibility_logistic(table)
     report["visibility_logistic"] = {
@@ -238,12 +249,7 @@ def analysis_report(table: dict[str, np.ndarray]) -> dict:
         "granularity_over_rt_bound": (1.0 / logistic.threshold
                                       if logistic.threshold > 0 else None),
     }
-    linear = fit_ratio_linear(table)
-    report["ratio_linear"] = {
-        "intercept": linear.intercept,
-        "slope": linear.slope,
-        "r_squared": linear.r_squared,
-    }
+    report["ratio_linear"] = asdict(fit_ratio_linear(table))
     return report
 
 
@@ -251,20 +257,13 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def visibility_curve_csv(model: LogisticVisibilityModel,
-                         max_ratio: float, points: int = 200) -> str:
-    buf = io.StringIO()
-    buf.write("ratio,probability\n")
-    for ratio in np.linspace(0.0, max_ratio, points):
-        buf.write(f"{ratio:.6f},{float(model.probability(ratio)):.6f}\n")
-    return buf.getvalue()
+def visibility_curve_csv(model: LogisticVisibilityModel, max_ratio: float) -> str:
+    return "ratio,probability\n" + "".join(
+        f"{ratio:.6f},{float(model.probability(ratio)):.6f}\n"
+        for ratio in np.linspace(0.0, max_ratio, CURVE_POINTS))
 
 
 def ratio_scatter_csv(table: dict[str, np.ndarray]) -> str:
     keep = ~np.isnan(table["sprt"])
-    buf = io.StringIO()
-    buf.write("rt_over_tg,sprt_over_tg\n")
-    for xv, yv in zip((table["rt"] / table["tg"])[keep],
-                      (table["sprt"] / table["tg"])[keep]):
-        buf.write(f"{xv:.6f},{yv:.6f}\n")
-    return buf.getvalue()
+    pairs = zip((table["rt"] / table["tg"])[keep], (table["sprt"] / table["tg"])[keep])
+    return "rt_over_tg,sprt_over_tg\n" + "".join(f"{x:.6f},{y:.6f}\n" for x, y in pairs)

@@ -17,7 +17,8 @@ the loop keeps each new state by reference and reduces a block at once,
 with the bits of summing each timestep on its own.
 
 Events are delivered at their exact internal timestep, retractions
-before applications, ties broken by network order then node index.
+before applications, ties broken by network order then node index; each
+timestep's actions are put in that order once, at set-up.
 """
 
 from collections.abc import Generator
@@ -152,10 +153,8 @@ class Federation:
 
 
 def _deliver(federation: Federation, actions: list) -> None:
-    # kind 0 = retract, 1 = apply; retractions first, then network order.
-    net_rank = {n: i for i, n in enumerate(NETWORK_ORDER)}
-    for kind, net, nodes in sorted(
-            actions, key=lambda a: (a[0], net_rank[a[1]], a[2])):
+    # kind 0 = retract, 1 = apply; ``run_steps`` sorted them at set-up.
+    for kind, net, nodes in actions:
         fed = federation.federates[net]
         if kind == 0:
             fed.retract_disruption(nodes)
@@ -212,6 +211,9 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
         nodes = tuple(sorted(ev.nodes))
         actions_at.setdefault(ev.apply_time, []).append((1, ev.network_id, nodes))
         actions_at.setdefault(ev.retract_time, []).append((0, ev.network_id, nodes))
+    # Delivery order: retractions first, then network order, then nodes.
+    for actions in actions_at.values():
+        actions.sort(key=lambda a: (a[0], NETWORK_ORDER.index(a[1]), a[2]))
 
     feds = [federation.federates[n] for n in federation.order]
     baselines = {n: float(fed.performance.sum())

@@ -10,8 +10,9 @@ class EdgeCountOverflow(GranusimError):
 
 
 class InvalidTopology(GranusimError, ValueError):
-    """A topology's edges or intrinsic levels are malformed: an edge out
-    of range, a self-loop, a repeated edge, or a level outside [0, 1]."""
+    """A topology's node count, edges or intrinsic levels are malformed:
+    a node count or node index that is not an integer, an edge out of
+    range, a self-loop, a repeated edge, or a level outside [0, 1]."""
 
 
 class SizeOverflow(GranusimError):

@@ -187,17 +187,24 @@ def build_topologies(config: ScenarioConfig) -> list[Topology]:
             for n in config.networks]
 
 
-@functools.lru_cache(maxsize=1)
 def wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], InterdependencyMap]:
-    """Topologies and couplings of a scenario, generated once per config.
+    """Topologies and couplings of a scenario, generated once for its
+    seed, network specs and couplings per node.
 
-    Both are frozen, so every federation built from the config shares
+    Both are frozen, so every federation built from configs that share
+    those three fields (whatever their horizon, warm-up or onset) shares
     them, and ``generate`` writes the same objects; each build still
     makes fresh federate states.
     """
-    topologies = tuple(build_topologies(config))
-    return topologies, generate_interdependencies(
-        topologies, config.couplings_per_node, config.master_seed)
+    return _wiring(config.master_seed, config.networks, config.couplings_per_node)
+
+
+@functools.lru_cache(maxsize=1)
+def _wiring(master_seed: int, networks: tuple[NetworkSpec, ...],
+            couplings_per_node: int) -> tuple[tuple[Topology, ...], InterdependencyMap]:
+    topologies = tuple(generate_topology(n.network_id, n.node_count, n.edge_count, master_seed)
+                       for n in networks)
+    return topologies, generate_interdependencies(topologies, couplings_per_node, master_seed)
 
 
 def build_federation(config: ScenarioConfig) -> Federation:
@@ -306,7 +313,6 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_indexed, tasks))
-    rows.sort(key=lambda r: r.run_id)
     if traces_dir is not None:
         for row in rows:
             if row.status != "ok":

@@ -9,7 +9,8 @@ b = a mod |B|, the rest are drawn from a seeded stream.
 Both are frozen, so their array forms (``Topology.edge_array``,
 ``Topology.edges_by_target``, ``InterdependencyMap.coupling_array``)
 are derived once per object and shared, read-only, by every federation
-built from it.  A topology checks itself once, when it is made: every
+built from it.  A topology checks itself once, when it is made: the
+node count and every node index are integers (a bool is not), every
 edge joins two distinct nodes in range, no edge appears twice, and
 there is one intrinsic level in [0, 1] per node; anything else raises
 ``InvalidTopology``.
@@ -36,6 +37,10 @@ class NetworkId(str, Enum):
 NETWORK_ORDER = (NetworkId.WATER, NetworkId.POWER, NetworkId.BUSINESS)
 
 
+def _is_index_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -52,6 +57,8 @@ class Topology:
         # Checked once per frozen topology, not per federate built on it.
         # The first edge at fault is named.
         n = self.node_count
+        if not _is_index_type(type(n)):
+            raise InvalidTopology(f"node_count must be an integer, got {n!r}")
         levels = np.asarray(self.intrinsic_performance, dtype=float)
         if levels.shape != (n,):
             raise InvalidTopology(f"intrinsic performance levels: expected one per node ({n}), "
@@ -59,6 +66,11 @@ class Topology:
         if not ((levels >= 0.0) & (levels <= 1.0)).all():
             raise InvalidTopology("intrinsic performance levels must lie in [0, 1], "
                                   f"got {self.intrinsic_performance}")
+        # The array cast would take 0.5, True and '1' as node indices.
+        # One test per type of index seen, then a search for the edge.
+        if not all(map(_is_index_type, {type(v) for edge in self.edges for v in edge})):
+            edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
+            raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
         edges = self.edge_array
         out_of_range = ((edges < 0) | (edges >= n)).any(axis=1)
         for bad, what in ((out_of_range, f"out of range for {n} nodes"),

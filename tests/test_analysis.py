@@ -63,12 +63,18 @@ def test_shares_sum_to_one():
         assert report.total() == pytest.approx(1.0, abs=1e-9)
 
 
+def tiny_table(seed):
+    rng = np.random.default_rng(100 + seed)
+    table = {k: rng.uniform(1, 9, 8) for k in ("tg", "rt", "ds")}
+    table["y"] = rng.uniform(0, 10, 8)
+    return table
+
+
 def test_shares_match_projection_oracle_on_tiny_data():
-    for seed in range(6):
-        rng = np.random.default_rng(100 + seed)
-        n = 8
-        table = {k: rng.uniform(1, 9, n) for k in ("tg", "rt", "ds")}
-        table["y"] = rng.uniform(0, 10, n)
+    # The tiny tables have 8 rows for 7 design columns; the synthetic
+    # results table has 60 rows of factor levels and a noisy response.
+    synthetic = synthetic_results_table()
+    for table in [tiny_table(seed) for seed in range(6)] + [dict(synthetic, y=synthetic["spds"])]:
         report = variance_shares(table, "y")
         columns = [table["tg"], table["rt"], table["ds"],
                    table["tg"] * table["rt"], table["tg"] * table["ds"],
@@ -87,8 +93,19 @@ def test_shares_reject_degenerate_inputs():
         variance_shares(flat, "y")
     collinear = dict(table)
     collinear["rt"] = collinear["tg"]
-    with pytest.raises(CollinearError):
+    with pytest.raises(CollinearError, match="after adding rt$"):
         variance_shares(collinear, "y")
+    # A scaled copy is as dependent: the tolerance follows the column norms.
+    collinear["rt"] = 100.0 * collinear["tg"]
+    with pytest.raises(CollinearError, match="after adding rt$"):
+        variance_shares(collinear, "y")
+    # 4 rows hold at most 4 independent columns: the intercept, tg, rt and ds.
+    with pytest.raises(CollinearError, match="after adding tg:rt$"):
+        variance_shares({k: v[[0, 3, 5, 6]] for k, v in table.items()}, "y")
+    # The distinct-values check covers the single-factor terms it is given.
+    with pytest.raises(ValueError, match="covariate ds needs at least 2"):
+        variance_shares({"tg": table["tg"], "ds": np.full(8, 4.0), "y": table["y"]}, "y",
+                        terms=("tg", "ds", "tg:ds"))
     with pytest.raises(ValueError):
         one_level = dict(table)
         one_level["ds"] = np.full(8, 4.0)
@@ -187,6 +204,8 @@ def test_ols_matches_normal_equations():
         slope, intercept = ols_normal_equations(x, y)
         assert model.slope == pytest.approx(slope, abs=1e-10)
         assert model.intercept == pytest.approx(intercept, abs=1e-10)
+        (share,), _ = sequential_shares_oracle([x], y)
+        assert model.r_squared == pytest.approx(share, abs=1e-10)
 
 
 def test_censored_rows_dropped_from_ratio_fit():
@@ -298,12 +317,19 @@ def synthetic_results_table(n=60, seed=11):
 
 
 def test_analysis_report_structure():
-    report = analysis_report(synthetic_results_table())
+    table = synthetic_results_table()
+    report = analysis_report(table)
     assert set(report) == {"variance_shares_spds", "variance_shares_sprt",
                            "variance_shares_sprt_over_tg",
                            "visibility_logistic", "ratio_linear"}
     assert set(report["variance_shares_sprt_over_tg"]["terms"]) == \
         {"rt_over_tg", "ds", "tg"}
+    keep = ~np.isnan(table["sprt"])
+    ratios = {"rt_over_tg": table["rt"][keep] / table["tg"][keep], "ds": table["ds"][keep],
+              "tg": table["tg"][keep], "y": table["sprt"][keep] / table["tg"][keep]}
+    shares = variance_shares(ratios, "y", terms=("rt_over_tg", "ds", "tg"))
+    assert report["variance_shares_sprt_over_tg"] == {"terms": shares.shares,
+                                                       "residual": shares.residual_share}
     assert 0.0 <= report["ratio_linear"]["r_squared"] <= 1.0
     text = report_json(report)
     assert text == report_json(report)
@@ -313,10 +339,10 @@ def test_analysis_report_structure():
 def test_plot_data_csvs():
     table = synthetic_results_table()
     model = fit_visibility_logistic(table)
-    curve = visibility_curve_csv(model, max_ratio=3.0, points=50)
+    curve = visibility_curve_csv(model, max_ratio=3.0)
     lines = curve.splitlines()
     assert lines[0] == "ratio,probability"
-    assert len(lines) == 51
+    assert len(lines) == 201
     scatter = ratio_scatter_csv(table)
     assert scatter.splitlines()[0] == "rt_over_tg,sprt_over_tg"
     assert len(scatter.splitlines()) == len(table["tg"]) + 1

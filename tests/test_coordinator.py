@@ -124,6 +124,25 @@ def test_retraction_delivered_before_application():
     assert water[5] == water[4]
 
 
+def test_each_timestep_delivers_in_the_fixed_order(monkeypatch):
+    # Retractions first, then network order, then node index, whatever
+    # the order of the events.
+    water, power, business = NETWORK_ORDER
+    calls = []
+    for kind, name in ((0, "retract_disruption"), (1, "apply_disruption")):
+        def record(fed, nodes, kind=kind, method=getattr(FederateState, name)):
+            calls.append((kind, fed.topology.network_id, tuple(nodes)))
+            method(fed, nodes)
+        monkeypatch.setattr(FederateState, name, record)
+    events = [DisruptionEvent(5, 8, business, (1,)), DisruptionEvent(5, 9, water, (2, 0)),
+              DisruptionEvent(2, 5, power, (0,)), DisruptionEvent(5, 7, water, (1,)),
+              DisruptionEvent(2, 5, water, (1,))]
+    run(small_federation(), SyncSchedule(tg=3, horizon=20), events)
+    assert calls[:7] == [(1, water, (1,)), (1, power, (0,)),
+                         (0, water, (1,)), (0, power, (0,)), (1, water, (0, 2)),
+                         (1, water, (1,)), (1, business, (1,))]
+
+
 def test_seed_exchange_shares_initial_boundary_values():
     water = make_topology([], 1, NetworkId.WATER, intrinsic=[0.5])
     business = make_topology([], 1, NetworkId.BUSINESS)

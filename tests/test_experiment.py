@@ -193,6 +193,10 @@ def test_wiring_follows_the_seed_and_the_network_spec():
         assert (topologies, slots) != first
         assert built(SMALL) == first
     assert len(built(resized)[0][0].edges) == 70
+    # Horizon and warm-up do not decide the wiring: the cache keeps it.
+    topologies = built(SMALL)[0]
+    moved = replace(SMALL, warmup=SMALL.warmup + 7, horizon=SMALL.horizon + 40)
+    assert all(a is b for a, b in zip(built(moved)[0], topologies, strict=True))
 
 
 @pytest.mark.parametrize("config, tg, rt, ds, named", [

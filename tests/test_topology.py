@@ -1,4 +1,6 @@
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,11 +84,34 @@ def test_topology_json_roundtrip(water22):
     # ... and 5 raises a bare IndexError when a federate is built.
     ([(0, 1), (0, 5)], r"edge \(0, 5\) is out of range for 3 nodes"),
     ([(0, 1), (2, 2)], r"edge \(2, 2\) is a self-loop"),
+    # Unchecked, the array cast takes each of these as edge (0, 1) or (1, 2).
+    ([(0.5, 1)], r"edge \(0\.5, 1\) has a node index that is not an integer"),
+    ([(0, 1), (True, 2)], r"edge \(True, 2\) has a node index that is not an integer"),
+    ([("1", 2)], r"edge \('1', 2\) has a node index that is not an integer"),
 ])
 def test_malformed_edges_rejected_by_name(edges, named):
     with pytest.raises(InvalidTopology, match=named) as raised:
         make_topology(edges, 3)
     assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("n", [3.0, True])
+def test_node_count_must_be_an_integer(n):
+    with pytest.raises(InvalidTopology, match=f"node_count must be an integer, got {n!r}"):
+        make_topology([(0, 1)], n, intrinsic=[1.0] * int(n))
+
+
+@pytest.mark.parametrize("field", ["edges", "node_count"])
+def test_json_floats_rejected_as_indices(water22, field):
+    doc = json.loads(water22.to_json())
+    if field == "edges":
+        doc["edges"][3] = [float(v) for v in doc["edges"][3]]
+        named = r"edge \(%d\.0, %d\.0\)" % tuple(water22.edges[3])
+    else:
+        doc["node_count"] = 22.0
+        named = r"node_count must be an integer, got 22\.0"
+    with pytest.raises(InvalidTopology, match=named):
+        Topology.from_json(json.dumps(doc))
 
 
 def test_one_intrinsic_level_per_node():
