@@ -74,16 +74,19 @@ class VarianceShareReport:
         return sum(self.shares.values()) + self.residual_share
 
 
-def _least_squares(columns: dict[str, np.ndarray],
+def _least_squares(columns: dict[str, np.ndarray], response: str,
                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """OLS of y on ``[1, *columns.values()]`` from one QR factorisation:
     the coefficients (intercept first), the effects ``Q^T y`` and the RSS.
 
-    ``CollinearError`` names the first column whose ``|R_kk|`` is below
-    ``rows * eps`` times the largest column norm up to it (numpy's rank
-    tolerance, with that norm for the largest singular value), else the
-    first column past the rows.
+    ``ValueError`` names the first column, or the response, that holds a
+    NaN or an infinity; ``CollinearError`` the first column whose
+    ``|R_kk|`` is below ``rows * eps`` times the largest column norm up
+    to it (numpy's rank tolerance), else the first column past the rows.
     """
+    for name, col in {**columns, response: y}.items():
+        if not np.isfinite(col).all():
+            raise ValueError(f"{name} holds a value that is not finite")
     X = np.column_stack([np.ones(len(y)), *columns.values()])
     q, r = np.linalg.qr(X)
     tol = np.maximum.accumulate(np.linalg.norm(X, axis=0)) * (len(y) * np.finfo(float).eps)
@@ -106,8 +109,6 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     before the ``CollinearError`` of a dependent term.
     """
     y = np.asarray(table[response], dtype=float)
-    if np.isnan(y).any():
-        raise ValueError(f"response {response} contains missing values; drop them first")
     for name in terms:
         if ":" not in name and len(np.unique(table[name])) < 2:
             raise ValueError(f"covariate {name} needs at least 2 distinct values")
@@ -116,7 +117,7 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
         raise ValueError("response has zero variance")
 
     _, effects, rss = _least_squares(
-        {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)
+        {term: math.prod(table[f] for f in term.split(":")) for term in terms}, response, y)
     return VarianceShareReport(
         response=response,
         shares={term: float(e ** 2) / ss_total for term, e in zip(terms, effects[1:])},
@@ -197,11 +198,10 @@ def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
     y = (table["sprt"] / table["tg"])[keep]
     if len(np.unique(x)) < 2:
         raise DegenerateModel("need at least 2 distinct rt/tg values")
-    (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, y)
+    (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, "sprt_over_tg", y)
     ss_total = float(((y - y.mean()) ** 2).sum())
-    r2 = float(effects[1] ** 2) / ss_total if ss_total > 0 else 1.0
     return RatioLinearModel(intercept=float(intercept), slope=float(slope),
-                            r_squared=r2)
+                            r_squared=float(effects[1] ** 2) / ss_total if ss_total else 1.0)
 
 
 def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,

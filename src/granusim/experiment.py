@@ -8,7 +8,6 @@ function of (seed, config, layout).
 
 import concurrent.futures
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -187,24 +186,28 @@ def build_topologies(config: ScenarioConfig) -> list[Topology]:
             for n in config.networks]
 
 
+#: The one wiring ``wiring`` keeps, under the key it was generated for.
+_WIRING: dict = {}
+
+
 def wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], InterdependencyMap]:
-    """Topologies and couplings of a scenario, generated once for its
-    seed, network specs and couplings per node.
+    """Topologies and couplings of a scenario, generated once for the
+    fields that decide them: the master seed, the couplings per node and
+    each network's id, node count and edge count.
 
-    Both are frozen, so every federation built from configs that share
-    those three fields (whatever their horizon, warm-up or onset) shares
-    them, and ``generate`` writes the same objects; each build still
-    makes fresh federate states.
+    Both are frozen, so every federation built from configs that agree
+    on those (whatever their horizon, warm-up, onset, weights or lag)
+    shares them, and ``generate`` writes the same objects; each build
+    still makes fresh federate states.  Only the latest wiring is kept.
     """
-    return _wiring(config.master_seed, config.networks, config.couplings_per_node)
-
-
-@functools.lru_cache(maxsize=1)
-def _wiring(master_seed: int, networks: tuple[NetworkSpec, ...],
-            couplings_per_node: int) -> tuple[tuple[Topology, ...], InterdependencyMap]:
-    topologies = tuple(generate_topology(n.network_id, n.node_count, n.edge_count, master_seed)
-                       for n in networks)
-    return topologies, generate_interdependencies(topologies, couplings_per_node, master_seed)
+    key = (config.master_seed, config.couplings_per_node,
+           tuple((n.network_id, n.node_count, n.edge_count) for n in config.networks))
+    if key not in _WIRING:
+        topologies = tuple(build_topologies(config))
+        _WIRING.clear()
+        _WIRING[key] = topologies, generate_interdependencies(
+            topologies, config.couplings_per_node, config.master_seed)
+    return _WIRING[key]
 
 
 def build_federation(config: ScenarioConfig) -> Federation:

@@ -115,6 +115,19 @@ def test_shares_reject_degenerate_inputs():
         missing["y"] = missing["y"].copy()
         missing["y"][0] = np.nan
         variance_shares(missing, "y")
+    # A NaN or an infinity in a covariate or the response is named
+    # before any factorisation sees it.
+    for bad in (np.nan, np.inf):
+        nonfinite = dict(table)
+        nonfinite["rt"] = nonfinite["rt"].copy()
+        nonfinite["rt"][1] = bad
+        with pytest.raises(ValueError, match="^rt holds a value that is not finite"):
+            variance_shares(nonfinite, "y")
+    nonfinite = dict(table)
+    nonfinite["y"] = nonfinite["y"].copy()
+    nonfinite["y"][2] = -np.inf
+    with pytest.raises(ValueError, match="^y holds a value that is not finite"):
+        variance_shares(nonfinite, "y")
 
 
 def logistic_table(ratios, labels, tg=2.0):
@@ -218,6 +231,16 @@ def test_censored_rows_dropped_from_ratio_fit():
 def test_ratio_fit_rejects_constant_x():
     with pytest.raises(DegenerateModel):
         fit_ratio_linear(ratio_table([2, 2, 2], [1, 2, 3]))
+
+
+def test_ratio_fit_rejects_values_that_are_not_finite():
+    # tg = 0 makes rt/tg infinite; an infinite sprt makes sprt/tg so.
+    zero_tg = ratio_table([1, 2, 3], [1, 2, 3])
+    zero_tg["tg"][1] = 0.0
+    with pytest.raises(ValueError, match="^rt_over_tg holds a value that is not finite"):
+        fit_ratio_linear(zero_tg)
+    with pytest.raises(ValueError, match="^sprt_over_tg holds a value that is not finite"):
+        fit_ratio_linear(ratio_table([1, 2, 3], [1, np.inf, 3]))
 
 
 def test_inverse_prediction_roundtrip():

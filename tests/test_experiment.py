@@ -193,10 +193,14 @@ def test_wiring_follows_the_seed_and_the_network_spec():
         assert (topologies, slots) != first
         assert built(SMALL) == first
     assert len(built(resized)[0][0].edges) == 70
-    # Horizon and warm-up do not decide the wiring: the cache keeps it.
+    # Horizon, warm-up, weights and lag do not decide the wiring: the
+    # cache keeps it.
     topologies = built(SMALL)[0]
     moved = replace(SMALL, warmup=SMALL.warmup + 7, horizon=SMALL.horizon + 40)
-    assert all(a is b for a, b in zip(built(moved)[0], topologies, strict=True))
+    reweighted = replace(SMALL, networks=tuple(
+        replace(n, weights=(0.2, 0.5, 0.3), lag=n.lag + 1) for n in SMALL.networks))
+    for same in (moved, reweighted):
+        assert all(a is b for a, b in zip(built(same)[0], topologies, strict=True))
 
 
 @pytest.mark.parametrize("config, tg, rt, ds, named", [
