@@ -4,22 +4,22 @@ Subcommands: generate (topologies + couplings), run (one scenario),
 experiment (factorial layout to CSV), analyze (results CSV to report),
 recommend (max granularity for an expected recovery time).
 
-Exit codes: 0 success, 1 usage error, 2 runtime error.  The
-GRANUSIM_SEED environment variable overrides the scenario master seed
-but sits below the --seed flag.
+Every scenario setting comes from the --scenario file or its
+defaults; --seed alone overrides one of them, the master seed.
+
+Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, experiment
 from .errors import GranusimError
-from .experiment import FactorLevels, ScenarioConfig, build_layout
+from .experiment import FactorLevels, ScenarioConfig, build_layout, write_atomic
 
 
 class _UsageError(Exception):
@@ -29,18 +29,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    # Never leave a partial file behind on failure.
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _check_parent(path: Path) -> None:
@@ -55,18 +43,8 @@ def _load_scenario(args) -> ScenarioConfig:
         config = ScenarioConfig.from_json(Path(args.scenario).read_text())
     else:
         config = ScenarioConfig()
-    env_seed = os.environ.get("GRANUSIM_SEED")
-    if env_seed is not None:
-        try:
-            config = replace(config, master_seed=int(env_seed))
-        except ValueError:
-            raise _UsageError(f"GRANUSIM_SEED must be an integer, got {env_seed!r}")
     if getattr(args, "seed", None) is not None:
         config = replace(config, master_seed=args.seed)
-    if getattr(args, "horizon", None) is not None:
-        config = replace(config, horizon=args.horizon)
-    if getattr(args, "align_sync", False):
-        config = replace(config, align_sync=True)
     return config
 
 
@@ -76,8 +54,8 @@ def _cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     topologies, interdeps = experiment.wiring(config)
     for topo in topologies:
-        _write_atomic(out / f"{topo.network_id.value}.json", topo.to_json() + "\n")
-    _write_atomic(out / "interdependencies.json", interdeps.to_json() + "\n")
+        write_atomic(out / f"{topo.network_id.value}.json", topo.to_json() + "\n")
+    write_atomic(out / "interdependencies.json", interdeps.to_json() + "\n")
     print(f"wrote {len(topologies)} topologies and interdependency map to {out}")
     return 0
 
@@ -89,7 +67,7 @@ def _cmd_run(args) -> int:
     outcome, trace, pattern = experiment.run_single(
         config, args.tg, args.rt, args.ds)
     if args.trace:
-        _write_atomic(Path(args.trace), trace.to_csv())
+        write_atomic(Path(args.trace), trace.to_csv())
     doc = {
         "tg": outcome.tg, "rt": outcome.rt, "ds": outcome.ds,
         "spds_pct": round(outcome.spds, 6),
@@ -114,7 +92,7 @@ def _cmd_experiment(args) -> int:
         traces_dir.mkdir(parents=True, exist_ok=True)
     rows = experiment.run_experiment(config, layout, jobs=args.jobs,
                                      traces_dir=traces_dir)
-    _write_atomic(out, experiment.results_csv(rows))
+    write_atomic(out, experiment.results_csv(rows))
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {args.out}"
           + (f" ({failed} failed)" if failed else ""))
@@ -126,7 +104,7 @@ def _cmd_analyze(args) -> int:
     report = analysis.analysis_report(table)
     text = analysis.report_json(report)
     if args.out:
-        _write_atomic(Path(args.out), text)
+        write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
     if args.plot_data:
@@ -134,10 +112,10 @@ def _cmd_analyze(args) -> int:
         plot_dir.mkdir(parents=True, exist_ok=True)
         model = analysis.fit_visibility_logistic(table)
         max_ratio = float((table["rt"] / table["tg"]).max())
-        _write_atomic(plot_dir / "visibility_curve.csv",
-                      analysis.visibility_curve_csv(model, max_ratio))
-        _write_atomic(plot_dir / "ratio_scatter.csv",
-                      analysis.ratio_scatter_csv(table))
+        write_atomic(plot_dir / "visibility_curve.csv",
+                     analysis.visibility_curve_csv(model, max_ratio))
+        write_atomic(plot_dir / "ratio_scatter.csv",
+                     analysis.ratio_scatter_csv(table))
     return 0
 
 
@@ -169,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tg", type=int, required=True)
     p.add_argument("--rt", type=int, required=True)
     p.add_argument("--ds", type=int, required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--align-sync", action="store_true",
-                   help="align the disruption onset to a sync instant")
     p.add_argument("--trace", help="write the MoP trace CSV here")
     p.set_defaults(func=_cmd_run)
 
@@ -181,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes for the runs; 1 runs them in this process")
     p.add_argument("--traces", help="directory for per-run MoP traces")
-    p.add_argument("--align-sync", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("analyze", help="fit the models to a results CSV")

@@ -11,13 +11,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
-from .errors import InvalidFactor, ScenarioError
-from .federate import FederateState
+from .errors import GranusimError, InvalidFactor, ScenarioError
+from .federate import DEFAULT_WEIGHTS, FederateState
 from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt
 from .topology import (InterdependencyMap, NetworkId, Topology,
                        generate_interdependencies, generate_topology)
@@ -44,29 +47,72 @@ class FactorLevels:
                 raise ValueError(f"{name} must be ascending positive integers, got {levels}")
 
 
+def _check_int(field: str, value, minimum: int | None = 1) -> None:
+    """``ScenarioError`` naming ``field`` unless ``value`` is an int, not
+    a bool, and at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"field '{field}': expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"field '{field}': must be at least {minimum}, got {value}")
+
+
+def _reject_unknown(doc: dict, known) -> None:
+    for key in doc:
+        if key not in known:
+            raise ScenarioError(f"field {key!r}: unknown")
+
+
+def _network_id(value, field: str) -> NetworkId:
+    try:
+        return NetworkId(value)
+    except ValueError:
+        raise ScenarioError(f"field '{field}': unknown network {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     network_id: NetworkId
     node_count: int
     edge_count: int
-    weights: tuple[float, float, float] = (0.3, 0.4, 0.3)
+    weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     lag: int = 1
 
     def __post_init__(self):
         n = self.node_count
-        if n < 1:
-            raise ScenarioError(f"nodes: must be positive, got {n}")
+        _check_int("nodes", n)
+        _check_int("edges", self.edge_count, minimum=None)
         if not 0 <= self.edge_count <= n * (n - 1):
-            raise ScenarioError(
-                f"edges: must lie in [0, {n * (n - 1)}] for {n} nodes, got {self.edge_count}")
+            raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
+                                f"for {n} nodes, got {self.edge_count}")
         w = self.weights
-        if (len(w) != 3
+        if (not isinstance(w, (tuple, list)) or len(w) != 3
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
                 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-9):
             raise ScenarioError(
-                f"weights: expected 3 nonnegative numbers summing to 1, got {list(w)}")
-        if self.lag < 1:
-            raise ScenarioError(f"lag: must be positive, got {self.lag}")
+                f"field 'weights': expected 3 nonnegative numbers summing to 1, got {w!r}")
+        _check_int("lag", self.lag)
+
+
+#: JSON key of each ``NetworkSpec`` field in a scenario file.
+_NETWORK_KEYS = {"id": "network_id", "nodes": "node_count", "edges": "edge_count",
+                 "weights": "weights", "lag": "lag"}
+
+
+def _network_from_json(net, index: int) -> NetworkSpec:
+    try:
+        if not isinstance(net, dict):
+            raise ScenarioError("expected an object")
+        _reject_unknown(net, _NETWORK_KEYS)
+        for key in ("id", "nodes", "edges"):
+            if key not in net:
+                raise ScenarioError(f"field '{key}': missing")
+        kwargs = {_NETWORK_KEYS[key]: value for key, value in net.items()}
+        kwargs["network_id"] = _network_id(net["id"], "id")
+        if isinstance(net.get("weights"), list):
+            kwargs["weights"] = tuple(net["weights"])
+        return NetworkSpec(**kwargs)
+    except ScenarioError as exc:
+        raise ScenarioError(f"field 'networks[{index}]': {exc}") from exc
 
 
 DEFAULT_NETWORKS = (
@@ -76,15 +122,11 @@ DEFAULT_NETWORKS = (
 )
 
 
-def _expect(value, typ: type, field: str):
-    """``value`` if it is a JSON ``typ``; JSON booleans are not ints."""
-    if not isinstance(value, typ) or isinstance(value, bool) != (typ is bool):
-        raise ScenarioError(f"{field}: expected {typ.__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """Every scenario setting; a bad one raises a ``ScenarioError``
+    naming its field, whether built in Python or by ``from_json``."""
+
     master_seed: int = 20200831
     horizon: int = 400
     warmup: int = 50
@@ -95,17 +137,16 @@ class ScenarioConfig:
     align_sync: bool = False
 
     def __post_init__(self):
+        _check_int("master_seed", self.master_seed, minimum=None)
+        for name in ("horizon", "warmup", "couplings_per_node"):
+            _check_int(name, getattr(self, name))
+        if not isinstance(self.align_sync, bool):
+            raise ScenarioError(f"field 'align_sync': expected a bool, got {self.align_sync!r}")
         ids = [n.network_id for n in self.networks]
         if len(set(ids)) != len(ids):
-            raise ScenarioError("networks: duplicate network ids")
+            raise ScenarioError("field 'networks': duplicate network ids")
         if self.origin not in ids or self.target not in ids:
-            raise ScenarioError("origin/target must name configured networks")
-        if self.warmup < 1:
-            raise ScenarioError("warmup: must be positive")
-        if self.horizon < 1:
-            raise ScenarioError("horizon: must be positive")
-        if self.couplings_per_node < 1:
-            raise ScenarioError("couplings_per_node: must be positive")
+            raise ScenarioError("field 'origin'/'target': must name configured networks")
 
     def network(self, network_id: NetworkId) -> NetworkSpec:
         for spec in self.networks:
@@ -114,61 +155,31 @@ class ScenarioConfig:
         raise KeyError(network_id)
 
     def to_json(self) -> str:
-        doc = {
-            "master_seed": self.master_seed,
-            "horizon": self.horizon,
-            "warmup": self.warmup,
-            "couplings_per_node": self.couplings_per_node,
-            "origin": self.origin.value,
-            "target": self.target.value,
-            "align_sync": self.align_sync,
-            "networks": [
-                {"id": n.network_id.value, "nodes": n.node_count,
-                 "edges": n.edge_count, "weights": list(n.weights),
-                 "lag": n.lag}
-                for n in self.networks
-            ],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["networks"] = [{key: getattr(n, name) for key, name in _NETWORK_KEYS.items()}
+                           for n in self.networks]
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
+        """Map a scenario file's keys onto the fields; keys it leaves out
+        keep their defaults, and an unknown key is a ``ScenarioError``."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(doc, dict):
             raise ScenarioError("top level: expected an object")
-        kwargs = {}
-        simple = {"master_seed": int, "horizon": int, "warmup": int,
-                  "couplings_per_node": int, "align_sync": bool}
-        for name, typ in simple.items():
-            if name in doc:
-                kwargs[name] = _expect(doc[name], typ, f"field '{name}'")
+        _reject_unknown(doc, {f.name for f in fields(cls)})
+        kwargs = dict(doc)
         for name in ("origin", "target"):
             if name in doc:
-                try:
-                    kwargs[name] = NetworkId(doc[name])
-                except ValueError:
-                    raise ScenarioError(f"field '{name}': unknown network {doc[name]!r}")
+                kwargs[name] = _network_id(doc[name], name)
         if "networks" in doc:
             if not isinstance(doc["networks"], list):
                 raise ScenarioError("field 'networks': expected a list")
-            specs = []
-            for i, net in enumerate(doc["networks"]):
-                if not isinstance(net, dict):
-                    raise ScenarioError(f"field 'networks[{i}]': expected an object")
-                try:
-                    specs.append(NetworkSpec(
-                        network_id=NetworkId(net["id"]),
-                        node_count=_expect(net["nodes"], int, "nodes"),
-                        edge_count=_expect(net["edges"], int, "edges"),
-                        weights=tuple(net.get("weights", (0.3, 0.4, 0.3))),
-                        lag=_expect(net.get("lag", 1), int, "lag"),
-                    ))
-                except (KeyError, TypeError, ValueError, ScenarioError) as exc:
-                    raise ScenarioError(f"field 'networks[{i}]': {exc}") from exc
-            kwargs["networks"] = tuple(specs)
+            kwargs["networks"] = tuple(_network_from_json(net, i)
+                                       for i, net in enumerate(doc["networks"]))
         return cls(**kwargs)
 
 
@@ -302,7 +313,7 @@ def _run_indexed(args) -> ResultRow:
     try:
         outcome, _, pattern = run_single(config, tg, rt, ds)
         return ResultRow(index, tg, rt, ds, outcome, pattern)
-    except Exception as exc:  # per-run failures recorded, batch continues
+    except GranusimError as exc:  # per-run failures recorded, batch continues
         return ResultRow(index, tg, rt, ds, None, (), f"error: {exc}")
 
 
@@ -321,9 +332,21 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
             if row.status != "ok":
                 continue
             _, trace, _ = run_single(config, row.tg, row.rt, row.ds)
-            path = traces_dir / f"run_{row.run_id:03d}.csv"
-            path.write_text(trace.to_csv())
+            write_atomic(traces_dir / f"run_{row.run_id:03d}.csv", trace.to_csv())
     return rows
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so a failure never leaves a partial file behind."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def results_csv(rows: list[ResultRow]) -> str:

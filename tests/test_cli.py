@@ -5,11 +5,6 @@ import pytest
 from granusim.cli import main
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("GRANUSIM_SEED", raising=False)
-
-
 @pytest.fixture(scope="module")
 def results_csv_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("exp") / "results.csv"
@@ -107,7 +102,8 @@ def test_recommend_rejects_a_bad_expected_recovery_time(results_csv_path, capsys
 ])
 def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, capsys,
                                                        command):
-    # A failed run becomes an error row, so count the calls instead.
+    # The RuntimeError would escape main, not exit 2; counting the calls
+    # names the fault if a run ever comes before the check.
     calls = []
 
     def no_run(*args):
@@ -123,13 +119,17 @@ def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("levels, named, level", [
-    (["--tg", "0", "--rt", "2", "--ds", "8", "--align-sync"], "tg", 0),
+    (["--tg", "0", "--rt", "2", "--ds", "8"], "tg", 0),
     (["--tg", "-3", "--rt", "2", "--ds", "8"], "tg", -3),
     (["--tg", "2", "--rt", "0", "--ds", "8"], "rt", 0),
     (["--tg", "2", "--rt", "2", "--ds", "0"], "ds", 0),
 ])
-def test_run_with_a_factor_below_one_exits_2(capsys, levels, named, level):
-    assert main(["run", *levels]) == 2
+def test_run_with_a_factor_below_one_exits_2(tmp_path, capsys, levels, named, level):
+    # An onset aligned to the sync instants divides by tg, so the factor
+    # check must come first.
+    aligned = tmp_path / "scenario.json"
+    aligned.write_text('{"align_sync": true}')
+    assert main(["run", "--scenario", str(aligned), *levels]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -141,6 +141,13 @@ def test_usage_error_exits_1(capsys):
     err = capsys.readouterr().err
     assert "usage" in err.lower()
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("option", [["--horizon", "300"], ["--align-sync"]])
+def test_scenario_settings_are_not_flags(capsys, option):
+    # Set in the scenario file instead: `horizon`, `align_sync`.
+    assert main(["run", "--tg", "5", "--rt", "2", "--ds", "8", *option]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_2(capsys):
@@ -179,29 +186,24 @@ def test_scenario_with_a_bad_network_field_exits_2(tmp_path, capsys):
     assert "edges" in capsys.readouterr().err
 
 
-def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
+def test_seed_flag_overrides_the_scenario_file(tmp_path):
     base = tmp_path / "base"
     main(["generate", "--out", str(base)])
 
-    monkeypatch.setenv("GRANUSIM_SEED", "12345")
-    env_dir = tmp_path / "env"
-    main(["generate", "--out", str(env_dir)])
-    assert (env_dir / "water.json").read_bytes() != (base / "water.json").read_bytes()
-
     seeded = tmp_path / "seeded"
     main(["generate", "--seed", "12345", "--out", str(seeded)])
-    assert (seeded / "water.json").read_bytes() == (env_dir / "water.json").read_bytes()
+    assert (seeded / "water.json").read_bytes() != (base / "water.json").read_bytes()
 
-    # The flag outranks the environment variable.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"master_seed": 12345}')
+    from_file = tmp_path / "from_file"
+    main(["generate", "--scenario", str(scenario), "--out", str(from_file)])
+    assert (from_file / "water.json").read_bytes() == (seeded / "water.json").read_bytes()
+
+    # The flag outranks the scenario file.
     flag = tmp_path / "flag"
-    main(["generate", "--seed", "20200831", "--out", str(flag)])
+    main(["generate", "--scenario", str(scenario), "--seed", "20200831", "--out", str(flag)])
     assert (flag / "water.json").read_bytes() == (base / "water.json").read_bytes()
-
-
-def test_bad_seed_env_var_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("GRANUSIM_SEED", "not-a-number")
-    assert main(["run", "--tg", "5", "--rt", "2", "--ds", "8"]) == 1
-    assert "GRANUSIM_SEED" in capsys.readouterr().err
 
 
 def test_scenario_file_round_trips_through_run(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import json
+import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +105,9 @@ WATER = {"id": "water", "nodes": 4, "edges": 6}
     ({"networks": [dict(WATER, edges=6.0)]}, "edges"),
     ({"networks": [dict(WATER, lag="2")]}, "lag"),
     ({"networks": [dict(WATER, lag=True)]}, "lag"),
+    # A misspelled key is an error, not a default.
+    ({"horizn": 900}, "field 'horizn': unknown"),
+    ({"networks": [dict(WATER, lagg=3)]}, "field 'lagg': unknown"),
 ])
 def test_scenario_fields_checked_when_parsed(doc, field):
     with pytest.raises(ScenarioError, match=field):
@@ -115,6 +121,38 @@ def test_scenario_validation():
         ScenarioConfig(networks=DEFAULT_NETWORKS[:2])  # business target missing
     with pytest.raises(ScenarioError):
         ScenarioConfig(warmup=0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ScenarioConfig(horizon=400.5), "horizon"),
+    (lambda: ScenarioConfig(align_sync=1), "align_sync"),
+    (lambda: ScenarioConfig(master_seed="7"), "master_seed"),
+    (lambda: NetworkSpec(NetworkId.WATER, True, 4), "nodes"),
+    (lambda: NetworkSpec(NetworkId.WATER, 4, 6, lag=2.0), "lag"),
+])
+def test_configs_built_in_python_are_checked_like_parsed_ones(build, field):
+    with pytest.raises(ScenarioError, match=f"field '{field}'"):
+        build()
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def _dict_keys_in(function: str) -> set[str]:
+    """Keys of the dict literals in ``function`` of the benchmark's run.py."""
+    for node in ast.walk(ast.parse(BENCH.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {ast.literal_eval(key) for d in ast.walk(node)
+                    if isinstance(d, ast.Dict) for key in d.keys}
+    raise AssertionError(f"no function {function} in {BENCH}")
+
+
+def test_benchmark_scenario_keys_are_known():
+    # Read from the source, like the traced layers: a key the benchmark
+    # writes and the package would reject fails here, not in the benchmark.
+    known = json.loads(ScenarioConfig().to_json())
+    assert _dict_keys_in("scenario_doc") <= known.keys()
+    assert _dict_keys_in("_networks") <= known["networks"][0].keys()
 
 
 def test_onset_follows_warmup():
@@ -297,6 +335,25 @@ def test_pattern_hash_constant_within_ds_level():
         by_ds.setdefault(r.ds, set()).add(pattern_hash(r.pattern))
     assert all(len(hashes) == 1 for hashes in by_ds.values())
     assert by_ds[8] != by_ds[12]
+
+
+def test_programming_errors_are_not_error_rows(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not a per-run failure")
+
+    monkeypatch.setattr("granusim.experiment.run_single", broken)
+    with pytest.raises(RuntimeError, match="not a per-run failure"):
+        run_experiment(SMALL, SMALL_LAYOUT[:1], jobs=1)
+
+
+def test_a_failed_trace_write_leaves_no_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="simulated rename failure"):
+        run_experiment(SMALL, SMALL_LAYOUT[:1], jobs=1, traces_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_traces_dir_written(tmp_path):
