@@ -12,9 +12,11 @@ Each federate's ``foreign_inputs`` and step term are views into them,
 so one gather and one latch serve every consumer, at the barrier and
 once when the federation is built.
 
-The MoP series are summed in blocks of ``MOP_BLOCK`` (32) timesteps:
-the loop keeps each new state by reference and reduces a block at once,
-with the bits of summing each timestep on its own.
+Each federate writes its states in place into the rows of one block
+of ``max(MOP_BLOCK, lag + 1)`` rows (``MOP_BLOCK`` = 32, ``lag`` the
+largest in the federation), allocated at set-up; the MoP series are
+summed a block at once, with the bits of summing each timestep on its
+own.
 
 Events are delivered at their exact internal timestep, retractions
 before applications, ties broken by network order then node index; each
@@ -23,29 +25,43 @@ timestep's actions are put in that order once, at set-up.
 
 from collections.abc import Generator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .disruption import DisruptionEvent
-from .errors import ScheduleError, UnknownNode, ZeroBaseline
+from .errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
 from .federate import FederateState
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
 
-#: Timesteps whose states ``run_steps`` keeps before summing them at once.
+#: Least number of timesteps whose states ``run_steps`` keeps in its
+#: block before summing them at once.
 MOP_BLOCK = 32
+
+
+def _is_positive_int(value) -> bool:
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= 1)
 
 
 @dataclass(frozen=True)
 class SyncSchedule:
+    """Barrier every ``tg`` timesteps up to ``horizon``.
+
+    Both must be integers of at least 1, and a bool is not one: a bad
+    ``tg`` raises ``InvalidFactor`` and a bad ``horizon``
+    ``ScheduleError``.
+    """
+
     tg: int
     horizon: int
 
     def __post_init__(self):
-        if self.tg < 1:
-            raise ValueError(f"tg must be a positive integer, got {self.tg}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not _is_positive_int(self.tg):
+            raise InvalidFactor(f"tg: must be a positive integer, got {self.tg!r}")
+        if not _is_positive_int(self.horizon):
+            raise ScheduleError(f"horizon: must be a positive integer, got {self.horizon!r}")
 
 
 class Federation:
@@ -179,20 +195,26 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
 
     Yields t once timestep t has been delivered, stepped, recorded and,
     at a sync instant, exchanged; the first ``next`` also does the
-    set-up.  Returns the MoP trace, whose values are final only then:
-    each timestep keeps every federate's new state by reference, and
-    every ``MOP_BLOCK`` timesteps (and at the horizon) one row-wise
+    set-up.  Returns the MoP trace, whose values are final only then.
+    Set-up allocates one block of ``B = max(MOP_BLOCK, lag + 1)`` rows
+    per federate, ``lag`` the largest in the federation, and timestep t
+    steps every federate with ``out`` set to row ``(t - 1) % B`` of its
+    block.  Every ``B`` timesteps (and at the horizon) one row-wise
     ``np.add.reduce`` per network turns the block into raw performance
     sums, which are scaled to percent of baseline once at the end.  A
     row sums with the same pairwise order as the 1-D reduction of that
     state, so the values are bit-for-bit those of summing each timestep
-    on its own; bounding the block keeps at most ``MOP_BLOCK`` states
-    per federate alive.  Lets a caller advance several runs in
-    lockstep.  A federation runs once: set-up raises ``ScheduleError``
-    on one that has run before, on an event outside timesteps 1 to the
-    horizon or on a network outside the federation, ``UnknownNode`` on an event
-    naming a node the network lacks, and ``ZeroBaseline`` when a
-    network's initial performance sums to zero.
+    on its own.  A row is rewritten ``B`` steps after it was written,
+    later than any step reads it through ``history``, and the block
+    keeps memory at ``B`` states per federate.  Each federate's
+    ``performance`` is a view into its block, rewritten ``B`` steps
+    later, so a caller that keeps a state copies it.  Lets a caller
+    advance several runs in lockstep.  A federation runs once: set-up
+    raises ``ScheduleError`` on one that has run before, on an event
+    outside timesteps 1 to the horizon or on a network outside the
+    federation, ``UnknownNode`` on an event naming a node the network
+    lacks, and ``ZeroBaseline`` when a network's initial performance
+    sums to zero.
     """
     if federation.ran:
         raise ScheduleError("federation has already run; build a fresh one")
@@ -226,26 +248,29 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     # is the IEEE sequence of ``100.0 * sum / baseline`` per value.
     series = {n: np.empty(horizon + 1) for n in federation.order}
     add = np.add.reduce
-    records = [(fed, series[n], []) for n, fed in zip(federation.order, feds)]
-    for fed, values, _ in records:
+    for fed, values in zip(feds, series.values()):
         values[0] = add(fed.performance)
+    # Row (t - 1) % size takes the state of t over that of t - size,
+    # and the step of t reads the state of t - lag: size > lag keeps it.
+    size = max(MOP_BLOCK, max((fed.lag for fed in feds), default=0) + 1)
+    blocks = [np.empty((size, fed.node_count)) for fed in feds]
+    rows = [[(fed.step, block[k]) for fed, block in zip(feds, blocks)]
+            for k in range(size)]
 
     federation.exchange()  # seed foreign inputs with true initial values
 
-    for start in range(1, horizon + 1, MOP_BLOCK):
-        stop = min(start + MOP_BLOCK, horizon + 1)
-        for t in range(start, stop):
+    for start in range(1, horizon + 1, size):
+        stop = min(start + size, horizon + 1)
+        for t, row in zip(range(start, stop), rows):
             if t in actions_at:
                 _deliver(federation, actions_at[t])
-            for fed, _, block in records:
-                fed.step()
-                block.append(fed.performance)
+            for step, out in row:
+                step(out)
             if t % tg == 0:
                 federation.exchange()
             yield t
-        for _, values, block in records:
-            add(np.array(block), axis=1, out=values[start:stop])
-            block.clear()
+        for values, block in zip(series.values(), blocks):
+            add(block[:stop - start], axis=1, out=values[start:stop])
 
     for net, values in series.items():
         values *= 100.0

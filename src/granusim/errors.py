@@ -24,8 +24,9 @@ class UnknownNode(GranusimError):
 
 
 class ScheduleError(GranusimError):
-    """An event falls outside the simulation horizon, or a federation
-    is run a second time."""
+    """An event falls outside the simulation horizon, a federation is
+    run a second time, or a schedule's horizon is not a positive
+    integer."""
 
 
 class ZeroBaseline(GranusimError):
@@ -37,7 +38,8 @@ class CollinearError(GranusimError):
 
 
 class InvalidFactor(GranusimError):
-    """A run's tg, rt or ds is below 1; message names the factor."""
+    """A run's tg, rt or ds is below 1, or a schedule's tg is not a
+    positive integer; message names the factor."""
 
 
 class InvalidRecoveryTime(GranusimError):

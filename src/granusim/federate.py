@@ -151,7 +151,7 @@ class FederateState:
                 f"{self.topology.network_id.value} ({self.node_count} nodes)")
         return nodes
 
-    def step(self) -> None:
+    def step(self, out: np.ndarray | None = None) -> None:
         """Advance the federate by one internal timestep.
 
         The rule in affine form: the product of the scaled in-adjacency
@@ -167,19 +167,27 @@ class FederateState:
         since multiplying by 1.0 changes no bit.  The result is within
         1e-12 of the plain formula (see the module docstring).
 
-        The new state is a fresh array that becomes both
-        ``performance`` and the newest ``history`` entry.
+        The new state is written in place into ``out``, or into a fresh
+        array when ``out`` is None (a federate on its own), and that
+        array becomes both ``performance`` and the newest ``history``
+        entry.  The history keeps it by reference, so ``out`` must not
+        be one of the last ``lag`` states: ``run_steps`` passes the rows
+        of a block of ``max(MOP_BLOCK, lag + 1)`` rows in turn and
+        rewrites each row that many steps after it was written.  In a
+        run, ``performance`` is thus a view into the run's block, and a
+        caller that wants to keep a state copies it.
         """
         x = self.history[0]
         if self._any_down:
             x = x * self._keep
         if self.in_matrix is not None:
-            p = self.in_matrix.dot(x)
+            p = self.in_matrix.dot(x, out=out)
+            p += self.term
         else:
             p = x.take(self._sources)
             p *= self._edge_scale
-            p = np.bincount(self._targets, weights=p, minlength=len(x))
-        p += self.term
+            p = np.add(np.bincount(self._targets, weights=p, minlength=len(x)),
+                       self.term, out=out)
         if self.uncoupled is not None:
             np.divide(p, self._local_weight, out=p, where=self.uncoupled)
         np.minimum(p, self._ones, out=p)

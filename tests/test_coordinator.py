@@ -1,14 +1,15 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granusim.coordinator import Federation, SyncSchedule, run, run_steps
+from granusim.coordinator import MOP_BLOCK, Federation, SyncSchedule, run, run_steps
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
-from granusim.errors import ScheduleError, UnknownNode, ZeroBaseline
+from granusim.errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
 from granusim.experiment import NetworkSpec, ScenarioConfig, build_federation
 from granusim.federate import EDGE_LIST_MIN_NODES, FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
@@ -45,10 +46,16 @@ def federation_of(nets, wiring):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        SyncSchedule(tg=0, horizon=10)
-    with pytest.raises(ValueError):
-        SyncSchedule(tg=2, horizon=0)
+    # A bool is not an integer; a float tg would miss barriers and a
+    # float horizon would fail deep inside the run.
+    message = "{}: must be a positive integer, got {!r}"
+    for tg in (0, -1, 2.5, True):
+        with pytest.raises(InvalidFactor, match=re.escape(message.format("tg", tg))):
+            SyncSchedule(tg=tg, horizon=10)
+    for horizon in (0, 20.5, True):
+        with pytest.raises(ScheduleError, match=re.escape(message.format("horizon", horizon))):
+            SyncSchedule(tg=2, horizon=horizon)
+    assert SyncSchedule(tg=np.int64(2), horizon=np.int64(10)).tg == 2
 
 
 def test_event_beyond_horizon_rejected():
@@ -458,6 +465,29 @@ def test_edge_list_federation_matches_the_lockstep_oracle(tg):
     nets, wiring = scenario_lockstep_inputs(config)
     expected = lockstep_series(nets, wiring, tg, config.horizon, [event])
     for net in nets:
+        assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("lag", [32, 40])
+def test_lags_of_a_mop_block_or_more_match_the_lockstep_oracle(lag):
+    # A step reads the state of ``lag`` timesteps back from the block
+    # the run writes its states into, so the block must hold more rows
+    # than the largest lag.  Water keeps lag 1, so the largest lag is
+    # not the first federate's.
+    assert lag >= MOP_BLOCK
+    default = ScenarioConfig()
+    config = replace(default, horizon=120, networks=tuple(
+        replace(spec, lag=spec_lag) for spec, spec_lag in zip(default.networks, (1, lag, lag))))
+    federation = build_federation(config)
+    water = federation.federates[NetworkId.WATER].topology
+    event = (21, 43, NetworkId.WATER, fixed_pattern(12, water, config.master_seed))
+    trace = run(federation, SyncSchedule(tg=5, horizon=config.horizon),
+                [DisruptionEvent(*event)])
+
+    nets, wiring = scenario_lockstep_inputs(config)
+    expected = lockstep_series(nets, wiring, 5, config.horizon, [event])
+    for net in nets:
+        assert trace.series[net].min() < 100.0
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
 
 

@@ -152,6 +152,31 @@ def test_disruption_writes_do_not_reach_the_history():
     assert all(np.array_equal(h, b) for h, b in zip(fed.history, before))
 
 
+@pytest.mark.parametrize("n", [3, EDGE_LIST_MIN_NODES])
+def test_step_writes_in_place_into_out_and_allocates_without_it(n):
+    # The dense kernel at 3 nodes, the edge list on a ring of 160.
+    topology = make_topology([(i, (i + 1) % n) for i in range(n)], n)
+    alone, into_rows = FederateState(topology, lag=2), FederateState(topology, lag=2)
+    assert (alone.in_matrix is None) == (n == EDGE_LIST_MIN_NODES)
+    for fed in (alone, into_rows):
+        fed.apply_disruption([0])
+    rows = np.empty((3, n))
+    states = []
+    for k in range(6):
+        alone.step()
+        into_rows.step(out=rows[k % 3])
+        # Without ``out`` every step makes a fresh array.
+        assert not any(np.shares_memory(alone.performance, s) for s in states)
+        states.append(alone.performance)
+        assert np.shares_memory(into_rows.performance, rows[k % 3])
+        assert into_rows.history[-1] is into_rows.performance
+        assert alone.performance.tobytes() == into_rows.performance.tobytes()
+        if k == 2:
+            for fed in (alone, into_rows):
+                fed.retract_disruption([0])
+    assert alone.performance.min() < 1.0
+
+
 def test_slot_writes_reach_the_step_only_once_latched():
     # The feeder moves at once; the federate sees it only after a barrier.
     edges = [(0, 1), (1, 2)]
