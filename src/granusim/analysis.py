@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CollinearError, DegenerateModel, InvalidRecoveryTime, MissingColumns
+from .errors import (CollinearError, DegenerateModel, InvalidRecoveryTime, MalformedResults,
+                     MissingColumns)
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -41,26 +42,60 @@ RESULTS_COLUMNS = ("tg", "rt", "ds", "spds_pct", "sprt_steps", "visible", "statu
 def load_results(path) -> dict[str, np.ndarray]:
     """Read a results CSV into numeric columns, keeping only ok rows.
 
-    Censored runs get sprt = NaN; callers drop them for recovery-time
-    models but keep them for visibility models.  A header without one of
-    ``RESULTS_COLUMNS`` raises ``MissingColumns`` naming each one.
+    One ``csv.reader`` pass maps the header to column indices once and
+    skips blank lines.  Censored runs get sprt = NaN; callers drop them
+    for recovery-time models but keep them for visibility models.  A
+    header without one of ``RESULTS_COLUMNS`` raises ``MissingColumns``
+    naming each one; a row whose field count differs from the header's,
+    or an ok row whose tg, rt, ds, spds_pct or sprt_steps does not
+    parse, raises ``MalformedResults`` naming the line and the column.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RESULTS_COLUMNS if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in RESULTS_COLUMNS if c not in header]
         if missing:
             raise MissingColumns(f"{path}: results columns missing: {', '.join(missing)}")
-        rows = [r for r in reader if r["status"] == "ok"]
+        # A repeated name reads its last column, as a DictReader would.
+        index = {name: i for i, name in enumerate(header)}
+        status = index["status"]
+        lines, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                column = (f"column '{header[len(row)]}' is missing" if len(row) < len(header)
+                          else f"field {len(header) + 1} has no column")
+                raise MalformedResults(f"{path}: line {reader.line_num}: {len(row)} fields "
+                                       f"where the header has {len(header)}; {column}")
+            if row[status] == "ok":
+                lines.append(reader.line_num)
+                rows.append(row)
     if not rows:
         raise ValueError(f"no usable rows in {path}")
+
+    def numbers(column: str, blank: float | None = None) -> np.ndarray:
+        i = index[column]
+        values = []
+        for line, row in zip(lines, rows):
+            text = row[i]
+            if blank is not None and text == "":
+                values.append(blank)
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise MalformedResults(f"{path}: line {line}: column '{column}': "
+                                       f"not a number: {text!r}") from None
+        return np.array(values)
+
     return {
-        "tg": np.array([float(r["tg"]) for r in rows]),
-        "rt": np.array([float(r["rt"]) for r in rows]),
-        "ds": np.array([float(r["ds"]) for r in rows]),
-        "spds": np.array([float(r["spds_pct"]) for r in rows]),
-        "sprt": np.array([float(r["sprt_steps"]) if r["sprt_steps"] != "" else math.nan
-                          for r in rows]),
-        "visible": np.array([r["visible"] == "true" for r in rows]),
+        "tg": numbers("tg"),
+        "rt": numbers("rt"),
+        "ds": numbers("ds"),
+        "spds": numbers("spds_pct"),
+        "sprt": numbers("sprt_steps", blank=math.nan),
+        "visible": np.array([row[index["visible"]] == "true" for row in rows]),
     }
 
 

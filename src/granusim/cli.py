@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,7 +128,14 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Every ``main`` call parses with it: ``parse_args`` reads the tree
+    without changing it and returns a fresh ``Namespace``, so no option
+    carries from one call to the next.
+    """
     parser = _Parser(prog="granusim",
                      description="Coupled network simulator with configurable "
                                  "synchronization granularity")

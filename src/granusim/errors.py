@@ -38,8 +38,8 @@ class CollinearError(GranusimError):
 
 
 class InvalidFactor(GranusimError):
-    """A run's tg, rt or ds is below 1, or a schedule's tg is not a
-    positive integer; message names the factor."""
+    """A run's tg, rt or ds, or a schedule's tg, is not a positive
+    integer (a bool is not one); message names the factor."""
 
 
 class InvalidRecoveryTime(GranusimError):
@@ -56,3 +56,9 @@ class ScenarioError(GranusimError):
 
 class MissingColumns(GranusimError):
     """A results file lacks columns the analysis reads; message lists them."""
+
+
+class MalformedResults(GranusimError, ValueError):
+    """A results file row is malformed: its field count differs from the
+    header's, or a number the analysis reads does not parse; message
+    names the line and the column."""

@@ -6,7 +6,6 @@ always in layout order and all columns except sec_per_step are a pure
 function of (seed, config, layout).
 """
 
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -17,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .coordinator import Federation, SyncSchedule, run, run_steps
+from .coordinator import Federation, SyncSchedule, _is_positive_int, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
 from .errors import GranusimError, InvalidFactor, ScenarioError
 from .federate import DEFAULT_WEIGHTS, FederateState
@@ -271,11 +270,12 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
                  ds: int) -> tuple[Federation, SyncSchedule, DisruptionEvent]:
     """Fresh federation, schedule and disruption of one configuration.
 
-    ``InvalidFactor`` if tg, rt or ds is below 1, before anything uses it.
+    ``InvalidFactor`` if tg, rt or ds is not a positive integer (a bool
+    is not one), before anything uses it.
     """
     for name, level in (("tg", tg), ("rt", rt), ("ds", ds)):
-        if level < 1:
-            raise InvalidFactor(f"{name}: must be a positive integer, got {level}")
+        if not _is_positive_int(level):
+            raise InvalidFactor(f"{name}: must be a positive integer, got {level!r}")
     t0 = disruption_onset(config, tg)
     if config.horizon < t0 + rt + RECOVERY_HEADROOM:
         raise ScenarioError(
@@ -325,6 +325,9 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
     if jobs <= 1:
         rows = [_run_indexed(task) for task in tasks]
     else:
+        # Imported here: it pulls in ``logging``, which a sequential run
+        # and every CLI start-up would otherwise pay for.
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_indexed, tasks))
     if traces_dir is not None:

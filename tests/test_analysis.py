@@ -13,7 +13,7 @@ from granusim.analysis import (LOGISTIC_RIDGE, TERM_ORDER,
                                ratio_scatter_csv, recommend_tg, report_json,
                                variance_shares, visibility_curve_csv)
 from granusim.errors import (CollinearError, DegenerateModel, InvalidRecoveryTime,
-                             MissingColumns)
+                             MalformedResults, MissingColumns)
 from oracles import (ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
 
@@ -323,6 +323,59 @@ def test_load_results_names_missing_columns(tmp_path, dropped):
     with pytest.raises(MissingColumns) as err:
         load_results(path)
     assert str(err.value).endswith("results columns missing: " + ", ".join(dropped))
+
+
+def with_line(text, number, line):
+    """``text`` with its line ``number`` (1-based) replaced by ``line``."""
+    lines = text.splitlines()
+    lines[number - 1] = line
+    return "".join(f"{each}\n" for each in lines)
+
+
+def test_load_results_skips_blank_lines(tmp_path):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text(RESULTS_TEXT)
+    spaced.write_text(RESULTS_TEXT.replace("\n", "\n\n"))
+    expected, table = load_results(plain), load_results(spaced)
+    assert list(table) == list(expected)
+    for key in expected:
+        np.testing.assert_array_equal(table[key], expected[key])
+
+
+@pytest.mark.parametrize("number, line, message", [
+    (3, "1,12,2,8,0.007000,0,false,false,0.000020,abc123def456",
+     "line 3: 10 fields where the header has 11; column 'status' is missing"),
+    (5, "3,14,9,8,,,,,,",
+     "line 5: 10 fields where the header has 11; column 'status' is missing"),
+    (2, "0,2,2,8,6.941000,10,true,false,0.000021,abc123def456,ok,extra",
+     "line 2: 12 fields where the header has 11; field 12 has no column"),
+])
+def test_load_results_rejects_a_row_whose_field_count_differs(tmp_path, number, line,
+                                                              message):
+    # A DictReader dropped a short row silently: its status read None.
+    path = tmp_path / "results.csv"
+    path.write_text(with_line(RESULTS_TEXT, number, line))
+    with pytest.raises(MalformedResults) as err:
+        load_results(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("column, line", [
+    ("tg", "1,x,2,8,0.007000,0,false,false,0.000020,abc123def456,ok"),
+    ("rt", "1,12,x,8,0.007000,0,false,false,0.000020,abc123def456,ok"),
+    ("ds", "1,12,2,x,0.007000,0,false,false,0.000020,abc123def456,ok"),
+    ("spds_pct", "1,12,2,8,x,0,false,false,0.000020,abc123def456,ok"),
+    ("sprt_steps", "1,12,2,8,0.007000,x,false,false,0.000020,abc123def456,ok"),
+    ("spds_pct", "1,12,2,8,,0,false,false,0.000020,abc123def456,ok"),
+])
+def test_load_results_names_the_line_and_column_of_a_bad_number(tmp_path, column, line):
+    path = tmp_path / "results.csv"
+    path.write_text(with_line(RESULTS_TEXT, 3, line))
+    value = line.split(",")[RESULTS_TEXT.splitlines()[0].split(",").index(column)]
+    with pytest.raises(MalformedResults) as err:
+        load_results(path)
+    assert str(err.value) == f"{path}: line 3: column '{column}': not a number: {value!r}"
 
 
 def synthetic_results_table(n=60, seed=11):

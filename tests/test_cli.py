@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from granusim.cli import main
+from granusim.analysis import fit_visibility_logistic, load_results, recommend_tg
+from granusim.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,41 @@ def test_recommend_prints_integer(results_csv_path, capsys):
     out = capsys.readouterr().out.strip()
     assert out.isdigit()
     assert int(out) >= 1
+
+
+def test_every_call_parses_with_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_an_option_does_not_carry_into_the_next_call(results_csv_path, capsys):
+    recommend = ["recommend", "--in", str(results_csv_path), "--expected-rt", "22"]
+    assert main([*recommend, "--target-p", "0.9"]) == 0
+    assert main(recommend) == 0
+    at_09, at_default = capsys.readouterr().out.splitlines()
+    model = fit_visibility_logistic(load_results(results_csv_path))
+    assert int(at_default) == recommend_tg(model, 22.0, 0.5) != int(at_09)
+
+
+def test_plot_data_does_not_carry_into_the_next_analyze(results_csv_path, tmp_path):
+    plots = tmp_path / "plots"
+    analyze = ["analyze", "--in", str(results_csv_path), "--out", str(tmp_path / "r.json")]
+    assert main([*analyze, "--plot-data", str(plots)]) == 0
+    for written in plots.iterdir():
+        written.unlink()
+    assert main(analyze) == 0
+    assert list(plots.iterdir()) == []
+
+
+def test_a_usage_error_leaves_the_next_call_as_a_fresh_one(results_csv_path, capsys):
+    recommend = ["recommend", "--in", str(results_csv_path), "--expected-rt", "22"]
+    # Fails after --target-p has been read.
+    assert main([*recommend, "--target-p", "0.9", "--expected-rt"]) == 1
+    capsys.readouterr()
+    assert main(recommend) == 0
+    after_error = capsys.readouterr()
+    build_parser.cache_clear()
+    assert main(recommend) == 0
+    assert capsys.readouterr() == after_error
 
 
 @pytest.mark.parametrize("expected_rt", ["inf", "nan", "0", "-3"])

@@ -3,6 +3,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -246,15 +248,41 @@ def test_wiring_follows_the_seed_and_the_network_spec():
     (SMALL, -3, 2, 8, "tg"),
     (SMALL, 2, 0, 8, "rt"),
     (SMALL, 2, 2, 0, "ds"),
+    (replace(SMALL, align_sync=True), 2.5, 2, 8, "tg"),
+    (SMALL, 2, 2.5, 8, "rt"),
+    (SMALL, 2, 2, 8.5, "ds"),
+    (SMALL, 2, True, 8, "rt"),
 ])
 def test_factor_levels_below_one_rejected_by_name(config, tg, rt, ds, named):
-    # Checked before the onset, which takes t0 % tg when aligned.
+    # Checked before the onset, which takes t0 % tg when aligned.  A
+    # level that is not an integer fails the same check: a float rt or
+    # ds would otherwise die in slicing or in fixed_pattern with a
+    # TypeError, and True would run as 1.
     level = {"tg": tg, "rt": rt, "ds": ds}[named]
     message = f"{named}: must be a positive integer, got {level}"
     with pytest.raises(InvalidFactor, match=re.escape(message)):
         run_single(config, tg, rt, ds)
     [row] = run_experiment(config, [(tg, rt, ds)], jobs=1)
     assert row.status == f"error: {message}"
+
+
+def test_numpy_integer_levels_run_like_ints():
+    as_numpy, _, _ = run_single(SMALL, np.int64(5), np.int32(10), np.int64(8))
+    as_int, _, _ = run_single(SMALL, 5, 10, 8)
+    assert (as_numpy.spds, as_numpy.sprt, as_numpy.visible) == \
+        (as_int.spds, as_int.sprt, as_int.visible)
+
+
+@pytest.mark.parametrize("module", ["granusim.experiment", "granusim.cli"])
+def test_import_leaves_the_process_pool_unloaded(module):
+    # concurrent.futures pulls in logging; only experiment --jobs N needs it.
+    import granusim
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(granusim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    probe = f"import sys, {module}; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"
 
 
 def test_run_single_outcome_shape():
