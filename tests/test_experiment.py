@@ -277,8 +277,8 @@ def test_numpy_integer_levels_run_like_ints():
 def test_import_leaves_the_process_pool_unloaded(module):
     # concurrent.futures pulls in logging; only experiment --jobs N needs it.
     import granusim
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(granusim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(granusim.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
     probe = f"import sys, {module}; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
