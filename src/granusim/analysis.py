@@ -47,8 +47,10 @@ def load_results(path) -> dict[str, np.ndarray]:
     for recovery-time models but keep them for visibility models.  A
     header without one of ``RESULTS_COLUMNS`` raises ``MissingColumns``
     naming each one; a row whose field count differs from the header's,
-    or an ok row whose tg, rt, ds, spds_pct or sprt_steps does not
-    parse, raises ``MalformedResults`` naming the line and the column.
+    or an ok row whose visible is not ``true`` or ``false`` or whose tg,
+    rt, ds, spds_pct or non-blank sprt_steps is not a finite number,
+    raises ``MalformedResults`` naming the line and the column, as does
+    a file without ok rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -58,7 +60,7 @@ def load_results(path) -> dict[str, np.ndarray]:
             raise MissingColumns(f"{path}: results columns missing: {', '.join(missing)}")
         # A repeated name reads its last column, as a DictReader would.
         index = {name: i for i, name in enumerate(header)}
-        status = index["status"]
+        status, visible = index["status"], index["visible"]
         lines, rows = [], []
         for row in reader:
             if not row:
@@ -69,10 +71,13 @@ def load_results(path) -> dict[str, np.ndarray]:
                 raise MalformedResults(f"{path}: line {reader.line_num}: {len(row)} fields "
                                        f"where the header has {len(header)}; {column}")
             if row[status] == "ok":
+                if row[visible] not in ("true", "false"):
+                    raise MalformedResults(f"{path}: line {reader.line_num}: column 'visible': "
+                                           f"neither true nor false: {row[visible]!r}")
                 lines.append(reader.line_num)
                 rows.append(row)
     if not rows:
-        raise ValueError(f"no usable rows in {path}")
+        raise MalformedResults(f"no usable rows in {path}")
 
     def numbers(column: str, blank: float | None = None) -> np.ndarray:
         i = index[column]
@@ -83,10 +88,14 @@ def load_results(path) -> dict[str, np.ndarray]:
                 values.append(blank)
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise MalformedResults(f"{path}: line {line}: column '{column}': "
                                        f"not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise MalformedResults(f"{path}: line {line}: column '{column}': "
+                                       f"not finite: {text!r}")
+            values.append(value)
         return np.array(values)
 
     return {
@@ -95,7 +104,7 @@ def load_results(path) -> dict[str, np.ndarray]:
         "ds": numbers("ds"),
         "spds": numbers("spds_pct"),
         "sprt": numbers("sprt_steps", blank=math.nan),
-        "visible": np.array([row[index["visible"]] == "true" for row in rows]),
+        "visible": np.array([row[visible] == "true" for row in rows]),
     }
 
 
@@ -109,19 +118,23 @@ class VarianceShareReport:
         return sum(self.shares.values()) + self.residual_share
 
 
-def _least_squares(columns: dict[str, np.ndarray], response: str,
+def _require_finite(columns: dict[str, np.ndarray]) -> None:
+    """``ValueError`` naming the first column that holds a NaN or an infinity."""
+    for name, col in columns.items():
+        if not np.isfinite(col).all():
+            raise ValueError(f"{name} holds a value that is not finite")
+
+
+def _least_squares(columns: dict[str, np.ndarray],
                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """OLS of y on ``[1, *columns.values()]`` from one QR factorisation:
     the coefficients (intercept first), the effects ``Q^T y`` and the RSS.
 
-    ``ValueError`` names the first column, or the response, that holds a
-    NaN or an infinity; ``CollinearError`` the first column whose
-    ``|R_kk|`` is below ``rows * eps`` times the largest column norm up
-    to it (numpy's rank tolerance), else the first column past the rows.
+    Every value must be finite.  ``CollinearError`` names the first
+    column whose ``|R_kk|`` is below ``rows * eps`` times the largest
+    column norm up to it (numpy's rank tolerance), else the first column
+    past the rows.
     """
-    for name, col in {**columns, response: y}.items():
-        if not np.isfinite(col).all():
-            raise ValueError(f"{name} holds a value that is not finite")
     X = np.column_stack([np.ones(len(y)), *columns.values()])
     q, r = np.linalg.qr(X)
     tol = np.maximum.accumulate(np.linalg.norm(X, axis=0)) * (len(y) * np.finfo(float).eps)
@@ -141,18 +154,20 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     given; each term's share is its squared QR effect (the drop in
     residual sum of squares when it is added) over the total.  The
     ``ValueError``s for the response and the single-factor terms come
-    before the ``CollinearError`` of a dependent term.
+    before the ``CollinearError`` of a dependent term, and a factor or
+    response that is not finite is named before any sum is taken.
     """
     y = np.asarray(table[response], dtype=float)
     for name in terms:
         if ":" not in name and len(np.unique(table[name])) < 2:
             raise ValueError(f"covariate {name} needs at least 2 distinct values")
+    _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
     ss_total = float(((y - y.mean()) ** 2).sum())
     if ss_total == 0:
         raise ValueError("response has zero variance")
 
     _, effects, rss = _least_squares(
-        {term: math.prod(table[f] for f in term.split(":")) for term in terms}, response, y)
+        {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)
     return VarianceShareReport(
         response=response,
         shares={term: float(e ** 2) / ss_total for term, e in zip(terms, effects[1:])},
@@ -226,14 +241,18 @@ def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
     """OLS of sprt/tg on rt/tg over non-censored rows.
 
     ``r_squared`` is the rt/tg column's sequential share, 1.0 when
-    sprt/tg is constant.
+    sprt/tg is constant.  A tg of 0 is refused before the divide.
     """
     keep = ~np.isnan(table["sprt"])
-    x = (table["rt"] / table["tg"])[keep]
-    y = (table["sprt"] / table["tg"])[keep]
+    tg = table["tg"][keep]
+    if not tg.all():
+        raise ValueError("rt_over_tg holds a value that is not finite")
+    x = table["rt"][keep] / tg
+    y = table["sprt"][keep] / tg
     if len(np.unique(x)) < 2:
         raise DegenerateModel("need at least 2 distinct rt/tg values")
-    (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, "sprt_over_tg", y)
+    _require_finite({"rt_over_tg": x, "sprt_over_tg": y})
+    (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, y)
     ss_total = float(((y - y.mean()) ** 2).sum())
     return RatioLinearModel(intercept=float(intercept), slope=float(slope),
                             r_squared=float(effects[1] ** 2) / ss_total if ss_total else 1.0)

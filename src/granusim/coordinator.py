@@ -12,11 +12,8 @@ Each federate's ``foreign_inputs`` and step term are views into them,
 so one gather and one latch serve every consumer, at the barrier and
 once when the federation is built.
 
-Each federate writes its states in place into the rows of one block
-of ``max(MOP_BLOCK, lag + 1)`` rows (``MOP_BLOCK`` = 32, ``lag`` the
-largest in the federation), allocated at set-up; the MoP series are
-summed a block at once, with the bits of summing each timestep on its
-own.
+Each federate writes its states into its own ring (``federate``), and
+the MoP series sum ``MOP_BLOCK`` of its rows at once, bit for bit.
 
 Events are delivered at their exact internal timestep, retractions
 before applications, ties broken by network order then node index; each
@@ -31,13 +28,9 @@ import numpy as np
 
 from .disruption import DisruptionEvent
 from .errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
-from .federate import FederateState
+from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
-
-#: Least number of timesteps whose states ``run_steps`` keeps in its
-#: block before summing them at once.
-MOP_BLOCK = 32
 
 
 def _is_positive_int(value) -> bool:
@@ -86,9 +79,6 @@ class Federation:
         if extra:
             raise ValueError(f"unknown network ids: {extra}")
         self.federates = federates
-        # Set by the first run: a run mutates the federates, so a second
-        # one would start from the end state of the first.
-        self.ran = False
 
         # Slot k of each consumer's foreign_inputs is fed by the producer
         # node at a flat index into the federates' performance vectors
@@ -196,28 +186,22 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     Yields t once timestep t has been delivered, stepped, recorded and,
     at a sync instant, exchanged; the first ``next`` also does the
     set-up.  Returns the MoP trace, whose values are final only then.
-    Set-up allocates one block of ``B = max(MOP_BLOCK, lag + 1)`` rows
-    per federate, ``lag`` the largest in the federation, and timestep t
-    steps every federate with ``out`` set to row ``(t - 1) % B`` of its
-    block.  Every ``B`` timesteps (and at the horizon) one row-wise
-    ``np.add.reduce`` per network turns the block into raw performance
-    sums, which are scaled to percent of baseline once at the end.  A
-    row sums with the same pairwise order as the 1-D reduction of that
-    state, so the values are bit-for-bit those of summing each timestep
-    on its own.  A row is rewritten ``B`` steps after it was written,
-    later than any step reads it through ``history``, and the block
-    keeps memory at ``B`` states per federate.  Each federate's
-    ``performance`` is a view into its block, rewritten ``B`` steps
-    later, so a caller that keeps a state copies it.  Lets a caller
-    advance several runs in lockstep.  A federation runs once: set-up
-    raises ``ScheduleError`` on one that has run before, on an event
-    outside timesteps 1 to the horizon or on a network outside the
-    federation, ``UnknownNode`` on an event naming a node the network
-    lacks, and ``ZeroBaseline`` when a network's initial performance
-    sums to zero.
+    Lets a caller advance several runs in lockstep.  Timestep t is each
+    federate's step t - 1, which writes its ring row ``(t - 1) % R``.
+    Every ``MOP_BLOCK`` timesteps (and at the horizon) one row-wise
+    ``np.add.reduce`` per network sums the rows just written (contiguous,
+    as ``R`` is a multiple of ``MOP_BLOCK``) with the bits of summing
+    each state on its own; the sums become percent of baseline at the
+    end.  That alignment needs unstepped federates, so a federation runs
+    once: set-up raises ``ScheduleError`` on one with a federate that
+    has stepped before, on an event outside timesteps 1 to the horizon
+    or on a network outside the federation, ``UnknownNode`` on an event
+    naming a node the network lacks, and ``ZeroBaseline`` when a
+    network's initial performance sums to zero.
     """
-    if federation.ran:
-        raise ScheduleError("federation has already run; build a fresh one")
+    feds = [federation.federates[n] for n in federation.order]
+    if any(fed.steps for fed in feds):
+        raise ScheduleError("federation has already stepped; build a fresh one")
     horizon, tg = schedule.horizon, schedule.tg
     actions_at: dict[int, list] = {}
     for ev in events:
@@ -237,40 +221,32 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     for actions in actions_at.values():
         actions.sort(key=lambda a: (a[0], NETWORK_ORDER.index(a[1]), a[2]))
 
-    feds = [federation.federates[n] for n in federation.order]
-    baselines = {n: float(fed.performance.sum())
-                 for n, fed in zip(federation.order, feds)}
+    baselines = {n: float(fed.performance.sum()) for n, fed in zip(federation.order, feds)}
     for net, baseline in baselines.items():
         if baseline == 0.0:
             raise ZeroBaseline(f"{net.value}: initial performance sums to zero")
-    federation.ran = True
     # Raw sums per timestep; ``*= 100.0`` then ``/= baseline`` at the end
     # is the IEEE sequence of ``100.0 * sum / baseline`` per value.
     series = {n: np.empty(horizon + 1) for n in federation.order}
     add = np.add.reduce
     for fed, values in zip(feds, series.values()):
         values[0] = add(fed.performance)
-    # Row (t - 1) % size takes the state of t over that of t - size,
-    # and the step of t reads the state of t - lag: size > lag keeps it.
-    size = max(MOP_BLOCK, max((fed.lag for fed in feds), default=0) + 1)
-    blocks = [np.empty((size, fed.node_count)) for fed in feds]
-    rows = [[(fed.step, block[k]) for fed, block in zip(feds, blocks)]
-            for k in range(size)]
 
     federation.exchange()  # seed foreign inputs with true initial values
 
-    for start in range(1, horizon + 1, size):
-        stop = min(start + size, horizon + 1)
-        for t, row in zip(range(start, stop), rows):
+    for start in range(1, horizon + 1, MOP_BLOCK):
+        stop = min(start + MOP_BLOCK, horizon + 1)
+        for t in range(start, stop):
             if t in actions_at:
                 _deliver(federation, actions_at[t])
-            for step, out in row:
-                step(out)
+            for fed in feds:
+                fed.step()
             if t % tg == 0:
                 federation.exchange()
             yield t
-        for values, block in zip(series.values(), blocks):
-            add(block[:stop - start], axis=1, out=values[start:stop])
+        for values, fed in zip(series.values(), feds):
+            row = (start - 1) % len(fed.states)
+            add(fed.states[row:row + stop - start], axis=1, out=values[start:stop])
 
     for net, values in series.items():
         values *= 100.0

@@ -24,9 +24,8 @@ class UnknownNode(GranusimError):
 
 
 class ScheduleError(GranusimError):
-    """An event falls outside the simulation horizon, a federation is
-    run a second time, or a schedule's horizon is not a positive
-    integer."""
+    """An event falls outside the simulation horizon, a run starts with a
+    federate that has stepped, or a horizon is not a positive integer."""
 
 
 class ZeroBaseline(GranusimError):
@@ -59,6 +58,7 @@ class MissingColumns(GranusimError):
 
 
 class MalformedResults(GranusimError, ValueError):
-    """A results file row is malformed: its field count differs from the
-    header's, or a number the analysis reads does not parse; message
-    names the line and the column."""
+    """A results file has no ok row, or a row is malformed: its field
+    count differs from the header's, a number the analysis reads is not
+    a finite number, or its visible is not true or false; message names
+    the line and the column."""

@@ -34,9 +34,14 @@ every node is uncoupled.  Uncoupled nodes are divided by
 ``w_int + w_in`` on their own after the add.  The sums run in another
 order than the plain formula, and each kernel in its own order, so
 values agree with the plain formula within 1e-12, not bit for bit.
-"""
 
-from collections import deque
+A federate owns its states in one ring, ``states``, of
+``R = MOP_BLOCK * (lag // MOP_BLOCK + 1)`` rows, at first intrinsic.
+Step ``k`` (the count ``steps``) reads row ``(k - lag) % R`` and writes
+row ``k % R`` in place, which becomes ``performance``.  A row is
+rewritten ``R > lag`` steps later, so a caller that keeps a state
+copies it, in a run or alone.
+"""
 
 import numpy as np
 
@@ -44,6 +49,9 @@ from .errors import UnknownNode
 from .topology import Topology
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
+
+#: Ring sizes are multiples of this: ``run_steps`` sums this many rows at once.
+MOP_BLOCK = 32
 
 #: The edge-list kernel runs on networks of at least this many nodes ...
 EDGE_LIST_MIN_NODES = 160
@@ -91,7 +99,10 @@ class FederateState:
 
         n = topology.node_count
         self.intrinsic = np.array(topology.intrinsic_performance, dtype=float)
-        self.performance = self.intrinsic.copy()
+        self.states = np.tile(self.intrinsic, (MOP_BLOCK * (lag // MOP_BLOCK + 1), 1))
+        self._rows = list(self.states)  # views made once: a list index is cheaper
+        self.steps = 0
+        self.performance = self._rows[-1]  # the state of step -1
         # Number of active disruptions per node, so overlapping events
         # compose: a node is up again only when its count is back at 0.
         self.disrupted = np.zeros(n, dtype=int)
@@ -100,8 +111,6 @@ class FederateState:
         # skips while no node is down (x * 1.0 is x).
         self._keep = np.ones(n)
         self._any_down = False
-        self.history: deque[np.ndarray] = deque(
-            [self.performance.copy() for _ in range(lag)], maxlen=lag)
 
         # Scaled in-adjacency: entry (i, j) is w_in / in_degree_i iff
         # edge j -> i, so row i of ``M @ x`` is w_in times the predecessor
@@ -151,7 +160,7 @@ class FederateState:
                 f"{self.topology.network_id.value} ({self.node_count} nodes)")
         return nodes
 
-    def step(self, out: np.ndarray | None = None) -> None:
+    def step(self) -> None:
         """Advance the federate by one internal timestep.
 
         The rule in affine form: the product of the scaled in-adjacency
@@ -167,17 +176,12 @@ class FederateState:
         since multiplying by 1.0 changes no bit.  The result is within
         1e-12 of the plain formula (see the module docstring).
 
-        The new state is written in place into ``out``, or into a fresh
-        array when ``out`` is None (a federate on its own), and that
-        array becomes both ``performance`` and the newest ``history``
-        entry.  The history keeps it by reference, so ``out`` must not
-        be one of the last ``lag`` states: ``run_steps`` passes the rows
-        of a block of ``max(MOP_BLOCK, lag + 1)`` rows in turn and
-        rewrites each row that many steps after it was written.  In a
-        run, ``performance`` is thus a view into the run's block, and a
-        caller that wants to keep a state copies it.
+        It reads ring row ``(steps - lag) % R`` and writes row
+        ``steps % R`` (see the module docstring).
         """
-        x = self.history[0]
+        rows = self._rows
+        i = self.steps % len(rows)
+        x, out = rows[i - self.lag], rows[i]  # lag < R: i - lag wraps
         if self._any_down:
             x = x * self._keep
         if self.in_matrix is not None:
@@ -194,7 +198,7 @@ class FederateState:
         if self._any_down:
             p *= self._keep
         self.performance = p
-        self.history.append(p)
+        self.steps += 1
 
     def apply_disruption(self, node_set) -> None:
         """Add one active disruption to each node.
@@ -213,7 +217,7 @@ class FederateState:
 
         A node whose count falls to zero comes back through the update
         rule at the next ``step()``.  Its out-neighbours read the lagged
-        zero from ``history`` for ``lag`` more steps, so downstream nodes
+        zero from the ring for ``lag`` more steps, so downstream nodes
         recover through the dynamics only.  The deficit shrinks by a
         factor of about ``w_in`` per step, and the first sync at or after
         retraction exports what is left of it.

@@ -85,6 +85,7 @@ def test_shares_match_projection_oracle_on_tiny_data():
         assert report.residual_share == pytest.approx(residual, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_shares_reject_degenerate_inputs():
     table = grid_table(lambda tg, rt, ds: tg + ds)
     flat = dict(table)
@@ -233,6 +234,7 @@ def test_ratio_fit_rejects_constant_x():
         fit_ratio_linear(ratio_table([2, 2, 2], [1, 2, 3]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_ratio_fit_rejects_values_that_are_not_finite():
     # tg = 0 makes rt/tg infinite; an infinite sprt makes sprt/tg so.
     zero_tg = ratio_table([1, 2, 3], [1, 2, 3])
@@ -306,7 +308,7 @@ def test_load_results_parses_and_filters(tmp_path):
 def test_load_results_rejects_empty(tmp_path):
     path = tmp_path / "results.csv"
     path.write_text(RESULTS_TEXT.splitlines()[0] + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedResults, match="^no usable rows in "):
         load_results(path)
 
 
@@ -361,21 +363,41 @@ def test_load_results_rejects_a_row_whose_field_count_differs(tmp_path, number, 
     assert isinstance(err.value, ValueError)
 
 
-@pytest.mark.parametrize("column, line", [
-    ("tg", "1,x,2,8,0.007000,0,false,false,0.000020,abc123def456,ok"),
-    ("rt", "1,12,x,8,0.007000,0,false,false,0.000020,abc123def456,ok"),
-    ("ds", "1,12,2,x,0.007000,0,false,false,0.000020,abc123def456,ok"),
-    ("spds_pct", "1,12,2,8,x,0,false,false,0.000020,abc123def456,ok"),
-    ("sprt_steps", "1,12,2,8,0.007000,x,false,false,0.000020,abc123def456,ok"),
-    ("spds_pct", "1,12,2,8,,0,false,false,0.000020,abc123def456,ok"),
-])
-def test_load_results_names_the_line_and_column_of_a_bad_number(tmp_path, column, line):
+BAD_FIELDS = [
+    ("tg", "1,x,2,8,0.007000,0,false,false,0.000020,abc123def456,ok", "not a number"),
+    ("rt", "1,12,x,8,0.007000,0,false,false,0.000020,abc123def456,ok", "not a number"),
+    ("ds", "1,12,2,x,0.007000,0,false,false,0.000020,abc123def456,ok", "not a number"),
+    ("spds_pct", "1,12,2,8,x,0,false,false,0.000020,abc123def456,ok", "not a number"),
+    ("sprt_steps", "1,12,2,8,0.007000,x,false,false,0.000020,abc123def456,ok", "not a number"),
+    ("spds_pct", "1,12,2,8,,0,false,false,0.000020,abc123def456,ok", "not a number"),
+    # float() parses these, but no model can use them.
+    ("tg", "1,nan,2,8,0.007000,0,false,false,0.000020,abc123def456,ok", "not finite"),
+    ("rt", "1,12,inf,8,0.007000,0,false,false,0.000020,abc123def456,ok", "not finite"),
+    ("ds", "1,12,2,-inf,0.007000,0,false,false,0.000020,abc123def456,ok", "not finite"),
+    ("spds_pct", "1,12,2,8,NaN,0,false,false,0.000020,abc123def456,ok", "not finite"),
+    ("sprt_steps", "1,12,2,8,0.007000,Infinity,false,false,0.000020,abc123def456,ok",
+     "not finite"),
+    # Only the two words the runner writes are a visibility label.
+    ("visible", "1,12,2,8,0.007000,0,True,false,0.000020,abc123def456,ok",
+     "neither true nor false"),
+    ("visible", "1,12,2,8,0.007000,0,maybe,false,0.000020,abc123def456,ok",
+     "neither true nor false"),
+    ("visible", "1,12,2,8,0.007000,0,,false,0.000020,abc123def456,ok",
+     "neither true nor false"),
+]
+
+
+# Each case is named by its column and line.
+@pytest.mark.parametrize("column, line, reason", BAD_FIELDS,
+                         ids=[f"{column}-{line}" for column, line, _ in BAD_FIELDS])
+def test_load_results_names_the_line_and_column_of_a_bad_number(tmp_path, column, line,
+                                                                 reason):
     path = tmp_path / "results.csv"
     path.write_text(with_line(RESULTS_TEXT, 3, line))
     value = line.split(",")[RESULTS_TEXT.splitlines()[0].split(",").index(column)]
     with pytest.raises(MalformedResults) as err:
         load_results(path)
-    assert str(err.value) == f"{path}: line 3: column '{column}': not a number: {value!r}"
+    assert str(err.value) == f"{path}: line 3: column '{column}': {reason}: {value!r}"
 
 
 def synthetic_results_table(n=60, seed=11):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granusim.coordinator import MOP_BLOCK, Federation, SyncSchedule, run, run_steps
+from granusim.coordinator import Federation, SyncSchedule, run, run_steps
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
 from granusim.errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
 from granusim.experiment import NetworkSpec, ScenarioConfig, build_federation
-from granusim.federate import EDGE_LIST_MIN_NODES, FederateState
+from granusim.federate import EDGE_LIST_MIN_NODES, MOP_BLOCK, FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
 from oracles import barrier_indices, lockstep_series, make_topology, scenario_lockstep_inputs
 
@@ -68,7 +68,10 @@ def test_event_beyond_horizon_rejected():
         fed = small_federation()
         with pytest.raises(ScheduleError, match="outside timesteps 1..20"):
             run(fed, SyncSchedule(tg=2, horizon=20), [event])
-        assert not fed.ran
+        assert all(state.steps == 0 for state in fed.federates.values())
+        # Every ring row still holds the intrinsic state.
+        for state in fed.federates.values():
+            assert np.array_equal(state.states, np.tile(state.intrinsic, (MOP_BLOCK, 1)))
 
 
 def test_empty_events_stay_at_100():
@@ -412,6 +415,16 @@ def test_second_run_on_the_same_federation_rejected():
         next(run_steps(fed, schedule, []))
 
 
+def test_federation_with_a_federate_that_has_stepped_rejected():
+    # Timestep t writes ring row (t - 1) % R only if the run starts
+    # from step 0, so one step taken outside the run is refused too.
+    fed = small_federation()
+    fed.federates[NetworkId.POWER].step()
+    with pytest.raises(ScheduleError, match="already stepped"):
+        next(run_steps(fed, SyncSchedule(tg=2, horizon=10), []))
+    assert [state.steps for state in fed.federates.values()] == [0, 1, 0]
+
+
 def test_zero_baseline_rejected_at_set_up():
     water = FederateState(make_topology([], 1, NetworkId.WATER, intrinsic=[0.0]))
     with pytest.raises(ZeroBaseline):
@@ -470,10 +483,9 @@ def test_edge_list_federation_matches_the_lockstep_oracle(tg):
 
 @pytest.mark.parametrize("lag", [32, 40])
 def test_lags_of_a_mop_block_or_more_match_the_lockstep_oracle(lag):
-    # A step reads the state of ``lag`` timesteps back from the block
-    # the run writes its states into, so the block must hold more rows
-    # than the largest lag.  Water keeps lag 1, so the largest lag is
-    # not the first federate's.
+    # A step reads the state of ``lag`` timesteps back from its ring,
+    # so the ring must hold more rows than the lag: 64 here, beside
+    # water's 32 at lag 1, which the largest lag does not decide.
     assert lag >= MOP_BLOCK
     default = ScenarioConfig()
     config = replace(default, horizon=120, networks=tuple(
@@ -537,7 +549,10 @@ def test_events_checked_before_the_first_step(event, error):
     steps = run_steps(fed, SyncSchedule(tg=5, horizon=100), [event])
     with pytest.raises(error):
         next(steps)
-    # A step makes its new state both ``performance`` and the newest
-    # history entry; set-up before any step leaves them distinct.
-    assert not fed.ran
-    assert all(state.history[-1] is not state.performance for state in (water, business))
+    # A step writes ring row 0 and makes it ``performance``; set-up
+    # before any step leaves ``performance`` at the last row, and every
+    # row at the intrinsic state.
+    for state in (water, business):
+        assert state.steps == 0
+        assert np.shares_memory(state.performance, state.states[-1])
+        assert np.array_equal(state.states, np.tile(state.intrinsic, (MOP_BLOCK, 1)))

@@ -190,9 +190,11 @@ def test_federations_of_one_config_share_no_mutable_array():
         assert fa.topology is fb.topology
         shared += [fa.topology.edge_array, fa.topology.edges_by_target]
 
+        assert fa.steps == fb.steps == 0
+
         def arrays(f):
             return [f.performance, f.foreign_inputs, f.disrupted, f._keep,
-                    f.term, *f.history]
+                    f.term, f.states]
         for x in arrays(fa):
             assert not any(np.shares_memory(x, y) for y in arrays(fb))
     assert shared[0] is wiring(SMALL)[1].coupling_array

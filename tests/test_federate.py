@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from granusim.coordinator import Federation, SyncSchedule, run_steps
+from granusim.disruption import DisruptionEvent
 from granusim.errors import UnknownNode
-from granusim.federate import EDGE_LIST_MIN_NODES, FederateState
+from granusim.federate import EDGE_LIST_MIN_NODES, MOP_BLOCK, FederateState
+from granusim.topology import NetworkId
 from oracles import ScalarFederate, fed_by_feeder, make_topology
 
 
@@ -140,41 +143,53 @@ def test_single_node_disrupt_retract_trace():
 
 
 def test_disruption_writes_do_not_reach_the_history():
-    fed = FederateState(make_topology([(0, 1), (1, 2)], 3), lag=2)
-    fed.step()
-    fed.step()
-    before = [h.copy() for h in fed.history]
-    fed.apply_disruption([0, 1])
-    assert all(np.array_equal(h, b) for h, b in zip(fed.history, before))
-    fed.step()
-    before = [h.copy() for h in fed.history]
-    fed.retract_disruption([0, 1])
-    assert all(np.array_equal(h, b) for h, b in zip(fed.history, before))
+    # The ring rows the next ``lag`` steps read hold the states the last
+    # ``lag`` steps wrote; applying or retracting a disruption changes
+    # only the masks, so no row of the ring changes.
+    fed = FederateState(make_topology([(0, 1), (1, 2)], 3, intrinsic=[1.0, 0.5, 0.25]),
+                        lag=2)
+    written = []
+
+    def lagged():
+        return [fed.states[(fed.steps - fed.lag + i) % len(fed.states)].tolist()
+                for i in range(fed.lag)]
+
+    for change in (None, None, fed.apply_disruption, None, fed.retract_disruption):
+        if change is not None:
+            ring = fed.states.copy()
+            change([0, 1])
+            assert fed.states.tobytes() == ring.tobytes()
+            assert lagged() == written[-fed.lag:]
+        fed.step()
+        written.append(fed.performance.tolist())
+    assert written[-2][:2] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("n", [3, EDGE_LIST_MIN_NODES])
-def test_step_writes_in_place_into_out_and_allocates_without_it(n):
-    # The dense kernel at 3 nodes, the edge list on a ring of 160.
+def test_step_writes_its_ring_row_and_matches_the_federate_in_a_run(n):
+    # The dense kernel at 3 nodes, the edge list on a ring of 160.  A
+    # lag-2 ring holds 32 rows, so 70 steps wrap it twice.
     topology = make_topology([(i, (i + 1) % n) for i in range(n)], n)
-    alone, into_rows = FederateState(topology, lag=2), FederateState(topology, lag=2)
+    alone, in_run = FederateState(topology, lag=2), FederateState(topology, lag=2)
     assert (alone.in_matrix is None) == (n == EDGE_LIST_MIN_NODES)
-    for fed in (alone, into_rows):
-        fed.apply_disruption([0])
-    rows = np.empty((3, n))
-    states = []
-    for k in range(6):
+    ring = len(alone.states)
+    assert ring == MOP_BLOCK
+    assert alone.states.tobytes() == np.tile(alone.intrinsic, (ring, 1)).tobytes()
+    steps = run_steps(Federation({NetworkId.WATER: in_run}), SyncSchedule(tg=5, horizon=70),
+                      [DisruptionEvent(1, 4, NetworkId.WATER, (0,))])
+    for k in range(70):
+        if k == 0:
+            alone.apply_disruption([0])
+        elif k == 3:
+            alone.retract_disruption([0])
         alone.step()
-        into_rows.step(out=rows[k % 3])
-        # Without ``out`` every step makes a fresh array.
-        assert not any(np.shares_memory(alone.performance, s) for s in states)
-        states.append(alone.performance)
-        assert np.shares_memory(into_rows.performance, rows[k % 3])
-        assert into_rows.history[-1] is into_rows.performance
-        assert alone.performance.tobytes() == into_rows.performance.tobytes()
-        if k == 2:
-            for fed in (alone, into_rows):
-                fed.retract_disruption([0])
-    assert alone.performance.min() < 1.0
+        assert next(steps) == k + 1
+        for fed in (alone, in_run):
+            assert fed.steps == k + 1
+            assert np.shares_memory(fed.performance, fed.states[k % ring])
+        assert alone.performance.tobytes() == in_run.performance.tobytes()
+    assert alone.states.tobytes() == in_run.states.tobytes()
+    assert alone.states.min() < 1.0
 
 
 def test_slot_writes_reach_the_step_only_once_latched():
