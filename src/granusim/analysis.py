@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (CollinearError, DegenerateModel, InvalidRecoveryTime, MalformedResults,
-                     MissingColumns)
+from .errors import CollinearError, DegenerateModel, InvalidRecoveryTime, MalformedResults
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -45,19 +44,20 @@ def load_results(path) -> dict[str, np.ndarray]:
     One ``csv.reader`` pass maps the header to column indices once and
     skips blank lines.  Censored runs get sprt = NaN; callers drop them
     for recovery-time models but keep them for visibility models.  A
-    header without one of ``RESULTS_COLUMNS`` raises ``MissingColumns``
+    header without one of ``RESULTS_COLUMNS`` raises ``MalformedResults``
     naming each one; a row whose field count differs from the header's,
-    or an ok row whose visible is not ``true`` or ``false`` or whose tg,
-    rt, ds, spds_pct or non-blank sprt_steps is not a finite number,
-    raises ``MalformedResults`` naming the line and the column, as does
-    a file without ok rows.
+    or an ok row whose visible is not ``true`` or ``false``, whose tg,
+    rt, ds, spds_pct or non-blank sprt_steps is not a finite number, or
+    whose tg, rt or ds is not a whole number of at least 1, raises
+    ``MalformedResults`` naming the line and the column, as does a file
+    without ok rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in RESULTS_COLUMNS if c not in header]
         if missing:
-            raise MissingColumns(f"{path}: results columns missing: {', '.join(missing)}")
+            raise MalformedResults(f"{path}: results columns missing: {', '.join(missing)}")
         # A repeated name reads its last column, as a DictReader would.
         index = {name: i for i, name in enumerate(header)}
         status, visible = index["status"], index["visible"]
@@ -98,7 +98,7 @@ def load_results(path) -> dict[str, np.ndarray]:
             values.append(value)
         return np.array(values)
 
-    return {
+    table = {
         "tg": numbers("tg"),
         "rt": numbers("rt"),
         "ds": numbers("ds"),
@@ -106,6 +106,12 @@ def load_results(path) -> dict[str, np.ndarray]:
         "sprt": numbers("sprt_steps", blank=math.nan),
         "visible": np.array([row[visible] == "true" for row in rows]),
     }
+    for column in ("tg", "rt", "ds"):
+        bad = np.flatnonzero((table[column] < 1) | (table[column] % 1 != 0))
+        if bad.size:
+            raise MalformedResults(f"{path}: line {lines[bad[0]]}: column '{column}': "
+                                   f"not a positive integer: {rows[bad[0]][index[column]]!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,6 @@ class VarianceShareReport:
     response: str
     shares: dict[str, float]  # per term, in TERM_ORDER
     residual_share: float
-
-    def total(self) -> float:
-        return sum(self.shares.values()) + self.residual_share
 
 
 def _require_finite(columns: dict[str, np.ndarray]) -> None:
@@ -152,17 +155,14 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
 
     Covariates enter a least-squares linear model in the fixed order
     given; each term's share is its squared QR effect (the drop in
-    residual sum of squares when it is added) over the total.  The
-    ``ValueError``s for the response and the single-factor terms come
-    before the ``CollinearError`` of a dependent term, and a factor or
-    response that is not finite is named before any sum is taken.
+    residual sum of squares when it is added) over the total.  A factor
+    or response that is not finite, then a response without variance or
+    rows, raises ``ValueError``; then a term that the ones before it span
+    (such as a factor with one level) raises ``CollinearError`` naming it.
     """
     y = np.asarray(table[response], dtype=float)
-    for name in terms:
-        if ":" not in name and len(np.unique(table[name])) < 2:
-            raise ValueError(f"covariate {name} needs at least 2 distinct values")
     _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
-    ss_total = float(((y - y.mean()) ** 2).sum())
+    ss_total = float(((y - y.mean()) ** 2).sum()) if len(y) else 0.0
     if ss_total == 0:
         raise ValueError("response has zero variance")
 
@@ -227,30 +227,26 @@ class RatioLinearModel:
     slope: float
     r_squared: float
 
-    def predict_sprt(self, rt, tg):
-        return (self.intercept + self.slope * (np.asarray(rt) / tg)) * tg
 
-    def estimate_rt(self, sprt: float, tg: float) -> float:
-        """Inverse prediction: actual recovery time from observed one."""
-        if self.slope == 0:
-            raise DegenerateModel("zero slope; model not invertible")
-        return (sprt / tg - self.intercept) / self.slope * tg
+def _ratio_rows(table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The non-censored rows of ``table`` with ``rt_over_tg`` and
+    ``sprt_over_tg`` added; a tg of 0 is refused before the divide."""
+    rows = {k: v[~np.isnan(table["sprt"])] for k, v in table.items()}
+    if not rows["tg"].all():
+        raise ValueError("rt_over_tg holds a value that is not finite")
+    return dict(rows, rt_over_tg=rows["rt"] / rows["tg"],
+                sprt_over_tg=rows["sprt"] / rows["tg"])
 
 
 def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
     """OLS of sprt/tg on rt/tg over non-censored rows.
 
     ``r_squared`` is the rt/tg column's sequential share, 1.0 when
-    sprt/tg is constant.  A tg of 0 is refused before the divide.
+    sprt/tg is constant.  A tg of 0 is refused before the divide, and a
+    single rt/tg value raises ``CollinearError``.
     """
-    keep = ~np.isnan(table["sprt"])
-    tg = table["tg"][keep]
-    if not tg.all():
-        raise ValueError("rt_over_tg holds a value that is not finite")
-    x = table["rt"][keep] / tg
-    y = table["sprt"][keep] / tg
-    if len(np.unique(x)) < 2:
-        raise DegenerateModel("need at least 2 distinct rt/tg values")
+    rows = _ratio_rows(table)
+    x, y = rows["rt_over_tg"], rows["sprt_over_tg"]
     _require_finite({"rt_over_tg": x, "sprt_over_tg": y})
     (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, y)
     ss_total = float(((y - y.mean()) ** 2).sum())
@@ -263,13 +259,12 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     """Largest granularity keeping visibility probability at target_p.
 
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
-    ``InvalidRecoveryTime`` unless expected_rt is positive and finite.
+    ``InvalidRecoveryTime`` unless expected_rt is positive and finite;
+    ``ratio_at`` refuses a target_p outside (0, 1).
     """
     if not (math.isfinite(expected_rt) and expected_rt > 0):
         raise InvalidRecoveryTime(
             f"expected recovery time must be a positive finite number, got {expected_rt}")
-    if not 0.0 < target_p < 1.0:
-        raise ValueError(f"target_p must be in (0, 1), got {target_p}")
     if model.slope <= 0:
         raise DegenerateModel("visibility must increase with the ratio")
     ratio = model.ratio_at(target_p)
@@ -283,14 +278,12 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
 
 def analysis_report(table: dict[str, np.ndarray]) -> dict:
     """The full report: variance shares, logistic fit, ratio model."""
-    sprt_rows = {k: v[~np.isnan(table["sprt"])] for k, v in table.items()}
-    ratio_table = dict(sprt_rows, rt_over_tg=sprt_rows["rt"] / sprt_rows["tg"],
-                       sprt_over_tg=sprt_rows["sprt"] / sprt_rows["tg"])
+    ratio_rows = _ratio_rows(table)
 
     report: dict = {}
     for response, tab, terms in (("spds", table, TERM_ORDER),
-                                 ("sprt", sprt_rows, TERM_ORDER),
-                                 ("sprt_over_tg", ratio_table, ("rt_over_tg", "ds", "tg"))):
+                                 ("sprt", ratio_rows, TERM_ORDER),
+                                 ("sprt_over_tg", ratio_rows, ("rt_over_tg", "ds", "tg"))):
         shares = variance_shares(tab, response, terms)
         report[f"variance_shares_{response}"] = {
             "terms": shares.shares, "residual": shares.residual_share}
@@ -318,6 +311,6 @@ def visibility_curve_csv(model: LogisticVisibilityModel, max_ratio: float) -> st
 
 
 def ratio_scatter_csv(table: dict[str, np.ndarray]) -> str:
-    keep = ~np.isnan(table["sprt"])
-    pairs = zip((table["rt"] / table["tg"])[keep], (table["sprt"] / table["tg"])[keep])
+    rows = _ratio_rows(table)
+    pairs = zip(rows["rt_over_tg"], rows["sprt_over_tg"])
     return "rt_over_tg,sprt_over_tg\n" + "".join(f"{x:.6f},{y:.6f}\n" for x, y in pairs)

@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _check_parent(path: Path) -> None:
     # Fail before any work rather than at the final write.
     if not path.parent.is_dir():
@@ -161,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the factorial layout")
     add_common(p)
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
                    help="worker processes for the runs; 1 runs them in this process")
     p.add_argument("--traces", help="directory for per-run MoP traces")
     p.set_defaults(func=_cmd_experiment)

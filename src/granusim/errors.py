@@ -53,12 +53,10 @@ class ScenarioError(GranusimError):
     """Scenario file is malformed; message names the offending field."""
 
 
-class MissingColumns(GranusimError):
-    """A results file lacks columns the analysis reads; message lists them."""
-
-
 class MalformedResults(GranusimError, ValueError):
-    """A results file has no ok row, or a row is malformed: its field
-    count differs from the header's, a number the analysis reads is not
-    a finite number, or its visible is not true or false; message names
-    the line and the column."""
+    """A results file lacks columns the analysis reads (message lists
+    them), has no ok row, or has a malformed row: its field count
+    differs from the header's, a number the analysis reads is not a
+    finite number, a tg, rt or ds is not a whole number of at least 1,
+    or its visible is not true or false; message names the line and the
+    column."""

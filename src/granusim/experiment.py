@@ -42,7 +42,8 @@ class FactorLevels:
             levels = getattr(self, name)
             if not levels:
                 raise ValueError(f"{name} must be non-empty")
-            if list(levels) != sorted(set(levels)) or min(levels) < 1:
+            if (not all(map(_is_positive_int, levels))
+                    or list(levels) != sorted(set(levels))):
                 raise ValueError(f"{name} must be ascending positive integers, got {levels}")
 
 

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from granusim.analysis import (LOGISTIC_RIDGE, TERM_ORDER,
-                               LogisticVisibilityModel, RatioLinearModel,
+                               LogisticVisibilityModel,
                                analysis_report, fit_ratio_linear,
                                fit_visibility_logistic, load_results,
                                ratio_scatter_csv, recommend_tg, report_json,
                                variance_shares, visibility_curve_csv)
 from granusim.errors import (CollinearError, DegenerateModel, InvalidRecoveryTime,
-                             MalformedResults, MissingColumns)
+                             MalformedResults)
+from granusim.experiment import ResultRow, results_csv
+from granusim.metrics import RunOutcome
 from oracles import (ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
 
@@ -60,7 +62,8 @@ def test_shares_sum_to_one():
         table = {k: rng.uniform(1, 20, n) for k in ("tg", "rt", "ds")}
         table["y"] = rng.uniform(0, 50, n)
         report = variance_shares(table, "y")
-        assert report.total() == pytest.approx(1.0, abs=1e-9)
+        total = sum(report.shares.values()) + report.residual_share
+        assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def tiny_table(seed):
@@ -103,14 +106,16 @@ def test_shares_reject_degenerate_inputs():
     # 4 rows hold at most 4 independent columns: the intercept, tg, rt and ds.
     with pytest.raises(CollinearError, match="after adding tg:rt$"):
         variance_shares({k: v[[0, 3, 5, 6]] for k, v in table.items()}, "y")
-    # The distinct-values check covers the single-factor terms it is given.
-    with pytest.raises(ValueError, match="covariate ds needs at least 2"):
+    # A factor with one level lies in the span of the intercept.
+    with pytest.raises(CollinearError, match="after adding ds$"):
         variance_shares({"tg": table["tg"], "ds": np.full(8, 4.0), "y": table["y"]}, "y",
                         terms=("tg", "ds", "tg:ds"))
-    with pytest.raises(ValueError):
+    with pytest.raises(CollinearError, match="after adding ds$"):
         one_level = dict(table)
         one_level["ds"] = np.full(8, 4.0)
         variance_shares(one_level, "y")
+    with pytest.raises(ValueError, match="^response has zero variance$"):
+        variance_shares({k: v[:0] for k, v in table.items()}, "y")
     with pytest.raises(ValueError):
         missing = dict(table)
         missing["y"] = missing["y"].copy()
@@ -230,7 +235,7 @@ def test_censored_rows_dropped_from_ratio_fit():
 
 
 def test_ratio_fit_rejects_constant_x():
-    with pytest.raises(DegenerateModel):
+    with pytest.raises(CollinearError, match="after adding rt_over_tg$"):
         fit_ratio_linear(ratio_table([2, 2, 2], [1, 2, 3]))
 
 
@@ -241,17 +246,10 @@ def test_ratio_fit_rejects_values_that_are_not_finite():
     zero_tg["tg"][1] = 0.0
     with pytest.raises(ValueError, match="^rt_over_tg holds a value that is not finite"):
         fit_ratio_linear(zero_tg)
+    with pytest.raises(ValueError, match="^rt_over_tg holds a value that is not finite"):
+        ratio_scatter_csv(zero_tg)
     with pytest.raises(ValueError, match="^sprt_over_tg holds a value that is not finite"):
         fit_ratio_linear(ratio_table([1, 2, 3], [1, np.inf, 3]))
-
-
-def test_inverse_prediction_roundtrip():
-    model = RatioLinearModel(intercept=0.4, slope=1.8, r_squared=0.9)
-    sprt = model.predict_sprt(rt=12.0, tg=5.0)
-    assert model.estimate_rt(float(sprt), 5.0) == pytest.approx(12.0, abs=1e-9)
-    degenerate = RatioLinearModel(intercept=0.4, slope=0.0, r_squared=0.0)
-    with pytest.raises(DegenerateModel):
-        degenerate.estimate_rt(3.0, 5.0)
 
 
 def test_recommend_tg_published_threshold():
@@ -322,7 +320,7 @@ def without_columns(text, dropped):
 def test_load_results_names_missing_columns(tmp_path, dropped):
     path = tmp_path / "results.csv"
     path.write_text(without_columns(RESULTS_TEXT, dropped))
-    with pytest.raises(MissingColumns) as err:
+    with pytest.raises(MalformedResults) as err:
         load_results(path)
     assert str(err.value).endswith("results columns missing: " + ", ".join(dropped))
 
@@ -384,6 +382,15 @@ BAD_FIELDS = [
      "neither true nor false"),
     ("visible", "1,12,2,8,0.007000,0,,false,0.000020,abc123def456,ok",
      "neither true nor false"),
+    # A factor level is a whole number of at least 1.
+    ("tg", "1,0,2,8,0.007000,0,false,false,0.000020,abc123def456,ok", "not a positive integer"),
+    ("tg", "1,-5,2,8,0.007000,0,false,false,0.000020,abc123def456,ok", "not a positive integer"),
+    ("tg", "1,2.5,2,8,0.007000,0,false,false,0.000020,abc123def456,ok",
+     "not a positive integer"),
+    ("rt", "1,12,0.5,8,0.007000,0,false,false,0.000020,abc123def456,ok",
+     "not a positive integer"),
+    ("ds", "1,12,2,-1,0.007000,0,false,false,0.000020,abc123def456,ok",
+     "not a positive integer"),
 ]
 
 
@@ -398,6 +405,25 @@ def test_load_results_names_the_line_and_column_of_a_bad_number(tmp_path, column
     with pytest.raises(MalformedResults) as err:
         load_results(path)
     assert str(err.value) == f"{path}: line 3: column '{column}': {reason}: {value!r}"
+
+
+def test_results_csv_reads_back_through_load_results(tmp_path):
+    rows = [
+        ResultRow(0, 2, 9, 8, RunOutcome(tg=2, rt=9, ds=8, spds=6.9412345, sprt=14,
+                                         visible=True, sec_per_step=2e-5), pattern=(1, 4)),
+        ResultRow(1, 27, 2, 12, RunOutcome(tg=27, rt=2, ds=12, spds=0.25, sprt=None,
+                                           visible=False, sec_per_step=2e-5), pattern=(3,)),
+        ResultRow(2, 14, 13, 21, None, status="error: ds: too large"),
+    ]
+    path = tmp_path / "results.csv"
+    path.write_text(results_csv(rows))
+    table = load_results(path)
+    assert table["tg"].tolist() == [2, 27]
+    assert table["rt"].tolist() == [9, 2]
+    assert table["ds"].tolist() == [8, 12]
+    np.testing.assert_allclose(table["spds"], [6.9412345, 0.25], rtol=0, atol=1e-6)
+    assert table["sprt"][0] == 14 and math.isnan(table["sprt"][1])
+    assert table["visible"].tolist() == [True, False]
 
 
 def synthetic_results_table(n=60, seed=11):

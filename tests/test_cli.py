@@ -179,6 +179,14 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_with_fewer_than_one_job_exits_1(tmp_path, capsys, jobs):
+    out = tmp_path / "results.csv"
+    assert main(["experiment", "--jobs", jobs, "--out", str(out)]) == 1
+    assert f"error: argument --jobs: must be at least 1, got {jobs}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [["--horizon", "300"], ["--align-sync"]])
 def test_scenario_settings_are_not_flags(capsys, option):
     # Set in the scenario file instead: `horizon`, `align_sync`.

@@ -43,6 +43,11 @@ def test_levels_must_be_ascending_positive():
         FactorLevels(rt_levels=())
     with pytest.raises(ValueError):
         FactorLevels(ds_levels=(0, 1))
+    # The run path's rule: an int that is not a bool.
+    with pytest.raises(ValueError):
+        FactorLevels(tg_levels=(2.5,), rt_levels=(2,), ds_levels=(8,))
+    with pytest.raises(ValueError):
+        FactorLevels(tg_levels=(True, 2))
 
 
 def test_default_networks_match_published_sizes():
