@@ -156,15 +156,18 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     Covariates enter a least-squares linear model in the fixed order
     given; each term's share is its squared QR effect (the drop in
     residual sum of squares when it is added) over the total.  A factor
-    or response that is not finite, then a response without variance or
-    rows, raises ``ValueError``; then a term that the ones before it span
-    (such as a factor with one level) raises ``CollinearError`` naming it.
+    or response that is not finite, then a response without rows or
+    variance, raises ``ValueError`` naming the response and the cause;
+    then a term that the ones before it span (such as a factor with one
+    level) raises ``CollinearError`` naming it.
     """
     y = np.asarray(table[response], dtype=float)
     _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
-    ss_total = float(((y - y.mean()) ** 2).sum()) if len(y) else 0.0
+    if not len(y):
+        raise ValueError(f"response {response!r} has no rows")
+    ss_total = float(((y - y.mean()) ** 2).sum())
     if ss_total == 0:
-        raise ValueError("response has zero variance")
+        raise ValueError(f"response {response!r} has zero variance")
 
     _, effects, rss = _least_squares(
         {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)
@@ -277,7 +280,13 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
 
 
 def analysis_report(table: dict[str, np.ndarray]) -> dict:
-    """The full report: variance shares, logistic fit, ratio model."""
+    """The full report: variance shares, logistic fit, ratio model.
+
+    ``DegenerateModel`` when every ok row is censored: the sprt models
+    have no recovery time to fit.
+    """
+    if np.isnan(table["sprt"]).all():
+        raise DegenerateModel("every ok row is censored; sprt has no recovery time to fit")
     ratio_rows = _ratio_rows(table)
 
     report: dict = {}

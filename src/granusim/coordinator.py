@@ -18,6 +18,15 @@ the MoP series sum ``MOP_BLOCK`` of its rows at once, bit for bit.
 Events are delivered at their exact internal timestep, retractions
 before applications, ties broken by network order then node index; each
 timestep's actions are put in that order once, at set-up.
+
+A run holds the federation at an exact fixed point.  After the first
+timestep, if no event came at t = 1 and every federate's ring holds in
+every row, byte for byte, the bits its step just wrote, no step or
+barrier can change a bit until the first event: each step reads a row
+that holds those bits and adds the term latched from them.  ``run_steps``
+then sets ``held`` on the federation and every federate until that
+event, and held steps and barriers only count.  A start that is not a
+fixed point never holds.
 """
 
 from collections.abc import Generator
@@ -127,6 +136,8 @@ class Federation:
             uncoupled = slot_count[offsets[i]:offsets[i + 1]] == 0
             fed.uncoupled = uncoupled if uncoupled.any() else None
         self._latch()
+        # Set and cleared by ``run_steps`` only (module docstring).
+        self.held = False
 
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
@@ -137,11 +148,20 @@ class Federation:
         step term (``_latch``).  Each federate's ``foreign_inputs`` and
         step term are views into those two vectors, so its steps add the
         new term until the next barrier.  Six numpy calls, whatever the
-        number of federates.
+        number of federates.  A held federation returns at once: it
+        would gather the same slots and latch the same terms.
         """
+        if self.held:
+            return
         read = np.concatenate([fed.performance for fed in self._feds])
         read.take(self._producers, out=self._slots)
         self._latch()
+
+    def _hold(self, held: bool) -> None:
+        """Set ``held`` on the federation and on each of its federates."""
+        self.held = held
+        for fed in self._feds:
+            fed.held = held
 
     def _latch(self) -> None:
         """Write every node's step term ``base + w_ext * mean(slots)``.
@@ -198,6 +218,12 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     or on a network outside the federation, ``UnknownNode`` on an event
     naming a node the network lacks, and ``ZeroBaseline`` when a
     network's initial performance sums to zero.
+
+    The hold (module docstring) is tested once, after timestep 1: its
+    fresh rings are one tile, so comparing each whole ring's ``uint64``
+    bits with the row just written tests every row the hold reads.  It
+    is cleared before the first event is delivered, and when the run
+    returns or is closed, so a federate stepped alone never holds.
     """
     feds = [federation.federates[n] for n in federation.order]
     if any(fed.steps for fed in feds):
@@ -234,19 +260,27 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
 
     federation.exchange()  # seed foreign inputs with true initial values
 
-    for start in range(1, horizon + 1, MOP_BLOCK):
-        stop = min(start + MOP_BLOCK, horizon + 1)
-        for t in range(start, stop):
-            if t in actions_at:
-                _deliver(federation, actions_at[t])
-            for fed in feds:
-                fed.step()
-            if t % tg == 0:
-                federation.exchange()
-            yield t
-        for values, fed in zip(series.values(), feds):
-            row = (start - 1) % len(fed.states)
-            add(fed.states[row:row + stop - start], axis=1, out=values[start:stop])
+    try:
+        for start in range(1, horizon + 1, MOP_BLOCK):
+            stop = min(start + MOP_BLOCK, horizon + 1)
+            for t in range(start, stop):
+                if t in actions_at:
+                    federation._hold(False)
+                    _deliver(federation, actions_at[t])
+                for fed in feds:
+                    fed.step()
+                if t % tg == 0:
+                    federation.exchange()
+                if t == 1 and t not in actions_at:
+                    federation._hold(all(
+                        (fed.states.view(np.uint64) == fed.performance.view(np.uint64)).all()
+                        for fed in feds))
+                yield t
+            for values, fed in zip(series.values(), feds):
+                row = (start - 1) % len(fed.states)
+                add(fed.states[row:row + stop - start], axis=1, out=values[start:stop])
+    finally:
+        federation._hold(False)
 
     for net, values in series.items():
         values *= 100.0

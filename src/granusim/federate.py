@@ -41,6 +41,11 @@ Step ``k`` (the count ``steps``) reads row ``(k - lag) % R`` and writes
 row ``k % R`` in place, which becomes ``performance``.  A row is
 rewritten ``R > lag`` steps later, so a caller that keeps a state
 copies it, in a run or alone.
+
+Only ``coordinator.run_steps`` holds a federate (``held``): after its
+first step, if every row of its ring holds the bits that step wrote,
+until the run's first event.  Every row then already holds what the
+rule would write, so a held ``step`` only counts.
 """
 
 import numpy as np
@@ -103,6 +108,8 @@ class FederateState:
         self._rows = list(self.states)  # views made once: a list index is cheaper
         self.steps = 0
         self.performance = self._rows[-1]  # the state of step -1
+        # Set and cleared by ``coordinator.run_steps`` only (module docstring).
+        self.held = False
         # Number of active disruptions per node, so overlapping events
         # compose: a node is up again only when its count is back at 0.
         self.disrupted = np.zeros(n, dtype=int)
@@ -177,8 +184,13 @@ class FederateState:
         1e-12 of the plain formula (see the module docstring).
 
         It reads ring row ``(steps - lag) % R`` and writes row
-        ``steps % R`` (see the module docstring).
+        ``steps % R`` (see the module docstring).  A held federate only
+        counts the step: every row of its ring already holds the bits
+        this one would write, and ``performance`` is one of them.
         """
+        if self.held:
+            self.steps += 1
+            return
         rows = self._rows
         i = self.steps % len(rows)
         x, out = rows[i - self.lag], rows[i]  # lag < R: i - lag wraps

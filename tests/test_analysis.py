@@ -93,7 +93,7 @@ def test_shares_reject_degenerate_inputs():
     table = grid_table(lambda tg, rt, ds: tg + ds)
     flat = dict(table)
     flat["y"] = np.full(8, 2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^response 'y' has zero variance$"):
         variance_shares(flat, "y")
     collinear = dict(table)
     collinear["rt"] = collinear["tg"]
@@ -114,7 +114,7 @@ def test_shares_reject_degenerate_inputs():
         one_level = dict(table)
         one_level["ds"] = np.full(8, 4.0)
         variance_shares(one_level, "y")
-    with pytest.raises(ValueError, match="^response has zero variance$"):
+    with pytest.raises(ValueError, match="^response 'y' has no rows$"):
         variance_shares({k: v[:0] for k, v in table.items()}, "y")
     with pytest.raises(ValueError):
         missing = dict(table)
@@ -232,6 +232,14 @@ def test_censored_rows_dropped_from_ratio_fit():
     table["sprt"][3] = np.nan
     model = fit_ratio_linear(table)
     assert model.slope == pytest.approx(2.0, abs=1e-10)
+
+
+def test_report_refuses_a_table_whose_every_row_is_censored():
+    table = grid_table(lambda tg, rt, ds: tg + ds)
+    table.update(spds=table["y"], sprt=np.full(8, np.nan),
+                 visible=np.array([True, False] * 4))
+    with pytest.raises(DegenerateModel, match="^every ok row is censored"):
+        analysis_report(table)
 
 
 def test_ratio_fit_rejects_constant_x():

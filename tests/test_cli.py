@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -211,6 +212,24 @@ def test_results_without_a_column_exit_2(results_csv_path, tmp_path, capsys, com
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "results columns missing: status" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_analyze_of_results_whose_every_row_is_censored_exits_2(results_csv_path, tmp_path,
+                                                                capsys):
+    # Every sprt_steps blanked: no ok row has a recovery time to fit.
+    with open(results_csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("sprt_steps")
+    for row in rows[1:]:
+        row[column] = ""
+    censored = tmp_path / "results.csv"
+    with open(censored, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--in", str(censored), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: every ok row is censored; sprt has no recovery time to fit\n"
     assert captured.out == "" and not out.exists()
 
 

@@ -10,7 +10,8 @@ from granusim.coordinator import Federation, SyncSchedule, run, run_steps
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
 from granusim.errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
-from granusim.experiment import NetworkSpec, ScenarioConfig, build_federation
+from granusim.experiment import (NetworkSpec, ScenarioConfig, build_federation,
+                                 disruption_onset)
 from granusim.federate import EDGE_LIST_MIN_NODES, MOP_BLOCK, FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
 from oracles import barrier_indices, lockstep_series, make_topology, scenario_lockstep_inputs
@@ -191,12 +192,13 @@ def test_matches_manual_lockstep_oracle():
 
 
 @st.composite
-def small_federations(draw):
+def small_federations(draw, levels=st.floats(0, 1, allow_subnormal=False), first_apply=1):
     """Two or three networks of 1-6 nodes with weights from ``WEIGHTS``
-    and intrinsic levels in [0, 1], each wired fully, partly or not at
-    all (nodes may hold several slots), any tg, and one event.  Levels
-    sum to at least 0.5 per network, which keeps the MoP, a percent of
-    that sum, within a few thousand."""
+    and intrinsic levels drawn from ``levels`` (any in [0, 1] by
+    default), each wired fully, partly or not at all (nodes may hold
+    several slots), any tg, and one event applied at ``first_apply`` or
+    later.  Levels sum to at least 0.5 per network, which keeps the
+    MoP, a percent of that sum, within a few thousand."""
     nets_drawn = draw(st.sampled_from([
         NETWORK_ORDER, NETWORK_ORDER[:2], NETWORK_ORDER[1:],
         (NetworkId.WATER, NetworkId.BUSINESS)]))
@@ -205,8 +207,8 @@ def small_federations(draw):
         n = draw(st.integers(1, 6))
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
-        intrinsic = draw(st.lists(st.floats(0, 1, allow_subnormal=False), min_size=n,
-                                  max_size=n).filter(lambda b: sum(b) >= 0.5))
+        intrinsic = draw(st.lists(levels, min_size=n, max_size=n)
+                         .filter(lambda b: sum(b) >= 0.5))
         nets[net] = (edges, n, draw(st.integers(1, 3)), draw(st.sampled_from(WEIGHTS)),
                      intrinsic)
     wiring = []
@@ -223,12 +225,12 @@ def small_federations(draw):
                 wiring.append((net, node, producer,
                                draw(st.integers(0, nets[producer][1] - 1))))
     wiring = draw(st.permutations(wiring))
-    horizon = draw(st.integers(2, 24))
+    horizon = draw(st.integers(first_apply + 1, 24))
     tg = draw(st.integers(1, horizon + 2))
     origin = draw(st.sampled_from(nets_drawn))
     nodes = tuple(sorted(draw(st.lists(st.integers(0, nets[origin][1] - 1),
                                        min_size=1, unique=True))))
-    apply_t = draw(st.integers(1, horizon - 1))
+    apply_t = draw(st.integers(first_apply, horizon - 1))
     rt = draw(st.one_of(st.just(1), st.integers(1, horizon - apply_t)))
     return nets, wiring, tg, horizon, (apply_t, apply_t + rt, origin, nodes)
 
@@ -242,6 +244,137 @@ def test_run_matches_lockstep_oracle_on_random_federations(case):
                 [DisruptionEvent(*event)])
     for net in nets:
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+def held_flags(federation, schedule, events):
+    """``federation.held`` after each timestep of its run, and the trace.
+
+    Every federate's flag is checked to agree with the federation's."""
+    steps = run_steps(federation, schedule, events)
+    flags = []
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return flags, done.value
+        flags.append(federation.held)
+        assert all(fed.held is federation.held for fed in federation.federates.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_federations(levels=st.just(1.0), first_apply=2))
+def test_a_held_run_matches_the_lockstep_oracle(case):
+    # From a ring of ones, every triple of WEIGHTS writes 1.0 exactly,
+    # whatever a node's in-degree, slots and summation order, so every
+    # run holds from timestep 1 until its event.
+    nets, wiring, tg, horizon, event = case
+    expected = lockstep_series(nets, wiring, tg, horizon, [event])
+    federation = federation_of(nets, wiring)
+    flags, trace = held_flags(federation, SyncSchedule(tg=tg, horizon=horizon),
+                              [DisruptionEvent(*event)])
+    apply_t = event[0]
+    assert flags == [True] * (apply_t - 1) + [False] * (horizon - apply_t + 1)
+    for net in nets:
+        assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+def paper_run(tg, onset=None, config=ScenarioConfig()):
+    """A fresh paper federation, its schedule and its one event (rt 9,
+    ds 12) at ``onset``, by default the scenario's onset for ``tg``."""
+    federation = build_federation(config)
+    t0 = disruption_onset(config, tg) if onset is None else onset
+    pattern = fixed_pattern(12, federation.federates[config.origin].topology,
+                            config.master_seed)
+    return (federation, SyncSchedule(tg=tg, horizon=config.horizon),
+            DisruptionEvent(t0, t0 + 9, config.origin, pattern))
+
+
+def test_a_run_whose_start_is_not_a_fixed_point_never_holds():
+    # Unequal levels below 1: the first step moves every network, so the
+    # same federation with levels of 1.0, the control, is the only one held.
+    nets = {NetworkId.WATER: ([(0, 1), (1, 2)], 3, 1, WEIGHTS[0], [0.2, 0.5, 0.9]),
+            NetworkId.POWER: ([(1, 0)], 2, 2, WEIGHTS[1], [0.7, 0.4])}
+    wiring = [(NetworkId.POWER, 0, NetworkId.WATER, 2),
+              (NetworkId.WATER, 1, NetworkId.POWER, 1)]
+    event = DisruptionEvent(8, 10, NetworkId.WATER, (1,))
+    schedule = SyncSchedule(tg=3, horizon=12)
+    flags, _ = held_flags(federation_of(nets, wiring), schedule, [event])
+    assert flags == [False] * 12
+    ones = {net: (*spec[:4], [1.0] * spec[1]) for net, spec in nets.items()}
+    flags, _ = held_flags(federation_of(ones, wiring), schedule, [event])
+    assert flags == [True] * 7 + [False] * 5
+
+
+def test_a_run_with_an_event_at_the_first_timestep_never_holds():
+    federation, schedule, event = paper_run(2, onset=1)
+    flags, _ = held_flags(federation, schedule, [event])
+    assert not any(flags)
+    # The control: the scenario's onset at t = 51 holds timesteps 1-50.
+    federation, schedule, event = paper_run(2)
+    flags, _ = held_flags(federation, schedule, [event])
+    assert event.apply_time == 51
+    assert flags == [True] * 50 + [False] * (schedule.horizon - 50)
+
+
+def test_a_federate_stepped_after_its_run_does_not_hold():
+    # Without events the run holds to its last timestep.
+    federation, schedule, _ = paper_run(2)
+    flags, _ = held_flags(federation, schedule, [])
+    assert all(flags) and not federation.held
+    water = federation.federates[NetworkId.WATER]
+    assert water.steps == schedule.horizon
+    water.apply_disruption([0])
+    water.step()
+    assert not water.held and water.steps == schedule.horizon + 1
+    assert water.performance[0] == 0.0
+    assert np.shares_memory(water.performance,
+                            water.states[schedule.horizon % len(water.states)])
+    # A run closed while held is cleared as well.
+    federation, schedule, _ = paper_run(2)
+    steps = run_steps(federation, schedule, [])
+    next(steps), next(steps)
+    assert federation.held
+    steps.close()
+    assert not federation.held
+    assert not any(fed.held for fed in federation.federates.values())
+
+
+@pytest.mark.parametrize("tg", [2, 27])
+def test_a_held_run_keeps_the_bits_and_counts_of_stepping_by_hand(tg, monkeypatch):
+    # ``run`` holds timesteps 2-50; the same federation stepped and
+    # exchanged by hand, outside ``run_steps``, never holds.
+    federation, schedule, event = paper_run(tg)
+    by_hand, _, _ = paper_run(tg)
+    horizon = schedule.horizon
+    barriers = []
+    exchange = Federation.exchange
+    monkeypatch.setattr(Federation, "exchange",
+                        lambda self: barriers.append(self) or exchange(self))
+    trace = run(federation, schedule, [event])
+    assert len(barriers) == 1 + horizon // tg
+    assert all(fed.steps == horizon for fed in federation.federates.values())
+
+    feds = [by_hand.federates[net] for net in by_hand.order]
+    sums = [[np.add.reduce(fed.performance)] for fed in feds]
+    by_hand.exchange()
+    for t in range(1, horizon + 1):
+        if t == event.retract_time:
+            by_hand.federates[event.network_id].retract_disruption(event.nodes)
+        if t == event.apply_time:
+            by_hand.federates[event.network_id].apply_disruption(event.nodes)
+        for fed in feds:
+            fed.step()
+        if t % tg == 0:
+            by_hand.exchange()
+        for fed, values in zip(feds, sums):
+            values.append(np.add.reduce(fed.performance))
+    assert len(barriers) == 2 * (1 + horizon // tg) and not by_hand.held
+    for net, values in zip(by_hand.order, sums):
+        expected = np.array(values)
+        expected *= 100.0
+        expected /= values[0]
+        assert trace.series[net].min() < 100.0
+        assert trace.series[net].tobytes() == expected.tobytes()
 
 
 def test_a_federate_with_no_slots_keeps_no_foreign_term():
