@@ -5,9 +5,11 @@ boundary values are collected from every federate (read phase) before
 any consumer's foreign inputs are written (write phase), so no federate
 ever sees a mix of pre- and post-exchange values.  Between sync
 instants no information crosses federate boundaries.  The federation
-is the one owner of the foreign channel: it checks the couplings,
-builds its slot indices from the map's ``coupling_array`` with numpy,
-and holds one slot vector and one step-term vector for every federate.
+is the one owner of the foreign channel: it takes its checked slot
+indices from the map's coupling plan (``coupling_plan``, derived with
+numpy from ``coupling_array`` once per map, network order and node
+counts), and holds one slot vector and one step-term vector for every
+federate.
 Each federate's ``foreign_inputs`` and step term are views into them,
 so one gather and one latch serve every consumer, at the barrier and
 once when the federation is built.
@@ -32,6 +34,7 @@ fixed point never holds.
 from collections.abc import Generator
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .disruption import DisruptionEvent
 from .errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
-from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId
+from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId, _read_only
 
 
 def _is_positive_int(value) -> bool:
@@ -66,6 +69,82 @@ class SyncSchedule:
             raise ScheduleError(f"horizon: must be a positive integer, got {self.horizon!r}")
 
 
+class CouplingPlan(NamedTuple):
+    """The slot indices of a federation (``Federation``), read-only.
+
+    ``producers`` and ``consumers`` hold, per slot, the flat index of its
+    producer and consumer node in the federates' performance vectors
+    laid end to end in network order, whose bounds are ``offsets``;
+    consumer ``i`` in that order owns slots ``slot_bounds[i]`` to
+    ``slot_bounds[i + 1]``.  ``slot_count`` is each node's number of
+    slots and ``divisor`` the same, at least 1.
+    """
+
+    producers: np.ndarray
+    consumers: np.ndarray
+    offsets: np.ndarray
+    slot_bounds: np.ndarray
+    slot_count: np.ndarray
+    divisor: np.ndarray
+
+
+def _derive_plan(interdependencies: InterdependencyMap | None,
+                 order: tuple[NetworkId, ...], sizes: tuple[int, ...]) -> CouplingPlan:
+    # Slot k of each consumer's foreign_inputs is fed by the producer
+    # node at a flat index into the federates' performance vectors
+    # laid end to end in ``order``.  The slots are the couplings in
+    # map order, stably grouped by consumer network in ``order``.
+    sizes = np.array(sizes, dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    # Position in ``order`` of each network of NETWORK_ORDER, -1 if absent.
+    position = np.full(len(NETWORK_ORDER), -1)
+    position[[NETWORK_ORDER.index(net) for net in order]] = range(len(order))
+    consumer_net, consumer_node, producer_net, producer_node = (
+        np.zeros((4, 0), np.intp) if interdependencies is None
+        else interdependencies.coupling_array)
+    consumer_at, producer_at = position[consumer_net], position[producer_net]
+    outside = (consumer_at < 0) | (producer_at < 0)
+    # Position -1 reads the trailing 0, so a node of an outside
+    # network is out of range too.
+    limit = np.append(sizes, 0)
+    bad_producer = outside | (producer_node < 0) | (producer_node >= limit[producer_at])
+    bad_consumer = (consumer_node < 0) | (consumer_node >= limit[consumer_at])
+    for end, bad in (("producer", bad_producer), ("consumer", bad_consumer)):
+        if bad.any():
+            first = bad.argmax()
+            c = interdependencies.couplings[first]
+            if outside[first]:
+                raise ValueError(f"coupling names a network outside the federation: {c}")
+            raise UnknownNode(f"{end} node out of range: {c}")
+    by_consumer = np.argsort(consumer_at, kind="stable")
+    consumers = (offsets[consumer_at] + consumer_node)[by_consumer]
+    slot_count = np.bincount(consumers, minlength=offsets[-1])
+    return CouplingPlan(*map(_read_only, (
+        (offsets[producer_at] + producer_node)[by_consumer],
+        consumers,
+        offsets,
+        np.searchsorted(consumer_at[by_consumer], range(len(order) + 1)),
+        slot_count,
+        np.maximum(slot_count, 1.0))))
+
+
+def coupling_plan(interdependencies: InterdependencyMap | None,
+                  order: tuple[NetworkId, ...], sizes: tuple[int, ...]) -> CouplingPlan:
+    """The coupling plan of federates of ``sizes`` nodes in ``order``,
+    checked and derived on first use and then read from the map's
+    ``coupling_plans``.  A map at fault raises on every call (see
+    ``Federation``), since only a plan derived without error is stored.
+    Without a map there are no slots, and nothing is stored."""
+    if interdependencies is None:
+        return _derive_plan(None, order, sizes)
+    key = (order, sizes)
+    plan = interdependencies.coupling_plans.get(key)
+    if plan is None:
+        plan = interdependencies.coupling_plans[key] = _derive_plan(
+            interdependencies, order, sizes)
+    return plan
+
+
 class Federation:
     """Federate states plus the coupling wiring between them.
 
@@ -76,7 +155,10 @@ class Federation:
     network outside the federation raises ``ValueError`` and a producer
     node out of range ``UnknownNode``; only then is a consumer node out
     of range looked for, and it raises ``UnknownNode`` too.  The first
-    coupling at fault is named.
+    coupling at fault is named.  The slot indices come from the map's
+    ``coupling_plan``, shared by every federation of one map, network
+    order and node counts; the slot and term vectors are the
+    federation's own.
     """
 
     def __init__(self, federates: dict[NetworkId, FederateState],
@@ -89,43 +171,18 @@ class Federation:
             raise ValueError(f"unknown network ids: {extra}")
         self.federates = federates
 
-        # Slot k of each consumer's foreign_inputs is fed by the producer
-        # node at a flat index into the federates' performance vectors
-        # laid end to end in ``order``.  The slots are the couplings in
-        # map order, stably grouped by consumer network in ``order``.
         self._feds = [federates[net] for net in self.order]
-        sizes = np.array([fed.node_count for fed in self._feds], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        # Position in ``order`` of each network of NETWORK_ORDER, -1 if absent.
-        position = np.full(len(NETWORK_ORDER), -1)
-        position[[NETWORK_ORDER.index(net) for net in self.order]] = range(len(self.order))
-        consumer_net, consumer_node, producer_net, producer_node = (
-            interdependencies.coupling_array if interdependencies
-            else np.zeros((4, 0), np.intp))
-        consumer_at, producer_at = position[consumer_net], position[producer_net]
-        outside = (consumer_at < 0) | (producer_at < 0)
-        # Position -1 reads the trailing 0, so a node of an outside
-        # network is out of range too.
-        limit = np.append(sizes, 0)
-        bad_producer = outside | (producer_node < 0) | (producer_node >= limit[producer_at])
-        bad_consumer = (consumer_node < 0) | (consumer_node >= limit[consumer_at])
-        for end, bad in (("producer", bad_producer), ("consumer", bad_consumer)):
-            if bad.any():
-                first = bad.argmax()
-                c = interdependencies.couplings[first]
-                if outside[first]:
-                    raise ValueError(f"coupling names a network outside the federation: {c}")
-                raise UnknownNode(f"{end} node out of range: {c}")
-        by_consumer = np.argsort(consumer_at, kind="stable")
-        self._producers = (offsets[producer_at] + producer_node)[by_consumer]
-        self._consumers = (offsets[consumer_at] + consumer_node)[by_consumer]
-        slot_bounds = np.searchsorted(consumer_at[by_consumer], range(len(self.order) + 1))
+        sizes = tuple(fed.node_count for fed in self._feds)
+        plan = coupling_plan(interdependencies, tuple(self.order), sizes)
+        # numpy's ``take`` and ``bincount`` copy a read-only index array
+        # on every call, so each federation copies them once.
+        self._producers, self._consumers = plan.producers.copy(), plan.consumers.copy()
+        self._divisor = plan.divisor
         # One barrier for the whole federation: the slot vector holds
         # every consumer's foreign_inputs end to end in ``order``, the
         # term vector every node's step term, and each federate keeps
         # views into both.  A node without slots renormalizes w_ext away.
-        slot_count = np.bincount(self._consumers, minlength=offsets[-1])
-        self._divisor = np.maximum(slot_count, 1.0)
+        offsets, slot_bounds = plan.offsets, plan.slot_bounds
         self._w_ext = np.repeat([fed.w_ext for fed in self._feds], sizes)
         self._base = np.concatenate([fed.base for fed in self._feds])
         self._slots = np.ones(len(self._producers))
@@ -133,7 +190,7 @@ class Federation:
         for i, fed in enumerate(self._feds):
             fed.foreign_inputs = self._slots[slot_bounds[i]:slot_bounds[i + 1]]
             fed.term = self._terms[offsets[i]:offsets[i + 1]]
-            uncoupled = slot_count[offsets[i]:offsets[i + 1]] == 0
+            uncoupled = plan.slot_count[offsets[i]:offsets[i + 1]] == 0
             fed.uncoupled = uncoupled if uncoupled.any() else None
         self._latch()
         # Set and cleared by ``run_steps`` only (module docstring).

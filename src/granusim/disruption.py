@@ -8,28 +8,42 @@ event stream with exponential inter-arrival times.
 import math
 from dataclasses import dataclass
 
-from .errors import SizeOverflow
+from .errors import InvalidEvent, SizeOverflow
 from .rng import stream
-from .topology import NetworkId, Topology
+from .topology import NetworkId, Topology, _is_index_type
 
 
 @dataclass(frozen=True)
 class DisruptionEvent:
+    """One disruption of ``nodes`` from ``apply_time`` to ``retract_time``.
+
+    Both times and every node index are integers (a bool is not one),
+    the retraction comes after the application, and the nodes are
+    distinct, nonnegative and at least one; anything else raises
+    ``InvalidEvent``.
+    """
+
     apply_time: int
     retract_time: int
     network_id: NetworkId
     nodes: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("apply_time", "retract_time"):
+            value = getattr(self, name)
+            if not _is_index_type(type(value)):
+                raise InvalidEvent(f"{name} must be an integer, got {value!r}")
         if self.retract_time <= self.apply_time:
-            raise ValueError(
+            raise InvalidEvent(
                 f"retract_time {self.retract_time} must exceed apply_time {self.apply_time}")
         if not self.nodes:
-            raise ValueError("node set must be non-empty")
+            raise InvalidEvent("node set must be non-empty")
+        if not all(_is_index_type(type(node)) for node in self.nodes):
+            raise InvalidEvent(f"node set has an index that is not an integer: {self.nodes}")
         if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"node set has duplicates: {self.nodes}")
+            raise InvalidEvent(f"node set has duplicates: {self.nodes}")
         if min(self.nodes) < 0:
-            raise ValueError(f"negative node index in {self.nodes}")
+            raise InvalidEvent(f"negative node index in {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -54,15 +68,25 @@ def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
     """Deterministic node pattern for one disruption-size level.
 
     Depends only on (seed, ds, topology); every run at the same size
-    level disrupts the same nodes.
+    level disrupts the same nodes.  The size is checked on every call;
+    the pattern is drawn on the first and then read from
+    ``topology.patterns``.
     """
     if ds < 1:
         raise ValueError(f"disruption size must be positive, got {ds}")
     if ds > topology.node_count:
         raise SizeOverflow(
             f"disruption size {ds} exceeds node count {topology.node_count}")
-    rng = stream(seed, f"pattern:{ds}")
-    return tuple(sorted(rng.sample(range(topology.node_count), ds)))
+    label = f"pattern:{ds}"
+    # Keyed on the text the stream is seeded from, so keys are equal
+    # exactly when the draws are (the seeds 1 and True are not).
+    key = (f"{seed}", label)
+    pattern = topology.patterns.get(key)
+    if pattern is None:
+        rng = stream(seed, label)
+        pattern = topology.patterns[key] = tuple(
+            sorted(rng.sample(range(topology.node_count), ds)))
+    return pattern
 
 
 def poisson_stream(config: DisruptionStreamConfig, topology: Topology,

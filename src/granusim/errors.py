@@ -15,6 +15,12 @@ class InvalidTopology(GranusimError, ValueError):
     range, a self-loop, a repeated edge, or a level outside [0, 1]."""
 
 
+class InvalidEvent(GranusimError, ValueError):
+    """A disruption event's time or node index is not an integer (a
+    bool is not one), it retracts no later than it applies, or its node
+    set is empty, repeats a node or holds a negative index."""
+
+
 class SizeOverflow(GranusimError):
     """Requested disruption size exceeds the node count."""
 

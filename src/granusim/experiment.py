@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -87,9 +88,10 @@ class NetworkSpec:
         w = self.weights
         if (not isinstance(w, (tuple, list)) or len(w) != 3
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
+                or not all(map(math.isfinite, w))
                 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-9):
             raise ScenarioError(
-                f"field 'weights': expected 3 nonnegative numbers summing to 1, got {w!r}")
+                f"field 'weights': expected 3 finite nonnegative numbers summing to 1, got {w!r}")
         _check_int("lag", self.lag)
 
 

@@ -42,16 +42,27 @@ row ``k % R`` in place, which becomes ``performance``.  A row is
 rewritten ``R > lag`` steps later, so a caller that keeps a state
 copies it, in a run or alone.
 
+What the step reads but never writes, the node rule (``NodeRule``:
+the intrinsic state, ``M`` in its kernel's form, ``base`` and
+``w_int + w_in``), depends only on the topology and on ``w_int`` and
+``w_in``.  It is derived once per such pair on a frozen ``Topology``,
+stored on it (``Topology.node_rules``) and shared, read-only, by every
+federate built from the two; each federate still makes its own ring,
+masks and term, and its own copy of the edge-list index arrays.
+
 Only ``coordinator.run_steps`` holds a federate (``held``): after its
 first step, if every row of its ring holds the bits that step wrote,
 until the run's first event.  Every row then already holds what the
 rule would write, so a held ``step`` only counts.
 """
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import UnknownNode
-from .topology import Topology
+from .topology import Topology, _is_index_type, _read_only
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -83,27 +94,108 @@ def uses_edge_list(node_count: int, edge_count: int) -> bool:
             and node_count * node_count >= EDGE_LIST_ENTRIES_PER_EDGE * edge_count)
 
 
+class NodeRule(NamedTuple):
+    """The read-only arrays and scalar a federate's step reads (module
+    docstring).  ``in_matrix`` is None on the edge-list kernel, and
+    ``sources``, ``targets`` and ``edge_scale`` are None on the dense one."""
+
+    intrinsic: np.ndarray
+    in_matrix: np.ndarray | None
+    sources: np.ndarray | None
+    targets: np.ndarray | None
+    edge_scale: np.ndarray | None
+    base: np.ndarray
+    local_weight: float
+    ones: np.ndarray
+
+
+def _derive_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
+    n = topology.node_count
+    intrinsic = np.array(topology.intrinsic_performance, dtype=float)
+    # Scaled in-adjacency: entry (i, j) is w_in / in_degree_i iff
+    # edge j -> i, so row i of ``M @ x`` is w_in times the predecessor
+    # mean.  Edges are distinct (the topology checks), so each entry
+    # is set once, and no unscaled copy is kept.  A small or dense
+    # network holds M as the dense ``in_matrix``; a large sparse one
+    # holds only its nonzeros, one per edge, in the topology's
+    # (target, source) order, and ``in_matrix`` is None.
+    edges = topology.edge_array
+    in_degree = np.bincount(edges[:, 1], minlength=n)
+    row_scale = w_in / np.maximum(in_degree, 1.0)
+    in_matrix = sources = targets = edge_scale = None
+    if uses_edge_list(n, len(edges)):
+        sources, targets = topology.edges_by_target
+        edge_scale = _read_only(row_scale[targets])
+    else:
+        in_matrix = np.zeros((n, n))
+        in_matrix[edges[:, 1], edges[:, 0]] = row_scale[edges[:, 1]]
+        _read_only(in_matrix)
+
+    # The constant part of the step term: w_int * b, and on nodes
+    # without in-edges (zero rows) the fallback w_in * b as well.
+    base = w_int * intrinsic
+    no_in = in_degree == 0
+    base[no_in] += w_in * intrinsic[no_in]
+    # ``ones`` is an array operand: it skips converting the Python
+    # scalar on every call.
+    return NodeRule(_read_only(intrinsic), in_matrix, sources, targets, edge_scale,
+                    _read_only(base), w_int + w_in, _read_only(np.ones(n)))
+
+
+def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
+    """The node rule of ``topology`` under weights ``w_int`` and ``w_in``
+    (``w_ext`` does not enter it), derived on first use and then read
+    from ``topology.node_rules``.
+
+    The weights must be finite floats, as ``FederateState`` checks.
+    They are keyed by their exact values, so 0.0 and -0.0 get rules of
+    their own.
+    """
+    key = (w_int.hex(), w_in.hex())
+    rule = topology.node_rules.get(key)
+    if rule is None:
+        rule = topology.node_rules[key] = _derive_rule(topology, w_int, w_in)
+    return rule
+
+
 class FederateState:
     """Mutable state of one network federate.
 
     Confined to one logical owner at a time; all cross-federate
-    interaction goes through the coordinator's exchange.
+    interaction goes through the coordinator's exchange.  Weights must
+    be finite, nonnegative and sum to 1, and ``lag`` an integer of at
+    least 1 (a bool is not one); anything else raises ``ValueError``.
     """
 
     def __init__(self, topology: Topology,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  lag: int = 1):
         w_int, w_in, w_ext = weights
-        if min(weights) < 0 or abs(w_int + w_in + w_ext - 1.0) > 1e-9:
-            raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
-        if lag < 1:
-            raise ValueError(f"lag must be a positive integer, got {lag}")
+        # NaN fails the sign and the sum comparison alike, so it is
+        # refused on its own, before it could key a node rule.
+        if (not all(map(math.isfinite, weights)) or min(weights) < 0
+                or abs(w_int + w_in + w_ext - 1.0) > 1e-9):
+            raise ValueError(f"weights must be finite, nonnegative and sum to 1, got {weights}")
+        if not _is_index_type(type(lag)) or lag < 1:
+            raise ValueError(f"lag must be a positive integer, got {lag!r}")
         self.topology = topology
+        w_int, w_in, w_ext = map(float, weights)
         self.w_int, self.w_in, self.w_ext = w_int, w_in, w_ext
         self.lag = lag
 
         n = topology.node_count
-        self.intrinsic = np.array(topology.intrinsic_performance, dtype=float)
+        rule = node_rule(topology, w_int, w_in)
+        self.intrinsic = rule.intrinsic
+        self.in_matrix = rule.in_matrix
+        self._edge_scale = rule.edge_scale
+        if self.in_matrix is None:
+            # numpy's ``take`` and ``bincount`` copy a read-only index
+            # array on every call, so each federate copies them once.
+            self._sources, self._targets = rule.sources.copy(), rule.targets.copy()
+        self.base = rule.base
+        self._local_weight = rule.local_weight
+        self._ones = rule.ones
+
         self.states = np.tile(self.intrinsic, (MOP_BLOCK * (lag // MOP_BLOCK + 1), 1))
         self._rows = list(self.states)  # views made once: a list index is cheaper
         self.steps = 0
@@ -118,33 +210,6 @@ class FederateState:
         # skips while no node is down (x * 1.0 is x).
         self._keep = np.ones(n)
         self._any_down = False
-
-        # Scaled in-adjacency: entry (i, j) is w_in / in_degree_i iff
-        # edge j -> i, so row i of ``M @ x`` is w_in times the predecessor
-        # mean.  Edges are distinct (the topology checks), so each entry
-        # is set once, and no unscaled copy is kept.  A small or dense
-        # network holds M as the dense ``in_matrix``; a large sparse one
-        # holds only its nonzeros, one per edge, in the topology's
-        # (target, source) order, and ``in_matrix`` is None.
-        edges = topology.edge_array
-        in_degree = np.bincount(edges[:, 1], minlength=n)
-        row_scale = w_in / np.maximum(in_degree, 1.0)
-        if uses_edge_list(n, len(edges)):
-            self.in_matrix = None
-            self._sources, self._targets = topology.edges_by_target
-            self._edge_scale = row_scale[self._targets]
-        else:
-            self.in_matrix = np.zeros((n, n))
-            self.in_matrix[edges[:, 1], edges[:, 0]] = row_scale[edges[:, 1]]
-
-        # The constant part of the step term: w_int * b, and on nodes
-        # without in-edges (zero rows) the fallback w_in * b as well.
-        self.base = w_int * self.intrinsic
-        no_in = in_degree == 0
-        self.base[no_in] += w_in * self.intrinsic[no_in]
-        self._local_weight = w_int + w_in
-        # Array operand: skips converting the Python scalar on every call.
-        self._ones = np.ones(n)
 
         # The foreign channel, alone: no slots, every node renormalizes
         # w_ext away, and the step term is the base.  A federation
@@ -171,7 +236,7 @@ class FederateState:
         """Advance the federate by one internal timestep.
 
         The rule in affine form: the product of the scaled in-adjacency
-        (``__init__``) with the lagged state, as a dense matvec with
+        (``_derive_rule``) with the lagged state, as a dense matvec with
         ``in_matrix`` or, when that is None, as a gather of the edges'
         sources, a multiply by their entries and a ``bincount`` per
         target; then add the step term fixed at the last barrier,

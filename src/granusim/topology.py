@@ -9,7 +9,11 @@ b = a mod |B|, the rest are drawn from a seeded stream.
 Both are frozen, so their array forms (``Topology.edge_array``,
 ``Topology.edges_by_target``, ``InterdependencyMap.coupling_array``)
 are derived once per object and shared, read-only, by every federation
-built from it.  A topology checks itself once, when it is made: the
+built from it.  So is what other modules derive from them: each object
+holds a dict per derivation (``Topology.node_rules``,
+``Topology.patterns``, ``InterdependencyMap.coupling_plans``), which
+only the deriving function fills, and only with a result it derived
+without error.  A topology checks itself once, when it is made: the
 node count and every node index are integers (a bool is not), every
 edge joins two distinct nodes in range, no edge appears twice, and
 there is one intrinsic level in [0, 1] per node; anything else raises
@@ -96,6 +100,17 @@ class Topology:
         order = np.lexsort((sources, targets))
         return _read_only(np.array((sources[order], targets[order])))
 
+    @functools.cached_property
+    def node_rules(self) -> dict:
+        """Storage of ``federate.node_rule``: the node rule per weights."""
+        return {}
+
+    @functools.cached_property
+    def patterns(self) -> dict:
+        """Storage of ``disruption.fixed_pattern``: the pattern per seed
+        and size."""
+        return {}
+
     def to_json(self) -> str:
         doc = {
             "network_id": self.network_id.value,
@@ -139,6 +154,12 @@ class InterdependencyMap:
             zip(*self.couplings) if self.couplings else ((),) * 4)
         return _read_only(np.array([list(map(rank, consumer_net)), consumer,
                                     list(map(rank, producer_net)), producer], dtype=np.intp))
+
+    @functools.cached_property
+    def coupling_plans(self) -> dict:
+        """Storage of ``coordinator.coupling_plan``: the plan per network
+        order and node counts."""
+        return {}
 
     def to_json(self) -> str:
         doc = {

@@ -5,6 +5,7 @@ import pytest
 
 from granusim.analysis import fit_visibility_logistic, load_results, recommend_tg
 from granusim.cli import build_parser, main
+from granusim.experiment import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +250,19 @@ def test_scenario_with_a_bad_network_field_exits_2(tmp_path, capsys):
     assert "edges" in capsys.readouterr().err
 
 
+def test_scenario_with_non_finite_weights_exits_2(tmp_path, capsys):
+    # Accepted, it would print "spds_pct": NaN, which is not JSON.
+    networks = json.loads(ScenarioConfig().to_json())["networks"]
+    networks[0]["weights"] = [float("nan"), 0.5, 0.5]
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps({"networks": networks}))
+    assert "NaN" in bad.read_text()
+    assert main(["run", "--scenario", str(bad), "--tg", "2", "--rt", "9", "--ds", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "field 'networks[0]': field 'weights'" in captured.err
+
+
 def test_seed_flag_overrides_the_scenario_file(tmp_path):
     base = tmp_path / "base"
     main(["generate", "--out", str(base)])
@@ -270,7 +284,6 @@ def test_seed_flag_overrides_the_scenario_file(tmp_path):
 
 
 def test_scenario_file_round_trips_through_run(tmp_path, capsys):
-    from granusim.experiment import ScenarioConfig
     scenario = tmp_path / "scenario.json"
     scenario.write_text(ScenarioConfig(master_seed=7, horizon=300).to_json())
     assert main(["run", "--scenario", str(scenario),

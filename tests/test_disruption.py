@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
-from granusim.errors import SizeOverflow
+from granusim.errors import GranusimError, InvalidEvent, SizeOverflow
+from granusim.federate import FederateState
 from granusim.topology import NetworkId
 from oracles import make_topology
 
@@ -21,6 +22,30 @@ def test_event_validation():
         DisruptionEvent(3, 5, NetworkId.WATER, (1, 1))
     with pytest.raises(ValueError):
         DisruptionEvent(3, 5, NetworkId.WATER, (-1,))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda topo: DisruptionEvent(51, 60, NetworkId.WATER, (1.5,)), InvalidEvent, "not an integer"),
+    (lambda topo: DisruptionEvent(51, 60, NetworkId.WATER, (True,)), InvalidEvent, "not an integer"),
+    (lambda topo: DisruptionEvent(51, 60, NetworkId.WATER, ("3",)), InvalidEvent, "not an integer"),
+    (lambda topo: DisruptionEvent(51.5, 60, NetworkId.WATER, (1,)), InvalidEvent, "apply_time"),
+    (lambda topo: DisruptionEvent(51, 60.0, NetworkId.WATER, (1,)), InvalidEvent, "retract_time"),
+    (lambda topo: DisruptionEvent(True, 60, NetworkId.WATER, (1,)), InvalidEvent, "apply_time"),
+    (lambda topo: FederateState(topo, lag=1.5), ValueError, "lag"),
+    (lambda topo: FederateState(topo, lag=True), ValueError, "lag"),
+])
+def test_values_that_are_not_integers_rejected(water22, build, error, message):
+    # Each was taken before: (1.5,) and (True,) disrupted node 1, ('3',)
+    # and lag 1.5 raised a bare TypeError, lag True was lag 1, and an
+    # apply_time of 51.5 was never delivered, so its retraction failed.
+    with pytest.raises(error, match=message):
+        build(water22)
+
+
+def test_invalid_event_is_a_value_error():
+    assert issubclass(InvalidEvent, ValueError) and issubclass(InvalidEvent, GranusimError)
+    # numpy integers are integers.
+    assert DisruptionEvent(np.int64(3), 5, NetworkId.WATER, (np.int64(1),)).nodes == (1,)
 
 
 def test_stream_config_validation():

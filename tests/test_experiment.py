@@ -100,6 +100,8 @@ WATER = {"id": "water", "nodes": 4, "edges": 6}
 @pytest.mark.parametrize("doc, field", [
     ({"networks": [dict(WATER, weights=[0.5, 0.5])]}, "weights"),
     ({"networks": [dict(WATER, weights=[0.5, 0.5, 0.5])]}, "weights"),
+    # NaN passes both the sign and the sum test.
+    ({"networks": [dict(WATER, weights=[float("nan"), 0.5, 0.5])]}, "weights"),
     ({"networks": [dict(WATER, nodes=0, edges=0)]}, "nodes"),
     ({"networks": [dict(WATER, lag=0)]}, "lag"),
     ({"networks": [dict(WATER, edges=13)]}, "edges"),

@@ -23,6 +23,13 @@ def test_weights_must_sum_to_one():
         FederateState(topo, lag=0)
 
 
+@pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
+                                     (float("inf"), 0.5, 0.5)])
+def test_weights_must_be_finite(weights):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        FederateState(make_topology([], 2), weights=weights)
+
+
 @pytest.mark.parametrize("intrinsic", [[1.0, -0.1], [1.5, 1.0], [float("nan"), 1.0]])
 def test_intrinsic_levels_outside_unit_interval_rejected(intrinsic):
     # Checked by the topology, once, not by each federate built on it.

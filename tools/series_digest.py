@@ -8,7 +8,13 @@ Runs, at master seeds 20200831 and 4093:
 - tg 1, 5 and 27 with rt 22 and ds 90 on the shape of the ``wide_sync``
   benchmark workload (three 300-node networks with 1,050 edges each,
   3 couplings per node and partner, business lag 2, horizon 300),
-  which step on the edge-list kernel.
+  which step on the edge-list kernel;
+- the 125 configurations on the paper's networks under each of four
+  variants, back to back: the weight triples (0.3, 0.4, 0.3) and
+  (0.2, 0.5, 0.3) on every network, each with business lags 2 and 3.
+  The variants share one wiring, so the node rules, coupling plan and
+  patterns derived from it are shared too, and a rule stored under too
+  coarse a key changes these digests.
 
 For each it prints:
 
@@ -30,16 +36,17 @@ Run from the repository root:
 """
 
 import hashlib
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from granusim.experiment import (RESULTS_HEADER, FactorLevels,  # noqa: E402
-                                 NetworkSpec, ResultRow, ScenarioConfig,
+from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,  # noqa: E402
+                                 FactorLevels, NetworkSpec, ResultRow, ScenarioConfig,
                                  build_layout, run_single)
-from granusim.topology import NETWORK_ORDER  # noqa: E402
+from granusim.topology import NETWORK_ORDER, NetworkId  # noqa: E402
 
 SEEDS = (20200831, 4093)
 TIMING_COLUMN = RESULTS_HEADER.split(",").index("sec_per_step")
@@ -48,12 +55,25 @@ WIDE = ScenarioConfig(horizon=300, couplings_per_node=3, networks=tuple(
 WIDE_LAYOUT = ((1, 22, 90), (5, 22, 90), (27, 22, 90))
 
 
-def digests(config: ScenarioConfig, layout, full_spds: bool) -> tuple[str, str, int]:
-    """Raw and printed digests of every run of ``layout`` at each seed,
-    and the number of series."""
+def variant(weights, business_lag: int) -> ScenarioConfig:
+    """The paper's scenario with ``weights`` on every network and the
+    business network lagged by ``business_lag``."""
+    return ScenarioConfig(networks=tuple(
+        replace(spec, weights=weights,
+                lag=business_lag if spec.network_id == NetworkId.BUSINESS else spec.lag)
+        for spec in DEFAULT_NETWORKS))
+
+
+VARIANTS = [variant(weights, business_lag)
+            for weights in ((0.3, 0.4, 0.3), (0.3, 0.5, 0.2)) for business_lag in (2, 3)]
+
+
+def digests(configs, layout, full_spds: bool) -> tuple[str, str, int]:
+    """Raw and printed digests of every run of ``layout`` under each of
+    ``configs`` in turn, at each seed, and the number of series."""
     raw, printed = hashlib.sha256(), hashlib.sha256()
     count = 0
-    for seed in SEEDS:
+    for seed, config in itertools.product(SEEDS, configs):
         seeded = replace(config, master_seed=seed)
         for run_id, (tg, rt, ds) in enumerate(layout):
             outcome, trace, pattern = run_single(seeded, tg, rt, ds)
@@ -71,10 +91,11 @@ def digests(config: ScenarioConfig, layout, full_spds: bool) -> tuple[str, str, 
 
 def main() -> None:
     seeds = ", ".join(map(str, SEEDS))
-    for name, config, layout, full_spds in (
-            ("factorial", ScenarioConfig(), build_layout(FactorLevels()), False),
-            ("wide", WIDE, WIDE_LAYOUT, True)):
-        raw, printed, count = digests(config, layout, full_spds)
+    for name, configs, layout, full_spds in (
+            ("factorial", [ScenarioConfig()], build_layout(FactorLevels()), False),
+            ("wide", [WIDE], WIDE_LAYOUT, True),
+            ("variants", VARIANTS, build_layout(FactorLevels()), False)):
+        raw, printed, count = digests(configs, layout, full_spds)
         print(f"{raw}  {name}: raw bits of {count} series, seeds {seeds}")
         print(f"{printed}  {name}: printed rows and traces of {count // 3} runs, seeds {seeds}")
 
