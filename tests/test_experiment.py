@@ -100,8 +100,6 @@ WATER = {"id": "water", "nodes": 4, "edges": 6}
 @pytest.mark.parametrize("doc, field", [
     ({"networks": [dict(WATER, weights=[0.5, 0.5])]}, "weights"),
     ({"networks": [dict(WATER, weights=[0.5, 0.5, 0.5])]}, "weights"),
-    # NaN passes both the sign and the sum test.
-    ({"networks": [dict(WATER, weights=[float("nan"), 0.5, 0.5])]}, "weights"),
     ({"networks": [dict(WATER, nodes=0, edges=0)]}, "nodes"),
     ({"networks": [dict(WATER, lag=0)]}, "lag"),
     ({"networks": [dict(WATER, edges=13)]}, "edges"),
@@ -117,6 +115,8 @@ WATER = {"id": "water", "nodes": 4, "edges": 6}
     # A misspelled key is an error, not a default.
     ({"horizn": 900}, "field 'horizn': unknown"),
     ({"networks": [dict(WATER, lagg=3)]}, "field 'lagg': unknown"),
+    # NaN passes both the sign and the sum test.
+    ({"networks": [dict(WATER, weights=[float("nan"), 0.5, 0.5])]}, "weights"),
 ])
 def test_scenario_fields_checked_when_parsed(doc, field):
     with pytest.raises(ScenarioError, match=field):
