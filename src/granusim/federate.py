@@ -96,13 +96,12 @@ def uses_edge_list(node_count: int, edge_count: int) -> bool:
 
 class NodeRule(NamedTuple):
     """The read-only arrays and scalar a federate's step reads (module
-    docstring).  ``in_matrix`` is None on the edge-list kernel, and
-    ``sources``, ``targets`` and ``edge_scale`` are None on the dense one."""
+    docstring).  ``in_matrix`` is None on the edge-list kernel, whose
+    edges are the topology's ``edges_by_target``, and ``edge_scale`` is
+    None on the dense one."""
 
     intrinsic: np.ndarray
     in_matrix: np.ndarray | None
-    sources: np.ndarray | None
-    targets: np.ndarray | None
     edge_scale: np.ndarray | None
     base: np.ndarray
     local_weight: float
@@ -122,10 +121,9 @@ def _derive_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
     edges = topology.edge_array
     in_degree = np.bincount(edges[:, 1], minlength=n)
     row_scale = w_in / np.maximum(in_degree, 1.0)
-    in_matrix = sources = targets = edge_scale = None
+    in_matrix = edge_scale = None
     if uses_edge_list(n, len(edges)):
-        sources, targets = topology.edges_by_target
-        edge_scale = _read_only(row_scale[targets])
+        edge_scale = _read_only(row_scale[topology.edges_by_target[1]])
     else:
         in_matrix = np.zeros((n, n))
         in_matrix[edges[:, 1], edges[:, 0]] = row_scale[edges[:, 1]]
@@ -138,7 +136,7 @@ def _derive_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
     base[no_in] += w_in * intrinsic[no_in]
     # ``ones`` is an array operand: it skips converting the Python
     # scalar on every call.
-    return NodeRule(_read_only(intrinsic), in_matrix, sources, targets, edge_scale,
+    return NodeRule(_read_only(intrinsic), in_matrix, edge_scale,
                     _read_only(base), w_int + w_in, _read_only(np.ones(n)))
 
 
@@ -191,7 +189,7 @@ class FederateState:
         if self.in_matrix is None:
             # numpy's ``take`` and ``bincount`` copy a read-only index
             # array on every call, so each federate copies them once.
-            self._sources, self._targets = rule.sources.copy(), rule.targets.copy()
+            self._sources, self._targets = topology.edges_by_target.copy()
         self.base = rule.base
         self._local_weight = rule.local_weight
         self._ones = rule.ones
