@@ -33,7 +33,6 @@ fixed point never holds.
 
 from collections.abc import Generator
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -42,12 +41,8 @@ from .disruption import DisruptionEvent
 from .errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
-from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId, _read_only
-
-
-def _is_positive_int(value) -> bool:
-    return (isinstance(value, Integral) and not isinstance(value, bool)
-            and value >= 1)
+from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _is_positive_int,
+                       _read_only)
 
 
 @dataclass(frozen=True)

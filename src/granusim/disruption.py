@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidEvent, SizeOverflow
 from .rng import stream
-from .topology import NetworkId, Topology, _is_index_type
+from .topology import NetworkId, Topology, _is_index_type, _is_positive_int
 
 
 @dataclass(frozen=True)
@@ -48,32 +48,37 @@ class DisruptionEvent:
 
 @dataclass(frozen=True)
 class DisruptionStreamConfig:
+    """``ValueError`` naming the field unless the rate is finite and
+    positive (an infinite one would never reach the horizon), each range
+    two positive integers in order and the horizon a positive integer."""
+
     rate: float  # expected events per timestep
     size_range: tuple[int, int]
     rt_range: tuple[int, int]
     horizon: int
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.size_range[0] < 1 or self.size_range[0] > self.size_range[1]:
-            raise ValueError(f"bad size_range {self.size_range}")
-        if self.rt_range[0] < 1 or self.rt_range[0] > self.rt_range[1]:
-            raise ValueError(f"bad rt_range {self.rt_range}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate: must be finite and positive, got {self.rate!r}")
+        for name in ("size_range", "rt_range"):
+            bounds = getattr(self, name)
+            if not (len(bounds) == 2 and all(map(_is_positive_int, bounds))
+                    and bounds[0] <= bounds[1]):
+                raise ValueError(f"{name}: must be positive integers (low, high), got {bounds!r}")
+        if not _is_positive_int(self.horizon):
+            raise ValueError(f"horizon: must be a positive integer, got {self.horizon!r}")
 
 
 def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
     """Deterministic node pattern for one disruption-size level.
 
     Depends only on (seed, ds, topology); every run at the same size
-    level disrupts the same nodes.  The size is checked on every call;
-    the pattern is drawn on the first and then read from
-    ``topology.patterns``.
+    level disrupts the same nodes.  The size must be a positive integer,
+    checked on every call; the pattern is drawn on the first and then
+    read from ``topology.patterns``.
     """
-    if ds < 1:
-        raise ValueError(f"disruption size must be positive, got {ds}")
+    if not _is_positive_int(ds):
+        raise ValueError(f"disruption size must be a positive integer, got {ds!r}")
     if ds > topology.node_count:
         raise SizeOverflow(
             f"disruption size {ds} exceeds node count {topology.node_count}")

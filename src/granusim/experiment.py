@@ -10,19 +10,18 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import tempfile
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .coordinator import Federation, SyncSchedule, _is_positive_int, run, run_steps
+from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
 from .errors import GranusimError, InvalidFactor, ScenarioError
-from .federate import DEFAULT_WEIGHTS, FederateState
+from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
 from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt
-from .topology import (InterdependencyMap, NetworkId, Topology,
+from .topology import (InterdependencyMap, NetworkId, Topology, _is_positive_int,
                        generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
@@ -41,16 +40,16 @@ class FactorLevels:
     def __post_init__(self):
         for name in ("tg_levels", "rt_levels", "ds_levels"):
             levels = getattr(self, name)
-            if not levels:
-                raise ValueError(f"{name} must be non-empty")
-            if (not all(map(_is_positive_int, levels))
+            if (not levels or not all(map(_is_positive_int, levels))
                     or list(levels) != sorted(set(levels))):
                 raise ValueError(f"{name} must be ascending positive integers, got {levels}")
 
 
 def _check_int(field: str, value, minimum: int | None = 1) -> None:
     """``ScenarioError`` naming ``field`` unless ``value`` is an int, not
-    a bool, and at least ``minimum``."""
+    a bool, and at least ``minimum``: stricter than
+    ``topology._is_positive_int``, since ``ScenarioConfig.to_json`` writes
+    every field and ``json`` cannot write a numpy integer."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"field '{field}': expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -88,8 +87,7 @@ class NetworkSpec:
         w = self.weights
         if (not isinstance(w, (tuple, list)) or len(w) != 3
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
-                or not all(map(math.isfinite, w))
-                or min(w) < 0 or abs(sum(w) - 1.0) > 1e-9):
+                or not _weights_ok(w)):
             raise ScenarioError(
                 f"field 'weights': expected 3 finite nonnegative numbers summing to 1, got {w!r}")
         _check_int("lag", self.lag)
@@ -274,9 +272,10 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
     """Fresh federation, schedule and disruption of one configuration.
 
     ``InvalidFactor`` if tg, rt or ds is not a positive integer (a bool
-    is not one), before anything uses it.
+    is not one), before anything uses it; the schedule checks tg.
     """
-    for name, level in (("tg", tg), ("rt", rt), ("ds", ds)):
+    schedule = SyncSchedule(tg=tg, horizon=config.horizon)
+    for name, level in (("rt", rt), ("ds", ds)):
         if not _is_positive_int(level):
             raise InvalidFactor(f"{name}: must be a positive integer, got {level!r}")
     t0 = disruption_onset(config, tg)
@@ -289,7 +288,7 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
     pattern = fixed_pattern(ds, origin_topo, config.master_seed)
     event = DisruptionEvent(apply_time=t0, retract_time=t0 + rt,
                             network_id=config.origin, nodes=pattern)
-    return federation, SyncSchedule(tg=tg, horizon=config.horizon), event
+    return federation, schedule, event
 
 
 def run_single(config: ScenarioConfig, tg: int, rt: int,

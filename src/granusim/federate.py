@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnknownNode
-from .topology import Topology, _is_index_type, _read_only
+from .topology import Topology, _is_positive_int, _read_only
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -156,6 +156,12 @@ def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
     return rule
 
 
+def _weights_ok(weights) -> bool:
+    """Whether weights are finite, nonnegative and sum to 1 within 1e-9."""
+    return (all(map(math.isfinite, weights)) and min(weights) >= 0
+            and abs(sum(weights) - 1.0) <= 1e-9)
+
+
 class FederateState:
     """Mutable state of one network federate.
 
@@ -168,13 +174,9 @@ class FederateState:
     def __init__(self, topology: Topology,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  lag: int = 1):
-        w_int, w_in, w_ext = weights
-        # NaN fails the sign and the sum comparison alike, so it is
-        # refused on its own, before it could key a node rule.
-        if (not all(map(math.isfinite, weights)) or min(weights) < 0
-                or abs(w_int + w_in + w_ext - 1.0) > 1e-9):
+        if not _weights_ok(weights):
             raise ValueError(f"weights must be finite, nonnegative and sum to 1, got {weights}")
-        if not _is_index_type(type(lag)) or lag < 1:
+        if not _is_positive_int(lag):
             raise ValueError(f"lag must be a positive integer, got {lag!r}")
         self.topology = topology
         w_int, w_in, w_ext = map(float, weights)

@@ -45,6 +45,11 @@ def _is_index_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def _is_positive_int(value) -> bool:
+    """The one rule of every entry point's counts and levels."""
+    return _is_index_type(type(value)) and value >= 1
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -183,16 +188,14 @@ class InterdependencyMap:
 def generate_topology(network_id: NetworkId, node_count: int,
                       edge_count: int, seed: int) -> Topology:
     """Sample a directed graph with exactly ``edge_count`` distinct non-loop edges."""
-    if node_count < 1:
-        raise ValueError(f"node_count must be positive, got {node_count}")
-    if edge_count < 0:
-        raise ValueError(f"edge_count must be non-negative, got {edge_count}")
+    if not _is_positive_int(node_count):
+        raise ValueError(f"node_count must be a positive integer, got {node_count!r}")
+    if not _is_index_type(type(edge_count)) or edge_count < 0:
+        raise ValueError(f"edge_count must be a nonnegative integer, got {edge_count!r}")
     max_edges = node_count * (node_count - 1)
     if edge_count > max_edges:
-        raise EdgeCountOverflow(
-            f"{edge_count} edges requested but at most {max_edges} distinct "
-            f"non-loop edges exist for {node_count} nodes"
-        )
+        raise EdgeCountOverflow(f"{edge_count} edges requested but at most {max_edges} distinct "
+                                f"non-loop edges exist for {node_count} nodes")
     rng = stream(seed, f"topology:{network_id.value}")
     # Sample positions in the row-major list of pairs (i, j), i != j,
     # without building it: ``random.sample`` draws from the length alone,
@@ -202,13 +205,7 @@ def generate_topology(network_id: NetworkId, node_count: int,
     for k in rng.sample(range(max_edges), edge_count):
         i, r = divmod(k, node_count - 1)
         edges.append((i, r + (r >= i)))
-    edges = tuple(sorted(edges))
-    return Topology(
-        network_id=network_id,
-        node_count=node_count,
-        edges=edges,
-        intrinsic_performance=(1.0,) * node_count,
-    )
+    return Topology(network_id, node_count, tuple(sorted(edges)), (1.0,) * node_count)
 
 
 def generate_interdependencies(topologies: list[Topology],
@@ -222,8 +219,9 @@ def generate_interdependencies(topologies: list[Topology],
     """
     if len(topologies) < 2:
         raise ValueError("need at least two topologies to interconnect")
-    if couplings_per_node < 1:
-        raise ValueError("couplings_per_node must be positive")
+    if not _is_positive_int(couplings_per_node):
+        raise ValueError(
+            f"couplings_per_node must be a positive integer, got {couplings_per_node!r}")
     rng = stream(seed, "interdependency")
     couplings = []
     for consumer in topologies:

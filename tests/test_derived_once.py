@@ -123,11 +123,11 @@ def test_fixed_pattern_is_drawn_once_and_checked_on_every_call(water22):
             fixed_pattern(23, water22, seed=20200831)
         with pytest.raises(ValueError):
             fixed_pattern(0, water22, seed=20200831)
-    # 1 and True seed different streams, and 2 and 2.0 draw differently
-    # (2.0 is no size), although each pair is equal as a dict key.
+    # 1 and True seed different streams, and 2.0 is no size, although
+    # each pair is equal as a dict key.
     fixed_pattern(2, water22, seed=1)
     assert fixed_pattern(2, water22, seed=True) == fixed_pattern(2, fresh_copy(water22), True)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         fixed_pattern(2.0, water22, seed=1)
 
 

@@ -7,7 +7,7 @@ from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
 from granusim.errors import GranusimError, InvalidEvent, SizeOverflow
 from granusim.federate import FederateState
-from granusim.topology import NetworkId
+from granusim.topology import NetworkId, generate_interdependencies, generate_topology
 from oracles import make_topology
 
 
@@ -33,11 +33,23 @@ def test_event_validation():
     (lambda topo: DisruptionEvent(True, 60, NetworkId.WATER, (1,)), InvalidEvent, "apply_time"),
     (lambda topo: FederateState(topo, lag=1.5), ValueError, "lag"),
     (lambda topo: FederateState(topo, lag=True), ValueError, "lag"),
+    (lambda topo: fixed_pattern(True, topo, seed=1), ValueError, "disruption size"),
+    (lambda topo: fixed_pattern(2.0, topo, seed=1), ValueError, "disruption size"),
+    (lambda topo: generate_topology(NetworkId.WATER, 2.5, 1, seed=1), ValueError, "node_count"),
+    (lambda topo: generate_topology(NetworkId.WATER, 3, True, seed=1), ValueError, "edge_count"),
+    (lambda topo: generate_topology(NetworkId.WATER, 3, 1.5, seed=1), ValueError, "edge_count"),
+    (lambda topo: generate_interdependencies([topo, make_topology([], 3, NetworkId.POWER)], 1.5,
+                                             seed=1), ValueError, "couplings_per_node"),
+    (lambda topo: generate_interdependencies([topo, make_topology([], 3, NetworkId.POWER)], True,
+                                             seed=1), ValueError, "couplings_per_node"),
 ])
 def test_values_that_are_not_integers_rejected(water22, build, error, message):
     # Each was taken before: (1.5,) and (True,) disrupted node 1, ('3',)
     # and lag 1.5 raised a bare TypeError, lag True was lag 1, and an
     # apply_time of 51.5 was never delivered, so its retraction failed.
+    # A size of True drew another pattern than 1, and True edges or
+    # couplings per node ran as 1; 2.0, 2.5 and 1.5 raised a bare
+    # TypeError (or EdgeCountOverflow for 2.5 nodes).
     with pytest.raises(error, match=message):
         build(water22)
 
@@ -48,13 +60,26 @@ def test_invalid_event_is_a_value_error():
     assert DisruptionEvent(np.int64(3), 5, NetworkId.WATER, (np.int64(1),)).nodes == (1,)
 
 
-def test_stream_config_validation():
-    with pytest.raises(ValueError):
-        DisruptionStreamConfig(rate=0.0, size_range=(1, 2), rt_range=(1, 2), horizon=10)
-    with pytest.raises(ValueError):
-        DisruptionStreamConfig(rate=0.1, size_range=(3, 2), rt_range=(1, 2), horizon=10)
-    with pytest.raises(ValueError):
-        DisruptionStreamConfig(rate=0.1, size_range=(1, 2), rt_range=(0, 2), horizon=10)
+@pytest.mark.parametrize("field, value", [
+    ("rate", 0.0),
+    ("size_range", (3, 2)),
+    ("rt_range", (0, 2)),
+    ("rate", float("inf")),
+    ("rate", float("nan")),
+    ("size_range", (1.0, 2.0)),
+    ("size_range", (True, 2)),
+    ("rt_range", (1, 2.5)),
+    ("rt_range", (True, 2)),
+    ("horizon", 2.5),
+    ("horizon", True),
+])
+def test_stream_config_validation(field, value):
+    # Only the first three were refused before.  An infinite rate then
+    # drew gaps of 0.0 forever, so ``poisson_stream`` never reached its
+    # horizon; NaN, the floats and the bools died later or ran as ints.
+    valid = dict(rate=0.1, size_range=(1, 2), rt_range=(1, 2), horizon=10)
+    with pytest.raises(ValueError, match=field):
+        DisruptionStreamConfig(**{**valid, field: value})
 
 
 def test_pattern_full_network(water22):

@@ -11,7 +11,7 @@ Runs, at master seeds 20200831 and 4093:
   which step on the edge-list kernel;
 - the 125 configurations on the paper's networks under each of four
   variants, back to back: the weight triples (0.3, 0.4, 0.3) and
-  (0.2, 0.5, 0.3) on every network, each with business lags 2 and 3.
+  (0.3, 0.5, 0.2) on every network, each with business lags 2 and 3.
   The variants share one wiring, so the node rules, coupling plan and
   patterns derived from it are shared too, and a rule stored under too
   coarse a key changes these digests.
