@@ -5,14 +5,16 @@ boundary values are collected from every federate (read phase) before
 any consumer's foreign inputs are written (write phase), so no federate
 ever sees a mix of pre- and post-exchange values.  Between sync
 instants no information crosses federate boundaries.  The federation
-is the one owner of the foreign channel: it takes its checked slot
-indices from the map's coupling plan (``coupling_plan``, derived with
-numpy from ``coupling_array`` once per map, network order and node
-counts), and holds one slot vector and one step-term vector for every
-federate.
-Each federate's ``foreign_inputs`` and step term are views into them,
-so one gather and one latch serve every consumer, at the barrier and
-once when the federation is built.
+is the one owner of the foreign channel.  Its slots form one grid of K
+rows by N columns, N being the federation's nodes and K the most
+couplings on any node: column i holds node i's slot values in map
+order, padded with 0.0.  The grid's index comes from the map's coupling
+plan (``coupling_plan``, derived with numpy from ``coupling_array`` once
+per map, network order and node counts).  Each federate's
+``foreign_inputs`` is its block of the grid and its step term a slice
+of the federation's term vector, so one gather into the grid and one
+ordered sum of its rows serve every consumer, at the barrier and once
+when the federation is built.
 
 Each federate writes its states into its own ring (``federate``), and
 the MoP series sum ``MOP_BLOCK`` of its rows at once, bit for bit.
@@ -65,30 +67,28 @@ class SyncSchedule:
 
 
 class CouplingPlan(NamedTuple):
-    """The slot indices of a federation (``Federation``), read-only.
+    """The slot grid index of a federation (``Federation``), read-only.
 
-    ``producers`` and ``consumers`` hold, per slot, the flat index of its
-    producer and consumer node in the federates' performance vectors
-    laid end to end in network order, whose bounds are ``offsets``;
-    consumer ``i`` in that order owns slots ``slot_bounds[i]`` to
-    ``slot_bounds[i + 1]``.  ``slot_count`` is each node's number of
-    slots and ``divisor`` the same, at least 1.
+    Nodes are numbered by their flat index in the federates'
+    performance vectors laid end to end in network order, whose bounds
+    are ``offsets``; N is their number.  ``index`` has K rows and N
+    columns, K being the most couplings on any node (0 without any):
+    entry ``(j, i)`` is the flat index of the producer of node i's j-th
+    coupling in map order, or N once node i has no more couplings.
+    ``slot_count`` is each node's number of couplings and ``divisor``
+    the same, at least 1.
     """
 
-    producers: np.ndarray
-    consumers: np.ndarray
+    index: np.ndarray
     offsets: np.ndarray
-    slot_bounds: np.ndarray
     slot_count: np.ndarray
     divisor: np.ndarray
 
 
 def _derive_plan(interdependencies: InterdependencyMap | None,
                  order: tuple[NetworkId, ...], sizes: tuple[int, ...]) -> CouplingPlan:
-    # Slot k of each consumer's foreign_inputs is fed by the producer
-    # node at a flat index into the federates' performance vectors
-    # laid end to end in ``order``.  The slots are the couplings in
-    # map order, stably grouped by consumer network in ``order``.
+    # Nodes are numbered by their flat index into the federates'
+    # performance vectors laid end to end in ``order``.
     sizes = np.array(sizes, dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     # Position in ``order`` of each network of NETWORK_ORDER, -1 if absent.
@@ -111,16 +111,18 @@ def _derive_plan(interdependencies: InterdependencyMap | None,
             if outside[first]:
                 raise ValueError(f"coupling names a network outside the federation: {c}")
             raise UnknownNode(f"{end} node out of range: {c}")
-    by_consumer = np.argsort(consumer_at, kind="stable")
-    consumers = (offsets[consumer_at] + consumer_node)[by_consumer]
-    slot_count = np.bincount(consumers, minlength=offsets[-1])
+    total = offsets[-1]
+    consumers = offsets[consumer_at] + consumer_node
+    slot_count = np.bincount(consumers, minlength=total)
+    # A stable sort by consumer keeps map order within each node; a
+    # coupling's row is its place in that order less its node's first.
+    by_consumer = np.argsort(consumers, kind="stable")
+    grouped = consumers[by_consumer]
+    rank = np.arange(len(grouped)) - (np.cumsum(slot_count) - slot_count)[grouped]
+    index = np.full((slot_count.max(initial=0), total), total, dtype=np.intp)
+    index[rank, grouped] = (offsets[producer_at] + producer_node)[by_consumer]
     return CouplingPlan(*map(_read_only, (
-        (offsets[producer_at] + producer_node)[by_consumer],
-        consumers,
-        offsets,
-        np.searchsorted(consumer_at[by_consumer], range(len(order) + 1)),
-        slot_count,
-        np.maximum(slot_count, 1.0))))
+        index, offsets, slot_count, np.maximum(slot_count, 1.0))))
 
 
 def coupling_plan(interdependencies: InterdependencyMap | None,
@@ -143,17 +145,23 @@ def coupling_plan(interdependencies: InterdependencyMap | None,
 class Federation:
     """Federate states plus the coupling wiring between them.
 
-    The slots are the map's couplings, grouped by consumer network in
-    network order and in map order within one.  Building a federation
-    rebinds each federate's ``foreign_inputs``, ``term`` and
-    ``uncoupled`` to its share of the barrier.  A coupling that names a
-    network outside the federation raises ``ValueError`` and a producer
-    node out of range ``UnknownNode``; only then is a consumer node out
-    of range looked for, and it raises ``UnknownNode`` too.  The first
-    coupling at fault is named.  The slot indices come from the map's
+    The slots form one grid of K rows and N columns.  N is the number of
+    nodes, laid end to end in network order, and K the most couplings
+    on any node.  Column i holds node i's slot values, its couplings in
+    map order, and then 0.0 in each row it has no coupling for.  The
+    grid takes K x N values, so a map that gives one node far more
+    couplings than the rest (as a JSON map may) pays for its busiest
+    node in every column.  Building a federation rebinds each
+    federate's ``foreign_inputs`` to its (K, n) block of the grid, a
+    view, and its ``term`` and ``uncoupled`` to its share of the
+    barrier.  A coupling that names a network outside the federation
+    raises ``ValueError`` and a producer node out of range
+    ``UnknownNode``; only then is a consumer node out of range looked
+    for, and it raises ``UnknownNode`` too.  The first coupling at
+    fault is named.  The grid index comes from the map's
     ``coupling_plan``, shared by every federation of one map, network
-    order and node counts; the slot and term vectors are the
-    federation's own.
+    order and node counts; the read buffer, the grid and the term
+    vector are the federation's own.
     """
 
     def __init__(self, federates: dict[NetworkId, FederateState],
@@ -169,23 +177,29 @@ class Federation:
         self._feds = [federates[net] for net in self.order]
         sizes = tuple(fed.node_count for fed in self._feds)
         plan = coupling_plan(interdependencies, tuple(self.order), sizes)
-        # numpy's ``take`` and ``bincount`` copy a read-only index array
-        # on every call, so each federation copies them once.
-        self._producers, self._consumers = plan.producers.copy(), plan.consumers.copy()
+        # numpy's ``take`` copies a read-only index array on every call,
+        # so each federation copies it once.
+        self._index = plan.index.copy()
         self._divisor = plan.divisor
-        # One barrier for the whole federation: the slot vector holds
-        # every consumer's foreign_inputs end to end in ``order``, the
-        # term vector every node's step term, and each federate keeps
-        # views into both.  A node without slots renormalizes w_ext away.
-        offsets, slot_bounds = plan.offsets, plan.slot_bounds
+        # One barrier for the whole federation.  The read buffer holds
+        # every node's performance and then the 0.0 that padding entries
+        # read; it starts at 1.0, the seed value of every slot.  Each
+        # federate keeps views into the grid and the term vector.  A
+        # node without slots renormalizes w_ext away.
+        offsets = plan.offsets
+        total = offsets[-1]
         self._w_ext = np.repeat([fed.w_ext for fed in self._feds], sizes)
         self._base = np.concatenate([fed.base for fed in self._feds])
-        self._slots = np.ones(len(self._producers))
-        self._terms = np.empty(offsets[-1])
+        self._read = np.ones(total + 1)
+        self._read[total] = 0.0
+        self._performances = self._read[:total]
+        self._grid = np.empty(self._index.shape)
+        self._terms = np.empty(total)
         for i, fed in enumerate(self._feds):
-            fed.foreign_inputs = self._slots[slot_bounds[i]:slot_bounds[i + 1]]
-            fed.term = self._terms[offsets[i]:offsets[i + 1]]
-            uncoupled = plan.slot_count[offsets[i]:offsets[i + 1]] == 0
+            nodes = slice(offsets[i], offsets[i + 1])
+            fed.foreign_inputs = self._grid[:, nodes]
+            fed.term = self._terms[nodes]
+            uncoupled = plan.slot_count[nodes] == 0
             fed.uncoupled = uncoupled if uncoupled.any() else None
         self._latch()
         # Set and cleared by ``run_steps`` only (module docstring).
@@ -194,19 +208,18 @@ class Federation:
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
 
-        The read phase copies every federate's performance into one
-        vector.  The write phase gathers every consumer slot from it
-        into the federation's slot vector, then latches every node's
-        step term (``_latch``).  Each federate's ``foreign_inputs`` and
-        step term are views into those two vectors, so its steps add the
-        new term until the next barrier.  Six numpy calls, whatever the
-        number of federates.  A held federation returns at once: it
-        would gather the same slots and latch the same terms.
+        The read phase copies every federate's performance into the
+        read buffer.  The write phase (``_latch``) gathers every slot
+        from it into the grid, then latches every node's step term.
+        Each federate's ``foreign_inputs`` and step term are views into
+        the grid and the term vector, so its steps add the new term
+        until the next barrier.  One gather and six numpy calls in all,
+        whatever the number of federates.  A held federation returns at
+        once: it would gather the same slots and latch the same terms.
         """
         if self.held:
             return
-        read = np.concatenate([fed.performance for fed in self._feds])
-        read.take(self._producers, out=self._slots)
+        np.concatenate([fed.performance for fed in self._feds], out=self._performances)
         self._latch()
 
     def _hold(self, held: bool) -> None:
@@ -216,16 +229,22 @@ class Federation:
             fed.held = held
 
     def _latch(self) -> None:
-        """Write every node's step term ``base + w_ext * mean(slots)``.
+        """Gather the grid from the read buffer and write every node's
+        step term ``base + w_ext * mean(slots)``.
 
-        Slot values are summed per node by ``bincount`` in slot order,
-        divided by the node's slot count (1 for a node without slots,
-        whose term is ``base`` alone), scaled by ``w_ext`` and added to
-        ``base``, in place in the term vector.
+        The gather clips instead of raising, so it writes the grid in
+        place without a buffer; the plan has checked every index, so
+        none is clipped.  The grid's rows are summed in order from 0.0:
+        each node's slot values in map order, then +0.0 per padding
+        entry, which changes no value.  That is the sequence of a
+        ``bincount`` over the slots in map order, so the sums are the
+        same bits.  They are divided by the node's slot count (1 for a
+        node without slots, whose term is ``base`` alone), scaled by
+        ``w_ext`` and added to ``base``, in place in the term vector.
         """
-        np.divide(np.bincount(self._consumers, weights=self._slots,
-                              minlength=len(self._terms)),
-                  self._divisor, out=self._terms)
+        self._read.take(self._index, out=self._grid, mode="clip")
+        np.add.reduce(self._grid, axis=0, out=self._terms, initial=0.0)
+        self._terms /= self._divisor
         self._terms *= self._w_ext
         self._terms += self._base
 

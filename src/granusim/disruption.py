@@ -48,9 +48,10 @@ class DisruptionEvent:
 
 @dataclass(frozen=True)
 class DisruptionStreamConfig:
-    """``ValueError`` naming the field unless the rate is finite and
-    positive (an infinite one would never reach the horizon), each range
-    two positive integers in order and the horizon a positive integer."""
+    """``ValueError`` naming the field unless the rate is a finite
+    positive number and not a bool (an infinite one would never reach
+    the horizon), each range two positive integers in order and the
+    horizon a positive integer."""
 
     rate: float  # expected events per timestep
     size_range: tuple[int, int]
@@ -58,8 +59,8 @@ class DisruptionStreamConfig:
     horizon: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate: must be finite and positive, got {self.rate!r}")
+        if isinstance(self.rate, bool) or not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate: must be a finite positive number, got {self.rate!r}")
         for name in ("size_range", "rt_range"):
             bounds = getattr(self, name)
             if not (len(bounds) == 2 and all(map(_is_positive_int, bounds))

@@ -85,7 +85,7 @@ class NetworkSpec:
             raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
                                 f"for {n} nodes, got {self.edge_count}")
         w = self.weights
-        if (not isinstance(w, (tuple, list)) or len(w) != 3
+        if (not isinstance(w, (tuple, list))
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
                 or not _weights_ok(w)):
             raise ScenarioError(

@@ -26,11 +26,14 @@ federate on the edge list builds no dense matrix.  ``term`` is the
 constant ``base_i = w_int * b_i`` (plus ``w_in * b_i`` on nodes without
 in-edges) plus the foreign channel ``w_ext * f_i``, which can only
 change at a synchronization point.  The foreign channel belongs to the
-federation (``coordinator.Federation``): it rebinds ``foreign_inputs``,
-``term`` and ``uncoupled`` to its own barrier vectors and latches
-``term`` at every barrier, and ``step`` adds the term as it is until the
-next one.  A federate on its own has no slots: its term is ``base`` and
-every node is uncoupled.  Uncoupled nodes are divided by
+federation (``coordinator.Federation``).  It rebinds ``foreign_inputs``
+to the federate's (K, n) block of its slot grid, a view whose column i
+holds node i's slot values in map order and then 0.0 in the rows the
+node has no coupling for.  It rebinds ``term`` and ``uncoupled`` to the
+federate's share of its barrier and latches ``term`` at every barrier,
+and ``step`` adds the term as it is until the next one.  A federate on
+its own has no slots (``foreign_inputs`` has 0 rows): its term is
+``base`` and every node is uncoupled.  Uncoupled nodes are divided by
 ``w_int + w_in`` on their own after the add.  The sums run in another
 order than the plain formula, and each kernel in its own order, so
 values agree with the plain formula within 1e-12, not bit for bit.
@@ -157,8 +160,8 @@ def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
 
 
 def _weights_ok(weights) -> bool:
-    """Whether weights are finite, nonnegative and sum to 1 within 1e-9."""
-    return (all(map(math.isfinite, weights)) and min(weights) >= 0
+    """Whether weights are three, finite, nonnegative and sum to 1 within 1e-9."""
+    return (len(weights) == 3 and all(map(math.isfinite, weights)) and min(weights) >= 0
             and abs(sum(weights) - 1.0) <= 1e-9)
 
 
@@ -167,15 +170,17 @@ class FederateState:
 
     Confined to one logical owner at a time; all cross-federate
     interaction goes through the coordinator's exchange.  Weights must
-    be finite, nonnegative and sum to 1, and ``lag`` an integer of at
-    least 1 (a bool is not one); anything else raises ``ValueError``.
+    be three, ``(w_int, w_in, w_ext)``, finite, nonnegative and sum to
+    1, and ``lag`` an integer of at least 1 (a bool is not one);
+    anything else raises ``ValueError``.
     """
 
     def __init__(self, topology: Topology,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  lag: int = 1):
         if not _weights_ok(weights):
-            raise ValueError(f"weights must be finite, nonnegative and sum to 1, got {weights}")
+            raise ValueError("weights must be finite, nonnegative and sum to 1 as "
+                             f"(w_int, w_in, w_ext), got {weights}")
         if not _is_positive_int(lag):
             raise ValueError(f"lag must be a positive integer, got {lag!r}")
         self.topology = topology
@@ -215,7 +220,7 @@ class FederateState:
         # w_ext away, and the step term is the base.  A federation
         # rebinds all three to its share of the barrier; there
         # ``uncoupled`` is None when every node holds a slot.
-        self.foreign_inputs = np.zeros(0)
+        self.foreign_inputs = np.zeros((0, n))
         self.term = self.base.copy()
         self.uncoupled = np.ones(n, dtype=bool)
 

@@ -164,28 +164,60 @@ def trace_csv(trace):
     return "\n".join(lines) + "\n"
 
 
-def barrier_indices(sizes, couplings):
-    """The barrier's slot wiring built by one pass over the couplings.
+def slot_grid(sizes, couplings, entry, pad):
+    """The barrier's slot grid built by one pass over the couplings.
 
-    ``sizes`` maps each network of a federation to its node count, in
-    network order, which lays the networks' nodes end to end; couplings
-    are (consumer network, consumer node, producer network, producer
-    node).  The slots are grouped by consumer network in that order and
-    keep map order within a network.  Returns each slot's producer and
-    consumer as flat node indices, and each network's consumer nodes.
+    ``sizes`` maps each network of a federation to its node count;
+    couplings are (consumer network, consumer node, producer network,
+    producer node).  K is the most couplings on any node.  Returns each
+    network's block of the grid as K rows of one entry per node: entry
+    (j, i) is ``entry(c)`` for node i's j-th coupling c in map order,
+    and ``pad`` once node i has no more couplings.
+    """
+    columns = {net: [[] for _ in range(n)] for net, n in sizes.items()}
+    for c in couplings:
+        columns[c[0]][c[1]].append(entry(c))
+    k = max((len(col) for cols in columns.values() for col in cols), default=0)
+    return {net: [[col[j] if j < len(col) else pad for col in cols] for j in range(k)]
+            for net, cols in columns.items()}
+
+
+def barrier_index(sizes, couplings):
+    """The barrier's grid index: ``slot_grid`` of flat producer indices.
+
+    ``sizes`` lists the networks in network order, which lays their
+    nodes end to end; a node's flat index is its network's offset plus
+    its own.  Padding entries hold the node total.  Returns the grid's
+    rows, the blocks of the networks side by side.
     """
     offsets, total = {}, 0
     for net, n in sizes.items():
         offsets[net] = total
         total += n
-    nodes = {net: [] for net in sizes}
-    producers = {net: [] for net in sizes}
-    for consumer_net, consumer_node, producer_net, producer_node in couplings:
-        nodes[consumer_net].append(consumer_node)
-        producers[consumer_net].append(offsets[producer_net] + producer_node)
-    return ([p for net in sizes for p in producers[net]],
-            [offsets[net] + c for net in sizes for c in nodes[net]],
-            nodes)
+    blocks = slot_grid(sizes, couplings, lambda c: offsets[c[2]] + c[3], total)
+    k = len(next(iter(blocks.values())))
+    return [[p for net in sizes for p in blocks[net][j]] for j in range(k)]
+
+
+def bincount_terms(federation, couplings):
+    """Every node's step term as the barrier latched it from one flat
+    slot vector: ``base + w_ext * bincount(consumers, slots) / divisor``.
+
+    The slots are the couplings in map order, each holding its
+    producer's current performance; the divisor is each node's number
+    of couplings, at least 1.  Returns the terms of each network.
+    """
+    order, feds = federation.order, federation.federates
+    counts = [feds[net].node_count for net in order]
+    offsets = dict(zip(order, np.cumsum([0] + counts)))
+    consumers = np.array([offsets[c[0]] + c[1] for c in couplings], dtype=np.intp)
+    slots = [feds[c[2]].performance[c[3]] for c in couplings]
+    sums = np.bincount(consumers, weights=slots, minlength=sum(counts))
+    divisor = np.maximum(np.bincount(consumers, minlength=sum(counts)), 1.0)
+    terms = np.divide(sums, divisor)
+    terms *= np.repeat([feds[net].w_ext for net in order], counts)
+    terms += np.concatenate([feds[net].base for net in order])
+    return {net: terms[offsets[net]:offsets[net] + n] for net, n in zip(order, counts)}
 
 
 def sequential_shares_oracle(columns, y):

@@ -27,7 +27,7 @@ from granusim.metrics import compute_spds
 from granusim.topology import NETWORK_ORDER, generate_interdependencies
 from oracles import (ScalarFederate, lockstep_series, make_topology,
                      ols_normal_equations, penalized_loglik,
-                     scenario_lockstep_inputs, sequential_shares_oracle)
+                     scenario_lockstep_inputs, sequential_shares_oracle, slot_grid)
 
 
 def verdict(capsys, num, name, ok, detail=""):
@@ -151,9 +151,10 @@ def test_criterion_3_sub_granularity_invisibility(capsys):
     # The deficit exported there is the origin's lagged recovery tail
     # (criterion 2), so spds is reported but not required to be zero.
     config = replace(ScenarioConfig(), horizon=300)
+    topologies = build_topologies(config)
     couplings = generate_interdependencies(
-        build_topologies(config), config.couplings_per_node,
-        config.master_seed).couplings
+        topologies, config.couplings_per_node, config.master_seed).couplings
+    sizes = {t.network_id: t.node_count for t in topologies}
     slots = {net: [c for c in couplings if c.consumer_network == net]
              for net in NETWORK_ORDER}
     partners = [n.network_id for n in config.networks
@@ -186,12 +187,15 @@ def test_criterion_3_sub_granularity_invisibility(capsys):
                 run(federation, SyncSchedule(tg=tg, horizon=s), [event])
                 origin = _origin_alone(config, federation, origin_slots,
                                        event, s)
+                # Entry (j, i) is node i's j-th coupling, padding 0.0.
+                want = slot_grid(sizes, couplings,
+                                 lambda c: origin[c.producer_node]
+                                 if c.producer_network == config.origin else 1.0,
+                                 0.0)
                 for net in partners:
-                    want = np.array([origin[c.producer_node]
-                                     if c.producer_network == config.origin
-                                     else 1.0 for c in slots[net]])
                     got = federation.federates[net].foreign_inputs
-                    if np.abs(got - want).max() > 1e-12:
+                    if (got.shape != np.shape(want[net])
+                            or np.abs(got - want[net]).max() > 1e-12):
                         violations.append((tg, rt, phase,
                                            f"{net.value} inputs at s"))
     nonzero = [v for v in spds_values if v != 0.0]

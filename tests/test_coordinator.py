@@ -14,7 +14,8 @@ from granusim.experiment import (NetworkSpec, ScenarioConfig, build_federation,
                                  disruption_onset)
 from granusim.federate import EDGE_LIST_MIN_NODES, MOP_BLOCK, FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
-from oracles import barrier_indices, lockstep_series, make_topology, scenario_lockstep_inputs
+from oracles import (barrier_index, bincount_terms, lockstep_series, make_topology,
+                     scenario_lockstep_inputs, slot_grid)
 
 
 def small_federation():
@@ -112,6 +113,9 @@ def test_no_information_flow_between_syncs():
 
 
 def test_foreign_inputs_frozen_between_barriers():
+    # Entry (j, i) of a block is node i's j-th coupling.  No node has
+    # two, so the grid has one row: business node 0 reads water node 2
+    # and business node 1 power node 1.
     fed = small_federation()
     fed.exchange()
     fed.federates[NetworkId.WATER].apply_disruption([1, 2])
@@ -119,9 +123,9 @@ def test_foreign_inputs_frozen_between_barriers():
         for net in fed.order:
             fed.federates[net].step()
         # No barrier has run, so consumers still hold the seed values.
-        assert fed.federates[NetworkId.BUSINESS].foreign_inputs.tolist() == [1.0, 1.0]
+        assert fed.federates[NetworkId.BUSINESS].foreign_inputs.tolist() == [[1.0, 1.0]]
     fed.exchange()
-    assert fed.federates[NetworkId.BUSINESS].foreign_inputs[0] == 0.0
+    assert fed.federates[NetworkId.BUSINESS].foreign_inputs.tolist() == [[0.0, 1.0]]
 
 
 def test_retraction_delivered_before_application():
@@ -379,15 +383,17 @@ def test_a_held_run_keeps_the_bits_and_counts_of_stepping_by_hand(tg, monkeypatc
 
 def test_a_federate_with_no_slots_keeps_no_foreign_term():
     # With no slots the step term is the federate's constant base, and
-    # the barrier does not move it.
+    # the barrier does not move it.  Its block of the grid (one row, as
+    # no node has two couplings) is padding, 0.0 in every entry.
     fed = small_federation()  # nothing feeds water
     water = fed.federates[NetworkId.WATER]
     base = water.base.copy()
-    assert water.foreign_inputs.size == 0
+    assert water.foreign_inputs.tolist() == [[0.0, 0.0, 0.0]]
     assert water.term.tobytes() == base.tobytes()
     water.apply_disruption([1])
     water.step()
     fed.exchange()
+    assert water.foreign_inputs.tolist() == [[0.0, 0.0, 0.0]]
     assert water.term.tobytes() == base.tobytes()
     assert water.uncoupled.all()
     business = fed.federates[NetworkId.BUSINESS]
@@ -421,8 +427,10 @@ def test_exchange_writes_a_snapshot_of_every_producer_in_place():
     fed.exchange()
 
     def expected_slots():
-        return {net: [read[pn][pnode] for cn, _, pn, pnode in wiring if cn == net]
-                for net in fed.order}
+        # Entry (j, i) is the read value of node i's j-th coupling in map
+        # order, 0.0 where it has none: business node 1 has two, so K = 2.
+        return slot_grid({net: feds[net].node_count for net in fed.order}, wiring,
+                         lambda c: read[c[2]][c[3]], 0.0)
 
     assert all(feds[net].foreign_inputs is slots[net] for net in fed.order)
     assert {net: slots[net].tolist() for net in fed.order} == expected_slots()
@@ -485,24 +493,87 @@ def random_wirings(draw):
 @given(case=random_wirings())
 @example(case=({NetworkId.POWER: 3, NetworkId.WATER: 2}, []))
 def test_barrier_indices_match_a_loop_over_the_couplings(case):
+    # Entry (j, i) of the index is the producer of node i's j-th
+    # coupling in map order, and the node total N where it has none;
+    # the blocks start at the seed value 1.0 with padding 0.0.
     sizes, couplings = case
     fed = Federation({net: FederateState(make_topology([], n, net)) for net, n in sizes.items()},
                      InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
-    producers, consumers, nodes = barrier_indices(
+    assert fed._index.tolist() == barrier_index(
         {net: sizes[net] for net in NETWORK_ORDER if net in sizes}, couplings)
-    assert fed._producers.tolist() == producers
-    assert fed._consumers.tolist() == consumers
-    assert fed._divisor.tolist() == [max(consumers.count(i), 1)
-                                     for i in range(sum(sizes.values()))]
+    counts = {net: [0] * n for net, n in sizes.items()}
+    for c in couplings:
+        counts[c[0]][c[1]] += 1
+    assert fed._divisor.tolist() == [max(k, 1) for net in fed.order for k in counts[net]]
+    seeded = slot_grid(sizes, couplings, lambda c: 1.0, 0.0)
     for net, state in fed.federates.items():
-        uncoupled = [i not in nodes[net] for i in range(sizes[net])]
+        uncoupled = [k == 0 for k in counts[net]]
         if any(uncoupled):
             assert state.uncoupled.tolist() == uncoupled
         else:
             assert state.uncoupled is None
-        assert state.foreign_inputs.size == len(nodes[net])
-        assert state.foreign_inputs.base is fed._slots
+        assert state.foreign_inputs.tolist() == seeded[net]
+        assert state.foreign_inputs.base is fed._grid
         assert state.term.base is fed._terms
+
+
+# Performance levels, -0.0 too: the grid's sums start from 0.0, as a
+# bincount's do, so even its sign comes out the same.
+LEVELS = st.floats(0.0, 1.0) | st.just(-0.0)
+# With these weights and intrinsic levels of 0.0 the term is the mean of
+# the slots itself, so a sum in another order shows in its last bits.
+ALL_FOREIGN = (0.0, 0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=random_wirings(), data=st.data())
+def test_exchange_latches_the_bits_of_a_bincount_over_the_slots(case, data):
+    # Irregular maps, nodes without slots, any registration order:
+    # after one barrier every term has the bits of the flat-slot latch.
+    sizes, couplings = case
+
+    def levels(n):
+        return data.draw(st.lists(LEVELS, min_size=n, max_size=n))
+
+    fed = Federation(
+        {net: FederateState(make_topology([], n, net, levels(n)),
+                            weights=data.draw(st.sampled_from(WEIGHTS + [ALL_FOREIGN])))
+         for net, n in sizes.items()},
+        InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
+    for net, state in fed.federates.items():
+        state.performance = np.array(levels(sizes[net]))
+    fed.exchange()
+    want = bincount_terms(fed, couplings)
+    for net, state in fed.federates.items():
+        assert state.term.tobytes() == want[net].tobytes()
+
+
+def test_a_skewed_map_pads_every_column_to_its_busiest_node():
+    # Water node 2 has 40 couplings, one from each power node, in mixed
+    # order and interleaved with one on every other node.  So K = 40
+    # and every other column holds 39 padding entries.
+    sizes = {NetworkId.POWER: 40, NetworkId.WATER: 4}
+    others = [(NetworkId.WATER, i, NetworkId.WATER, 2) for i in (0, 1, 3)] + [
+        (NetworkId.POWER, i, NetworkId.WATER, i % 4) for i in range(40)]
+    busy = [(NetworkId.WATER, 2, NetworkId.POWER, 7 * k % 40) for k in range(40)]
+    couplings = busy[:15] + others[:20] + busy[15:31] + others[20:] + busy[31:]
+    fed = Federation({net: FederateState(make_topology([], n, net, [0.0] * n), ALL_FOREIGN)
+                      for net, n in sizes.items()},
+                     InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
+    rng = np.random.default_rng(40)
+    for net, state in fed.federates.items():
+        state.performance = rng.random(sizes[net])
+    fed.exchange()
+    want = bincount_terms(fed, couplings)
+    grid = slot_grid(sizes, couplings,
+                     lambda c: fed.federates[c[2]].performance[c[3]], 0.0)
+    for net, state in fed.federates.items():
+        assert state.term.tobytes() == want[net].tobytes()
+        assert state.foreign_inputs.shape == (40, sizes[net])
+        assert state.foreign_inputs.tolist() == grid[net]
+    water = fed.federates[NetworkId.WATER].foreign_inputs
+    assert not water[1:, [0, 1, 3]].any() and water[:, 2].all()
+    assert not fed.federates[NetworkId.POWER].foreign_inputs[1:].any()
 
 
 def test_default_federation_sub_granularity_window_stays_quiet():

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from granusim.coordinator import Federation, run
+from granusim.coordinator import Federation, coupling_plan, run
 from granusim.disruption import fixed_pattern
 from granusim.errors import SizeOverflow, UnknownNode
 from granusim.experiment import (ScenarioConfig, _prepare_run, build_federation,
@@ -44,12 +44,15 @@ def test_federations_of_one_wiring_share_their_read_only_rules_and_plan():
     assert a._divisor is b._divisor
     with pytest.raises(ValueError, match="read-only"):
         a._divisor[0] = 1
-    # Index arrays are copied once per build: numpy's take and bincount
-    # would copy a read-only one on every call.
-    for name in ("_producers", "_consumers"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.flags.writeable and not np.shares_memory(x, y)
-        assert np.array_equal(x, y)
+    # The grid index is copied once per build from the shared plan:
+    # numpy's take would copy a read-only one on every call.
+    shared = coupling_plan(wiring(CONFIG)[1], tuple(a.order),
+                           tuple(a.federates[net].node_count for net in a.order)).index
+    assert not shared.flags.writeable
+    assert a._index.flags.writeable and b._index.flags.writeable
+    assert not any(np.shares_memory(x, y) for x, y in ((a._index, b._index),
+                                                       (a._index, shared)))
+    assert np.array_equal(a._index, shared) and np.array_equal(b._index, shared)
 
 
 def test_edge_list_rules_share_their_scales_and_copy_their_indices():

@@ -66,6 +66,8 @@ def test_invalid_event_is_a_value_error():
     ("rt_range", (0, 2)),
     ("rate", float("inf")),
     ("rate", float("nan")),
+    ("rate", True),
+    ("rate", False),
     ("size_range", (1.0, 2.0)),
     ("size_range", (True, 2)),
     ("rt_range", (1, 2.5)),

@@ -227,8 +227,7 @@ def test_each_federate_picks_its_kernel_from_its_network_size():
 def test_wiring_follows_the_seed_and_the_network_spec():
     def built(config):
         fed = build_federation(config)
-        return ([fed.federates[net].topology for net in fed.order],
-                (fed._producers.tolist(), fed._consumers.tolist()))
+        return ([fed.federates[net].topology for net in fed.order], fed._index.tolist())
 
     first = built(SMALL)
     assert first[0] == build_topologies(SMALL)

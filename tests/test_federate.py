@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ def test_weights_must_sum_to_one():
         FederateState(topo, weights=(-0.1, 0.6, 0.5))
     with pytest.raises(ValueError):
         FederateState(topo, lag=0)
+
+
+@pytest.mark.parametrize("weights", [(0.25,) * 4, (0.5, 0.5)])
+def test_weights_must_be_three(weights):
+    # The weight rule refuses them, not the unpacking after it.
+    with pytest.raises(ValueError, match=re.escape(f"(w_int, w_in, w_ext), got {weights}")):
+        FederateState(make_topology([], 2), weights=weights)
 
 
 @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
