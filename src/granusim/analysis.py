@@ -9,7 +9,8 @@ model relating the propagated and actual recovery-time ratios.
 Both least-squares models are one QR factorisation of ``[1, columns]``:
 a term's share is its squared effect (its entry of ``Q^T y``) over the
 total sum of squares, the residual share RSS over it, and the ratio
-model's ``r_squared`` is its one column's share.  The logistic ridge and
+model's ``r_squared`` is its one column's share; only the ratio model
+solves ``R b = Q^T y`` for its coefficients.  The logistic ridge and
 iteration cap and the curve's point count are module constants.
 """
 
@@ -42,15 +43,16 @@ def load_results(path) -> dict[str, np.ndarray]:
     """Read a results CSV into numeric columns, keeping only ok rows.
 
     One ``csv.reader`` pass maps the header to column indices once and
-    skips blank lines.  Censored runs get sprt = NaN; callers drop them
-    for recovery-time models but keep them for visibility models.  A
-    header without one of ``RESULTS_COLUMNS`` raises ``MalformedResults``
-    naming each one; a row whose field count differs from the header's,
-    or an ok row whose visible is not ``true`` or ``false``, whose tg,
-    rt, ds, spds_pct or non-blank sprt_steps is not a finite number, or
-    whose tg, rt or ds is not a whole number of at least 1, raises
-    ``MalformedResults`` naming the line and the column, as does a file
-    without ok rows.
+    skips blank lines; each numeric column is then converted in one call.
+    Censored runs get sprt = NaN; callers drop them for recovery-time
+    models but keep them for visibility models.  A header without one of
+    ``RESULTS_COLUMNS`` raises ``MalformedResults`` naming each one; a
+    row whose field count differs from the header's, or an ok row whose
+    visible is not ``true`` or ``false``, whose tg, rt, ds, spds_pct or
+    non-blank sprt_steps is not a finite number, or whose tg, rt or ds
+    is not a whole number of at least 1, raises ``MalformedResults``
+    naming the line and the column, as does a file without ok rows.
+    Columns are checked in that order, each at its first bad line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -61,15 +63,16 @@ def load_results(path) -> dict[str, np.ndarray]:
         # A repeated name reads its last column, as a DictReader would.
         index = {name: i for i, name in enumerate(header)}
         status, visible = index["status"], index["visible"]
+        width = len(header)
         lines, rows = [], []
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                column = (f"column '{header[len(row)]}' is missing" if len(row) < len(header)
-                          else f"field {len(header) + 1} has no column")
+            if len(row) != width:
+                if not row:
+                    continue
+                column = (f"column '{header[len(row)]}' is missing" if len(row) < width
+                          else f"field {width + 1} has no column")
                 raise MalformedResults(f"{path}: line {reader.line_num}: {len(row)} fields "
-                                       f"where the header has {len(header)}; {column}")
+                                       f"where the header has {width}; {column}")
             if row[status] == "ok":
                 if row[visible] not in ("true", "false"):
                     raise MalformedResults(f"{path}: line {reader.line_num}: column 'visible': "
@@ -78,14 +81,26 @@ def load_results(path) -> dict[str, np.ndarray]:
                 rows.append(row)
     if not rows:
         raise MalformedResults(f"no usable rows in {path}")
+    columns = list(zip(*rows))
 
-    def numbers(column: str, blank: float | None = None) -> np.ndarray:
-        i = index[column]
+    def numbers(column: str, blank_is_nan: bool = False) -> np.ndarray:
+        # One conversion and one finiteness test per column; only a column
+        # that fails them is read again value by value, to name its first
+        # bad line.  numpy parses a string as float() does.
+        texts = columns[index[column]]
+        blank = np.array([not text for text in texts]) if blank_is_nan else False
+        try:
+            values = np.array([text or "nan" for text in texts] if blank_is_nan else texts,
+                              dtype=float)
+        except ValueError:
+            pass
+        else:
+            if (np.isfinite(values) | blank).all():
+                return values
         values = []
-        for line, row in zip(lines, rows):
-            text = row[i]
-            if blank is not None and text == "":
-                values.append(blank)
+        for line, text in zip(lines, texts):
+            if blank_is_nan and text == "":
+                values.append(math.nan)
                 continue
             try:
                 value = float(text)
@@ -103,8 +118,8 @@ def load_results(path) -> dict[str, np.ndarray]:
         "rt": numbers("rt"),
         "ds": numbers("ds"),
         "spds": numbers("spds_pct"),
-        "sprt": numbers("sprt_steps", blank=math.nan),
-        "visible": np.array([row[visible] == "true" for row in rows]),
+        "sprt": numbers("sprt_steps", blank_is_nan=True),
+        "visible": np.array([text == "true" for text in columns[visible]]),
     }
     for column in ("tg", "rt", "ds"):
         bad = np.flatnonzero((table[column] < 1) | (table[column] % 1 != 0))
@@ -131,7 +146,8 @@ def _require_finite(columns: dict[str, np.ndarray]) -> None:
 def _least_squares(columns: dict[str, np.ndarray],
                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """OLS of y on ``[1, *columns.values()]`` from one QR factorisation:
-    the coefficients (intercept first), the effects ``Q^T y`` and the RSS.
+    ``R``, the effects ``Q^T y`` and the RSS.  The coefficients (intercept
+    first) solve ``R b = Q^T y``; only the ratio model needs them.
 
     Every value must be finite.  ``CollinearError`` names the first
     column whose ``|R_kk|`` is below ``rows * eps`` times the largest
@@ -146,7 +162,7 @@ def _least_squares(columns: dict[str, np.ndarray],
         name = list(columns)[(dependent.argmax() if dependent.any() else len(y)) - 1]
         raise CollinearError(f"design matrix rank-deficient after adding {name}")
     effects = q.T @ y
-    return np.linalg.solve(r, effects), effects, float(((y - q @ effects) ** 2).sum())
+    return r, effects, float(((y - q @ effects) ** 2).sum())
 
 
 def variance_shares(table: dict[str, np.ndarray], response: str,
@@ -200,28 +216,45 @@ class LogisticVisibilityModel:
 
 
 def fit_visibility_logistic(table: dict[str, np.ndarray]) -> LogisticVisibilityModel:
-    """Penalized-likelihood logistic fit of visible ~ rt/tg via Newton/IRLS."""
+    """Penalized-likelihood logistic fit of visible ~ rt/tg by Newton's method.
+
+    With x = rt/tg, residuals r = y - mu and weights w = mu (1 - mu)
+    (floored at 1e-12), each step solves the 2x2 system of the penalized
+    Hessian in closed form from five sums: the gradient is (Σr, Σr·x)
+    less the ridge on the slope, and the Hessian is Σw, Σw·x and Σw·x²
+    plus the ridge.  Two products with the rows 1, x and x² give the
+    five sums.  The fit stops once the gradient's norm is below 1e-10,
+    or after ``LOGISTIC_MAX_ITER`` steps.  ``DegenerateModel`` when every
+    row has one label, or one ratio: then only the ridge sets the slope,
+    and rounding decides its sign.
+    """
     x = table["rt"] / table["tg"]
     y = np.asarray(table["visible"], dtype=float)
     if y.min() == y.max():
         raise DegenerateModel("all rows share one visibility label")
-    X = np.column_stack([np.ones_like(x), x])
-    beta = np.zeros(2)
+    if x.min() == x.max():
+        raise DegenerateModel("all rows share one rt/tg ratio")
+    powers = np.stack([np.ones_like(x), x, x * x])
+    intercept = slope = 0.0
     grad_norm = math.inf
     # Only the slope is penalized; a penalty on the intercept would
     # bias the midpoint of otherwise symmetric data away from center.
-    penalty = np.array([0.0, LOGISTIC_RIDGE])
-    for _ in range(LOGISTIC_MAX_ITER):
-        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-        grad = X.T @ (y - mu) - penalty * beta
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < 1e-10:
-            break
-        w = np.clip(mu * (1.0 - mu), 1e-12, None)
-        hess = (X * w[:, None]).T @ X + np.diag(penalty)
-        beta = beta + np.linalg.solve(hess, grad)
-    return LogisticVisibilityModel(intercept=float(beta[0]), slope=float(beta[1]),
-                                   gradient_norm=grad_norm)
+    # On separated labels the slope grows until exp(-eta) overflows far
+    # below the midpoint; mu is then 0.0, its limit.
+    with np.errstate(over="ignore"):
+        for _ in range(LOGISTIC_MAX_ITER):
+            mu = 1.0 / (1.0 + np.exp(-(intercept + slope * x)))
+            g0, g1 = (powers[:2] @ (y - mu)).tolist()
+            g1 -= LOGISTIC_RIDGE * slope
+            grad_norm = math.sqrt(g0 * g0 + g1 * g1)
+            if grad_norm < 1e-10:
+                break
+            sw, swx, swxx = (powers @ np.maximum(mu * (1.0 - mu), 1e-12)).tolist()
+            swxx += LOGISTIC_RIDGE
+            det = sw * swxx - swx * swx
+            intercept += (swxx * g0 - swx * g1) / det
+            slope += (sw * g1 - swx * g0) / det
+    return LogisticVisibilityModel(intercept=intercept, slope=slope, gradient_norm=grad_norm)
 
 
 @dataclass(frozen=True)
@@ -251,7 +284,8 @@ def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
     rows = _ratio_rows(table)
     x, y = rows["rt_over_tg"], rows["sprt_over_tg"]
     _require_finite({"rt_over_tg": x, "sprt_over_tg": y})
-    (intercept, slope), effects, _ = _least_squares({"rt_over_tg": x}, y)
+    r, effects, _ = _least_squares({"rt_over_tg": x}, y)
+    intercept, slope = np.linalg.solve(r, effects)
     ss_total = float(((y - y.mean()) ** 2).sum())
     return RatioLinearModel(intercept=float(intercept), slope=float(slope),
                             r_squared=float(effects[1] ** 2) / ss_total if ss_total else 1.0)

@@ -108,6 +108,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.out:
+        _check_parent(Path(args.out))
     table = analysis.load_results(args.results)
     report = analysis.analysis_report(table)
     text = analysis.report_json(report)

@@ -259,3 +259,24 @@ def penalized_loglik(beta, x, y, ridge):
     log_one_minus = -np.logaddexp(0.0, eta)
     ll = float(np.sum(np.where(y > 0.5, log_mu, log_one_minus)))
     return ll - 0.5 * ridge * float(beta[1] ** 2)
+
+
+def logistic_newton(x, y, ridge, max_iter):
+    """The slope-penalized logistic fit of y on x by generic Newton/IRLS
+    steps on the design ``[1, x]``, each solving the full Hessian system.
+
+    Returns the intercept, the slope and the final gradient norm."""
+    X = np.column_stack([np.ones_like(x), x])
+    beta = np.zeros(2)
+    grad_norm = np.inf
+    penalty = np.array([0.0, ridge])
+    for _ in range(max_iter):
+        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        grad = X.T @ (y - mu) - penalty * beta
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < 1e-10:
+            break
+        w = np.clip(mu * (1.0 - mu), 1e-12, None)
+        hess = (X * w[:, None]).T @ X + np.diag(penalty)
+        beta = beta + np.linalg.solve(hess, grad)
+    return float(beta[0]), float(beta[1]), grad_norm

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from granusim.analysis import (LOGISTIC_RIDGE, TERM_ORDER,
+from granusim.analysis import (LOGISTIC_MAX_ITER, LOGISTIC_RIDGE, TERM_ORDER,
                                LogisticVisibilityModel,
                                analysis_report, fit_ratio_linear,
                                fit_visibility_logistic, load_results,
@@ -16,7 +18,7 @@ from granusim.errors import (CollinearError, DegenerateModel, InvalidRecoveryTim
                              MalformedResults)
 from granusim.experiment import ResultRow, results_csv
 from granusim.metrics import RunOutcome
-from oracles import (ols_normal_equations, penalized_loglik,
+from oracles import (logistic_newton, ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
 
 
@@ -180,6 +182,60 @@ def test_logistic_gradient_matches_finite_differences():
 def test_logistic_rejects_single_label():
     with pytest.raises(DegenerateModel):
         fit_visibility_logistic(logistic_table([0.1, 0.9], [1, 1]))
+
+
+def test_logistic_rejects_a_single_ratio():
+    # With one ratio only the ridge sets the slope, and rounding decides
+    # its sign: on this table one summation order gave -7e-16 and another
+    # +1.1e-9, so `recommend` either refused the model or printed 1.
+    table = logistic_table([1.0] * 40, [0] * 30 + [1] * 10, tg=1.0)
+    with pytest.raises(DegenerateModel, match="^all rows share one rt/tg ratio$"):
+        fit_visibility_logistic(table)
+
+
+@st.composite
+def visibility_tables(draw):
+    """2-400 rows of whole tg and rt levels; few levels repeat ratios
+    often, and may leave one.  The labels are random, or split at one of
+    the ratios, which separates them perfectly."""
+    n = draw(st.integers(2, 400))
+    levels = st.integers(1, draw(st.sampled_from([3, 30])))
+    tg = np.array(draw(st.lists(levels, min_size=n, max_size=n)), dtype=float)
+    rt = np.array(draw(st.lists(levels, min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        visible = rt / tg > draw(st.sampled_from(sorted(set(rt / tg))))
+    else:
+        visible = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return {"tg": tg, "rt": rt, "visible": visible}
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=visibility_tables())
+def test_logistic_closed_form_matches_the_generic_newton_fit(table):
+    visible, ratios = table["visible"], table["rt"] / table["tg"]
+    if visible.all() or not visible.any():
+        with pytest.raises(DegenerateModel, match="^all rows share one visibility label$"):
+            fit_visibility_logistic(table)
+        return
+    if len(set(ratios)) == 1:
+        with pytest.raises(DegenerateModel, match="^all rows share one rt/tg ratio$"):
+            fit_visibility_logistic(table)
+        return
+    model = fit_visibility_logistic(table)
+    # The oracle's exp overflows far from the midpoint of separated labels.
+    with np.errstate(over="ignore"):
+        intercept, slope, _ = logistic_newton(ratios, visible.astype(float),
+                                              LOGISTIC_RIDGE, LOGISTIC_MAX_ITER)
+    assert model.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9)
+    assert model.slope == pytest.approx(slope, rel=1e-9, abs=1e-9)
+
+
+def test_logistic_fits_separated_labels_without_an_overflow_warning():
+    # exp(-eta) overflows at the far end, and pytest turns warnings into errors.
+    ratios = np.linspace(0.05, 20.0, 200)
+    model = fit_visibility_logistic(logistic_table(ratios, ratios > 10.0))
+    assert 10.0 < model.threshold < 10.1
+    assert model.gradient_norm < 1e-10
 
 
 def test_ratio_at_validates_probability():
@@ -413,6 +469,52 @@ def test_load_results_names_the_line_and_column_of_a_bad_number(tmp_path, column
     with pytest.raises(MalformedResults) as err:
         load_results(path)
     assert str(err.value) == f"{path}: line 3: column '{column}': {reason}: {value!r}"
+
+
+@pytest.mark.parametrize("column", ["tg", "rt", "ds", "spds_pct", "sprt_steps"])
+@pytest.mark.parametrize("first, second, reason", [
+    ("x", "nan", "not a number"),
+    ("inf", "x", "not finite"),
+    ("1e309", "1e309", "not finite"),
+])
+def test_load_results_names_the_first_bad_line_of_a_column(tmp_path, column, first, second,
+                                                           reason):
+    header = RESULTS_TEXT.splitlines()[0].split(",")
+    lines = RESULTS_TEXT.splitlines()
+    for number, text in ((3, first), (4, second)):
+        fields = lines[number - 1].split(",")
+        fields[header.index(column)] = text
+        lines[number - 1] = ",".join(fields)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedResults) as err:
+        load_results(path)
+    assert str(err.value) == f"{path}: line 3: column '{column}': {reason}: {first!r}"
+
+
+def test_load_results_reports_an_earlier_column_before_an_earlier_line(tmp_path):
+    # A bad spds_pct on line 2 and a bad tg on line 4: columns are read in
+    # order, so tg is named.
+    lines = RESULTS_TEXT.splitlines()
+    lines[1] = "0,2,2,8,x,10,true,false,0.000021,abc123def456,ok"
+    lines[3] = "2,inf,9,8,11.400000,,true,true,0.000020,abc123def456,ok"
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedResults) as err:
+        load_results(path)
+    assert str(err.value) == f"{path}: line 4: column 'tg': not finite: 'inf'"
+
+
+def test_load_results_reads_a_blank_sprt_as_nan_and_refuses_a_written_one(tmp_path):
+    # Line 4's sprt_steps is blank: a censored run.
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_TEXT)
+    np.testing.assert_array_equal(load_results(path)["sprt"], [10.0, 0.0, np.nan])
+    path.write_text(with_line(RESULTS_TEXT, 2,
+                              "0,2,2,8,6.941000,nan,true,false,0.000021,abc123def456,ok"))
+    with pytest.raises(MalformedResults) as err:
+        load_results(path)
+    assert str(err.value) == f"{path}: line 2: column 'sprt_steps': not finite: 'nan'"
 
 
 def test_results_csv_reads_back_through_load_results(tmp_path):

@@ -156,6 +156,21 @@ def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, ca
     assert calls == [] and not missing.exists()
 
 
+def test_analyze_into_a_missing_directory_fails_before_reading_the_results(
+        tmp_path, monkeypatch, capsys):
+    # A late failure named the temp file next to the report instead.
+    def no_read(*args):
+        raise RuntimeError("read the results before checking the output path")
+
+    monkeypatch.setattr("granusim.analysis.load_results", no_read)
+    missing = tmp_path / "missing_dir"
+    report = missing / "report.json"
+    assert main(["analyze", "--in", str(tmp_path / "results.csv"), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {missing} does not exist (for {report})\n"
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("levels, named, level", [
     (["--tg", "0", "--rt", "2", "--ds", "8"], "tg", 0),
     (["--tg", "-3", "--rt", "2", "--ds", "8"], "tg", -3),

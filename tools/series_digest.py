@@ -27,8 +27,17 @@ For each it prints:
   print the same one write the same results and traces, even when their
   raw bits differ in the last places.
 
-The raw digests depend on the numpy/BLAS build, which is why this is a
-script and not a test: compare digests taken on one machine.
+The raw digests hold for one BLAS kernel, not for one numpy/BLAS
+build: an OpenBLAS built with ``DYNAMIC_ARCH`` picks its kernel per
+process, and ``OPENBLAS_CORETYPE`` overrides the pick.  Under
+``OPENBLAS_CORETYPE=Prescott`` the factorial raw digest reads
+``ef5efaac…6176`` and the variants raw digest ``8b75c8d8…219a``, since
+the dense matvec sums in another order; the wide raw digest, whose runs
+call no BLAS, and all three printed digests stay.  So the printed
+digests are the contract across machines, and the raw digests compare
+two trees on one machine under one kernel, which is why this is a
+script and not a test.  ``tests/test_blas_kernel.py`` checks the
+printed outputs under both kernels.
 
 Run from the repository root:
 
