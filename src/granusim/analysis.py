@@ -85,8 +85,8 @@ def load_results(path) -> dict[str, np.ndarray]:
 
     def numbers(column: str, blank_is_nan: bool = False) -> np.ndarray:
         # One conversion and one finiteness test per column; only a column
-        # that fails them is read again value by value, to name its first
-        # bad line.  numpy parses a string as float() does.
+        # that fails them is scanned value by value, to name its first bad
+        # line.  numpy parses a string as float() does, so the scan finds one.
         texts = columns[index[column]]
         blank = np.array([not text for text in texts]) if blank_is_nan else False
         try:
@@ -97,21 +97,19 @@ def load_results(path) -> dict[str, np.ndarray]:
         else:
             if (np.isfinite(values) | blank).all():
                 return values
-        values = []
         for line, text in zip(lines, texts):
             if blank_is_nan and text == "":
-                values.append(math.nan)
                 continue
             try:
-                value = float(text)
+                finite = math.isfinite(float(text))
             except ValueError:
                 raise MalformedResults(f"{path}: line {line}: column '{column}': "
                                        f"not a number: {text!r}") from None
-            if not math.isfinite(value):
+            if not finite:
                 raise MalformedResults(f"{path}: line {line}: column '{column}': "
                                        f"not finite: {text!r}")
-            values.append(value)
-        return np.array(values)
+        raise AssertionError(f"column '{column}' failed numpy's conversion but no value "
+                             "failed float()")
 
     table = {
         "tg": numbers("tg"),

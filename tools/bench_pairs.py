@@ -6,7 +6,10 @@ sides once, one after the other: odd pairs the parent first, even pairs
 the change first, so a drift of the host's speed falls on both sides
 alike.  Each ``--run WORKLOAD:SEED:PAIRS[:TRACE]`` adds that many pairs of
 
-    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds S --trace TRACE
+    python3 perfbench/run.py --workload WORKLOAD --seed SEED --trace TRACE
+
+at perfbench's own run length, which the description reads back from
+each run's ``meta.seconds``.
 
 The output keeps, per run, its side, pair, order, ``meta``, the report's
 non-metric lines as ``notes`` and the final ``result`` object, and a
@@ -48,11 +51,11 @@ def unpack_parent(sha: str, work: Path) -> Path:
     return tree
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run in ``tree``: its meta, notes and final result."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -72,6 +75,19 @@ def machine() -> dict:
     return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "system": platform.system(),
             "machine": platform.machine()}
+
+
+def description(runs: list[dict]) -> str:
+    seconds = ", ".join(f"{s:g}" for s in sorted({run["meta"]["seconds"] for run in runs}))
+    return (
+        f"perfbench result JSONs of alternated parent/change pairs, {seconds} s runs "
+        "(python3 perfbench/run.py --workload W --seed S --trace X), written by "
+        "tools/bench_pairs.py; the parent side ran from `git archive` of parent_sha and "
+        "the change side from the working tree, whose meta.git_sha names its HEAD and so "
+        "not the uncommitted change; odd pairs ran the parent first, even "
+        "pairs the change first; per-iteration samples and per-metric lines are dropped; "
+        "every metric, the notes, meta and error counts are kept; `summary` gives each "
+        "side's quartiles over the pairs and the pairs the change won")
 
 
 def summary(runs: list[dict], spec: dict) -> dict:
@@ -132,7 +148,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH JSON file to write")
     parser.add_argument("--run", dest="runs", type=parse_run, action="append", required=True,
                         help="WORKLOAD:SEED:PAIRS[:TRACE], repeatable")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--work", help="directory for the parent's tree "
                                        "(a fresh temporary directory by default)")
     args = parser.parse_args(argv)
@@ -144,15 +159,7 @@ def main(argv=None) -> int:
     trees = {"parent": unpack_parent(sha, work), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = {
-        "description": (
-            f"perfbench result JSONs of alternated parent/change pairs, {args.seconds:g} s runs "
-            "(python3 perfbench/run.py --workload W --seed S --seconds T --trace X), written by "
-            "tools/bench_pairs.py; the parent side ran from `git archive` of parent_sha and "
-            "the change side from the working tree, whose meta.git_sha names its HEAD and so "
-            "not the uncommitted change; odd pairs ran the parent first, even "
-            "pairs the change first; per-iteration samples and per-metric lines are dropped; "
-            "every metric, the notes, meta and error counts are kept; `summary` gives each "
-            "side's quartiles over the pairs and the pairs the change won"),
+        "description": "",
         "machine": machine(),
         "parent_sha": sha,
         "summary": {},
@@ -168,7 +175,8 @@ def main(argv=None) -> int:
                 doc["runs"].append({"side": side, "workload": workload, "seed": seed,
                                     "trace": trace, "pair": pair,
                                     "order": f"{order[0]} first",
-                                    **bench(trees[side], workload, seed, args.seconds, trace)})
+                                    **bench(trees[side], workload, seed, trace)})
+            doc["description"] = description(doc["runs"])
             doc["summary"] = summary(doc["runs"], spec)
             out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
