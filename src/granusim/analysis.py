@@ -195,7 +195,7 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
 class LogisticVisibilityModel:
     intercept: float
     slope: float
-    gradient_norm: float
+    gradient_norm: float = math.nan  # not known for a model read from a report
 
     def probability(self, ratio) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(self.intercept + self.slope * np.asarray(ratio))))

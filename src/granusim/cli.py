@@ -72,18 +72,17 @@ def _cmd_run(args) -> int:
     config = _load_scenario(args)
     if args.trace:
         _check_parent(Path(args.trace))
-    outcome, trace, pattern = experiment.run_single(
-        config, args.tg, args.rt, args.ds)
+    row, trace = experiment.run_single(config, args.tg, args.rt, args.ds)
     if args.trace:
         write_atomic(Path(args.trace), trace.to_csv())
     doc = {
-        "tg": outcome.tg, "rt": outcome.rt, "ds": outcome.ds,
-        "spds_pct": round(outcome.spds, 6),
-        "sprt_steps": outcome.sprt,
-        "visible": outcome.visible,
-        "censored": outcome.censored,
-        "sec_per_step": outcome.sec_per_step,
-        "pattern_hash": experiment.pattern_hash(pattern),
+        "tg": row.tg, "rt": row.rt, "ds": row.ds,
+        "spds_pct": round(row.spds, 6),
+        "sprt_steps": row.sprt,
+        "visible": row.visible,
+        "censored": row.censored,
+        "sec_per_step": row.sec_per_step,
+        "pattern_hash": experiment.pattern_hash(row.pattern),
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
@@ -120,7 +119,8 @@ def _cmd_analyze(args) -> int:
     if args.plot_data:
         plot_dir = Path(args.plot_data)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        model = analysis.fit_visibility_logistic(table)
+        logistic = report["visibility_logistic"]
+        model = analysis.LogisticVisibilityModel(logistic["intercept"], logistic["slope"])
         max_ratio = float((table["rt"] / table["tg"]).max())
         write_atomic(plot_dir / "visibility_curve.csv",
                      analysis.visibility_curve_csv(model, max_ratio))

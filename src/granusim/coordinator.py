@@ -356,5 +356,4 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     for net, values in series.items():
         values *= 100.0
         values /= baselines[net]
-    return MoPTrace(networks=tuple(federation.order), series=series,
-                    baselines=baselines)
+    return MoPTrace(series=series, baselines=baselines)

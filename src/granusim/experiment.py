@@ -13,14 +13,14 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
 from .errors import GranusimError, InvalidFactor, ScenarioError
 from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
-from .metrics import MoPTrace, RunOutcome, classify_visibility, compute_spds, compute_sprt
+from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from .topology import (InterdependencyMap, NetworkId, Topology, _is_positive_int,
                        generate_interdependencies, generate_topology)
 
@@ -245,26 +245,42 @@ def pattern_hash(nodes: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One run: its factors, what it measured, its pattern and status.
+
+    ``spds``, ``sprt`` and ``sec_per_step`` are None on a failed row;
+    ``sprt`` is None on a censored one too.
+    """
+
     run_id: int
     tg: int
     rt: int
     ds: int
-    outcome: RunOutcome | None
+    spds: float | None = None
+    sprt: int | None = None
+    sec_per_step: float | None = None
     pattern: tuple[int, ...] = ()
     status: str = "ok"
 
+    @property
+    def visible(self) -> bool:
+        """The dip exceeded the visibility threshold; False on a failed row."""
+        return self.spds is not None and classify_visibility(self.spds)
+
+    @property
+    def censored(self) -> bool:
+        """The target never recovered within the horizon; False on a failed row."""
+        return self.spds is not None and self.sprt is None
+
     def to_csv_fields(self) -> list[str]:
-        out = self.outcome
-        return [
-            str(self.run_id), str(self.tg), str(self.rt), str(self.ds),
-            f"{out.spds:.6f}" if out else "",
-            "" if out is None or out.sprt is None else str(out.sprt),
-            "" if out is None else ("true" if out.visible else "false"),
-            "" if out is None else ("true" if out.censored else "false"),
-            f"{out.sec_per_step:.9f}" if out else "",
-            pattern_hash(self.pattern) if self.pattern else "",
-            self.status,
-        ]
+        if self.spds is None:
+            measured = [""] * 5
+        else:
+            measured = [f"{self.spds:.6f}", "" if self.sprt is None else str(self.sprt),
+                        "true" if self.visible else "false",
+                        "true" if self.censored else "false",
+                        f"{self.sec_per_step:.9f}"]
+        return [str(self.run_id), str(self.tg), str(self.rt), str(self.ds), *measured,
+                pattern_hash(self.pattern) if self.pattern else "", self.status]
 
 
 def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
@@ -292,31 +308,28 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
 
 
 def run_single(config: ScenarioConfig, tg: int, rt: int,
-               ds: int) -> tuple[RunOutcome, MoPTrace, tuple[int, ...]]:
-    """Run one (tg, rt, ds) configuration from a fresh deterministic federation."""
+               ds: int) -> tuple[ResultRow, MoPTrace]:
+    """Run one (tg, rt, ds) configuration from a fresh deterministic
+    federation: its row, with run id 0, and its trace."""
     federation, schedule, event = _prepare_run(config, tg, rt, ds)
-    t0, pattern = event.apply_time, event.nodes
+    t0 = event.apply_time
 
     started = time.perf_counter()
     trace = run(federation, schedule, [event])
     elapsed = time.perf_counter() - started
 
-    spds = compute_spds(trace, config.target, t0)
-    sprt = compute_sprt(trace, config.target, t0 + rt)
-    outcome = RunOutcome(tg=tg, rt=rt, ds=ds, spds=spds, sprt=sprt,
-                         visible=classify_visibility(spds),
-                         sec_per_step=elapsed / config.horizon)
-    return outcome, trace, pattern
+    row = ResultRow(0, tg, rt, ds, spds=compute_spds(trace, config.target, t0),
+                    sprt=compute_sprt(trace, config.target, t0 + rt),
+                    sec_per_step=elapsed / config.horizon, pattern=event.nodes)
+    return row, trace
 
 
 def _run_indexed(args) -> ResultRow:
-    index, config, triple = args
-    tg, rt, ds = triple
+    index, config, (tg, rt, ds) = args
     try:
-        outcome, _, pattern = run_single(config, tg, rt, ds)
-        return ResultRow(index, tg, rt, ds, outcome, pattern)
+        return replace(run_single(config, tg, rt, ds)[0], run_id=index)
     except GranusimError as exc:  # per-run failures recorded, batch continues
-        return ResultRow(index, tg, rt, ds, None, (), f"error: {exc}")
+        return ResultRow(index, tg, rt, ds, status=f"error: {exc}")
 
 
 def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
@@ -336,7 +349,7 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
         for row in rows:
             if row.status != "ok":
                 continue
-            _, trace, _ = run_single(config, row.tg, row.rt, row.ds)
+            _, trace = run_single(config, row.tg, row.rt, row.ds)
             write_atomic(traces_dir / f"run_{row.run_id:03d}.csv", trace.to_csv())
     return rows
 

@@ -1,11 +1,11 @@
-"""Measure-of-performance traces and derived outcome metrics.
+"""Measure-of-performance traces and the metrics derived from them.
 
 A ``MoPTrace`` holds the percent-of-baseline series of every network;
 ``MoPTrace.to_csv`` writes it as the trace CSV of ``run --trace`` and
 ``experiment --traces``, formatting the whole text in one pass.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ RECOVERY_LEVEL_PCT = 99.0
 class MoPTrace:
     """Per-timestep MoP series for every network, t = 0..horizon."""
 
-    networks: tuple[NetworkId, ...]
     series: dict[NetworkId, np.ndarray]
     baselines: dict[NetworkId, float]
 
@@ -75,19 +74,3 @@ def classify_visibility(spds: float) -> bool:
     """True iff the propagated dip exceeds the 5% visibility threshold."""
     return spds > VISIBILITY_THRESHOLD_PCT
 
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Derived metrics of one simulation run."""
-
-    tg: int
-    rt: int
-    ds: int
-    spds: float
-    sprt: int | None  # None = censored
-    visible: bool = field(default=False)
-    sec_per_step: float = 0.0
-
-    @property
-    def censored(self) -> bool:
-        return self.sprt is None

@@ -17,7 +17,9 @@ without error.  A topology checks itself once, when it is made: the
 node count and every node index are integers (a bool is not), every
 edge joins two distinct nodes in range, no edge appears twice, and
 there is one intrinsic level in [0, 1] per node; anything else raises
-``InvalidTopology``.
+``InvalidTopology``.  So does a coupling map, when it is made, for a
+node index that is not an integer or a network ``NetworkId`` refuses,
+and each ``from_json`` for text that is not JSON or a field at fault.
 """
 
 import functools
@@ -50,9 +52,37 @@ def _is_positive_int(value) -> bool:
     return _is_index_type(type(value)) and value >= 1
 
 
+def _as_network(value):
+    """``value`` as a ``NetworkId``, or as it is if ``NetworkId`` refuses it."""
+    try:
+        return NetworkId(value)
+    except ValueError:
+        return value
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _json_object(text: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object of ``text``, holding every one of ``fields``;
+    ``InvalidTopology`` naming the line of text that is not JSON, or
+    the field that is missing."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidTopology(f"line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidTopology("top level: expected an object")
+    for name in fields:
+        if name not in doc:
+            raise InvalidTopology(f"field '{name}': missing")
+    return doc
+
+
+def _is_list_of(value, length: int | None = None) -> bool:
+    return isinstance(value, list) and (length is None or len(value) == length)
 
 
 @dataclass(frozen=True)
@@ -127,12 +157,24 @@ class Topology:
 
     @classmethod
     def from_json(cls, text: str) -> "Topology":
-        doc = json.loads(text)
+        """The topology ``to_json`` wrote; ``InvalidTopology`` naming the
+        line of text that is not JSON, or the field at fault."""
+        doc = _json_object(text, ("network_id", "node_count", "edges",
+                                  "intrinsic_performance"))
+        network = _as_network(doc["network_id"])
+        if not isinstance(network, NetworkId):
+            raise InvalidTopology(f"field 'network_id': unknown network {network!r}")
+        edges, levels = doc["edges"], doc["intrinsic_performance"]
+        if not (_is_list_of(edges) and all(_is_list_of(e, 2) for e in edges)):
+            raise InvalidTopology("field 'edges': expected a list of [source, target] pairs")
+        if not (_is_list_of(levels) and all(isinstance(x, (int, float))
+                                            and not isinstance(x, bool) for x in levels)):
+            raise InvalidTopology("field 'intrinsic_performance': expected a list of numbers")
         return cls(
-            network_id=NetworkId(doc["network_id"]),
+            network_id=network,
             node_count=doc["node_count"],
-            edges=tuple((e[0], e[1]) for e in doc["edges"]),
-            intrinsic_performance=tuple(doc["intrinsic_performance"]),
+            edges=tuple(map(tuple, edges)),
+            intrinsic_performance=tuple(levels),
         )
 
 
@@ -148,6 +190,26 @@ class Coupling(NamedTuple):
 @dataclass(frozen=True)
 class InterdependencyMap:
     couplings: tuple[Coupling, ...]
+
+    def __post_init__(self):
+        # Checked once per frozen map, as ``Topology`` checks its edges:
+        # the array cast would take 0.5, True and '1' as node indices,
+        # and a network ``NetworkId`` refuses would fail only at the
+        # first build.  One test per type seen, then a search for the
+        # first coupling at fault.
+        consumer_net, consumer, producer_net, producer = (
+            zip(*self.couplings) if self.couplings else ((),) * 4)
+        if (all(map(_is_index_type, set(map(type, consumer + producer))))
+                and set(map(type, consumer_net + producer_net)) <= {NetworkId}):
+            return
+        for i, c in enumerate(self.couplings):
+            faults = [f"unknown network {v!r}" for v in (c[0], c[2])
+                      if not isinstance(_as_network(v), NetworkId)]
+            faults += [f"node index {v!r} is not an integer"
+                       for v in (c[1], c[3]) if not _is_index_type(type(v))]
+            if faults:
+                shown = tuple(v.value if isinstance(v, NetworkId) else v for v in c)
+                raise InvalidTopology(f"coupling {i} {shown}: {faults[0]}")
 
     @functools.cached_property
     def coupling_array(self) -> np.ndarray:
@@ -178,11 +240,16 @@ class InterdependencyMap:
 
     @classmethod
     def from_json(cls, text: str) -> "InterdependencyMap":
-        doc = json.loads(text)
+        """The map ``to_json`` wrote; ``InvalidTopology`` naming the line
+        of text that is not JSON, or the field or coupling at fault."""
+        couplings = _json_object(text, ("couplings",))["couplings"]
+        if not (_is_list_of(couplings) and all(_is_list_of(c, 4) for c in couplings)):
+            raise InvalidTopology("field 'couplings': expected a list of "
+                                  "[network, node, network, node] quadruples")
+        # A network ``NetworkId`` refuses is kept as it is, for the
+        # map's own check to name its coupling.
         return cls(couplings=tuple(
-            Coupling(NetworkId(c[0]), c[1], NetworkId(c[2]), c[3])
-            for c in doc["couplings"]
-        ))
+            Coupling(_as_network(c[0]), c[1], _as_network(c[2]), c[3]) for c in couplings))
 
 
 def generate_topology(network_id: NetworkId, node_count: int,

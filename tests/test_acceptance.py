@@ -64,8 +64,8 @@ def test_criterion_1_determinism(capsys):
         rt = rng.randint(1, 25)
         ds = rng.randint(1, 22)
         config = ScenarioConfig(master_seed=rng.randrange(2 ** 32), horizon=300)
-        first_out, first_trace, pattern = run_single(config, tg, rt, ds)
-        again_out, again_trace, _ = run_single(config, tg, rt, ds)
+        first_out, first_trace = run_single(config, tg, rt, ds)
+        again_out, again_trace = run_single(config, tg, rt, ds)
         if first_trace.to_csv() != again_trace.to_csv():
             diffs += 1
         if (first_out.spds, first_out.sprt, first_out.visible) != \
@@ -74,7 +74,7 @@ def test_criterion_1_determinism(capsys):
         nets, wiring = scenario_lockstep_inputs(config)
         t0 = disruption_onset(config, tg)
         expected = lockstep_series(nets, wiring, tg, config.horizon,
-                                   [(t0, t0 + rt, config.origin, pattern)])
+                                   [(t0, t0 + rt, config.origin, first_out.pattern)])
         if not all(np.allclose(first_trace.series[net], expected[net],
                                atol=1e-12, rtol=0) for net in nets):
             diffs += 1

@@ -17,7 +17,6 @@ from granusim.analysis import (LOGISTIC_MAX_ITER, LOGISTIC_RIDGE, TERM_ORDER,
 from granusim.errors import (CollinearError, DegenerateModel, InvalidRecoveryTime,
                              MalformedResults)
 from granusim.experiment import ResultRow, results_csv
-from granusim.metrics import RunOutcome
 from oracles import (logistic_newton, ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
 
@@ -519,11 +518,9 @@ def test_load_results_reads_a_blank_sprt_as_nan_and_refuses_a_written_one(tmp_pa
 
 def test_results_csv_reads_back_through_load_results(tmp_path):
     rows = [
-        ResultRow(0, 2, 9, 8, RunOutcome(tg=2, rt=9, ds=8, spds=6.9412345, sprt=14,
-                                         visible=True, sec_per_step=2e-5), pattern=(1, 4)),
-        ResultRow(1, 27, 2, 12, RunOutcome(tg=27, rt=2, ds=12, spds=0.25, sprt=None,
-                                           visible=False, sec_per_step=2e-5), pattern=(3,)),
-        ResultRow(2, 14, 13, 21, None, status="error: ds: too large"),
+        ResultRow(0, 2, 9, 8, spds=6.9412345, sprt=14, sec_per_step=2e-5, pattern=(1, 4)),
+        ResultRow(1, 27, 2, 12, spds=0.25, sprt=None, sec_per_step=2e-5, pattern=(3,)),
+        ResultRow(2, 14, 13, 21, status="error: ds: too large"),
     ]
     path = tmp_path / "results.csv"
     path.write_text(results_csv(rows))

@@ -24,8 +24,8 @@ SRC = Path(granusim.__file__).resolve().parent.parent
 # number of timesteps its federation held.
 SCRIPT = """
 from granusim.coordinator import run_steps
-from granusim.experiment import (RESULTS_HEADER, NetworkSpec, ResultRow, ScenarioConfig,
-                                 _prepare_run, run_single)
+from granusim.experiment import (RESULTS_HEADER, NetworkSpec, ScenarioConfig, _prepare_run,
+                                 run_single)
 from granusim.federate import uses_edge_list
 from granusim.topology import NETWORK_ORDER
 
@@ -35,8 +35,8 @@ wide = ScenarioConfig(horizon=280, couplings_per_node=3, networks=tuple(
 assert uses_edge_list(160, 560)
 for config, (tg, rt, ds) in [(ScenarioConfig(), (2, 9, 14)), (ScenarioConfig(), (12, 9, 8)),
                              (ScenarioConfig(), (27, 22, 21)), (wide, (5, 22, 60))]:
-    outcome, trace, pattern = run_single(config, tg, rt, ds)
-    fields = ResultRow(0, tg, rt, ds, outcome, pattern).to_csv_fields()
+    row, trace = run_single(config, tg, rt, ds)
+    fields = row.to_csv_fields()
     del fields[timing]
     federation, schedule, event = _prepare_run(config, tg, rt, ds)
     held = sum(federation.held for _ in run_steps(federation, schedule, [event]))

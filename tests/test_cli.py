@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from granusim.analysis import fit_visibility_logistic, load_results, recommend_tg
+from granusim import analysis
+from granusim.analysis import (fit_visibility_logistic, load_results, recommend_tg,
+                               visibility_curve_csv)
 from granusim.cli import build_parser, main
 from granusim.experiment import ScenarioConfig
 
@@ -77,6 +79,23 @@ def test_analyze_plot_data(results_csv_path, tmp_path):
                  "--plot-data", str(plots)]) == 0
     assert (plots / "visibility_curve.csv").exists()
     assert (plots / "ratio_scatter.csv").exists()
+
+
+def test_analyze_plot_data_fits_the_logistic_once(results_csv_path, tmp_path, monkeypatch):
+    fits = []
+
+    def counted(table):
+        fits.append(table)
+        return fit_visibility_logistic(table)
+
+    monkeypatch.setattr(analysis, "fit_visibility_logistic", counted)
+    assert main(["analyze", "--in", str(results_csv_path), "--out", str(tmp_path / "r.json"),
+                 "--plot-data", str(tmp_path / "plots")]) == 0
+    assert len(fits) == 1
+    curve = (tmp_path / "plots" / "visibility_curve.csv").read_text()
+    table = load_results(results_csv_path)
+    max_ratio = float((table["rt"] / table["tg"]).max())
+    assert curve == visibility_curve_csv(fit_visibility_logistic(table), max_ratio)
 
 
 def test_recommend_prints_integer(results_csv_path, capsys):

@@ -78,8 +78,8 @@ def test_event_beyond_horizon_rejected():
 
 def test_empty_events_stay_at_100():
     trace = run(small_federation(), SyncSchedule(tg=2, horizon=15), [])
-    for net in trace.networks:
-        assert np.array_equal(trace.series[net], np.full(16, 100.0))
+    for values in trace.series.values():
+        assert np.array_equal(values, np.full(16, 100.0))
 
 
 def test_registration_order_is_canonicalized():
@@ -592,7 +592,7 @@ def test_baselines_taken_before_first_step():
     trace = run(small_federation(), SyncSchedule(tg=2, horizon=5), [])
     assert trace.baselines[NetworkId.WATER] == 3.0
     assert trace.baselines[NetworkId.BUSINESS] == 2.0
-    assert all(trace.series[n][0] == 100.0 for n in trace.networks)
+    assert all(values[0] == 100.0 for values in trace.series.values())
 
 
 def test_run_steps_yields_each_timestep_and_returns_the_run_trace():
@@ -605,7 +605,7 @@ def test_run_steps_yields_each_timestep_and_returns_the_run_trace():
     expected = run(small_federation(), schedule, events)
     trace = done.value.value
     assert all(np.array_equal(trace.series[n], expected.series[n])
-               for n in expected.networks)
+               for n in expected.series)
 
 
 def test_second_run_on_the_same_federation_rejected():

@@ -85,7 +85,7 @@ def test_other_weights_or_lag_on_one_wiring_run_as_a_build_that_derived_nothing(
                         for spec, t in zip(other.networks, copies)},
                        InterdependencyMap(interdependencies.couplings))
     fresh = run(alone, schedule, [event])
-    for net in fresh.networks:
+    for net in fresh.series:
         assert shared.series[net].tobytes() == fresh.series[net].tobytes()
     # New weights derive a rule of their own; a new lag only a new ring.
     default = build_federation(CONFIG)

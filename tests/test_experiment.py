@@ -13,7 +13,7 @@ import pytest
 
 from granusim.errors import InvalidFactor, ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
-                                 FactorLevels, NetworkSpec, ScenarioConfig,
+                                 FactorLevels, NetworkSpec, ResultRow, ScenarioConfig,
                                  build_federation, build_layout,
                                  build_topologies,
                                  disruption_onset, pattern_hash,
@@ -275,8 +275,8 @@ def test_factor_levels_below_one_rejected_by_name(config, tg, rt, ds, named):
 
 
 def test_numpy_integer_levels_run_like_ints():
-    as_numpy, _, _ = run_single(SMALL, np.int64(5), np.int32(10), np.int64(8))
-    as_int, _, _ = run_single(SMALL, 5, 10, 8)
+    as_numpy, _ = run_single(SMALL, np.int64(5), np.int32(10), np.int64(8))
+    as_int, _ = run_single(SMALL, 5, 10, 8)
     assert (as_numpy.spds, as_numpy.sprt, as_numpy.visible) == \
         (as_int.spds, as_int.sprt, as_int.visible)
 
@@ -293,34 +293,52 @@ def test_import_leaves_the_process_pool_unloaded(module):
     assert out == "False\n"
 
 
-def test_run_single_outcome_shape():
-    outcome, trace, pattern = run_single(SMALL, tg=5, rt=10, ds=8)
-    assert outcome.tg == 5 and outcome.rt == 10 and outcome.ds == 8
-    assert len(pattern) == 8
+def test_run_single_row_shape():
+    row, trace = run_single(SMALL, tg=5, rt=10, ds=8)
+    assert (row.run_id, row.tg, row.rt, row.ds, row.status) == (0, 5, 10, 8, "ok")
+    assert len(row.pattern) == 8
     assert trace.horizon == SMALL.horizon
-    assert 0.0 <= outcome.spds <= 100.0
-    assert outcome.sec_per_step > 0
+    assert 0.0 <= row.spds <= 100.0
+    assert row.sec_per_step > 0
+
+
+def test_row_visible_is_derived_from_spds():
+    assert ResultRow(0, 2, 9, 8, spds=12.0, sprt=14).visible
+    assert not ResultRow(0, 2, 9, 8, spds=5.0, sprt=14).visible  # equality is not visible
+    assert not ResultRow(0, 2, 9, 8, status="error: ds: too large").visible
+
+
+def test_row_censored_property():
+    assert not ResultRow(0, 2, 9, 8, spds=12.0, sprt=14).censored
+    assert ResultRow(0, 2, 9, 8, spds=12.0, sprt=None).censored
+    assert not ResultRow(0, 2, 9, 8, status="error: ds: too large").censored
+
+
+def test_failed_row_writes_only_factors_and_status():
+    row = ResultRow(3, 2, 9, 8, status="error: ds: too large")
+    assert row.to_csv_fields() == ["3", "2", "9", "8", "", "", "", "", "", "",
+                                   "error: ds: too large"]
 
 
 def test_wide_window_is_visible():
     # rt at least twice tg guarantees a sync lands inside the window.
-    outcome, _, _ = run_single(SMALL, tg=5, rt=10, ds=8)
-    assert outcome.visible
+    row, _ = run_single(SMALL, tg=5, rt=10, ds=8)
+    assert row.visible
 
 
 def test_horizon_headroom_enforced():
     with pytest.raises(ScenarioError):
         run_single(ScenarioConfig(horizon=100), tg=5, rt=10, ds=8)
-    outcome, _, _ = run_single(ScenarioConfig(horizon=280), tg=5, rt=10, ds=8)
-    assert outcome.sprt is not None
+    row, _ = run_single(ScenarioConfig(horizon=280), tg=5, rt=10, ds=8)
+    assert row.sprt is not None
 
 
 def test_run_single_is_deterministic():
-    a, ta, pa = run_single(SMALL, tg=4, rt=9, ds=12)
-    b, tb, pb = run_single(SMALL, tg=4, rt=9, ds=12)
+    a, ta = run_single(SMALL, tg=4, rt=9, ds=12)
+    b, tb = run_single(SMALL, tg=4, rt=9, ds=12)
     assert (a.spds, a.sprt, a.visible) == (b.spds, b.sprt, b.visible)
     assert ta.to_csv() == tb.to_csv()
-    assert pa == pb
+    assert a.pattern == b.pattern
 
 
 def _strip_timing(csv_text):
@@ -359,7 +377,8 @@ def test_failed_runs_recorded_without_stopping():
     rows = run_experiment(SMALL, layout, jobs=1)
     assert [r.status == "ok" for r in rows] == [True, False, True]
     assert rows[1].status.startswith("error:")
-    assert rows[1].outcome is None
+    assert (rows[1].spds, rows[1].sprt, rows[1].sec_per_step) == (None, None, None)
+    assert not rows[1].visible and not rows[1].censored
     csv_text = results_csv(rows)
     assert len(csv_text.splitlines()) == 4
 

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granusim.metrics import (MoPTrace, RunOutcome, classify_visibility,
-                              compute_spds, compute_sprt)
+from granusim.metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from granusim.topology import NETWORK_ORDER, NetworkId
 from oracles import trace_csv
 
 
 def make_trace(values, network=NetworkId.BUSINESS):
     series = {network: np.asarray(values, dtype=float)}
-    return MoPTrace(networks=(network,), series=series,
-                    baselines={network: 1.0})
+    return MoPTrace(series=series, baselines={network: 1.0})
 
 
 def test_trace_horizon():
@@ -21,7 +19,6 @@ def test_trace_horizon():
 
 def test_trace_csv_format():
     trace = MoPTrace(
-        networks=(NetworkId.WATER, NetworkId.BUSINESS),
         series={NetworkId.WATER: np.array([100.0, 62.5]),
                 NetworkId.BUSINESS: np.array([100.0, 100.0])},
         baselines={NetworkId.WATER: 22.0, NetworkId.BUSINESS: 20.0})
@@ -51,8 +48,7 @@ def test_trace_csv_is_the_row_by_row_text(horizon, networks, palette, seed):
     # from the palette, so long horizons still see every edge value.
     rng = np.random.default_rng(seed)
     series = {net: rng.choice(np.array(palette), size=horizon + 1) for net in networks}
-    trace = MoPTrace(networks=tuple(networks), series=series,
-                     baselines={net: 1.0 for net in networks})
+    trace = MoPTrace(series=series, baselines={net: 1.0 for net in networks})
     assert trace.to_csv() == trace_csv(trace)
 
 
@@ -129,10 +125,3 @@ def test_visibility_threshold_is_strict():
 def test_shallow_traces_never_visible(values):
     spds = compute_spds(make_trace(values), NetworkId.BUSINESS, 0)
     assert not classify_visibility(spds)
-
-
-def test_outcome_censored_property():
-    hit = RunOutcome(tg=2, rt=9, ds=8, spds=12.0, sprt=14, visible=True)
-    miss = RunOutcome(tg=2, rt=9, ds=8, spds=12.0, sprt=None, visible=True)
-    assert not hit.censored
-    assert miss.censored

@@ -1,12 +1,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granusim.errors import EdgeCountOverflow, InvalidTopology
-from granusim.topology import (InterdependencyMap, NetworkId, Topology,
+from granusim.topology import (Coupling, InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from granusim.rng import stream
 from oracles import make_topology, sample_edges_from_pair_list
@@ -212,3 +213,65 @@ def test_producer_nodes_in_range():
     for c in imap.couplings:
         assert c.producer_network != c.consumer_network
         assert 0 <= c.producer_node < sizes[c.producer_network]
+
+
+W, P = NetworkId.WATER, NetworkId.POWER
+
+
+@pytest.mark.parametrize("bad, named", [
+    # Unchecked, the array cast wires each of these to node 0 or node 1
+    # of a 2-node network, and 'gas' fails the first build with a bare
+    # KeyError.
+    ((W, 0.5, P, 1), r"coupling 1 \('water', 0\.5, 'power', 1\): node index 0\.5 is not"),
+    ((W, True, P, 1), r"coupling 1 \('water', True, 'power', 1\): node index True is not"),
+    ((W, "1", P, 1), r"coupling 1 \('water', '1', 'power', 1\): node index '1' is not"),
+    (("gas", 0, P, 1), r"coupling 1 \('gas', 0, 'power', 1\): unknown network 'gas'"),
+    ((W, 0, P, 1.0), r"coupling 1 \('water', 0, 'power', 1\.0\): node index 1\.0 is not"),
+])
+def test_malformed_couplings_rejected_by_name(bad, named):
+    good = Coupling(P, 1, W, 0)
+    with pytest.raises(InvalidTopology, match=named):
+        InterdependencyMap(couplings=(good, Coupling(*bad), Coupling(W, 0.5, P, 0)))
+    with pytest.raises(InvalidTopology, match=named):
+        InterdependencyMap.from_json(json.dumps({"couplings": [
+            ["power", 1, "water", 0], [getattr(v, "value", v) for v in bad]]}))
+
+
+def test_couplings_take_what_network_id_accepts():
+    imap = InterdependencyMap(couplings=(Coupling("water", 0, P, np.int64(1)),))
+    assert imap.coupling_array.tolist() == [[0], [0], [1], [1]]
+
+
+@pytest.mark.parametrize("text, named", [
+    ("{}", "field 'network_id': missing"),
+    ("[1]", "top level: expected an object"),
+    ('{"network_id": "water",\n "node_count": }', "line 2: Expecting value"),
+    ('{"network_id": "gas", "node_count": 2, "edges": [], "intrinsic_performance": [1, 1]}',
+     "field 'network_id': unknown network 'gas'"),
+    ('{"network_id": "water", "node_count": 2, "intrinsic_performance": [1, 1]}',
+     "field 'edges': missing"),
+    ('{"network_id": "water", "node_count": 2, "edges": [[0, 1, 1]], '
+     '"intrinsic_performance": [1, 1]}', r"field 'edges': expected a list of \[source, target\]"),
+    ('{"network_id": "water", "node_count": 2, "edges": 5, "intrinsic_performance": [1, 1]}',
+     "field 'edges': expected"),
+    ('{"network_id": "water", "node_count": 2, "edges": [], "intrinsic_performance": 1}',
+     "field 'intrinsic_performance': expected a list of numbers"),
+    ('{"network_id": "water", "node_count": 2, "edges": [], '
+     '"intrinsic_performance": ["1", "1"]}', "field 'intrinsic_performance': expected"),
+])
+def test_topology_from_json_raises_named_errors(text, named):
+    with pytest.raises(InvalidTopology, match=named):
+        Topology.from_json(text)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("{}", "field 'couplings': missing"),
+    ("[1]", "top level: expected an object"),
+    ("couplings", "line 1: Expecting value"),
+    ('{"couplings": 3}', "field 'couplings': expected a list of"),
+    ('{"couplings": [["water", 0, "power"]]}', "field 'couplings': expected a list of"),
+    ('{"couplings": [[["water"], 0, "power", 1]]}', r"unknown network \['water'\]"),
+])
+def test_interdependency_from_json_raises_named_errors(text, named):
+    with pytest.raises(InvalidTopology, match=named):
+        InterdependencyMap.from_json(text)

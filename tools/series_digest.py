@@ -53,8 +53,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,  # noqa: E402
-                                 FactorLevels, NetworkSpec, ResultRow, ScenarioConfig,
-                                 build_layout, run_single)
+                                 FactorLevels, NetworkSpec, ScenarioConfig, build_layout,
+                                 run_single)
 from granusim.topology import NETWORK_ORDER, NetworkId  # noqa: E402
 
 SEEDS = (20200831, 4093)
@@ -85,15 +85,15 @@ def digests(configs, layout, full_spds: bool) -> tuple[str, str, int]:
     for seed, config in itertools.product(SEEDS, configs):
         seeded = replace(config, master_seed=seed)
         for run_id, (tg, rt, ds) in enumerate(layout):
-            outcome, trace, pattern = run_single(seeded, tg, rt, ds)
-            for net in trace.networks:
-                raw.update(trace.series[net].view("uint64").tobytes())
+            row, trace = run_single(seeded, tg, rt, ds)
+            for series in trace.series.values():
+                raw.update(series.view("uint64").tobytes())
                 count += 1
-            fields = ResultRow(run_id, tg, rt, ds, outcome, pattern).to_csv_fields()
+            fields = replace(row, run_id=run_id).to_csv_fields()
             del fields[TIMING_COLUMN]
             text = ",".join(fields) + "\n" + trace.to_csv()
             if full_spds:
-                text += repr(outcome.spds) + "\n"
+                text += repr(row.spds) + "\n"
             printed.update(text.encode())
     return raw.hexdigest(), printed.hexdigest(), count
 
