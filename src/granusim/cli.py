@@ -47,11 +47,11 @@ def _check_parent(path: Path) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if getattr(args, "scenario", None):
+    if args.scenario:
         config = ScenarioConfig.from_json(Path(args.scenario).read_text())
     else:
         config = ScenarioConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config
 

@@ -10,7 +10,9 @@ rows by N columns, N being the federation's nodes and K the most
 couplings on any node: column i holds node i's slot values in map
 order, padded with 0.0.  The grid's index comes from the map's coupling
 plan (``coupling_plan``, derived with numpy from ``coupling_array`` once
-per map, network order and node counts).  Each federate's
+per map, network order and node counts, and kept in the map's one
+store, ``topology.derive_once``); a federation built without a map
+reads the plans of ``NO_COUPLINGS``, which has none.  Each federate's
 ``foreign_inputs`` is its block of the grid and its step term a slice
 of the federation's term vector, so one gather into the grid and one
 ordered sum of its rows serve every consumer, at the barrier and once
@@ -44,7 +46,7 @@ from .errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
 from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _is_positive_int,
-                       _read_only)
+                       _read_only, derive_once)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,11 @@ class CouplingPlan(NamedTuple):
     divisor: np.ndarray
 
 
-def _derive_plan(interdependencies: InterdependencyMap | None,
+#: The map of a federation built without one: no couplings, so no slots.
+NO_COUPLINGS = InterdependencyMap(couplings=())
+
+
+def _derive_plan(interdependencies: InterdependencyMap,
                  order: tuple[NetworkId, ...], sizes: tuple[int, ...]) -> CouplingPlan:
     # Nodes are numbered by their flat index into the federates'
     # performance vectors laid end to end in ``order``.
@@ -94,9 +100,7 @@ def _derive_plan(interdependencies: InterdependencyMap | None,
     # Position in ``order`` of each network of NETWORK_ORDER, -1 if absent.
     position = np.full(len(NETWORK_ORDER), -1)
     position[[NETWORK_ORDER.index(net) for net in order]] = range(len(order))
-    consumer_net, consumer_node, producer_net, producer_node = (
-        np.zeros((4, 0), np.intp) if interdependencies is None
-        else interdependencies.coupling_array)
+    consumer_net, consumer_node, producer_net, producer_node = interdependencies.coupling_array
     consumer_at, producer_at = position[consumer_net], position[producer_net]
     outside = (consumer_at < 0) | (producer_at < 0)
     # Position -1 reads the trailing 0, so a node of an outside
@@ -125,21 +129,14 @@ def _derive_plan(interdependencies: InterdependencyMap | None,
         index, offsets, slot_count, np.maximum(slot_count, 1.0))))
 
 
-def coupling_plan(interdependencies: InterdependencyMap | None,
+def coupling_plan(interdependencies: InterdependencyMap,
                   order: tuple[NetworkId, ...], sizes: tuple[int, ...]) -> CouplingPlan:
     """The coupling plan of federates of ``sizes`` nodes in ``order``,
-    checked and derived on first use and then read from the map's
-    ``coupling_plans``.  A map at fault raises on every call (see
-    ``Federation``), since only a plan derived without error is stored.
-    Without a map there are no slots, and nothing is stored."""
-    if interdependencies is None:
-        return _derive_plan(None, order, sizes)
-    key = (order, sizes)
-    plan = interdependencies.coupling_plans.get(key)
-    if plan is None:
-        plan = interdependencies.coupling_plans[key] = _derive_plan(
-            interdependencies, order, sizes)
-    return plan
+    checked and derived once per map (``topology.derive_once``).  A map
+    at fault raises on every call (see ``Federation``), since only a
+    plan derived without error is stored."""
+    return derive_once(interdependencies, ("plan", order, sizes),
+                       lambda: _derive_plan(interdependencies, order, sizes))
 
 
 class Federation:
@@ -160,12 +157,13 @@ class Federation:
     for, and it raises ``UnknownNode`` too.  The first coupling at
     fault is named.  The grid index comes from the map's
     ``coupling_plan``, shared by every federation of one map, network
-    order and node counts; the read buffer, the grid and the term
-    vector are the federation's own.
+    order and node counts (``NO_COUPLINGS`` when built without a map);
+    the read buffer, the grid and the term vector are the federation's
+    own.
     """
 
     def __init__(self, federates: dict[NetworkId, FederateState],
-                 interdependencies: InterdependencyMap | None = None):
+                 interdependencies: InterdependencyMap = NO_COUPLINGS):
         # Canonical ordering makes the result independent of the
         # registration order of the federates.
         self.order = [n for n in NETWORK_ORDER if n in federates]

@@ -1,8 +1,10 @@
 """Disruption event generation.
 
 Two modes: the fixed node pattern reused across every factorial
-configuration (one pattern per disruption-size level), and a Poisson
-event stream with exponential inter-arrival times.
+configuration (one pattern per disruption-size level, drawn once per
+topology, seed and size and kept in the topology's one store,
+``topology.derive_once``), and a Poisson event stream with exponential
+inter-arrival times.
 """
 
 import math
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidEvent, SizeOverflow
 from .rng import stream
-from .topology import NetworkId, Topology, _is_index_type, _is_positive_int
+from .topology import NetworkId, Topology, _is_index_type, _is_positive_int, derive_once
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,8 @@ def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
 
     Depends only on (seed, ds, topology); every run at the same size
     level disrupts the same nodes.  The size must be a positive integer,
-    checked on every call; the pattern is drawn on the first and then
-    read from ``topology.patterns``.
+    checked on every call; the pattern is drawn once per topology
+    (``topology.derive_once``).
     """
     if not _is_positive_int(ds):
         raise ValueError(f"disruption size must be a positive integer, got {ds!r}")
@@ -86,13 +88,8 @@ def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
     label = f"pattern:{ds}"
     # Keyed on the text the stream is seeded from, so keys are equal
     # exactly when the draws are (the seeds 1 and True are not).
-    key = (f"{seed}", label)
-    pattern = topology.patterns.get(key)
-    if pattern is None:
-        rng = stream(seed, label)
-        pattern = topology.patterns[key] = tuple(
-            sorted(rng.sample(range(topology.node_count), ds)))
-    return pattern
+    return derive_once(topology, ("pattern", f"{seed}", label), lambda: tuple(
+        sorted(stream(seed, label).sample(range(topology.node_count), ds))))
 
 
 def poisson_stream(config: DisruptionStreamConfig, topology: Topology,

@@ -22,7 +22,7 @@ from .errors import GranusimError, InvalidFactor, ScenarioError
 from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from .topology import (InterdependencyMap, NetworkId, Topology, _is_positive_int,
-                       generate_interdependencies, generate_topology)
+                       _json_object, generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -78,6 +78,7 @@ class NetworkSpec:
     lag: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "network_id", _network_id(self.network_id, "id"))
         n = self.node_count
         _check_int("nodes", n)
         _check_int("edges", self.edge_count, minimum=None)
@@ -107,7 +108,6 @@ def _network_from_json(net, index: int) -> NetworkSpec:
             if key not in net:
                 raise ScenarioError(f"field '{key}': missing")
         kwargs = {_NETWORK_KEYS[key]: value for key, value in net.items()}
-        kwargs["network_id"] = _network_id(net["id"], "id")
         if isinstance(net.get("weights"), list):
             kwargs["weights"] = tuple(net["weights"])
         return NetworkSpec(**kwargs)
@@ -125,7 +125,10 @@ DEFAULT_NETWORKS = (
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Every scenario setting; a bad one raises a ``ScenarioError``
-    naming its field, whether built in Python or by ``from_json``."""
+    naming its field, whether built in Python or by ``from_json``.
+    ``networks`` is a tuple of at least two ``NetworkSpec``; networks
+    (``origin``, ``target`` and each spec's id) are stored as
+    ``NetworkId`` members."""
 
     master_seed: int = 20200831
     horizon: int = 400
@@ -142,7 +145,16 @@ class ScenarioConfig:
             _check_int(name, getattr(self, name))
         if not isinstance(self.align_sync, bool):
             raise ScenarioError(f"field 'align_sync': expected a bool, got {self.align_sync!r}")
-        ids = [n.network_id for n in self.networks]
+        for name in ("origin", "target"):
+            object.__setattr__(self, name, _network_id(getattr(self, name), name))
+        networks = self.networks
+        if not (isinstance(networks, tuple) and all(isinstance(n, NetworkSpec) for n in networks)):
+            raise ScenarioError(
+                f"field 'networks': expected a tuple of NetworkSpec, got {networks!r}")
+        if len(networks) < 2:
+            raise ScenarioError("field 'networks': need at least two networks to interconnect, "
+                                f"got {len(networks)}")
+        ids = [n.network_id for n in networks]
         if len(set(ids)) != len(ids):
             raise ScenarioError("field 'networks': duplicate network ids")
         if self.origin not in ids or self.target not in ids:
@@ -164,17 +176,9 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         """Map a scenario file's keys onto the fields; keys it leaves out
         keep their defaults, and an unknown key is a ``ScenarioError``."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ScenarioError("top level: expected an object")
+        doc = _json_object(text, (), ScenarioError)
         _reject_unknown(doc, {f.name for f in fields(cls)})
         kwargs = dict(doc)
-        for name in ("origin", "target"):
-            if name in doc:
-                kwargs[name] = _network_id(doc[name], name)
         if "networks" in doc:
             if not isinstance(doc["networks"], list):
                 raise ScenarioError("field 'networks': expected a list")

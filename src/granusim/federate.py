@@ -49,9 +49,10 @@ What the step reads but never writes, the node rule (``NodeRule``:
 the intrinsic state, ``M`` in its kernel's form, ``base`` and
 ``w_int + w_in``), depends only on the topology and on ``w_int`` and
 ``w_in``.  It is derived once per such pair on a frozen ``Topology``,
-stored on it (``Topology.node_rules``) and shared, read-only, by every
-federate built from the two; each federate still makes its own ring,
-masks and term, and its own copy of the edge-list index arrays.
+stored in its one store (``topology.derive_once``) and shared,
+read-only, by every federate built from the two; each federate still
+makes its own ring, masks and term, and its own copy of the edge-list
+index arrays.
 
 Only ``coordinator.run_steps`` holds a federate (``held``): after its
 first step, if every row of its ring holds the bits that step wrote,
@@ -65,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnknownNode
-from .topology import Topology, _is_positive_int, _read_only
+from .topology import Topology, _is_positive_int, _read_only, derive_once
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -145,18 +146,15 @@ def _derive_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
 
 def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
     """The node rule of ``topology`` under weights ``w_int`` and ``w_in``
-    (``w_ext`` does not enter it), derived on first use and then read
-    from ``topology.node_rules``.
+    (``w_ext`` does not enter it), derived once per topology
+    (``topology.derive_once``).
 
     The weights must be finite floats, as ``FederateState`` checks.
     They are keyed by their exact values, so 0.0 and -0.0 get rules of
     their own.
     """
-    key = (w_int.hex(), w_in.hex())
-    rule = topology.node_rules.get(key)
-    if rule is None:
-        rule = topology.node_rules[key] = _derive_rule(topology, w_int, w_in)
-    return rule
+    return derive_once(topology, ("rule", w_int.hex(), w_in.hex()),
+                       lambda: _derive_rule(topology, w_int, w_in))
 
 
 def _weights_ok(weights) -> bool:

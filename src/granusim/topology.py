@@ -10,16 +10,19 @@ Both are frozen, so their array forms (``Topology.edge_array``,
 ``Topology.edges_by_target``, ``InterdependencyMap.coupling_array``)
 are derived once per object and shared, read-only, by every federation
 built from it.  So is what other modules derive from them: each object
-holds a dict per derivation (``Topology.node_rules``,
-``Topology.patterns``, ``InterdependencyMap.coupling_plans``), which
-only the deriving function fills, and only with a result it derived
-without error.  A topology checks itself once, when it is made: the
-node count and every node index are integers (a bool is not), every
-edge joins two distinct nodes in range, no edge appears twice, and
-there is one intrinsic level in [0, 1] per node; anything else raises
-``InvalidTopology``.  So does a coupling map, when it is made, for a
-node index that is not an integer or a network ``NetworkId`` refuses,
-and each ``from_json`` for text that is not JSON or a field at fault.
+holds one store, ``derived``, which only ``derive_once`` writes, under
+a key tagged by the kind of result (a node rule, a disruption pattern,
+a coupling plan), and only with a result derived without error.  A
+topology checks itself once, when it is made: its network is one
+``NetworkId`` accepts (and is stored as its member), the node count and
+every node index are integers (a bool is not), every edge joins two
+distinct nodes in range, no edge appears twice, and there is one
+intrinsic level in [0, 1] per node, each a real number (a bool or a
+string is not one); anything else raises ``InvalidTopology``.  So does
+a coupling map, when it is made, for a coupling that is not four
+values, a node index that is not an integer or a network ``NetworkId``
+refuses, and each ``from_json`` for text that is not JSON or a field
+at fault.
 """
 
 import functools
@@ -47,6 +50,10 @@ def _is_index_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def _is_real_type(kind: type) -> bool:
+    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
+
+
 def _is_positive_int(value) -> bool:
     """The one rule of every entry point's counts and levels."""
     return _is_index_type(type(value)) and value >= 1
@@ -60,24 +67,43 @@ def _as_network(value):
         return value
 
 
+def _shown(coupling):
+    """``coupling`` as an error names it, its networks by value."""
+    if not isinstance(coupling, (tuple, list)):
+        return repr(coupling)
+    return tuple(v.value if isinstance(v, NetworkId) else v for v in coupling)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-def _json_object(text: str, fields: tuple[str, ...]) -> dict:
+def derive_once(owner, key, derive):
+    """``owner.derived[key]``, stored from ``derive()`` on first use.
+
+    A ``derive()`` that raises stores nothing, so it raises again on
+    the next call.
+    """
+    value = owner.derived.get(key)
+    if value is None:
+        value = owner.derived[key] = derive()
+    return value
+
+
+def _json_object(text: str, fields: tuple[str, ...], error=InvalidTopology) -> dict:
     """The JSON object of ``text``, holding every one of ``fields``;
-    ``InvalidTopology`` naming the line of text that is not JSON, or
-    the field that is missing."""
+    ``error`` naming the line of text that is not JSON, or the field
+    that is missing."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidTopology(f"line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise InvalidTopology("top level: expected an object")
+        raise error("top level: expected an object")
     for name in fields:
         if name not in doc:
-            raise InvalidTopology(f"field '{name}': missing")
+            raise error(f"field '{name}': missing")
     return doc
 
 
@@ -95,9 +121,19 @@ class Topology:
     def __post_init__(self):
         # Checked once per frozen topology, not per federate built on it.
         # The first edge at fault is named.
+        network = _as_network(self.network_id)
+        if not isinstance(network, NetworkId):
+            raise InvalidTopology(f"field 'network_id': unknown network {network!r}")
+        object.__setattr__(self, "network_id", network)
         n = self.node_count
         if not _is_index_type(type(n)):
             raise InvalidTopology(f"node_count must be an integer, got {n!r}")
+        # The float cast would take True and '1' as levels.  One test
+        # per type of level seen, then a search for the level.
+        levels = np.asarray(self.intrinsic_performance, dtype=object).ravel()
+        if not all(map(_is_real_type, set(map(type, levels)))):
+            level = next(v for v in levels if not _is_real_type(type(v)))
+            raise InvalidTopology(f"intrinsic performance level {level!r} is not a real number")
         levels = np.asarray(self.intrinsic_performance, dtype=float)
         if levels.shape != (n,):
             raise InvalidTopology(f"intrinsic performance levels: expected one per node ({n}), "
@@ -136,14 +172,9 @@ class Topology:
         return _read_only(np.array((sources[order], targets[order])))
 
     @functools.cached_property
-    def node_rules(self) -> dict:
-        """Storage of ``federate.node_rule``: the node rule per weights."""
-        return {}
-
-    @functools.cached_property
-    def patterns(self) -> dict:
-        """Storage of ``disruption.fixed_pattern``: the pattern per seed
-        and size."""
+    def derived(self) -> dict:
+        """The store of ``derive_once``: ``federate.node_rule`` and
+        ``disruption.fixed_pattern`` results."""
         return {}
 
     def to_json(self) -> str:
@@ -161,9 +192,6 @@ class Topology:
         line of text that is not JSON, or the field at fault."""
         doc = _json_object(text, ("network_id", "node_count", "edges",
                                   "intrinsic_performance"))
-        network = _as_network(doc["network_id"])
-        if not isinstance(network, NetworkId):
-            raise InvalidTopology(f"field 'network_id': unknown network {network!r}")
         edges, levels = doc["edges"], doc["intrinsic_performance"]
         if not (_is_list_of(edges) and all(_is_list_of(e, 2) for e in edges)):
             raise InvalidTopology("field 'edges': expected a list of [source, target] pairs")
@@ -171,7 +199,7 @@ class Topology:
                                             and not isinstance(x, bool) for x in levels)):
             raise InvalidTopology("field 'intrinsic_performance': expected a list of numbers")
         return cls(
-            network_id=network,
+            network_id=doc["network_id"],
             node_count=doc["node_count"],
             edges=tuple(map(tuple, edges)),
             intrinsic_performance=tuple(levels),
@@ -193,10 +221,16 @@ class InterdependencyMap:
 
     def __post_init__(self):
         # Checked once per frozen map, as ``Topology`` checks its edges:
-        # the array cast would take 0.5, True and '1' as node indices,
-        # and a network ``NetworkId`` refuses would fail only at the
-        # first build.  One test per type seen, then a search for the
-        # first coupling at fault.
+        # the column unpacking would fail on a coupling of three values
+        # and drop a fifth, the array cast would take 0.5, True and '1'
+        # as node indices, and a network ``NetworkId`` refuses would
+        # fail only at the first build.  One test per type seen, then a
+        # search for the first coupling at fault.
+        if not set(map(type, self.couplings)) <= {Coupling}:
+            for i, c in enumerate(self.couplings):
+                if not (isinstance(c, (tuple, list)) and len(c) == 4):
+                    raise InvalidTopology(f"coupling {i} {_shown(c)}: expected four values "
+                                          "(network, node, network, node)")
         consumer_net, consumer, producer_net, producer = (
             zip(*self.couplings) if self.couplings else ((),) * 4)
         if (all(map(_is_index_type, set(map(type, consumer + producer))))
@@ -208,8 +242,7 @@ class InterdependencyMap:
             faults += [f"node index {v!r} is not an integer"
                        for v in (c[1], c[3]) if not _is_index_type(type(v))]
             if faults:
-                shown = tuple(v.value if isinstance(v, NetworkId) else v for v in c)
-                raise InvalidTopology(f"coupling {i} {shown}: {faults[0]}")
+                raise InvalidTopology(f"coupling {i} {_shown(c)}: {faults[0]}")
 
     @functools.cached_property
     def coupling_array(self) -> np.ndarray:
@@ -223,9 +256,9 @@ class InterdependencyMap:
                                     list(map(rank, producer_net)), producer], dtype=np.intp))
 
     @functools.cached_property
-    def coupling_plans(self) -> dict:
-        """Storage of ``coordinator.coupling_plan``: the plan per network
-        order and node counts."""
+    def derived(self) -> dict:
+        """The store of ``derive_once``: ``coordinator.coupling_plan``
+        results."""
         return {}
 
     def to_json(self) -> str:

@@ -1,16 +1,17 @@
 """What a build reads but never writes is derived once per frozen wiring
 object: the node rule per topology and weights, the coupling plan per
 map, network order and node counts, and the disruption pattern per
-topology, seed and size.  These tests check that the shared results are
-read-only, keyed finely enough and never stored when their derivation
-fails."""
+topology, seed and size.  Each is kept in the one ``derived`` store of
+its topology or map, which only ``topology.derive_once`` writes.  These
+tests check that the shared results are read-only, keyed finely enough
+and never stored when their derivation fails."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from granusim.coordinator import Federation, coupling_plan, run
+from granusim.coordinator import NO_COUPLINGS, Federation, coupling_plan, run
 from granusim.disruption import fixed_pattern
 from granusim.errors import SizeOverflow, UnknownNode
 from granusim.experiment import (ScenarioConfig, _prepare_run, build_federation,
@@ -80,7 +81,7 @@ def test_other_weights_or_lag_on_one_wiring_run_as_a_build_that_derived_nothing(
 
     topologies, interdependencies = wiring(other)
     copies = [fresh_copy(t) for t in topologies]
-    assert not any(t.node_rules for t in copies)
+    assert not any(t.derived for t in copies)
     alone = Federation({spec.network_id: FederateState(t, spec.weights, spec.lag)
                         for spec, t in zip(other.networks, copies)},
                        InterdependencyMap(interdependencies.couplings))
@@ -107,14 +108,14 @@ def test_a_coupling_at_fault_raises_on_every_build():
     for _ in range(2):
         with pytest.raises(ValueError, match="outside the federation"):
             build(make_topology([], 3, NetworkId.POWER))
-    assert couplings.coupling_plans == {}
+    assert couplings.derived == {}
     # Sound with a business network that has a node 2, and still at
     # fault with a smaller one: the plan is keyed on the node counts.
     build(make_topology([], 3, NetworkId.BUSINESS))
     for _ in range(2):
         with pytest.raises(UnknownNode, match="producer node out of range"):
             build(make_topology([], 2, NetworkId.BUSINESS))
-    assert len(couplings.coupling_plans) == 1
+    assert len(couplings.derived) == 1
 
 
 def test_fixed_pattern_is_drawn_once_and_checked_on_every_call(water22):
@@ -141,3 +142,38 @@ def test_weights_are_keyed_by_their_exact_values():
     assert np.signbit(minus.base).any() and not np.signbit(plus.base).any()
     # An integer weight is its float: one rule.
     assert FederateState(topology, (1, 0, 0)).base is FederateState(topology, (1.0, 0.0, 0.0)).base
+
+
+def test_a_pattern_refused_or_too_large_leaves_the_store_as_it_was(water22):
+    topology = fresh_copy(water22)
+    fixed_pattern(8, topology, seed=20200831)
+    before = dict(topology.derived)
+    for ds, error in ((23, SizeOverflow), (0, ValueError), (True, ValueError),
+                      (2.0, ValueError)):
+        with pytest.raises(error):
+            fixed_pattern(ds, topology, seed=20200831)
+        assert topology.derived == before
+
+
+def test_a_rule_and_a_pattern_of_one_topology_sit_under_distinct_keys(water22):
+    topology = fresh_copy(water22)
+    rule = FederateState(topology).base
+    pattern = fixed_pattern(8, topology, seed=20200831)
+    kinds = sorted(key[0] for key in topology.derived)
+    assert kinds == ["pattern", "rule"]
+    assert FederateState(topology).base is rule
+    assert fixed_pattern(8, topology, seed=20200831) is pattern
+
+
+def test_federations_without_a_map_share_one_plan_per_order_and_sizes():
+    def build(n: int) -> Federation:
+        return Federation({NetworkId.WATER: FederateState(make_topology([], n)),
+                           NetworkId.POWER: FederateState(make_topology([], 3, NetworkId.POWER))})
+
+    a, b = build(2), build(2)
+    assert a._divisor is b._divisor
+    assert a._index.shape == (0, 5)
+    key = ("plan", (NetworkId.WATER, NetworkId.POWER), (2, 3))
+    assert NO_COUPLINGS.derived[key].divisor is a._divisor
+    # Other node counts derive a plan of their own.
+    assert build(4)._divisor is not a._divisor

@@ -144,6 +144,35 @@ def test_configs_built_in_python_are_checked_like_parsed_ones(build, field):
         build()
 
 
+@pytest.mark.parametrize("build, named", [
+    # Each was built, then 'water' failed the first run with an
+    # AttributeError and 'gas' a lookup.
+    (lambda: NetworkSpec("gas", 22, 77), "field 'id': unknown network 'gas'"),
+    (lambda: ScenarioConfig(origin="gas"), "field 'origin': unknown network 'gas'"),
+    (lambda: ScenarioConfig(target=["x"]), r"field 'target': unknown network \['x'\]"),
+    (lambda: ScenarioConfig(networks=(1, 2)), "field 'networks': expected a tuple of NetworkSpec"),
+    (lambda: ScenarioConfig(networks=DEFAULT_NETWORKS[:1], target=NetworkId.WATER),
+     "field 'networks': need at least two networks"),
+    (lambda: ScenarioConfig.from_json(json.dumps({"networks": [
+        {"id": "water", "nodes": 22, "edges": 77}], "target": "water"})),
+     "field 'networks': need at least two networks"),
+])
+def test_scenarios_refuse_at_build_what_failed_at_the_first_run(build, named):
+    with pytest.raises(ScenarioError, match=named):
+        build()
+
+
+def test_networks_given_by_value_are_stored_as_members():
+    config = ScenarioConfig(origin="water", target="business", networks=tuple(
+        replace(spec, network_id=spec.network_id.value) for spec in DEFAULT_NETWORKS))
+    assert config == ScenarioConfig()
+    assert config.origin is NetworkId.WATER and config.target is NetworkId.BUSINESS
+    assert [spec.network_id for spec in config.networks] == list(NETWORK_ORDER)
+    assert ScenarioConfig.from_json(config.to_json()) == config
+    row, _ = run_single(replace(config, horizon=280), 2, 9, 8)
+    assert row.status == "ok"
+
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 

@@ -120,6 +120,26 @@ def test_one_intrinsic_level_per_node():
         make_topology([], 3, intrinsic=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("network, levels, named", [
+    ("gas", (1.0, 1.0), "field 'network_id': unknown network 'gas'"),
+    (["water"], (1.0, 1.0), r"field 'network_id': unknown network \['water'\]"),
+    # Unchecked, the float cast takes these as levels 1.0 ...
+    (NetworkId.WATER, ("1", "1"), "level '1' is not a real number"),
+    (NetworkId.WATER, (1.0, True), "level True is not a real number"),
+    # ... and 'a' raises numpy's bare ValueError.
+    (NetworkId.WATER, ("a", "1"), "level 'a' is not a real number"),
+])
+def test_constructor_refuses_a_network_or_level_by_name(network, levels, named):
+    with pytest.raises(InvalidTopology, match=named):
+        Topology(network, 2, (), levels)
+
+
+def test_constructor_stores_the_network_member():
+    topology = Topology("water", 2, (), (1, np.float64(0.5)))
+    assert topology.network_id is NetworkId.WATER
+    assert Topology.from_json(topology.to_json()) == topology
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6), data=st.data())
 def test_generated_edges_are_valid(n, seed, data):
@@ -235,6 +255,16 @@ def test_malformed_couplings_rejected_by_name(bad, named):
     with pytest.raises(InvalidTopology, match=named):
         InterdependencyMap.from_json(json.dumps({"couplings": [
             ["power", 1, "water", 0], [getattr(v, "value", v) for v in bad]]}))
+
+
+@pytest.mark.parametrize("bad, named", [
+    ((W, 0, P), r"coupling 1 \('water', 0, 'power'\): expected four values"),
+    ((W, 0, P, 1, 2), r"coupling 1 \('water', 0, 'power', 1, 2\): expected four values"),
+    (5, "coupling 1 5: expected four values"),
+])
+def test_a_coupling_of_other_than_four_values_is_named(bad, named):
+    with pytest.raises(InvalidTopology, match=named):
+        InterdependencyMap(couplings=(Coupling(P, 1, W, 0), bad))
 
 
 def test_couplings_take_what_network_id_accepts():

@@ -34,10 +34,11 @@ process, and ``OPENBLAS_CORETYPE`` overrides the pick.  Under
 ``ef5efaac…6176`` and the variants raw digest ``8b75c8d8…219a``, since
 the dense matvec sums in another order; the wide raw digest, whose runs
 call no BLAS, and all three printed digests stay.  So the printed
-digests are the contract across machines, and the raw digests compare
-two trees on one machine under one kernel, which is why this is a
-script and not a test.  ``tests/test_blas_kernel.py`` checks the
-printed outputs under both kernels.
+digests are the contract across machines, pinned by
+``tests/test_printed_digests.py``, and the raw digests compare two
+trees on one machine under one kernel, so only this script prints
+them.  ``tests/test_blas_kernel.py`` checks the printed outputs under
+both kernels.
 
 Run from the repository root:
 
@@ -77,6 +78,14 @@ VARIANTS = [variant(weights, business_lag)
             for weights in ((0.3, 0.4, 0.3), (0.3, 0.5, 0.2)) for business_lag in (2, 3)]
 
 
+#: Each family's configs, layout and whether the wide spds are printed too.
+FAMILIES = {
+    "factorial": ([ScenarioConfig()], build_layout(FactorLevels()), False),
+    "wide": ([WIDE], WIDE_LAYOUT, True),
+    "variants": (VARIANTS, build_layout(FactorLevels()), False),
+}
+
+
 def digests(configs, layout, full_spds: bool) -> tuple[str, str, int]:
     """Raw and printed digests of every run of ``layout`` under each of
     ``configs`` in turn, at each seed, and the number of series."""
@@ -100,11 +109,8 @@ def digests(configs, layout, full_spds: bool) -> tuple[str, str, int]:
 
 def main() -> None:
     seeds = ", ".join(map(str, SEEDS))
-    for name, configs, layout, full_spds in (
-            ("factorial", [ScenarioConfig()], build_layout(FactorLevels()), False),
-            ("wide", [WIDE], WIDE_LAYOUT, True),
-            ("variants", VARIANTS, build_layout(FactorLevels()), False)):
-        raw, printed, count = digests(configs, layout, full_spds)
+    for name, family in FAMILIES.items():
+        raw, printed, count = digests(*family)
         print(f"{raw}  {name}: raw bits of {count} series, seeds {seeds}")
         print(f"{printed}  {name}: printed rows and traces of {count // 3} runs, seeds {seeds}")
 
