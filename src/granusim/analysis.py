@@ -129,7 +129,6 @@ def load_results(path) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class VarianceShareReport:
-    response: str
     shares: dict[str, float]  # per term, in TERM_ORDER
     residual_share: float
 
@@ -186,7 +185,6 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     _, effects, rss = _least_squares(
         {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)
     return VarianceShareReport(
-        response=response,
         shares={term: float(e ** 2) / ss_total for term, e in zip(terms, effects[1:])},
         residual_share=rss / ss_total)
 

@@ -147,7 +147,7 @@ class Federation:
     on any node.  Column i holds node i's slot values, its couplings in
     map order, and then 0.0 in each row it has no coupling for.  The
     grid takes K x N values, so a map that gives one node far more
-    couplings than the rest (as a JSON map may) pays for its busiest
+    couplings than the rest (as a hand-built map may) pays for its busiest
     node in every column.  Building a federation rebinds each
     federate's ``foreign_inputs`` to its (K, n) block of the grid, a
     view, and its ``term`` and ``uncoupled`` to its share of the
@@ -354,4 +354,4 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     for net, values in series.items():
         values *= 100.0
         values /= baselines[net]
-    return MoPTrace(series=series, baselines=baselines)
+    return MoPTrace(series=series)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidEvent, SizeOverflow
 from .rng import stream
-from .topology import NetworkId, Topology, _is_index_type, _is_positive_int, derive_once
+from .topology import (NetworkId, Topology, _is_index_type, _is_positive_int, _is_real_type,
+                       derive_once)
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ class DisruptionEvent:
 @dataclass(frozen=True)
 class DisruptionStreamConfig:
     """``ValueError`` naming the field unless the rate is a finite
-    positive number and not a bool (an infinite one would never reach
-    the horizon), each range two positive integers in order and the
-    horizon a positive integer."""
+    positive real number (a bool or a string is not one; an infinite
+    one would never reach the horizon), each range two positive
+    integers in order and the horizon a positive integer."""
 
     rate: float  # expected events per timestep
     size_range: tuple[int, int]
@@ -61,7 +62,7 @@ class DisruptionStreamConfig:
     horizon: int
 
     def __post_init__(self):
-        if isinstance(self.rate, bool) or not (math.isfinite(self.rate) and self.rate > 0):
+        if not (_is_real_type(type(self.rate)) and math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"rate: must be a finite positive number, got {self.rate!r}")
         for name in ("size_range", "rt_range"):
             bounds = getattr(self, name)

@@ -22,7 +22,7 @@ from .errors import GranusimError, InvalidFactor, ScenarioError
 from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from .topology import (InterdependencyMap, NetworkId, Topology, _is_positive_int,
-                       _json_object, generate_interdependencies, generate_topology)
+                       generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -56,6 +56,18 @@ def _check_int(field: str, value, minimum: int | None = 1) -> None:
         raise ScenarioError(f"field '{field}': must be at least {minimum}, got {value}")
 
 
+def _json_object(text: str) -> dict:
+    """The JSON object of ``text``; ``ScenarioError`` naming the line of
+    text that is not JSON, or a top level that is not an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError("top level: expected an object")
+    return doc
+
+
 def _reject_unknown(doc: dict, known) -> None:
     for key in doc:
         if key not in known:
@@ -85,12 +97,12 @@ class NetworkSpec:
         if not 0 <= self.edge_count <= n * (n - 1):
             raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
                                 f"for {n} nodes, got {self.edge_count}")
-        w = self.weights
-        if (not isinstance(w, (tuple, list))
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
-                or not _weights_ok(w)):
-            raise ScenarioError(
-                f"field 'weights': expected 3 finite nonnegative numbers summing to 1, got {w!r}")
+        if not _weights_ok(self.weights):
+            raise ScenarioError("field 'weights': expected 3 finite nonnegative numbers "
+                                f"summing to 1, got {self.weights!r}")
+        # A tuple of Python floats, which ``ScenarioConfig.to_json`` can
+        # write: the weight rule also takes a list and numpy numbers.
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         _check_int("lag", self.lag)
 
 
@@ -107,10 +119,7 @@ def _network_from_json(net, index: int) -> NetworkSpec:
         for key in ("id", "nodes", "edges"):
             if key not in net:
                 raise ScenarioError(f"field '{key}': missing")
-        kwargs = {_NETWORK_KEYS[key]: value for key, value in net.items()}
-        if isinstance(net.get("weights"), list):
-            kwargs["weights"] = tuple(net["weights"])
-        return NetworkSpec(**kwargs)
+        return NetworkSpec(**{_NETWORK_KEYS[key]: value for key, value in net.items()})
     except ScenarioError as exc:
         raise ScenarioError(f"field 'networks[{index}]': {exc}") from exc
 
@@ -176,7 +185,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         """Map a scenario file's keys onto the fields; keys it leaves out
         keep their defaults, and an unknown key is a ``ScenarioError``."""
-        doc = _json_object(text, (), ScenarioError)
+        doc = _json_object(text)
         _reject_unknown(doc, {f.name for f in fields(cls)})
         kwargs = dict(doc)
         if "networks" in doc:

@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnknownNode
-from .topology import Topology, _is_positive_int, _read_only, derive_once
+from .topology import Topology, _is_positive_int, _is_real_type, _read_only, derive_once
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -158,8 +158,12 @@ def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
 
 
 def _weights_ok(weights) -> bool:
-    """Whether weights are three, finite, nonnegative and sum to 1 within 1e-9."""
-    return (len(weights) == 3 and all(map(math.isfinite, weights)) and min(weights) >= 0
+    """Whether weights are a tuple or list of three real numbers (a bool
+    or a string is not one), finite, nonnegative and summing to 1 within
+    1e-9: the one rule of ``FederateState`` and ``NetworkSpec``."""
+    return (isinstance(weights, (tuple, list)) and len(weights) == 3
+            and all(map(_is_real_type, map(type, weights)))
+            and all(map(math.isfinite, weights)) and min(weights) >= 0
             and abs(sum(weights) - 1.0) <= 1e-9)
 
 
@@ -168,9 +172,9 @@ class FederateState:
 
     Confined to one logical owner at a time; all cross-federate
     interaction goes through the coordinator's exchange.  Weights must
-    be three, ``(w_int, w_in, w_ext)``, finite, nonnegative and sum to
-    1, and ``lag`` an integer of at least 1 (a bool is not one);
-    anything else raises ``ValueError``.
+    be a tuple or list of three real numbers, ``(w_int, w_in, w_ext)``,
+    finite, nonnegative and summing to 1, and ``lag`` an integer of at
+    least 1 (a bool is not one); anything else raises ``ValueError``.
     """
 
     def __init__(self, topology: Topology,

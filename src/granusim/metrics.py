@@ -25,7 +25,6 @@ class MoPTrace:
     """Per-timestep MoP series for every network, t = 0..horizon."""
 
     series: dict[NetworkId, np.ndarray]
-    baselines: dict[NetworkId, float]
 
     @property
     def horizon(self) -> int:

@@ -21,8 +21,11 @@ intrinsic level in [0, 1] per node, each a real number (a bool or a
 string is not one); anything else raises ``InvalidTopology``.  So does
 a coupling map, when it is made, for a coupling that is not four
 values, a node index that is not an integer or a network ``NetworkId``
-refuses, and each ``from_json`` for text that is not JSON or a field
-at fault.
+refuses.  What a constructor accepts in another form (a network's
+value, a numpy index or level) it stores in plain form: a
+``NetworkId`` member, a Python int or float.  So ``to_json`` writes
+every wiring its constructor accepts; ``granusim generate`` writes
+them for inspection, and no command reads them back.
 """
 
 import functools
@@ -67,6 +70,15 @@ def _as_network(value):
         return value
 
 
+def _network_member(value) -> NetworkId:
+    """``value`` as a ``NetworkId``; ``InvalidTopology`` naming it if
+    ``NetworkId`` refuses it."""
+    network = _as_network(value)
+    if not isinstance(network, NetworkId):
+        raise InvalidTopology(f"field 'network_id': unknown network {value!r}")
+    return network
+
+
 def _shown(coupling):
     """``coupling`` as an error names it, its networks by value."""
     if not isinstance(coupling, (tuple, list)):
@@ -91,26 +103,6 @@ def derive_once(owner, key, derive):
     return value
 
 
-def _json_object(text: str, fields: tuple[str, ...], error=InvalidTopology) -> dict:
-    """The JSON object of ``text``, holding every one of ``fields``;
-    ``error`` naming the line of text that is not JSON, or the field
-    that is missing."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise error(f"line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise error("top level: expected an object")
-    for name in fields:
-        if name not in doc:
-            raise error(f"field '{name}': missing")
-    return doc
-
-
-def _is_list_of(value, length: int | None = None) -> bool:
-    return isinstance(value, list) and (length is None or len(value) == length)
-
-
 @dataclass(frozen=True)
 class Topology:
     network_id: NetworkId
@@ -121,17 +113,15 @@ class Topology:
     def __post_init__(self):
         # Checked once per frozen topology, not per federate built on it.
         # The first edge at fault is named.
-        network = _as_network(self.network_id)
-        if not isinstance(network, NetworkId):
-            raise InvalidTopology(f"field 'network_id': unknown network {network!r}")
-        object.__setattr__(self, "network_id", network)
+        object.__setattr__(self, "network_id", _network_member(self.network_id))
         n = self.node_count
         if not _is_index_type(type(n)):
             raise InvalidTopology(f"node_count must be an integer, got {n!r}")
         # The float cast would take True and '1' as levels.  One test
         # per type of level seen, then a search for the level.
         levels = np.asarray(self.intrinsic_performance, dtype=object).ravel()
-        if not all(map(_is_real_type, set(map(type, levels)))):
+        level_types = set(map(type, levels))
+        if not all(map(_is_real_type, level_types)):
             level = next(v for v in levels if not _is_real_type(type(v)))
             raise InvalidTopology(f"intrinsic performance level {level!r} is not a real number")
         levels = np.asarray(self.intrinsic_performance, dtype=float)
@@ -143,9 +133,17 @@ class Topology:
                                   f"got {self.intrinsic_performance}")
         # The array cast would take 0.5, True and '1' as node indices.
         # One test per type of index seen, then a search for the edge.
-        if not all(map(_is_index_type, {type(v) for edge in self.edges for v in edge})):
+        index_types = {type(v) for edge in self.edges for v in edge}
+        if not all(map(_is_index_type, index_types)):
             edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
             raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
+        # A numpy count, index or level is stored as a Python int or
+        # float, which ``to_json`` can write; a generated topology is
+        # plain already and skips the copy.
+        if type(n) is not int or not index_types <= {int} or not level_types <= {float}:
+            object.__setattr__(self, "node_count", int(n))
+            object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
+            object.__setattr__(self, "intrinsic_performance", tuple(levels.tolist()))
         edges = self.edge_array
         out_of_range = ((edges < 0) | (edges >= n)).any(axis=1)
         for bad, what in ((out_of_range, f"out of range for {n} nodes"),
@@ -186,25 +184,6 @@ class Topology:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        """The topology ``to_json`` wrote; ``InvalidTopology`` naming the
-        line of text that is not JSON, or the field at fault."""
-        doc = _json_object(text, ("network_id", "node_count", "edges",
-                                  "intrinsic_performance"))
-        edges, levels = doc["edges"], doc["intrinsic_performance"]
-        if not (_is_list_of(edges) and all(_is_list_of(e, 2) for e in edges)):
-            raise InvalidTopology("field 'edges': expected a list of [source, target] pairs")
-        if not (_is_list_of(levels) and all(isinstance(x, (int, float))
-                                            and not isinstance(x, bool) for x in levels)):
-            raise InvalidTopology("field 'intrinsic_performance': expected a list of numbers")
-        return cls(
-            network_id=doc["network_id"],
-            node_count=doc["node_count"],
-            edges=tuple(map(tuple, edges)),
-            intrinsic_performance=tuple(levels),
-        )
-
 
 class Coupling(NamedTuple):
     """Directed lifeline: consumer node takes the producer node's output."""
@@ -226,14 +205,15 @@ class InterdependencyMap:
         # as node indices, and a network ``NetworkId`` refuses would
         # fail only at the first build.  One test per type seen, then a
         # search for the first coupling at fault.
-        if not set(map(type, self.couplings)) <= {Coupling}:
+        plain = set(map(type, self.couplings)) <= {Coupling}
+        if not plain:
             for i, c in enumerate(self.couplings):
                 if not (isinstance(c, (tuple, list)) and len(c) == 4):
                     raise InvalidTopology(f"coupling {i} {_shown(c)}: expected four values "
                                           "(network, node, network, node)")
         consumer_net, consumer, producer_net, producer = (
             zip(*self.couplings) if self.couplings else ((),) * 4)
-        if (all(map(_is_index_type, set(map(type, consumer + producer))))
+        if (plain and set(map(type, consumer + producer)) <= {int}
                 and set(map(type, consumer_net + producer_net)) <= {NetworkId}):
             return
         for i, c in enumerate(self.couplings):
@@ -243,6 +223,13 @@ class InterdependencyMap:
                        for v in (c[1], c[3]) if not _is_index_type(type(v))]
             if faults:
                 raise InvalidTopology(f"coupling {i} {_shown(c)}: {faults[0]}")
+        # What the checks accept in another form (a network's value, a
+        # numpy index, a tuple) is stored as a ``Coupling`` of
+        # ``NetworkId`` members and Python ints, which ``to_json`` can
+        # write; a generated map is plain already and returns above.
+        object.__setattr__(self, "couplings", tuple(
+            Coupling(NetworkId(c[0]), int(c[1]), NetworkId(c[2]), int(c[3]))
+            for c in self.couplings))
 
     @functools.cached_property
     def coupling_array(self) -> np.ndarray:
@@ -271,19 +258,6 @@ class InterdependencyMap:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "InterdependencyMap":
-        """The map ``to_json`` wrote; ``InvalidTopology`` naming the line
-        of text that is not JSON, or the field or coupling at fault."""
-        couplings = _json_object(text, ("couplings",))["couplings"]
-        if not (_is_list_of(couplings) and all(_is_list_of(c, 4) for c in couplings)):
-            raise InvalidTopology("field 'couplings': expected a list of "
-                                  "[network, node, network, node] quadruples")
-        # A network ``NetworkId`` refuses is kept as it is, for the
-        # map's own check to name its coupling.
-        return cls(couplings=tuple(
-            Coupling(_as_network(c[0]), c[1], _as_network(c[2]), c[3]) for c in couplings))
-
 
 def generate_topology(network_id: NetworkId, node_count: int,
                       edge_count: int, seed: int) -> Topology:
@@ -296,7 +270,7 @@ def generate_topology(network_id: NetworkId, node_count: int,
     if edge_count > max_edges:
         raise EdgeCountOverflow(f"{edge_count} edges requested but at most {max_edges} distinct "
                                 f"non-loop edges exist for {node_count} nodes")
-    rng = stream(seed, f"topology:{network_id.value}")
+    rng = stream(seed, f"topology:{_network_member(network_id).value}")
     # Sample positions in the row-major list of pairs (i, j), i != j,
     # without building it: ``random.sample`` draws from the length alone,
     # so the edges are those of sampling the list itself.  Position k is

@@ -590,8 +590,6 @@ def test_default_federation_sub_granularity_window_stays_quiet():
 
 def test_baselines_taken_before_first_step():
     trace = run(small_federation(), SyncSchedule(tg=2, horizon=5), [])
-    assert trace.baselines[NetworkId.WATER] == 3.0
-    assert trace.baselines[NetworkId.BUSINESS] == 2.0
     assert all(values[0] == 100.0 for values in trace.series.values())
 
 

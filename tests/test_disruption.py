@@ -68,6 +68,8 @@ def test_invalid_event_is_a_value_error():
     ("rate", float("nan")),
     ("rate", True),
     ("rate", False),
+    ("rate", "1"),
+    ("rate", None),
     ("size_range", (1.0, 2.0)),
     ("size_range", (True, 2)),
     ("rt_range", (1, 2.5)),
@@ -78,7 +80,8 @@ def test_invalid_event_is_a_value_error():
 def test_stream_config_validation(field, value):
     # Only the first three were refused before.  An infinite rate then
     # drew gaps of 0.0 forever, so ``poisson_stream`` never reached its
-    # horizon; NaN, the floats and the bools died later or ran as ints.
+    # horizon; NaN, the floats and the bools died later or ran as ints,
+    # and a rate of '1' or None raised a bare TypeError.
     valid = dict(rate=0.1, size_range=(1, 2), rt_range=(1, 2), horizon=10)
     with pytest.raises(ValueError, match=field):
         DisruptionStreamConfig(**{**valid, field: value})

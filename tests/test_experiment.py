@@ -117,6 +117,10 @@ WATER = {"id": "water", "nodes": 4, "edges": 6}
     ({"networks": [dict(WATER, lagg=3)]}, "field 'lagg': unknown"),
     # NaN passes both the sign and the sum test.
     ({"networks": [dict(WATER, weights=[float("nan"), 0.5, 0.5])]}, "weights"),
+    # Weights are real numbers, by the federate's own weight rule.
+    ({"networks": [dict(WATER, weights=[True, False, False])]}, "weights"),
+    ({"networks": [dict(WATER, weights=["0.3", 0.4, 0.3])]}, "weights"),
+    ({"networks": [dict(WATER, weights="abc")]}, "weights"),
 ])
 def test_scenario_fields_checked_when_parsed(doc, field):
     with pytest.raises(ScenarioError, match=field):
@@ -171,6 +175,15 @@ def test_networks_given_by_value_are_stored_as_members():
     assert ScenarioConfig.from_json(config.to_json()) == config
     row, _ = run_single(replace(config, horizon=280), 2, 9, 8)
     assert row.status == "ok"
+
+
+def test_weights_are_stored_as_a_tuple_of_floats():
+    # The weight rule takes numpy numbers, which ``to_json`` could not write.
+    spec = NetworkSpec(NetworkId.WATER, 4, 6, weights=[np.float32(0.5), np.int64(0), 0.5])
+    assert spec.weights == (0.5, 0.0, 0.5)
+    assert [type(w) for w in spec.weights] == [float] * 3
+    config = ScenarioConfig(networks=(spec, DEFAULT_NETWORKS[1]), target=NetworkId.POWER)
+    assert ScenarioConfig.from_json(config.to_json()) == config
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"

@@ -31,6 +31,14 @@ def test_weights_must_be_three(weights):
         FederateState(make_topology([], 2), weights=weights)
 
 
+@pytest.mark.parametrize("weights", ["abc", None, (True, False, False), ("0.3", 0.4, 0.3)])
+def test_weights_must_be_a_sequence_of_real_numbers(weights):
+    # 'abc' and None raised a bare TypeError, and (True, False, False)
+    # ran as (1.0, 0.0, 0.0), although a scenario file's bools are refused.
+    with pytest.raises(ValueError, match=re.escape(f"(w_int, w_in, w_ext), got {weights}")):
+        FederateState(make_topology([], 2), weights=weights)
+
+
 @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
                                      (float("inf"), 0.5, 0.5)])
 def test_weights_must_be_finite(weights):

@@ -10,7 +10,7 @@ from oracles import trace_csv
 
 def make_trace(values, network=NetworkId.BUSINESS):
     series = {network: np.asarray(values, dtype=float)}
-    return MoPTrace(series=series, baselines={network: 1.0})
+    return MoPTrace(series=series)
 
 
 def test_trace_horizon():
@@ -20,8 +20,7 @@ def test_trace_horizon():
 def test_trace_csv_format():
     trace = MoPTrace(
         series={NetworkId.WATER: np.array([100.0, 62.5]),
-                NetworkId.BUSINESS: np.array([100.0, 100.0])},
-        baselines={NetworkId.WATER: 22.0, NetworkId.BUSINESS: 20.0})
+                NetworkId.BUSINESS: np.array([100.0, 100.0])})
     lines = trace.to_csv().splitlines()
     assert lines[0] == "t,mop_water,mop_business"
     assert lines[1] == "0,100.000000,100.000000"
@@ -48,7 +47,7 @@ def test_trace_csv_is_the_row_by_row_text(horizon, networks, palette, seed):
     # from the palette, so long horizons still see every edge value.
     rng = np.random.default_rng(seed)
     series = {net: rng.choice(np.array(palette), size=horizon + 1) for net in networks}
-    trace = MoPTrace(series=series, baselines={net: 1.0 for net in networks})
+    trace = MoPTrace(series=series)
     assert trace.to_csv() == trace_csv(trace)
 
 
