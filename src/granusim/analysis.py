@@ -169,18 +169,19 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     Covariates enter a least-squares linear model in the fixed order
     given; each term's share is its squared QR effect (the drop in
     residual sum of squares when it is added) over the total.  A factor
-    or response that is not finite, then a response without rows or
-    variance, raises ``ValueError`` naming the response and the cause;
+    or response that is not finite raises ``ValueError``, then a
+    response without rows or variance ``DegenerateModel``, naming the
+    response and the cause;
     then a term that the ones before it span (such as a factor with one
     level) raises ``CollinearError`` naming it.
     """
     y = np.asarray(table[response], dtype=float)
     _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
     if not len(y):
-        raise ValueError(f"response {response!r} has no rows")
+        raise DegenerateModel(f"response {response!r} has no rows")
     ss_total = float(((y - y.mean()) ** 2).sum())
     if ss_total == 0:
-        raise ValueError(f"response {response!r} has zero variance")
+        raise DegenerateModel(f"response {response!r} has zero variance")
 
     _, effects, rss = _least_squares(
         {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from .errors import InvalidEvent, SizeOverflow
 from .rng import stream
 from .topology import (NetworkId, Topology, _is_index_type, _is_positive_int, _is_real_type,
-                       derive_once)
+                       _network_member, derive_once)
 
 
 @dataclass(frozen=True)
 class DisruptionEvent:
     """One disruption of ``nodes`` from ``apply_time`` to ``retract_time``.
 
-    Both times and every node index are integers (a bool is not one),
+    The network is one ``NetworkId`` accepts (stored as its member),
+    both times and every node index are integers (a bool is not one),
     the retraction comes after the application, and the nodes are
     distinct, nonnegative and at least one; anything else raises
     ``InvalidEvent``.
@@ -32,6 +33,7 @@ class DisruptionEvent:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "network_id", _network_member(self.network_id, InvalidEvent))
         for name in ("apply_time", "retract_time"):
             value = getattr(self, name)
             if not _is_index_type(type(value)):
@@ -53,8 +55,9 @@ class DisruptionEvent:
 class DisruptionStreamConfig:
     """``ValueError`` naming the field unless the rate is a finite
     positive real number (a bool or a string is not one; an infinite
-    one would never reach the horizon), each range two positive
-    integers in order and the horizon a positive integer."""
+    one would never reach the horizon), each range a tuple or list of
+    two positive integers in order and the horizon a positive
+    integer."""
 
     rate: float  # expected events per timestep
     size_range: tuple[int, int]
@@ -66,7 +69,8 @@ class DisruptionStreamConfig:
             raise ValueError(f"rate: must be a finite positive number, got {self.rate!r}")
         for name in ("size_range", "rt_range"):
             bounds = getattr(self, name)
-            if not (len(bounds) == 2 and all(map(_is_positive_int, bounds))
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                    and all(map(_is_positive_int, bounds))
                     and bounds[0] <= bounds[1]):
                 raise ValueError(f"{name}: must be positive integers (low, high), got {bounds!r}")
         if not _is_positive_int(self.horizon):

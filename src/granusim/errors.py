@@ -11,14 +11,17 @@ class EdgeCountOverflow(GranusimError):
 
 class InvalidTopology(GranusimError, ValueError):
     """A topology's node count, edges or intrinsic levels are malformed:
-    a node count or node index that is not an integer, an edge out of
-    range, a self-loop, a repeated edge, or a level outside [0, 1]."""
+    a node count or node index that is not an integer, an edge that is
+    not two values, an edge out of range, a self-loop, a repeated edge,
+    or a level outside [0, 1]."""
 
 
 class InvalidEvent(GranusimError, ValueError):
-    """A disruption event's time or node index is not an integer (a
-    bool is not one), it retracts no later than it applies, or its node
-    set is empty, repeats a node or holds a negative index."""
+    """A disruption event's network is one ``NetworkId`` refuses, its
+    time or node index is not an integer (a bool is not one), it
+    retracts no later than it applies, or its node set is empty,
+    repeats a node or holds a negative index; or a node set delivered
+    to a federate holds an index that is not an integer."""
 
 
 class SizeOverflow(GranusimError):
@@ -51,8 +54,9 @@ class InvalidRecoveryTime(GranusimError):
     """An expected recovery time is not a positive finite number."""
 
 
-class DegenerateModel(GranusimError):
-    """Model cannot be fit or queried (single class, zero slope, ...)."""
+class DegenerateModel(GranusimError, ValueError):
+    """Model cannot be fit or queried: a response with no rows or zero
+    variance, a single class or ratio, a zero slope, ..."""
 
 
 class ScenarioError(GranusimError):

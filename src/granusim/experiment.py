@@ -21,8 +21,8 @@ from .disruption import DisruptionEvent, fixed_pattern
 from .errors import GranusimError, InvalidFactor, ScenarioError
 from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
-from .topology import (InterdependencyMap, NetworkId, Topology, _is_positive_int,
-                       generate_interdependencies, generate_topology)
+from .topology import (InterdependencyMap, NetworkId, Topology, _is_index_type, _is_positive_int,
+                       _network_member, generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -45,15 +45,16 @@ class FactorLevels:
                 raise ValueError(f"{name} must be ascending positive integers, got {levels}")
 
 
-def _check_int(field: str, value, minimum: int | None = 1) -> None:
-    """``ScenarioError`` naming ``field`` unless ``value`` is an int, not
-    a bool, and at least ``minimum``: stricter than
-    ``topology._is_positive_int``, since ``ScenarioConfig.to_json`` writes
-    every field and ``json`` cannot write a numpy integer."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def _check_int(field: str, value, minimum: int | None = 1) -> int:
+    """``value`` as a Python int, which ``ScenarioConfig.to_json`` can
+    write; ``ScenarioError`` naming ``field`` unless it is an integer
+    (``topology._is_index_type``: a Python or numpy integer, not a bool)
+    of at least ``minimum``."""
+    if not _is_index_type(type(value)):
         raise ScenarioError(f"field '{field}': expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"field '{field}': must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def _json_object(text: str) -> dict:
@@ -74,13 +75,6 @@ def _reject_unknown(doc: dict, known) -> None:
             raise ScenarioError(f"field {key!r}: unknown")
 
 
-def _network_id(value, field: str) -> NetworkId:
-    try:
-        return NetworkId(value)
-    except ValueError:
-        raise ScenarioError(f"field '{field}': unknown network {value!r}") from None
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     network_id: NetworkId
@@ -90,10 +84,11 @@ class NetworkSpec:
     lag: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "network_id", _network_id(self.network_id, "id"))
-        n = self.node_count
-        _check_int("nodes", n)
-        _check_int("edges", self.edge_count, minimum=None)
+        object.__setattr__(self, "network_id",
+                           _network_member(self.network_id, ScenarioError, "id"))
+        n = _check_int("nodes", self.node_count)
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "edge_count", _check_int("edges", self.edge_count, minimum=None))
         if not 0 <= self.edge_count <= n * (n - 1):
             raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
                                 f"for {n} nodes, got {self.edge_count}")
@@ -103,7 +98,7 @@ class NetworkSpec:
         # A tuple of Python floats, which ``ScenarioConfig.to_json`` can
         # write: the weight rule also takes a list and numpy numbers.
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        _check_int("lag", self.lag)
+        object.__setattr__(self, "lag", _check_int("lag", self.lag))
 
 
 #: JSON key of each ``NetworkSpec`` field in a scenario file.
@@ -137,7 +132,7 @@ class ScenarioConfig:
     naming its field, whether built in Python or by ``from_json``.
     ``networks`` is a tuple of at least two ``NetworkSpec``; networks
     (``origin``, ``target`` and each spec's id) are stored as
-    ``NetworkId`` members."""
+    ``NetworkId`` members and integers as Python ints."""
 
     master_seed: int = 20200831
     horizon: int = 400
@@ -149,13 +144,14 @@ class ScenarioConfig:
     align_sync: bool = False
 
     def __post_init__(self):
-        _check_int("master_seed", self.master_seed, minimum=None)
-        for name in ("horizon", "warmup", "couplings_per_node"):
-            _check_int(name, getattr(self, name))
+        for name, minimum in (("master_seed", None), ("horizon", 1), ("warmup", 1),
+                              ("couplings_per_node", 1)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
         if not isinstance(self.align_sync, bool):
             raise ScenarioError(f"field 'align_sync': expected a bool, got {self.align_sync!r}")
         for name in ("origin", "target"):
-            object.__setattr__(self, name, _network_id(getattr(self, name), name))
+            object.__setattr__(self, name,
+                               _network_member(getattr(self, name), ScenarioError, name))
         networks = self.networks
         if not (isinstance(networks, tuple) and all(isinstance(n, NetworkSpec) for n in networks)):
             raise ScenarioError(
@@ -168,12 +164,6 @@ class ScenarioConfig:
             raise ScenarioError("field 'networks': duplicate network ids")
         if self.origin not in ids or self.target not in ids:
             raise ScenarioError("field 'origin'/'target': must name configured networks")
-
-    def network(self, network_id: NetworkId) -> NetworkSpec:
-        for spec in self.networks:
-            if spec.network_id == network_id:
-                return spec
-        raise KeyError(network_id)
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -400,8 +390,13 @@ def timing_profile(config: ScenarioConfig, tg_list: list[int],
     alike instead of on one.  A timestep does the same work in every
     round, so each keeps its fastest round, and a granularity's cost is
     the mean of its timesteps' fastest times; only the simulation loop
-    is timed.
+    is timed.  ``repeats`` must be a positive integer (``ValueError``
+    naming it), and an empty ``tg_list`` gives an empty profile.
     """
+    if not _is_positive_int(repeats):
+        raise ValueError(f"repeats: must be a positive integer, got {repeats!r}")
+    if not tg_list:
+        return []
     best = [[float("inf")] * config.horizon for _ in tg_list]
     for round_ in range(repeats):
         runs = []

@@ -65,8 +65,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnknownNode
-from .topology import Topology, _is_positive_int, _is_real_type, _read_only, derive_once
+from .errors import InvalidEvent, UnknownNode
+from .topology import (Topology, _is_index_type, _is_positive_int, _is_real_type, _read_only,
+                       derive_once)
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -231,8 +232,12 @@ class FederateState:
         return self.topology.node_count
 
     def check_nodes(self, node_set) -> np.ndarray:
-        """Sorted distinct node indices; ``UnknownNode`` if any is out of range."""
-        nodes = np.asarray(sorted(set(node_set)), dtype=int)
+        """Sorted distinct node indices; ``InvalidEvent`` if one is not an
+        integer (a bool is not one), ``UnknownNode`` if any is out of range."""
+        given = tuple(node_set)  # the int cast would take 1.5, True and '1' as 1
+        if not all(map(_is_index_type, set(map(type, given)))):
+            raise InvalidEvent(f"node set has an index that is not an integer: {node_set}")
+        nodes = np.asarray(sorted(set(given)), dtype=int)
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.node_count):
             raise UnknownNode(
                 f"node indices {node_set} out of range for "
@@ -289,7 +294,8 @@ class FederateState:
 
         Only the masks change: ``performance`` keeps its value until the
         next ``step()``, which pins the nodes to zero and hides them from
-        their out-neighbours.
+        their out-neighbours.  The nodes are checked first
+        (``check_nodes``), so a refused set disrupts no node.
         """
         nodes = self.check_nodes(node_set)
         self.disrupted[nodes] += 1

@@ -15,10 +15,11 @@ a key tagged by the kind of result (a node rule, a disruption pattern,
 a coupling plan), and only with a result derived without error.  A
 topology checks itself once, when it is made: its network is one
 ``NetworkId`` accepts (and is stored as its member), the node count and
-every node index are integers (a bool is not), every edge joins two
-distinct nodes in range, no edge appears twice, and there is one
-intrinsic level in [0, 1] per node, each a real number (a bool or a
-string is not one); anything else raises ``InvalidTopology``.  So does
+every node index are integers (a bool is not), every edge is a tuple
+or list of two values joining two distinct nodes in range, no edge
+appears twice, and there is one intrinsic level in [0, 1] per node,
+each a real number (a bool or a string is not one); anything else
+raises ``InvalidTopology``.  So does
 a coupling map, when it is made, for a coupling that is not four
 values, a node index that is not an integer or a network ``NetworkId``
 refuses.  What a constructor accepts in another form (a network's
@@ -50,6 +51,7 @@ NETWORK_ORDER = (NetworkId.WATER, NetworkId.POWER, NetworkId.BUSINESS)
 
 
 def _is_index_type(kind: type) -> bool:
+    """The one rule of every entry point's integers and node indices."""
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
@@ -70,12 +72,12 @@ def _as_network(value):
         return value
 
 
-def _network_member(value) -> NetworkId:
-    """``value`` as a ``NetworkId``; ``InvalidTopology`` naming it if
-    ``NetworkId`` refuses it."""
+def _network_member(value, error=InvalidTopology, field="network_id") -> NetworkId:
+    """The one network rule: ``value`` as a ``NetworkId``; ``error``
+    naming ``field`` and the value if ``NetworkId`` refuses it."""
     network = _as_network(value)
     if not isinstance(network, NetworkId):
-        raise InvalidTopology(f"field 'network_id': unknown network {value!r}")
+        raise error(f"field '{field}': unknown network {value!r}")
     return network
 
 
@@ -131,6 +133,15 @@ class Topology:
         if not ((levels >= 0.0) & (levels <= 1.0)).all():
             raise InvalidTopology("intrinsic performance levels must lie in [0, 1], "
                                   f"got {self.intrinsic_performance}")
+        # An edge of three values would fail the reshape, and an int
+        # the unpacking.  One test per type and length seen, then a
+        # search for the first edge at fault.
+        if not (set(map(type, self.edges)) <= {tuple, list}
+                and set(map(len, self.edges)) <= {2}):
+            for i, e in enumerate(self.edges):
+                if not (isinstance(e, (tuple, list)) and len(e) == 2):
+                    raise InvalidTopology(f"edge {i} {_shown(e)}: expected two values "
+                                          "(source, target)")
         # The array cast would take 0.5, True and '1' as node indices.
         # One test per type of index seen, then a search for the edge.
         index_types = {type(v) for edge in self.edges for v in edge}

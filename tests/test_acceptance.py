@@ -129,7 +129,7 @@ def test_criterion_2_hand_computed_oracle(capsys):
 def _origin_alone(config, federation, foreign_slots, event, until):
     """Scalar-oracle origin state at ``until``, stepped with its foreign
     inputs held at 1.0, which is what they hold until the next sync."""
-    spec = config.network(config.origin)
+    spec = next(spec for spec in config.networks if spec.network_id == config.origin)
     topo = federation.federates[config.origin].topology
     ref = ScalarFederate(topo.edges, topo.node_count, weights=spec.weights,
                          lag=spec.lag, intrinsic=topo.intrinsic_performance,

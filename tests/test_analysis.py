@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +365,20 @@ def test_load_results_parses_and_filters(tmp_path):
     assert table["visible"].tolist() == [True, False, True]
     assert math.isnan(table["sprt"][2])
     assert table["sprt"][0] == 10.0
+
+
+def test_a_one_row_results_file_is_a_degenerate_model(tmp_path):
+    # The header and first row of the published factorial's results: a
+    # bare ValueError before, the one refusal of analysis_report or
+    # recommend_tg, over 1,500 mutated copies of the file, that was not
+    # a GranusimError.
+    reference = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                 / "paper-20200831" / "results.csv")
+    path = tmp_path / "results.csv"
+    path.write_text("".join(reference.read_text().splitlines(keepends=True)[:2]))
+    with pytest.raises(DegenerateModel, match="^response 'spds' has zero variance$"):
+        analysis_report(load_results(path))
+    assert issubclass(DegenerateModel, ValueError)
 
 
 def test_load_results_rejects_empty(tmp_path):

@@ -76,12 +76,15 @@ def test_invalid_event_is_a_value_error():
     ("rt_range", (True, 2)),
     ("horizon", 2.5),
     ("horizon", True),
+    ("size_range", None),
+    ("rt_range", 5),
 ])
 def test_stream_config_validation(field, value):
     # Only the first three were refused before.  An infinite rate then
     # drew gaps of 0.0 forever, so ``poisson_stream`` never reached its
     # horizon; NaN, the floats and the bools died later or ran as ints,
-    # and a rate of '1' or None raised a bare TypeError.
+    # and a rate of '1' or None raised a bare TypeError, as did a range
+    # of None or 5.
     valid = dict(rate=0.1, size_range=(1, 2), rt_range=(1, 2), horizon=10)
     with pytest.raises(ValueError, match=field):
         DisruptionStreamConfig(**{**valid, field: value})

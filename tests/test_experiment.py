@@ -1,4 +1,3 @@
-import ast
 import itertools
 import json
 import os
@@ -177,6 +176,17 @@ def test_networks_given_by_value_are_stored_as_members():
     assert row.status == "ok"
 
 
+def test_numpy_integers_are_stored_as_ints():
+    # Refused before, though a schedule, the levels and a run take them.
+    config = ScenarioConfig(horizon=np.int64(400), networks=(
+        NetworkSpec(NetworkId.WATER, np.int64(22), np.int32(77), lag=np.int64(1)),
+        *DEFAULT_NETWORKS[1:]))
+    assert config == ScenarioConfig()
+    assert type(config.horizon) is int and type(config.networks[0].node_count) is int
+    assert json.loads(config.to_json())["horizon"] == 400
+    assert ScenarioConfig.from_json(config.to_json()) == config
+
+
 def test_weights_are_stored_as_a_tuple_of_floats():
     # The weight rule takes numpy numbers, which ``to_json`` could not write.
     spec = NetworkSpec(NetworkId.WATER, 4, 6, weights=[np.float32(0.5), np.int64(0), 0.5])
@@ -184,26 +194,6 @@ def test_weights_are_stored_as_a_tuple_of_floats():
     assert [type(w) for w in spec.weights] == [float] * 3
     config = ScenarioConfig(networks=(spec, DEFAULT_NETWORKS[1]), target=NetworkId.POWER)
     assert ScenarioConfig.from_json(config.to_json()) == config
-
-
-BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-
-
-def _dict_keys_in(function: str) -> set[str]:
-    """Keys of the dict literals in ``function`` of the benchmark's run.py."""
-    for node in ast.walk(ast.parse(BENCH.read_text())):
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            return {ast.literal_eval(key) for d in ast.walk(node)
-                    if isinstance(d, ast.Dict) for key in d.keys}
-    raise AssertionError(f"no function {function} in {BENCH}")
-
-
-def test_benchmark_scenario_keys_are_known():
-    # Read from the source, like the traced layers: a key the benchmark
-    # writes and the package would reject fails here, not in the benchmark.
-    known = json.loads(ScenarioConfig().to_json())
-    assert _dict_keys_in("scenario_doc") <= known.keys()
-    assert _dict_keys_in("_networks") <= known["networks"][0].keys()
 
 
 def test_onset_follows_warmup():
@@ -466,6 +456,13 @@ def test_results_csv_header_exact():
     assert text.splitlines()[0] == RESULTS_HEADER
     assert RESULTS_HEADER == ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,"
                               "censored,sec_per_step,pattern_hash,status")
+
+
+def test_timing_profile_of_no_levels_is_empty():
+    # An empty list divided by zero before, and repeats=0 gave [(2, inf)].
+    assert timing_profile(SMALL, [], 9, 8) == []
+    with pytest.raises(ValueError, match="^repeats: must be a positive integer, got 0$"):
+        timing_profile(SMALL, [2], 9, 8, repeats=0)
 
 
 def test_timing_profile_shape():

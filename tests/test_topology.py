@@ -79,6 +79,19 @@ def test_topology_json_holds_every_field(water22):
 
 
 @pytest.mark.parametrize("edges, named", [
+    # Unchecked, numpy's reshape raised a bare ValueError ...
+    (((0, 1, 2),), r"^edge 0 \(0, 1, 2\): expected two values \(source, target\)$"),
+    (((0, 1), [2]), r"^edge 1 \(2,\): expected two values"),
+    # ... and the unpacking of an int a bare TypeError.
+    ((0, 1), r"^edge 0 0: expected two values \(source, target\)$"),
+    (((0, 1), None), r"^edge 1 None: expected two values"),
+])
+def test_an_edge_that_is_not_two_values_is_named(edges, named):
+    with pytest.raises(InvalidTopology, match=named):
+        Topology(NetworkId.WATER, 3, edges, (1.0,) * 3)
+
+
+@pytest.mark.parametrize("edges, named", [
     # Unchecked, a repeated edge counts twice in node 1's in-degree and
     # node 1 settles at 0.714 instead of 1.0.
     ([(0, 1), (0, 1)], r"edge \(0, 1\) appears more than once"),
