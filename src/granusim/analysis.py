@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CollinearError, DegenerateModel, InvalidRecoveryTime, MalformedResults
+from .errors import DegenerateModel, InvalidFactor, MalformedResults
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -134,10 +134,10 @@ class VarianceShareReport:
 
 
 def _require_finite(columns: dict[str, np.ndarray]) -> None:
-    """``ValueError`` naming the first column that holds a NaN or an infinity."""
+    """``DegenerateModel`` naming the first column that holds a NaN or an infinity."""
     for name, col in columns.items():
         if not np.isfinite(col).all():
-            raise ValueError(f"{name} holds a value that is not finite")
+            raise DegenerateModel(f"{name} holds a value that is not finite")
 
 
 def _least_squares(columns: dict[str, np.ndarray],
@@ -146,7 +146,7 @@ def _least_squares(columns: dict[str, np.ndarray],
     ``R``, the effects ``Q^T y`` and the RSS.  The coefficients (intercept
     first) solve ``R b = Q^T y``; only the ratio model needs them.
 
-    Every value must be finite.  ``CollinearError`` names the first
+    Every value must be finite.  ``DegenerateModel`` names the first
     column whose ``|R_kk|`` is below ``rows * eps`` times the largest
     column norm up to it (numpy's rank tolerance), else the first column
     past the rows.
@@ -157,7 +157,7 @@ def _least_squares(columns: dict[str, np.ndarray],
     dependent = np.abs(r.diagonal()) < tol[:len(r)]
     if dependent.any() or X.shape[1] > len(y):
         name = list(columns)[(dependent.argmax() if dependent.any() else len(y)) - 1]
-        raise CollinearError(f"design matrix rank-deficient after adding {name}")
+        raise DegenerateModel(f"design matrix rank-deficient after adding {name}")
     effects = q.T @ y
     return r, effects, float(((y - q @ effects) ** 2).sum())
 
@@ -169,11 +169,10 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     Covariates enter a least-squares linear model in the fixed order
     given; each term's share is its squared QR effect (the drop in
     residual sum of squares when it is added) over the total.  A factor
-    or response that is not finite raises ``ValueError``, then a
-    response without rows or variance ``DegenerateModel``, naming the
-    response and the cause;
-    then a term that the ones before it span (such as a factor with one
-    level) raises ``CollinearError`` naming it.
+    or response that is not finite, then a response without rows or
+    variance, then a term that the ones before it span (such as a factor
+    with one level) raises ``DegenerateModel`` naming the column and the
+    cause.
     """
     y = np.asarray(table[response], dtype=float)
     _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
@@ -202,7 +201,7 @@ class LogisticVisibilityModel:
     def ratio_at(self, p: float) -> float:
         """Ratio at which predicted visibility probability equals p."""
         if not 0.0 < p < 1.0:
-            raise ValueError(f"probability must be in (0, 1), got {p}")
+            raise InvalidFactor(f"probability must be in (0, 1), got {p}")
         if self.slope == 0:
             raise DegenerateModel("zero slope; ratio is uninformative")
         return (math.log(p / (1.0 - p)) - self.intercept) / self.slope
@@ -266,7 +265,7 @@ def _ratio_rows(table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     ``sprt_over_tg`` added; a tg of 0 is refused before the divide."""
     rows = {k: v[~np.isnan(table["sprt"])] for k, v in table.items()}
     if not rows["tg"].all():
-        raise ValueError("rt_over_tg holds a value that is not finite")
+        raise DegenerateModel("rt_over_tg holds a value that is not finite")
     return dict(rows, rt_over_tg=rows["rt"] / rows["tg"],
                 sprt_over_tg=rows["sprt"] / rows["tg"])
 
@@ -276,7 +275,7 @@ def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
 
     ``r_squared`` is the rt/tg column's sequential share, 1.0 when
     sprt/tg is constant.  A tg of 0 is refused before the divide, and a
-    single rt/tg value raises ``CollinearError``.
+    single rt/tg value raises ``DegenerateModel``.
     """
     rows = _ratio_rows(table)
     x, y = rows["rt_over_tg"], rows["sprt_over_tg"]
@@ -293,11 +292,11 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     """Largest granularity keeping visibility probability at target_p.
 
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
-    ``InvalidRecoveryTime`` unless expected_rt is positive and finite;
+    ``InvalidFactor`` unless expected_rt is positive and finite;
     ``ratio_at`` refuses a target_p outside (0, 1).
     """
     if not (math.isfinite(expected_rt) and expected_rt > 0):
-        raise InvalidRecoveryTime(
+        raise InvalidFactor(
             f"expected recovery time must be a positive finite number, got {expected_rt}")
     if model.slope <= 0:
         raise DegenerateModel("visibility must increase with the ratio")

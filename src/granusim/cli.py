@@ -19,7 +19,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, experiment
-from .errors import GranusimError
 from .experiment import FactorLevels, ScenarioConfig, build_layout, write_atomic
 
 
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (GranusimError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .disruption import DisruptionEvent
-from .errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
+from .errors import InvalidFactor, InvalidTopology, ScheduleError, UnknownNode, ZeroBaseline
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
 from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _is_positive_int,
@@ -113,7 +113,7 @@ def _derive_plan(interdependencies: InterdependencyMap,
             first = bad.argmax()
             c = interdependencies.couplings[first]
             if outside[first]:
-                raise ValueError(f"coupling names a network outside the federation: {c}")
+                raise InvalidTopology(f"coupling names a network outside the federation: {c}")
             raise UnknownNode(f"{end} node out of range: {c}")
     total = offsets[-1]
     consumers = offsets[consumer_at] + consumer_node
@@ -152,7 +152,7 @@ class Federation:
     federate's ``foreign_inputs`` to its (K, n) block of the grid, a
     view, and its ``term`` and ``uncoupled`` to its share of the
     barrier.  A coupling that names a network outside the federation
-    raises ``ValueError`` and a producer node out of range
+    raises ``InvalidTopology`` and a producer node out of range
     ``UnknownNode``; only then is a consumer node out of range looked
     for, and it raises ``UnknownNode`` too.  The first coupling at
     fault is named.  The grid index comes from the map's
@@ -169,7 +169,7 @@ class Federation:
         self.order = [n for n in NETWORK_ORDER if n in federates]
         extra = set(federates) - set(self.order)
         if extra:
-            raise ValueError(f"unknown network ids: {extra}")
+            raise InvalidTopology(f"unknown network ids: {extra}")
         self.federates = federates
 
         self._feds = [federates[net] for net in self.order]

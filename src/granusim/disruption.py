@@ -10,7 +10,7 @@ inter-arrival times.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidEvent, SizeOverflow
+from .errors import InvalidEvent, InvalidFactor
 from .rng import stream
 from .topology import (NetworkId, Topology, _is_index_type, _is_positive_int, _is_real_type,
                        _network_member, derive_once)
@@ -24,7 +24,7 @@ class DisruptionEvent:
     both times and every node index are integers (a bool is not one),
     the retraction comes after the application, and the nodes are
     distinct, nonnegative and at least one; anything else raises
-    ``InvalidEvent``.
+    ``InvalidEvent``.  The nodes are stored as a tuple of Python ints.
     """
 
     apply_time: int
@@ -49,11 +49,12 @@ class DisruptionEvent:
             raise InvalidEvent(f"node set has duplicates: {self.nodes}")
         if min(self.nodes) < 0:
             raise InvalidEvent(f"negative node index in {self.nodes}")
+        object.__setattr__(self, "nodes", tuple(map(int, self.nodes)))
 
 
 @dataclass(frozen=True)
 class DisruptionStreamConfig:
-    """``ValueError`` naming the field unless the rate is a finite
+    """``InvalidEvent`` naming the field unless the rate is a finite
     positive real number (a bool or a string is not one; an infinite
     one would never reach the horizon), each range a tuple or list of
     two positive integers in order and the horizon a positive
@@ -66,15 +67,16 @@ class DisruptionStreamConfig:
 
     def __post_init__(self):
         if not (_is_real_type(type(self.rate)) and math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate: must be a finite positive number, got {self.rate!r}")
+            raise InvalidEvent(f"rate: must be a finite positive number, got {self.rate!r}")
         for name in ("size_range", "rt_range"):
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
                     and all(map(_is_positive_int, bounds))
                     and bounds[0] <= bounds[1]):
-                raise ValueError(f"{name}: must be positive integers (low, high), got {bounds!r}")
+                raise InvalidEvent(f"{name}: must be positive integers (low, high), "
+                                   f"got {bounds!r}")
         if not _is_positive_int(self.horizon):
-            raise ValueError(f"horizon: must be a positive integer, got {self.horizon!r}")
+            raise InvalidEvent(f"horizon: must be a positive integer, got {self.horizon!r}")
 
 
 def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
@@ -86,10 +88,9 @@ def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
     (``topology.derive_once``).
     """
     if not _is_positive_int(ds):
-        raise ValueError(f"disruption size must be a positive integer, got {ds!r}")
+        raise InvalidFactor(f"disruption size must be a positive integer, got {ds!r}")
     if ds > topology.node_count:
-        raise SizeOverflow(
-            f"disruption size {ds} exceeds node count {topology.node_count}")
+        raise InvalidFactor(f"disruption size {ds} exceeds node count {topology.node_count}")
     label = f"pattern:{ds}"
     # Keyed on the text the stream is seeded from, so keys are equal
     # exactly when the draws are (the seeds 1 and True are not).

@@ -1,31 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal the package makes is a ``GranusimError``, and a
+``GranusimError`` is a ``ValueError``: each class below inherits from
+the base alone, and names one kind of fault.
+"""
 
 
-class GranusimError(Exception):
+class GranusimError(ValueError):
     """Base class for all granusim errors."""
 
 
-class EdgeCountOverflow(GranusimError):
-    """Requested more edges than distinct non-loop pairs allow."""
-
-
-class InvalidTopology(GranusimError, ValueError):
+class InvalidTopology(GranusimError):
     """A topology's node count, edges or intrinsic levels are malformed:
     a node count or node index that is not an integer, an edge that is
     not two values, an edge out of range, a self-loop, a repeated edge,
-    or a level outside [0, 1]."""
+    or a level outside [0, 1]; a generator's node, edge or coupling
+    count that is not a positive integer (edges: nonnegative), more
+    edges than distinct non-loop pairs allow, or fewer than two
+    topologies to interconnect; a federate's weights or lag; or a
+    federation of a network ``NetworkId`` lacks, or whose coupling names
+    a network outside it."""
 
 
-class InvalidEvent(GranusimError, ValueError):
+class InvalidEvent(GranusimError):
     """A disruption event's network is one ``NetworkId`` refuses, its
     time or node index is not an integer (a bool is not one), it
     retracts no later than it applies, or its node set is empty,
-    repeats a node or holds a negative index; or a node set delivered
-    to a federate holds an index that is not an integer."""
-
-
-class SizeOverflow(GranusimError):
-    """Requested disruption size exceeds the node count."""
+    repeats a node or holds a negative index; a node set delivered to a
+    federate holds an index that is not an integer, or retracts a node
+    that is not disrupted; or a Poisson stream's rate, size or rt range,
+    or horizon is malformed."""
 
 
 class UnknownNode(GranusimError):
@@ -34,36 +38,35 @@ class UnknownNode(GranusimError):
 
 class ScheduleError(GranusimError):
     """An event falls outside the simulation horizon, a run starts with a
-    federate that has stepped, or a horizon is not a positive integer."""
+    federate that has stepped, or a horizon is not a positive integer;
+    or a metric reads a time outside its trace."""
 
 
 class ZeroBaseline(GranusimError):
     """Baseline performance sum is zero; MoP is undefined."""
 
 
-class CollinearError(GranusimError):
-    """Design matrix is rank-deficient."""
-
-
 class InvalidFactor(GranusimError):
     """A run's tg, rt or ds, or a schedule's tg, is not a positive
-    integer (a bool is not one); message names the factor."""
+    integer (a bool is not one); a disruption size exceeds the node
+    count; factor levels are not ascending positive integers; a timing
+    profile's repeats is not a positive integer; or an expected recovery
+    time is not a positive finite number, or a target likelihood lies
+    outside (0, 1).  The message names the factor or setting at fault."""
 
 
-class InvalidRecoveryTime(GranusimError):
-    """An expected recovery time is not a positive finite number."""
-
-
-class DegenerateModel(GranusimError, ValueError):
-    """Model cannot be fit or queried: a response with no rows or zero
-    variance, a single class or ratio, a zero slope, ..."""
+class DegenerateModel(GranusimError):
+    """Model cannot be fit or queried: a factor or response that is not
+    finite, a response with no rows or zero variance, a rank-deficient
+    design (a term the ones before it span), a single class or ratio, a
+    zero slope, ..."""
 
 
 class ScenarioError(GranusimError):
     """Scenario file is malformed; message names the offending field."""
 
 
-class MalformedResults(GranusimError, ValueError):
+class MalformedResults(GranusimError):
     """A results file lacks columns the analysis reads (message lists
     them), has no ok row, or has a malformed row: its field count
     differs from the header's, a number the analysis reads is not a

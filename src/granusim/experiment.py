@@ -42,7 +42,7 @@ class FactorLevels:
             levels = getattr(self, name)
             if (not levels or not all(map(_is_positive_int, levels))
                     or list(levels) != sorted(set(levels))):
-                raise ValueError(f"{name} must be ascending positive integers, got {levels}")
+                raise InvalidFactor(f"{name} must be ascending positive integers, got {levels}")
 
 
 def _check_int(field: str, value, minimum: int | None = 1) -> int:
@@ -390,11 +390,11 @@ def timing_profile(config: ScenarioConfig, tg_list: list[int],
     alike instead of on one.  A timestep does the same work in every
     round, so each keeps its fastest round, and a granularity's cost is
     the mean of its timesteps' fastest times; only the simulation loop
-    is timed.  ``repeats`` must be a positive integer (``ValueError``
+    is timed.  ``repeats`` must be a positive integer (``InvalidFactor``
     naming it), and an empty ``tg_list`` gives an empty profile.
     """
     if not _is_positive_int(repeats):
-        raise ValueError(f"repeats: must be a positive integer, got {repeats!r}")
+        raise InvalidFactor(f"repeats: must be a positive integer, got {repeats!r}")
     if not tg_list:
         return []
     best = [[float("inf")] * config.horizon for _ in tg_list]

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidEvent, UnknownNode
+from .errors import InvalidEvent, InvalidTopology, UnknownNode
 from .topology import (Topology, _is_index_type, _is_positive_int, _is_real_type, _read_only,
                        derive_once)
 
@@ -175,17 +175,17 @@ class FederateState:
     interaction goes through the coordinator's exchange.  Weights must
     be a tuple or list of three real numbers, ``(w_int, w_in, w_ext)``,
     finite, nonnegative and summing to 1, and ``lag`` an integer of at
-    least 1 (a bool is not one); anything else raises ``ValueError``.
+    least 1 (a bool is not one); anything else raises ``InvalidTopology``.
     """
 
     def __init__(self, topology: Topology,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  lag: int = 1):
         if not _weights_ok(weights):
-            raise ValueError("weights must be finite, nonnegative and sum to 1 as "
-                             f"(w_int, w_in, w_ext), got {weights}")
+            raise InvalidTopology("weights must be finite, nonnegative and sum to 1 as "
+                                  f"(w_int, w_in, w_ext), got {weights}")
         if not _is_positive_int(lag):
-            raise ValueError(f"lag must be a positive integer, got {lag!r}")
+            raise InvalidTopology(f"lag must be a positive integer, got {lag!r}")
         self.topology = topology
         w_int, w_in, w_ext = map(float, weights)
         self.w_int, self.w_in, self.w_ext = w_int, w_in, w_ext
@@ -314,7 +314,7 @@ class FederateState:
         """
         nodes = self.check_nodes(node_set)
         if not self.disrupted[nodes].all():
-            raise ValueError(f"retract of nodes that are not disrupted: {node_set}")
+            raise InvalidEvent(f"retract of nodes that are not disrupted: {node_set}")
         self.disrupted[nodes] -= 1
         self._keep[nodes] = self.disrupted[nodes] == 0
         self._any_down = bool(self.disrupted.any())

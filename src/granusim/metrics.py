@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ScheduleError
 from .topology import NETWORK_ORDER, NetworkId
 
 # Propagated disruptions count as visible when the target network drops
@@ -49,7 +50,7 @@ def compute_spds(trace: MoPTrace, network: NetworkId, apply_time: int) -> float:
     """Propagated disruption size: 100 minus the lowest MoP from apply_time on."""
     series = trace.series[network]
     if not 0 <= apply_time <= trace.horizon:
-        raise ValueError(f"apply_time {apply_time} outside trace [0, {trace.horizon}]")
+        raise ScheduleError(f"apply_time {apply_time} outside trace [0, {trace.horizon}]")
     return 100.0 - float(series[apply_time:].min())
 
 
@@ -62,7 +63,7 @@ def compute_sprt(trace: MoPTrace, network: NetworkId,
     """
     series = trace.series[network]
     if not 0 <= retract_time <= trace.horizon:
-        raise ValueError(f"retract_time {retract_time} outside trace [0, {trace.horizon}]")
+        raise ScheduleError(f"retract_time {retract_time} outside trace [0, {trace.horizon}]")
     recovered = np.nonzero(series[retract_time:] >= RECOVERY_LEVEL_PCT)[0]
     if len(recovered) == 0:
         return None

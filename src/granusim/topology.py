@@ -23,10 +23,11 @@ raises ``InvalidTopology``.  So does
 a coupling map, when it is made, for a coupling that is not four
 values, a node index that is not an integer or a network ``NetworkId``
 refuses.  What a constructor accepts in another form (a network's
-value, a numpy index or level) it stores in plain form: a
-``NetworkId`` member, a Python int or float.  So ``to_json`` writes
-every wiring its constructor accepts; ``granusim generate`` writes
-them for inspection, and no command reads them back.
+value, a numpy index or level, a list) it stores in plain form: a
+``NetworkId`` member, a Python int or float, a tuple.  So ``to_json``
+writes every wiring its constructor accepts, and ``hash`` takes it;
+``granusim generate`` writes them for inspection, and no command reads
+them back.
 """
 
 import functools
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EdgeCountOverflow, InvalidTopology
+from .errors import InvalidTopology
 from .rng import stream
 
 
@@ -136,8 +137,8 @@ class Topology:
         # An edge of three values would fail the reshape, and an int
         # the unpacking.  One test per type and length seen, then a
         # search for the first edge at fault.
-        if not (set(map(type, self.edges)) <= {tuple, list}
-                and set(map(len, self.edges)) <= {2}):
+        edge_types = set(map(type, self.edges))
+        if not (edge_types <= {tuple, list} and set(map(len, self.edges)) <= {2}):
             for i, e in enumerate(self.edges):
                 if not (isinstance(e, (tuple, list)) and len(e) == 2):
                     raise InvalidTopology(f"edge {i} {_shown(e)}: expected two values "
@@ -149,9 +150,11 @@ class Topology:
             edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
             raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
         # A numpy count, index or level is stored as a Python int or
-        # float, which ``to_json`` can write; a generated topology is
-        # plain already and skips the copy.
-        if type(n) is not int or not index_types <= {int} or not level_types <= {float}:
+        # float, which ``to_json`` can write, and a list as a tuple, which
+        # a frozen topology can hash; a generated topology is plain
+        # already and skips the copy.
+        if (type(n) is not int or not index_types <= {int} or not level_types <= {float}
+                or edge_types | {type(self.edges), type(self.intrinsic_performance)} != {tuple}):
             object.__setattr__(self, "node_count", int(n))
             object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
             object.__setattr__(self, "intrinsic_performance", tuple(levels.tolist()))
@@ -224,7 +227,8 @@ class InterdependencyMap:
                                           "(network, node, network, node)")
         consumer_net, consumer, producer_net, producer = (
             zip(*self.couplings) if self.couplings else ((),) * 4)
-        if (plain and set(map(type, consumer + producer)) <= {int}
+        if (plain and type(self.couplings) is tuple
+                and set(map(type, consumer + producer)) <= {int}
                 and set(map(type, consumer_net + producer_net)) <= {NetworkId}):
             return
         for i, c in enumerate(self.couplings):
@@ -235,9 +239,10 @@ class InterdependencyMap:
             if faults:
                 raise InvalidTopology(f"coupling {i} {_shown(c)}: {faults[0]}")
         # What the checks accept in another form (a network's value, a
-        # numpy index, a tuple) is stored as a ``Coupling`` of
-        # ``NetworkId`` members and Python ints, which ``to_json`` can
-        # write; a generated map is plain already and returns above.
+        # numpy index, a coupling as a tuple or list, a list of them) is
+        # stored as a tuple of ``Coupling``s of ``NetworkId`` members and
+        # Python ints, which ``to_json`` can write and a frozen map can
+        # hash; a generated map is plain already and returns above.
         object.__setattr__(self, "couplings", tuple(
             Coupling(NetworkId(c[0]), int(c[1]), NetworkId(c[2]), int(c[3]))
             for c in self.couplings))
@@ -274,13 +279,13 @@ def generate_topology(network_id: NetworkId, node_count: int,
                       edge_count: int, seed: int) -> Topology:
     """Sample a directed graph with exactly ``edge_count`` distinct non-loop edges."""
     if not _is_positive_int(node_count):
-        raise ValueError(f"node_count must be a positive integer, got {node_count!r}")
+        raise InvalidTopology(f"node_count must be a positive integer, got {node_count!r}")
     if not _is_index_type(type(edge_count)) or edge_count < 0:
-        raise ValueError(f"edge_count must be a nonnegative integer, got {edge_count!r}")
+        raise InvalidTopology(f"edge_count must be a nonnegative integer, got {edge_count!r}")
     max_edges = node_count * (node_count - 1)
     if edge_count > max_edges:
-        raise EdgeCountOverflow(f"{edge_count} edges requested but at most {max_edges} distinct "
-                                f"non-loop edges exist for {node_count} nodes")
+        raise InvalidTopology(f"{edge_count} edges requested but at most {max_edges} distinct "
+                              f"non-loop edges exist for {node_count} nodes")
     rng = stream(seed, f"topology:{_network_member(network_id).value}")
     # Sample positions in the row-major list of pairs (i, j), i != j,
     # without building it: ``random.sample`` draws from the length alone,
@@ -303,9 +308,9 @@ def generate_interdependencies(topologies: list[Topology],
     plus uniformly drawn extras.
     """
     if len(topologies) < 2:
-        raise ValueError("need at least two topologies to interconnect")
+        raise InvalidTopology("need at least two topologies to interconnect")
     if not _is_positive_int(couplings_per_node):
-        raise ValueError(
+        raise InvalidTopology(
             f"couplings_per_node must be a positive integer, got {couplings_per_node!r}")
     rng = stream(seed, "interdependency")
     couplings = []

@@ -15,8 +15,7 @@ from granusim.analysis import (LOGISTIC_MAX_ITER, LOGISTIC_RIDGE, TERM_ORDER,
                                fit_visibility_logistic, load_results,
                                ratio_scatter_csv, recommend_tg, report_json,
                                variance_shares, visibility_curve_csv)
-from granusim.errors import (CollinearError, DegenerateModel, InvalidRecoveryTime,
-                             MalformedResults)
+from granusim.errors import DegenerateModel, InvalidFactor, MalformedResults
 from granusim.experiment import ResultRow, results_csv
 from oracles import (logistic_newton, ols_normal_equations, penalized_loglik,
                      sequential_shares_oracle)
@@ -99,20 +98,20 @@ def test_shares_reject_degenerate_inputs():
         variance_shares(flat, "y")
     collinear = dict(table)
     collinear["rt"] = collinear["tg"]
-    with pytest.raises(CollinearError, match="after adding rt$"):
+    with pytest.raises(DegenerateModel, match="after adding rt$"):
         variance_shares(collinear, "y")
     # A scaled copy is as dependent: the tolerance follows the column norms.
     collinear["rt"] = 100.0 * collinear["tg"]
-    with pytest.raises(CollinearError, match="after adding rt$"):
+    with pytest.raises(DegenerateModel, match="after adding rt$"):
         variance_shares(collinear, "y")
     # 4 rows hold at most 4 independent columns: the intercept, tg, rt and ds.
-    with pytest.raises(CollinearError, match="after adding tg:rt$"):
+    with pytest.raises(DegenerateModel, match="after adding tg:rt$"):
         variance_shares({k: v[[0, 3, 5, 6]] for k, v in table.items()}, "y")
     # A factor with one level lies in the span of the intercept.
-    with pytest.raises(CollinearError, match="after adding ds$"):
+    with pytest.raises(DegenerateModel, match="after adding ds$"):
         variance_shares({"tg": table["tg"], "ds": np.full(8, 4.0), "y": table["y"]}, "y",
                         terms=("tg", "ds", "tg:ds"))
-    with pytest.raises(CollinearError, match="after adding ds$"):
+    with pytest.raises(DegenerateModel, match="after adding ds$"):
         one_level = dict(table)
         one_level["ds"] = np.full(8, 4.0)
         variance_shares(one_level, "y")
@@ -299,7 +298,7 @@ def test_report_refuses_a_table_whose_every_row_is_censored():
 
 
 def test_ratio_fit_rejects_constant_x():
-    with pytest.raises(CollinearError, match="after adding rt_over_tg$"):
+    with pytest.raises(DegenerateModel, match="after adding rt_over_tg$"):
         fit_ratio_linear(ratio_table([2, 2, 2], [1, 2, 3]))
 
 
@@ -344,7 +343,7 @@ def test_recommend_tg_validates_inputs():
 def test_recommend_tg_rejects_a_recovery_time_that_is_not_positive_and_finite(
         expected_rt):
     model = LogisticVisibilityModel(intercept=-4.4, slope=5.0, gradient_norm=0.0)
-    with pytest.raises(InvalidRecoveryTime, match="positive finite"):
+    with pytest.raises(InvalidFactor, match="positive finite"):
         recommend_tg(model, expected_rt, 0.5)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from granusim.coordinator import NO_COUPLINGS, Federation, coupling_plan, run
 from granusim.disruption import fixed_pattern
-from granusim.errors import SizeOverflow, UnknownNode
+from granusim.errors import InvalidFactor, UnknownNode
 from granusim.experiment import (ScenarioConfig, _prepare_run, build_federation,
                                  wiring)
 from granusim.federate import FederateState
@@ -123,7 +123,7 @@ def test_fixed_pattern_is_drawn_once_and_checked_on_every_call(water22):
     assert fixed_pattern(8, water22, seed=20200831) == first
     assert fixed_pattern(8, water22, seed=20200831) is first
     for _ in range(2):
-        with pytest.raises(SizeOverflow):
+        with pytest.raises(InvalidFactor):
             fixed_pattern(23, water22, seed=20200831)
         with pytest.raises(ValueError):
             fixed_pattern(0, water22, seed=20200831)
@@ -148,7 +148,7 @@ def test_a_pattern_refused_or_too_large_leaves_the_store_as_it_was(water22):
     topology = fresh_copy(water22)
     fixed_pattern(8, topology, seed=20200831)
     before = dict(topology.derived)
-    for ds, error in ((23, SizeOverflow), (0, ValueError), (True, ValueError),
+    for ds, error in ((23, InvalidFactor), (0, ValueError), (True, ValueError),
                       (2.0, ValueError)):
         with pytest.raises(error):
             fixed_pattern(ds, topology, seed=20200831)

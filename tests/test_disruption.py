@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
-from granusim.errors import GranusimError, InvalidEvent, SizeOverflow
+from granusim.errors import GranusimError, InvalidEvent, InvalidFactor
 from granusim.federate import FederateState
 from granusim.topology import NetworkId, generate_interdependencies, generate_topology
 from oracles import make_topology
@@ -49,7 +49,7 @@ def test_values_that_are_not_integers_rejected(water22, build, error, message):
     # apply_time of 51.5 was never delivered, so its retraction failed.
     # A size of True drew another pattern than 1, and True edges or
     # couplings per node ran as 1; 2.0, 2.5 and 1.5 raised a bare
-    # TypeError (or EdgeCountOverflow for 2.5 nodes).
+    # TypeError (or InvalidTopology for 2.5 nodes).
     with pytest.raises(error, match=message):
         build(water22)
 
@@ -58,6 +58,14 @@ def test_invalid_event_is_a_value_error():
     assert issubclass(InvalidEvent, ValueError) and issubclass(InvalidEvent, GranusimError)
     # numpy integers are integers.
     assert DisruptionEvent(np.int64(3), 5, NetworkId.WATER, (np.int64(1),)).nodes == (1,)
+
+
+def test_nodes_are_stored_as_a_tuple_of_ints():
+    # A list was stored as given before, so the frozen event was
+    # unhashable and unequal to the same one built from a tuple.
+    event = DisruptionEvent(51, 60, "water", [1, np.int64(2)])
+    assert event == DisruptionEvent(51, 60, NetworkId.WATER, (1, 2)) and hash(event)
+    assert type(event.nodes) is tuple and set(map(type, event.nodes)) == {int}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -112,7 +120,7 @@ def test_pattern_depends_only_on_seed_size_and_node_count(water22):
 
 
 def test_pattern_size_checked(water22):
-    with pytest.raises(SizeOverflow):
+    with pytest.raises(InvalidFactor):
         fixed_pattern(23, water22, seed=1)
     with pytest.raises(ValueError):
         fixed_pattern(0, water22, seed=1)

@@ -1,21 +1,28 @@
 """One table per input rule of ``topology``: every entry point that reads
 a count, a network or a node index through the rule takes the same
 values, accepts what the rule accepts and raises its own named error,
-naming the field, for the rest."""
+naming the field, for the rest.  One more table holds every other
+refusal of an entry point, with its whole message; every error the
+tables expect is a ``GranusimError``, and every public name has a row."""
 
 import re
 
 import numpy as np
 import pytest
 
-from granusim.coordinator import SyncSchedule
-from granusim.disruption import DisruptionEvent, DisruptionStreamConfig, fixed_pattern
-from granusim.errors import (InvalidEvent, InvalidFactor, InvalidTopology, ScenarioError,
-                             ScheduleError)
+import granusim
+from granusim.analysis import LogisticVisibilityModel, fit_ratio_linear, variance_shares
+from granusim.coordinator import Federation, SyncSchedule, run
+from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig, fixed_pattern,
+                                 poisson_stream)
+from granusim.errors import (DegenerateModel, GranusimError, InvalidEvent, InvalidFactor,
+                             InvalidTopology, ScenarioError, ScheduleError)
 from granusim.experiment import (FactorLevels, NetworkSpec, ScenarioConfig, run_single,
                                  timing_profile)
 from granusim.federate import FederateState
-from granusim.topology import NetworkId, generate_interdependencies, generate_topology
+from granusim.metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
+from granusim.topology import (Coupling, InterdependencyMap, NetworkId,
+                               generate_interdependencies, generate_topology)
 from oracles import make_topology
 
 SMALL = ScenarioConfig(horizon=280)
@@ -31,29 +38,35 @@ PAIR = [make_topology([], 3, NetworkId.WATER), make_topology([], 3, NetworkId.PO
 COUNT_ENTRIES = {
     "SyncSchedule.tg": (lambda v: SyncSchedule(tg=v, horizon=10), InvalidFactor, "tg"),
     "SyncSchedule.horizon": (lambda v: SyncSchedule(tg=1, horizon=v), ScheduleError, "horizon"),
-    "FactorLevels.tg_levels": (lambda v: FactorLevels((v,), (1,), (1,)), ValueError, "tg_levels"),
-    "FactorLevels.rt_levels": (lambda v: FactorLevels((1,), (v,), (1,)), ValueError, "rt_levels"),
-    "FactorLevels.ds_levels": (lambda v: FactorLevels((1,), (1,), (v,)), ValueError, "ds_levels"),
+    "FactorLevels.tg_levels": (lambda v: FactorLevels((v,), (1,), (1,)), InvalidFactor,
+                                "tg_levels"),
+    "FactorLevels.rt_levels": (lambda v: FactorLevels((1,), (v,), (1,)), InvalidFactor,
+                                "rt_levels"),
+    "FactorLevels.ds_levels": (lambda v: FactorLevels((1,), (1,), (v,)), InvalidFactor,
+                                "ds_levels"),
     "run_single.rt": (lambda v: run_single(SMALL, 2, v, 8), InvalidFactor, "rt"),
     "run_single.ds": (lambda v: run_single(SMALL, 2, 9, v), InvalidFactor, "ds"),
-    "FederateState.lag": (lambda v: FederateState(make_topology([], 3), lag=v), ValueError, "lag"),
-    "fixed_pattern": (lambda v: fixed_pattern(v, make_topology([], 3), seed=1), ValueError,
+    "FederateState.lag": (lambda v: FederateState(make_topology([], 3), lag=v), InvalidTopology,
+                          "lag"),
+    "fixed_pattern": (lambda v: fixed_pattern(v, make_topology([], 3), seed=1), InvalidFactor,
                       "disruption size"),
     "DisruptionStreamConfig.size_range": (
-        lambda v: DisruptionStreamConfig(0.1, (v, 2), (1, 2), 10), ValueError, "size_range"),
+        lambda v: DisruptionStreamConfig(0.1, (v, 2), (1, 2), 10), InvalidEvent, "size_range"),
     "DisruptionStreamConfig.rt_range": (
-        lambda v: DisruptionStreamConfig(0.1, (1, 2), (1, v), 10), ValueError, "rt_range"),
+        lambda v: DisruptionStreamConfig(0.1, (1, 2), (1, v), 10), InvalidEvent, "rt_range"),
     "DisruptionStreamConfig.horizon": (
-        lambda v: DisruptionStreamConfig(0.1, (1, 2), (1, 2), v), ValueError, "horizon"),
+        lambda v: DisruptionStreamConfig(0.1, (1, 2), (1, 2), v), InvalidEvent, "horizon"),
     "generate_topology.node_count": (
-        lambda v: generate_topology(NetworkId.WATER, v, 0, seed=1), ValueError, "node_count"),
+        lambda v: generate_topology(NetworkId.WATER, v, 0, seed=1), InvalidTopology,
+        "node_count"),
     "generate_topology.edge_count": (
-        lambda v: generate_topology(NetworkId.WATER, 3, v, seed=1), ValueError, "edge_count"),
+        lambda v: generate_topology(NetworkId.WATER, 3, v, seed=1), InvalidTopology,
+        "edge_count"),
     "generate_interdependencies": (
-        lambda v: generate_interdependencies(PAIR, v, seed=1), ValueError,
+        lambda v: generate_interdependencies(PAIR, v, seed=1), InvalidTopology,
         "couplings_per_node"),
-    "timing_profile.repeats": (lambda v: timing_profile(SMALL, [], 9, 8, repeats=v), ValueError,
-                               "repeats"),
+    "timing_profile.repeats": (lambda v: timing_profile(SMALL, [], 9, 8, repeats=v),
+                               InvalidFactor, "repeats"),
     **{f"ScenarioConfig.{name}": (lambda v, name=name: ScenarioConfig(**{name: v}),
                                   ScenarioError, f"field '{name}'")
        for name in ("master_seed", "horizon", "warmup", "couplings_per_node")},
@@ -161,3 +174,103 @@ def test_node_indices_the_rule_refuses_raise_invalid_event(entry, value):
     # Before, a federate cast 1.5, True and '1' to node 1.
     with pytest.raises(InvalidEvent, match="not an integer"):
         INDEX_ENTRIES[entry]((value,))
+
+
+TRACE = MoPTrace({NetworkId.WATER: np.full(11, 100.0)})
+#: Three rows whose spds holds a NaN and whose third tg is 0.
+TABLE = {"tg": np.array([1.0, 2.0, 0.0]), "rt": np.array([1.0, 2.0, 3.0]),
+         "ds": np.array([1.0, 1.0, 2.0]), "spds": np.array([1.0, np.nan, 2.0]),
+         "sprt": np.array([1.0, 2.0, 3.0])}
+
+
+def _stepped_federation():
+    federation = Federation({NetworkId.WATER: FederateState(make_topology([], 3))})
+    federation.federates[NetworkId.WATER].step()
+    return federation
+
+
+#: (call, its error, its whole message) of every other refusal an entry
+#: point makes of what its caller gives it.
+REFUSAL_ENTRIES = {
+    "FederateState.weights": (
+        lambda: FederateState(make_topology([], 3), weights=(0.5, 0.5, 0.5)), InvalidTopology,
+        "weights must be finite, nonnegative and sum to 1 as (w_int, w_in, w_ext), "
+        "got (0.5, 0.5, 0.5)"),
+    "FederateState.retract_disruption": (
+        lambda: FederateState(make_topology([], 3)).retract_disruption([1]), InvalidEvent,
+        "retract of nodes that are not disrupted: [1]"),
+    "Federation.federates": (
+        lambda: Federation({"gas": FederateState(make_topology([], 3))}), InvalidTopology,
+        "unknown network ids: {'gas'}"),
+    "Federation.interdependencies": (
+        lambda: Federation(
+            {NetworkId.WATER: FederateState(make_topology([], 3))},
+            InterdependencyMap((Coupling(NetworkId.WATER, 0, NetworkId.POWER, 0),))),
+        InvalidTopology,
+        "coupling names a network outside the federation: Coupling(consumer_network="
+        "<NetworkId.WATER: 'water'>, consumer_node=0, producer_network="
+        "<NetworkId.POWER: 'power'>, producer_node=0)"),
+    "InterdependencyMap": (
+        lambda: InterdependencyMap(((NetworkId.WATER, 0, NetworkId.POWER),)), InvalidTopology,
+        "coupling 0 ('water', 0, 'power'): expected four values (network, node, network, node)"),
+    "run": (lambda: run(_stepped_federation(), SyncSchedule(1, 10), []), ScheduleError,
+            "federation has already stepped; build a fresh one"),
+    "compute_spds": (lambda: compute_spds(TRACE, NetworkId.WATER, 11), ScheduleError,
+                     "apply_time 11 outside trace [0, 10]"),
+    "compute_sprt": (lambda: compute_sprt(TRACE, NetworkId.WATER, -1), ScheduleError,
+                     "retract_time -1 outside trace [0, 10]"),
+    "variance_shares": (lambda: variance_shares(TABLE, "spds", ("tg",)), DegenerateModel,
+                        "spds holds a value that is not finite"),
+    "fit_ratio_linear": (lambda: fit_ratio_linear(TABLE), DegenerateModel,
+                         "rt_over_tg holds a value that is not finite"),
+    "LogisticVisibilityModel.ratio_at": (
+        lambda: LogisticVisibilityModel(0.0, 1.0).ratio_at(1.0), InvalidFactor,
+        "probability must be in (0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSAL_ENTRIES))
+def test_other_refusals_raise_the_named_error(entry):
+    call, error, message = REFUSAL_ENTRIES[entry]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+#: (call, what it gives) of each public name with no refusal of its own:
+#: an edge input it takes, and finishes on.
+FINISHING_ENTRIES = {
+    # Equality with the threshold is not visible.
+    "classify_visibility": (lambda: classify_visibility(5.0), False),
+    # A size above the node count disrupts every node.
+    "poisson_stream": (lambda: {event.nodes for event in poisson_stream(
+        DisruptionStreamConfig(0.5, (5, 5), (1, 1), 20), make_topology([], 3), seed=1)},
+        {(0, 1, 2)}),
+    # Series given out of network order are written in it.
+    "MoPTrace": (lambda: MoPTrace({NetworkId.POWER: np.array([100.0]),
+                                   NetworkId.WATER: np.array([99.5])}).to_csv(),
+                 "t,mop_water,mop_power\n0,99.500000,100.000000\n"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FINISHING_ENTRIES))
+def test_names_without_a_refusal_finish_on_an_edge_input(entry):
+    call, given = FINISHING_ENTRIES[entry]
+    assert call() == given
+
+
+TABLES = (COUNT_ENTRIES, NETWORK_ENTRIES, INDEX_ENTRIES, REFUSAL_ENTRIES, FINISHING_ENTRIES)
+
+
+def test_every_public_name_has_a_row():
+    # ``NetworkId`` is an ``Enum``: its lookup raises ``ValueError``, as
+    # every ``Enum``'s does, and each entry point above reads it.
+    named = {entry.split(".")[0] for table in TABLES for entry in table}
+    assert set(granusim.__all__) - {"NetworkId"} - named == set()
+
+
+def test_every_expected_error_is_a_granusim_error():
+    expected = ({row[1] for row in COUNT_ENTRIES.values()}
+                | {row[2] for row in NETWORK_ENTRIES.values()}
+                | {row[1] for row in REFUSAL_ENTRIES.values()} | {InvalidEvent})
+    assert [error for error in expected if not issubclass(error, GranusimError)] == []

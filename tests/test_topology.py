@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granusim.errors import EdgeCountOverflow, InvalidTopology
+from granusim.errors import InvalidTopology
 from granusim.topology import (Coupling, InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from granusim.rng import stream
@@ -39,7 +39,7 @@ def test_edges_equal_sampling_the_pair_list(n, m):
 
 def test_edge_count_overflow():
     # 5 nodes admit at most 20 distinct non-loop directed edges.
-    with pytest.raises(EdgeCountOverflow):
+    with pytest.raises(InvalidTopology):
         generate_topology(NetworkId.BUSINESS, 5, 25, seed=1)
 
 
@@ -326,6 +326,18 @@ def test_a_generated_wiring_is_stored_as_given(water22):
     topos = [water22, make_topology([], 5, NetworkId.POWER)]
     imap = generate_interdependencies(topos, 2, seed=11)
     assert InterdependencyMap(imap.couplings).couplings is imap.couplings
+
+
+def test_lists_are_stored_as_tuples():
+    # Stored as given before, so the frozen objects were unhashable and
+    # unequal to the same ones built from tuples.
+    topology = Topology(NetworkId.WATER, 3, [[0, 1]], [1.0, 1.0, 1.0])
+    assert topology == Topology(NetworkId.WATER, 3, ((0, 1),), (1.0, 1.0, 1.0))
+    assert topology.edges == ((0, 1),) and topology.intrinsic_performance == (1.0,) * 3
+    coupling = Coupling(NetworkId.WATER, 0, NetworkId.POWER, 0)
+    imap = InterdependencyMap([coupling])
+    assert imap == InterdependencyMap((coupling,)) and imap.couplings == (coupling,)
+    assert hash(topology) and hash(imap)
 
 
 def test_generate_topology_takes_what_network_id_accepts():
