@@ -4,10 +4,12 @@ Federates run freely for ``tg`` internal timesteps, then barrier:
 boundary values are collected from every federate (read phase) before
 any consumer's foreign inputs are written (write phase), so no federate
 ever sees a mix of pre- and post-exchange values.  Between sync
-instants no information crosses federate boundaries.  The federation
-is the one owner of the foreign channel.  Its slots form one grid of K
-rows by N columns, N being the federation's nodes and K the most
-couplings on any node: column i holds node i's slot values in map
+instants no information crosses federate boundaries.  A federation is
+built from its federates alone, each of the network its topology names,
+and it binds each of them: a federate joins one federation.  The
+federation is the one owner of the foreign channel.  Its slots form one
+grid of K rows by N columns, N being the federation's nodes and K the
+most couplings on any node: column i holds node i's slot values in map
 order, padded with 0.0.  The grid's index comes from the map's coupling
 plan (``coupling_plan``, derived with numpy from ``coupling_array`` once
 per map, network order and node counts, and kept in the map's one
@@ -35,18 +37,19 @@ event, and held steps and barriers only count.  A start that is not a
 fixed point never holds.
 """
 
-from collections.abc import Generator
+from collections.abc import Generator, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .disruption import DisruptionEvent
-from .errors import InvalidFactor, InvalidTopology, ScheduleError, UnknownNode, ZeroBaseline
+from .errors import (InvalidEvent, InvalidFactor, InvalidTopology, ScheduleError, UnknownNode,
+                     ZeroBaseline)
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
 from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _is_positive_int,
-                       _read_only, derive_once)
+                       _items_of, _of_kind, _read_only, derive_once)
 
 
 @dataclass(frozen=True)
@@ -142,37 +145,52 @@ def coupling_plan(interdependencies: InterdependencyMap,
 class Federation:
     """Federate states plus the coupling wiring between them.
 
+    Built from an iterable of ``FederateState``s in any order, each of
+    the network of its topology; ``federates`` maps each network to its
+    federate in network order (``order``).  No federate, an item that
+    is not a ``FederateState``, two federates of one network, or a
+    federate that another federation has bound (``FederateState.bound``)
+    raises ``InvalidTopology``, before any federate is bound.
+
     The slots form one grid of K rows and N columns.  N is the number of
     nodes, laid end to end in network order, and K the most couplings
     on any node.  Column i holds node i's slot values, its couplings in
     map order, and then 0.0 in each row it has no coupling for.  The
     grid takes K x N values, so a map that gives one node far more
     couplings than the rest (as a hand-built map may) pays for its busiest
-    node in every column.  Building a federation rebinds each
-    federate's ``foreign_inputs`` to its (K, n) block of the grid, a
+    node in every column.  Building a federation binds each federate:
+    it rebinds its ``foreign_inputs`` to its (K, n) block of the grid, a
     view, and its ``term`` and ``uncoupled`` to its share of the
-    barrier.  A coupling that names a network outside the federation
-    raises ``InvalidTopology`` and a producer node out of range
-    ``UnknownNode``; only then is a consumer node out of range looked
-    for, and it raises ``UnknownNode`` too.  The first coupling at
-    fault is named.  The grid index comes from the map's
+    barrier, and marks it ``bound``.  A coupling that names a network
+    outside the federation raises ``InvalidTopology`` and a producer
+    node out of range ``UnknownNode``; only then is a consumer node out
+    of range looked for, and it raises ``UnknownNode`` too.  The first
+    coupling at fault is named.  The grid index comes from the map's
     ``coupling_plan``, shared by every federation of one map, network
     order and node counts (``NO_COUPLINGS`` when built without a map);
     the read buffer, the grid and the term vector are the federation's
     own.
     """
 
-    def __init__(self, federates: dict[NetworkId, FederateState],
+    def __init__(self, federates: Iterable[FederateState],
                  interdependencies: InterdependencyMap = NO_COUPLINGS):
+        given = {}
+        for fed in _items_of(FederateState, federates, InvalidTopology, "federates"):
+            net = fed.topology.network_id
+            if net in given:
+                raise InvalidTopology(f"field 'federates': two federates of network {net.value!r}")
+            if fed.bound:
+                raise InvalidTopology(f"field 'federates': the {net.value!r} federate is bound "
+                                      "by another federation; build fresh federates")
+            given[net] = fed
+        if not given:
+            raise InvalidTopology("field 'federates': a federation needs at least one federate")
         # Canonical ordering makes the result independent of the
         # registration order of the federates.
-        self.order = [n for n in NETWORK_ORDER if n in federates]
-        extra = set(federates) - set(self.order)
-        if extra:
-            raise InvalidTopology(f"unknown network ids: {extra}")
-        self.federates = federates
+        self.order = [n for n in NETWORK_ORDER if n in given]
+        self.federates = {net: given[net] for net in self.order}
 
-        self._feds = [federates[net] for net in self.order]
+        self._feds = list(self.federates.values())
         sizes = tuple(fed.node_count for fed in self._feds)
         plan = coupling_plan(interdependencies, tuple(self.order), sizes)
         # numpy's ``take`` copies a read-only index array on every call,
@@ -199,6 +217,7 @@ class Federation:
             fed.term = self._terms[nodes]
             uncoupled = plan.slot_count[nodes] == 0
             fed.uncoupled = uncoupled if uncoupled.any() else None
+            fed.bound = True
         self._latch()
         # Set and cleared by ``run_steps`` only (module docstring).
         self.held = False
@@ -258,7 +277,7 @@ def _deliver(federation: Federation, actions: list) -> None:
 
 
 def run(federation: Federation, schedule: SyncSchedule,
-        events: list[DisruptionEvent]) -> MoPTrace:
+        events: Iterable[DisruptionEvent]) -> MoPTrace:
     """Advance the federation to the horizon and return the full MoP trace."""
     advance = run_steps(federation, schedule, events).__next__
     try:
@@ -269,7 +288,7 @@ def run(federation: Federation, schedule: SyncSchedule,
 
 
 def run_steps(federation: Federation, schedule: SyncSchedule,
-              events: list[DisruptionEvent]) -> Generator[int, None, MoPTrace]:
+              events: Iterable[DisruptionEvent]) -> Generator[int, None, MoPTrace]:
     """The loop of ``run`` as a generator, one timestep per ``next``.
 
     Yields t once timestep t has been delivered, stepped, recorded and,
@@ -286,7 +305,12 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     has stepped before, on an event outside timesteps 1 to the horizon
     or on a network outside the federation, ``UnknownNode`` on an event
     naming a node the network lacks, and ``ZeroBaseline`` when a
-    network's initial performance sums to zero.
+    network's initial performance sums to zero.  Before those, a
+    ``federation`` that is not a ``Federation`` raises
+    ``InvalidTopology``, a ``schedule`` that is not a ``SyncSchedule``
+    ``ScheduleError``, and ``events`` that are not an iterable of
+    ``DisruptionEvent`` ``InvalidEvent``.  Each network's baseline is
+    row 0 of its series.
 
     The hold (module docstring) is tested once, after timestep 1: its
     fresh rings are one tile, so comparing each whole ring's ``uint64``
@@ -294,7 +318,10 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     is cleared before the first event is delivered, and when the run
     returns or is closed, so a federate stepped alone never holds.
     """
-    feds = [federation.federates[n] for n in federation.order]
+    _of_kind(Federation, federation, InvalidTopology, "federation")
+    _of_kind(SyncSchedule, schedule, ScheduleError, "schedule")
+    events = _items_of(DisruptionEvent, events, InvalidEvent, "events")
+    feds = federation._feds
     if any(fed.steps for fed in feds):
         raise ScheduleError("federation has already stepped; build a fresh one")
     horizon, tg = schedule.horizon, schedule.tg
@@ -316,16 +343,14 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     for actions in actions_at.values():
         actions.sort(key=lambda a: (a[0], NETWORK_ORDER.index(a[1]), a[2]))
 
-    baselines = {n: float(fed.performance.sum()) for n, fed in zip(federation.order, feds)}
-    for net, baseline in baselines.items():
-        if baseline == 0.0:
-            raise ZeroBaseline(f"{net.value}: initial performance sums to zero")
-    # Raw sums per timestep; ``*= 100.0`` then ``/= baseline`` at the end
-    # is the IEEE sequence of ``100.0 * sum / baseline`` per value.
+    # Raw sums per timestep, the baseline in row 0, made percent of it
+    # at the end.
     series = {n: np.empty(horizon + 1) for n in federation.order}
     add = np.add.reduce
-    for fed, values in zip(feds, series.values()):
+    for (net, values), fed in zip(series.items(), feds):
         values[0] = add(fed.performance)
+        if values[0] == 0.0:
+            raise ZeroBaseline(f"{net.value}: initial performance sums to zero")
 
     federation.exchange()  # seed foreign inputs with true initial values
 
@@ -351,7 +376,4 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     finally:
         federation._hold(False)
 
-    for net, values in series.items():
-        values *= 100.0
-        values /= baselines[net]
-    return MoPTrace(series=series)
+    return MoPTrace(series={net: 100.0 * values / values[0] for net, values in series.items()})

@@ -10,10 +10,10 @@ inter-arrival times.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidEvent, InvalidFactor
+from .errors import InvalidEvent, InvalidFactor, InvalidTopology
 from .rng import stream
 from .topology import (NetworkId, Topology, _is_index_type, _is_positive_int, _is_real_type,
-                       _network_member, derive_once)
+                       _network_member, _of_kind, derive_once)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class DisruptionStreamConfig:
     positive real number (a bool or a string is not one; an infinite
     one would never reach the horizon), each range a tuple or list of
     two positive integers in order and the horizon a positive
-    integer."""
+    integer.  The ranges are stored as tuples of Python ints and the
+    horizon as a Python int."""
 
     rate: float  # expected events per timestep
     size_range: tuple[int, int]
@@ -75,8 +76,10 @@ class DisruptionStreamConfig:
                     and bounds[0] <= bounds[1]):
                 raise InvalidEvent(f"{name}: must be positive integers (low, high), "
                                    f"got {bounds!r}")
+            object.__setattr__(self, name, tuple(map(int, bounds)))
         if not _is_positive_int(self.horizon):
             raise InvalidEvent(f"horizon: must be a positive integer, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", int(self.horizon))
 
 
 def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
@@ -89,6 +92,7 @@ def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
     """
     if not _is_positive_int(ds):
         raise InvalidFactor(f"disruption size must be a positive integer, got {ds!r}")
+    _of_kind(Topology, topology, InvalidTopology, "topology")
     if ds > topology.node_count:
         raise InvalidFactor(f"disruption size {ds} exceeds node count {topology.node_count}")
     label = f"pattern:{ds}"
@@ -103,8 +107,13 @@ def poisson_stream(config: DisruptionStreamConfig, topology: Topology,
     """Poisson event stream: exponential inter-arrivals accumulated from 0.
 
     Events are truncated at the horizon; arrivals landing on the last
-    timestep are dropped because their retraction could not fit.
+    timestep are dropped because their retraction could not fit.  A
+    ``config`` that is not a ``DisruptionStreamConfig`` raises
+    ``InvalidEvent``, and a ``topology`` that is not a ``Topology``
+    ``InvalidTopology``.
     """
+    _of_kind(DisruptionStreamConfig, config, InvalidEvent, "config")
+    _of_kind(Topology, topology, InvalidTopology, "topology")
     rng = stream(seed, "poisson")
     events = []
     clock = 0.0

@@ -33,6 +33,10 @@ RECOVERY_HEADROOM = 200
 
 @dataclass(frozen=True)
 class FactorLevels:
+    """Each factor's levels: a tuple or list of ascending positive
+    integers (``InvalidFactor`` naming the factor), stored as a tuple of
+    Python ints."""
+
     tg_levels: tuple[int, ...] = (2, 12, 14, 21, 27)
     rt_levels: tuple[int, ...] = (2, 9, 13, 17, 22)
     ds_levels: tuple[int, ...] = (8, 12, 14, 18, 21)
@@ -40,9 +44,11 @@ class FactorLevels:
     def __post_init__(self):
         for name in ("tg_levels", "rt_levels", "ds_levels"):
             levels = getattr(self, name)
-            if (not levels or not all(map(_is_positive_int, levels))
+            if (not isinstance(levels, (tuple, list)) or not levels
+                    or not all(map(_is_positive_int, levels))
                     or list(levels) != sorted(set(levels))):
                 raise InvalidFactor(f"{name} must be ascending positive integers, got {levels}")
+            object.__setattr__(self, name, tuple(map(int, levels)))
 
 
 def _check_int(field: str, value, minimum: int | None = 1) -> int:
@@ -226,11 +232,8 @@ def wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], Interdependenc
 
 def build_federation(config: ScenarioConfig) -> Federation:
     topologies, interdeps = wiring(config)
-    federates = {}
-    for spec, topo in zip(config.networks, topologies):
-        federates[spec.network_id] = FederateState(
-            topo, weights=spec.weights, lag=spec.lag)
-    return Federation(federates, interdeps)
+    return Federation((FederateState(topo, spec.weights, spec.lag)
+                       for spec, topo in zip(config.networks, topologies)), interdeps)
 
 
 def disruption_onset(config: ScenarioConfig, tg: int) -> int:

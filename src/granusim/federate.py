@@ -26,7 +26,8 @@ federate on the edge list builds no dense matrix.  ``term`` is the
 constant ``base_i = w_int * b_i`` (plus ``w_in * b_i`` on nodes without
 in-edges) plus the foreign channel ``w_ext * f_i``, which can only
 change at a synchronization point.  The foreign channel belongs to the
-federation (``coordinator.Federation``).  It rebinds ``foreign_inputs``
+federation (``coordinator.Federation``), and a federate to at most one
+federation, which marks it ``bound``.  It rebinds ``foreign_inputs``
 to the federate's (K, n) block of its slot grid, a view whose column i
 holds node i's slot values in map order and then 0.0 in the rows the
 node has no coupling for.  It rebinds ``term`` and ``uncoupled`` to the
@@ -66,8 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidEvent, InvalidTopology, UnknownNode
-from .topology import (Topology, _is_index_type, _is_positive_int, _is_real_type, _read_only,
-                       derive_once)
+from .topology import (Topology, _is_index_type, _is_positive_int, _is_real_type, _of_kind,
+                       _read_only, derive_once)
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -123,15 +124,15 @@ def _derive_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
     # network holds M as the dense ``in_matrix``; a large sparse one
     # holds only its nonzeros, one per edge, in the topology's
     # (target, source) order, and ``in_matrix`` is None.
-    edges = topology.edge_array
-    in_degree = np.bincount(edges[:, 1], minlength=n)
+    sources, targets = topology.edges_by_target
+    in_degree = np.bincount(targets, minlength=n)
     row_scale = w_in / np.maximum(in_degree, 1.0)
     in_matrix = edge_scale = None
-    if uses_edge_list(n, len(edges)):
-        edge_scale = _read_only(row_scale[topology.edges_by_target[1]])
+    if uses_edge_list(n, len(targets)):
+        edge_scale = _read_only(row_scale[targets])
     else:
         in_matrix = np.zeros((n, n))
-        in_matrix[edges[:, 1], edges[:, 0]] = row_scale[edges[:, 1]]
+        in_matrix[targets, sources] = row_scale[targets]
         _read_only(in_matrix)
 
     # The constant part of the step term: w_int * b, and on nodes
@@ -171,16 +172,19 @@ def _weights_ok(weights) -> bool:
 class FederateState:
     """Mutable state of one network federate.
 
-    Confined to one logical owner at a time; all cross-federate
-    interaction goes through the coordinator's exchange.  Weights must
-    be a tuple or list of three real numbers, ``(w_int, w_in, w_ext)``,
-    finite, nonnegative and summing to 1, and ``lag`` an integer of at
-    least 1 (a bool is not one); anything else raises ``InvalidTopology``.
+    Confined to one logical owner at a time, and bound by at most one
+    federation (``bound``); all cross-federate interaction goes through
+    the coordinator's exchange.  ``topology`` must be a ``Topology``,
+    weights a tuple or list of three real numbers, ``(w_int, w_in,
+    w_ext)``, finite, nonnegative and summing to 1, and ``lag`` an
+    integer of at least 1 (a bool is not one); anything else raises
+    ``InvalidTopology``.
     """
 
     def __init__(self, topology: Topology,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  lag: int = 1):
+        _of_kind(Topology, topology, InvalidTopology, "topology")
         if not _weights_ok(weights):
             raise InvalidTopology("weights must be finite, nonnegative and sum to 1 as "
                                   f"(w_int, w_in, w_ext), got {weights}")
@@ -210,6 +214,8 @@ class FederateState:
         self.performance = self._rows[-1]  # the state of step -1
         # Set and cleared by ``coordinator.run_steps`` only (module docstring).
         self.held = False
+        # Set by the one ``coordinator.Federation`` that binds the federate.
+        self.bound = False
         # Number of active disruptions per node, so overlapping events
         # compose: a node is up again only when its count is back at 0.
         self.disrupted = np.zeros(n, dtype=int)

@@ -1,8 +1,10 @@
 """Measure-of-performance traces and the metrics derived from them.
 
-A ``MoPTrace`` holds the percent-of-baseline series of every network;
+A ``MoPTrace`` holds the percent-of-baseline series of every network in
+a dict, at least one and all of one length (else ``ScheduleError``);
 ``MoPTrace.to_csv`` writes it as the trace CSV of ``run --trace`` and
-``experiment --traces``, formatting the whole text in one pass.
+``experiment --traces``, formatting the whole text in one pass.  Both
+metrics read a trace through one rule (``_series_from``).
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError
-from .topology import NETWORK_ORDER, NetworkId
+from .topology import NETWORK_ORDER, NetworkId, _is_index_type, _network_member, _of_kind
 
 # Propagated disruptions count as visible when the target network drops
 # below 95% of baseline, i.e. SPDS strictly greater than 5 percentage
@@ -26,6 +28,13 @@ class MoPTrace:
     """Per-timestep MoP series for every network, t = 0..horizon."""
 
     series: dict[NetworkId, np.ndarray]
+
+    def __post_init__(self):
+        _of_kind(dict, self.series, ScheduleError, "series")
+        lengths = sorted({len(values) for values in self.series.values()})
+        if len(lengths) != 1:
+            raise ScheduleError("series: expected one or more of one length, "
+                                f"got lengths {lengths}")
 
     @property
     def horizon(self) -> int:
@@ -46,12 +55,26 @@ class MoPTrace:
         return "\n".join((header, *rows)) + "\n"
 
 
+def _series_from(trace: MoPTrace, network: NetworkId, time: int, name: str) -> np.ndarray:
+    """The one rule of a metric's trace: the series of ``network`` from
+    ``time`` on.  ``ScheduleError`` naming what is at fault unless the
+    trace is a ``MoPTrace``, the network one ``NetworkId`` accepts and
+    the trace holds, and the time (``name``) an integer (a bool is not
+    one) within the trace."""
+    _of_kind(MoPTrace, trace, ScheduleError, "trace")
+    network = _network_member(network, ScheduleError, "network")
+    if network not in trace.series:
+        raise ScheduleError(f"network {network.value!r} is not in the trace")
+    if not _is_index_type(type(time)):
+        raise ScheduleError(f"{name} must be an integer, got {time!r}")
+    if not 0 <= time <= trace.horizon:
+        raise ScheduleError(f"{name} {time} outside trace [0, {trace.horizon}]")
+    return trace.series[network][time:]
+
+
 def compute_spds(trace: MoPTrace, network: NetworkId, apply_time: int) -> float:
     """Propagated disruption size: 100 minus the lowest MoP from apply_time on."""
-    series = trace.series[network]
-    if not 0 <= apply_time <= trace.horizon:
-        raise ScheduleError(f"apply_time {apply_time} outside trace [0, {trace.horizon}]")
-    return 100.0 - float(series[apply_time:].min())
+    return 100.0 - float(_series_from(trace, network, apply_time, "apply_time").min())
 
 
 def compute_sprt(trace: MoPTrace, network: NetworkId,
@@ -61,10 +84,8 @@ def compute_sprt(trace: MoPTrace, network: NetworkId,
     Smallest t >= retract_time with MoP >= 99%, returned relative to
     retract_time; None if the level is never reached within the horizon.
     """
-    series = trace.series[network]
-    if not 0 <= retract_time <= trace.horizon:
-        raise ScheduleError(f"retract_time {retract_time} outside trace [0, {trace.horizon}]")
-    recovered = np.nonzero(series[retract_time:] >= RECOVERY_LEVEL_PCT)[0]
+    tail = _series_from(trace, network, retract_time, "retract_time")
+    recovered = np.nonzero(tail >= RECOVERY_LEVEL_PCT)[0]
     if len(recovered) == 0:
         return None
     return int(recovered[0])

@@ -6,20 +6,20 @@ Couplings wire every node of every network to each partner network:
 the first coupling per partner is the deterministic backbone
 b = a mod |B|, the rest are drawn from a seeded stream.
 
-Both are frozen, so their array forms (``Topology.edge_array``,
-``Topology.edges_by_target``, ``InterdependencyMap.coupling_array``)
-are derived once per object and shared, read-only, by every federation
+Both are frozen, so their array forms (``Topology.edges_by_target``,
+made with the topology, and ``InterdependencyMap.coupling_array``) are
+derived once per object and shared, read-only, by every federation
 built from it.  So is what other modules derive from them: each object
 holds one store, ``derived``, which only ``derive_once`` writes, under
 a key tagged by the kind of result (a node rule, a disruption pattern,
 a coupling plan), and only with a result derived without error.  A
-topology checks itself once, when it is made: its network is one
-``NetworkId`` accepts (and is stored as its member), the node count and
-every node index are integers (a bool is not), every edge is a tuple
-or list of two values joining two distinct nodes in range, no edge
-appears twice, and there is one intrinsic level in [0, 1] per node,
-each a real number (a bool or a string is not one); anything else
-raises ``InvalidTopology``.  So does
+topology's node count is the number of its intrinsic levels.  It
+checks itself once, when it is made: its network is one ``NetworkId``
+accepts (and is stored as its member), every node index is an integer
+(a bool is not), every edge is a tuple or list of two values joining
+two distinct nodes in range, no edge appears twice, and the levels are
+a flat sequence of real numbers in [0, 1] (a bool or a string is not
+one); anything else raises ``InvalidTopology``.  So does
 a coupling map, when it is made, for a coupling that is not four
 values, a node index that is not an integer or a network ``NetworkId``
 refuses.  What a constructor accepts in another form (a network's
@@ -32,7 +32,8 @@ them back.
 
 import functools
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -82,6 +83,24 @@ def _network_member(value, error=InvalidTopology, field="network_id") -> Network
     return network
 
 
+def _of_kind(kind: type, value, error, field: str) -> None:
+    """The one rule of every entry point's objects: ``error`` naming
+    ``field`` and the value unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"field '{field}': expected {kind.__name__}, got {value!r}")
+
+
+def _items_of(kind: type, values, error, field: str) -> tuple:
+    """The one rule of every entry point's collections: ``values`` as a
+    tuple, by ``_of_kind``'s rule an ``Iterable`` of ``kind`` items (a
+    dict's items are its keys)."""
+    _of_kind(Iterable, values, error, field)
+    items = tuple(values)
+    for item in items:
+        _of_kind(kind, item, error, field)
+    return items
+
+
 def _shown(coupling):
     """``coupling`` as an error names it, its networks by value."""
     if not isinstance(coupling, (tuple, list)):
@@ -108,18 +127,21 @@ def derive_once(owner, key, derive):
 
 @dataclass(frozen=True)
 class Topology:
+    """A network's edges and the intrinsic level of each of its nodes;
+    its node count is the number of levels."""
+
     network_id: NetworkId
-    node_count: int
     edges: tuple[tuple[int, int], ...]
     intrinsic_performance: tuple[float, ...]
+    #: The edges as a read-only (2, edges) array, sources in row 0 and
+    #: targets in row 1, sorted by (target, source); derived from
+    #: ``edges`` when the topology is made.
+    edges_by_target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Checked once per frozen topology, not per federate built on it.
         # The first edge at fault is named.
         object.__setattr__(self, "network_id", _network_member(self.network_id))
-        n = self.node_count
-        if not _is_index_type(type(n)):
-            raise InvalidTopology(f"node_count must be an integer, got {n!r}")
         # The float cast would take True and '1' as levels.  One test
         # per type of level seen, then a search for the level.
         levels = np.asarray(self.intrinsic_performance, dtype=object).ravel()
@@ -128,9 +150,9 @@ class Topology:
             level = next(v for v in levels if not _is_real_type(type(v)))
             raise InvalidTopology(f"intrinsic performance level {level!r} is not a real number")
         levels = np.asarray(self.intrinsic_performance, dtype=float)
-        if levels.shape != (n,):
-            raise InvalidTopology(f"intrinsic performance levels: expected one per node ({n}), "
-                                  f"got {levels.size}")
+        if levels.ndim != 1:
+            raise InvalidTopology("intrinsic performance levels: expected a flat sequence, "
+                                  f"got {self.intrinsic_performance}")
         if not ((levels >= 0.0) & (levels <= 1.0)).all():
             raise InvalidTopology("intrinsic performance levels must lie in [0, 1], "
                                   f"got {self.intrinsic_performance}")
@@ -149,39 +171,33 @@ class Topology:
         if not all(map(_is_index_type, index_types)):
             edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
             raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
-        # A numpy count, index or level is stored as a Python int or
-        # float, which ``to_json`` can write, and a list as a tuple, which
-        # a frozen topology can hash; a generated topology is plain
+        # A numpy index or level is stored as a Python int or float,
+        # which ``to_json`` can write, and a list as a tuple, which a
+        # frozen topology can hash; a generated topology is plain
         # already and skips the copy.
-        if (type(n) is not int or not index_types <= {int} or not level_types <= {float}
+        if (not index_types <= {int} or not level_types <= {float}
                 or edge_types | {type(self.edges), type(self.intrinsic_performance)} != {tuple}):
-            object.__setattr__(self, "node_count", int(n))
             object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
             object.__setattr__(self, "intrinsic_performance", tuple(levels.tolist()))
-        edges = self.edge_array
-        out_of_range = ((edges < 0) | (edges >= n)).any(axis=1)
-        for bad, what in ((out_of_range, f"out of range for {n} nodes"),
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        out_of_range = ((edges < 0) | (edges >= len(levels))).any(axis=1)
+        for bad, what in ((out_of_range, f"out of range for {len(levels)} nodes"),
                           (edges[:, 0] == edges[:, 1], "a self-loop")):
             if bad.any():
                 raise InvalidTopology(f"edge {self.edges[bad.argmax()]} is {what}")
-        # Sorted, a repeated edge sits next to its copy.
-        repeated = (np.diff(self.edges_by_target, axis=1) == 0).all(axis=0)
-        if repeated.any():
-            edge = tuple(self.edges_by_target[:, repeated.argmax()].tolist())
-            raise InvalidTopology(f"edge {edge} appears more than once")
-
-    @functools.cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (edges, 2) array of (source, target)."""
-        return _read_only(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
-
-    @functools.cached_property
-    def edges_by_target(self) -> np.ndarray:
-        """The edges as a read-only (2, edges) array, sources in row 0 and
-        targets in row 1, sorted by (target, source)."""
-        sources, targets = self.edge_array.T
+        sources, targets = edges.T
         order = np.lexsort((sources, targets))
-        return _read_only(np.array((sources[order], targets[order])))
+        by_target = _read_only(np.array((sources[order], targets[order])))
+        # Sorted, a repeated edge sits next to its copy.
+        repeated = (np.diff(by_target, axis=1) == 0).all(axis=0)
+        if repeated.any():
+            edge = tuple(by_target[:, repeated.argmax()].tolist())
+            raise InvalidTopology(f"edge {edge} appears more than once")
+        object.__setattr__(self, "edges_by_target", by_target)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.intrinsic_performance)
 
     @functools.cached_property
     def derived(self) -> dict:
@@ -295,10 +311,10 @@ def generate_topology(network_id: NetworkId, node_count: int,
     for k in rng.sample(range(max_edges), edge_count):
         i, r = divmod(k, node_count - 1)
         edges.append((i, r + (r >= i)))
-    return Topology(network_id, node_count, tuple(sorted(edges)), (1.0,) * node_count)
+    return Topology(network_id, tuple(sorted(edges)), (1.0,) * node_count)
 
 
-def generate_interdependencies(topologies: list[Topology],
+def generate_interdependencies(topologies: Iterable[Topology],
                                couplings_per_node: int,
                                seed: int) -> InterdependencyMap:
     """Wire every node of every network to each partner network.
@@ -307,8 +323,13 @@ def generate_interdependencies(topologies: list[Topology],
     a deterministic backbone (producer = node index mod partner size)
     plus uniformly drawn extras.
     """
+    topologies = _items_of(Topology, topologies, InvalidTopology, "topologies")
     if len(topologies) < 2:
         raise InvalidTopology("need at least two topologies to interconnect")
+    networks = [topology.network_id for topology in topologies]
+    repeated = next((net for net in networks if networks.count(net) > 1), None)
+    if repeated is not None:
+        raise InvalidTopology(f"field 'topologies': two topologies of network {repeated.value!r}")
     if not _is_positive_int(couplings_per_node):
         raise InvalidTopology(
             f"couplings_per_node must be a positive integer, got {couplings_per_node!r}")

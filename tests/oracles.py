@@ -15,9 +15,10 @@ from granusim.topology import (NETWORK_ORDER, Coupling, InterdependencyMap, Netw
 
 
 def make_topology(edges, n, network_id=NetworkId.WATER, intrinsic=None):
+    """A topology of ``n`` nodes, each at level 1.0 unless ``intrinsic``
+    gives the levels."""
     return Topology(
         network_id=network_id,
-        node_count=n,
         edges=tuple(edges),
         intrinsic_performance=tuple(intrinsic or [1.0] * n),
     )
@@ -34,8 +35,7 @@ def fed_by_feeder(fed, consumers):
     feeder = FederateState(make_topology([], len(consumers), NetworkId.POWER))
     couplings = tuple(Coupling(NetworkId.WATER, node, NetworkId.POWER, k)
                       for k, node in enumerate(consumers))
-    return (Federation({NetworkId.WATER: fed, NetworkId.POWER: feeder},
-                       InterdependencyMap(couplings=couplings)),
+    return (Federation([fed, feeder], InterdependencyMap(couplings=couplings)),
             feeder)
 
 

@@ -393,7 +393,10 @@ def without_columns(text, dropped):
     return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
 
 
-@pytest.mark.parametrize("dropped", [("status",), ("sprt_steps", "visible")])
+MISSING_COLUMNS = [("status",), ("sprt_steps", "visible")]
+
+
+@pytest.mark.parametrize("dropped", MISSING_COLUMNS)
 def test_load_results_names_missing_columns(tmp_path, dropped):
     path = tmp_path / "results.csv"
     path.write_text(without_columns(RESULTS_TEXT, dropped))
@@ -419,14 +422,18 @@ def test_load_results_skips_blank_lines(tmp_path):
         np.testing.assert_array_equal(table[key], expected[key])
 
 
-@pytest.mark.parametrize("number, line, message", [
+#: (line number, the line put there, the message naming it).
+FIELD_COUNT_ROWS = [
     (3, "1,12,2,8,0.007000,0,false,false,0.000020,abc123def456",
      "line 3: 10 fields where the header has 11; column 'status' is missing"),
     (5, "3,14,9,8,,,,,,",
      "line 5: 10 fields where the header has 11; column 'status' is missing"),
     (2, "0,2,2,8,6.941000,10,true,false,0.000021,abc123def456,ok,extra",
      "line 2: 12 fields where the header has 11; field 12 has no column"),
-])
+]
+
+
+@pytest.mark.parametrize("number, line, message", FIELD_COUNT_ROWS)
 def test_load_results_rejects_a_row_whose_field_count_differs(tmp_path, number, line,
                                                               message):
     # A DictReader dropped a short row silently: its status read None.
@@ -484,22 +491,33 @@ def test_load_results_names_the_line_and_column_of_a_bad_number(tmp_path, column
     assert str(err.value) == f"{path}: line 3: column '{column}': {reason}: {value!r}"
 
 
-@pytest.mark.parametrize("column", ["tg", "rt", "ds", "spds_pct", "sprt_steps"])
-@pytest.mark.parametrize("first, second, reason", [
+NUMBER_COLUMNS = ["tg", "rt", "ds", "spds_pct", "sprt_steps"]
+#: (column's value on line 3, on line 4, the reason line 3 is named for).
+BAD_LINE_PAIRS = [
     ("x", "nan", "not a number"),
     ("inf", "x", "not finite"),
     ("1e309", "1e309", "not finite"),
-])
-def test_load_results_names_the_first_bad_line_of_a_column(tmp_path, column, first, second,
-                                                           reason):
+]
+
+
+def with_bad_lines(column, first, second):
+    """``RESULTS_TEXT`` with ``column`` set to ``first`` on line 3 and to
+    ``second`` on line 4."""
     header = RESULTS_TEXT.splitlines()[0].split(",")
     lines = RESULTS_TEXT.splitlines()
     for number, text in ((3, first), (4, second)):
         fields = lines[number - 1].split(",")
         fields[header.index(column)] = text
         lines[number - 1] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("column", NUMBER_COLUMNS)
+@pytest.mark.parametrize("first, second, reason", BAD_LINE_PAIRS)
+def test_load_results_names_the_first_bad_line_of_a_column(tmp_path, column, first, second,
+                                                           reason):
     path = tmp_path / "results.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(with_bad_lines(column, first, second))
     with pytest.raises(MalformedResults) as err:
         load_results(path)
     assert str(err.value) == f"{path}: line 3: column '{column}': {reason}: {first!r}"

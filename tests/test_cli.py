@@ -7,7 +7,12 @@ from granusim import analysis
 from granusim.analysis import (fit_visibility_logistic, load_results, recommend_tg,
                                visibility_curve_csv)
 from granusim.cli import build_parser, main
+from granusim.errors import MalformedResults
 from granusim.experiment import ScenarioConfig
+from test_analysis import (BAD_FIELDS, BAD_LINE_PAIRS, FIELD_COUNT_ROWS, MISSING_COLUMNS,
+                           NUMBER_COLUMNS, RESULTS_TEXT, with_bad_lines, with_line,
+                           without_columns)
+from test_input_rules import COUNT_ENTRIES, COUNTS_REFUSED, NETWORK_ENTRIES, NETWORKS_REFUSED
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +271,86 @@ def test_analyze_of_results_whose_every_row_is_censored_exits_2(results_csv_path
     captured = capsys.readouterr()
     assert captured.err == "error: every ok row is censored; sprt has no recovery time to fit\n"
     assert captured.out == "" and not out.exists()
+
+
+def _scenario_refusals():
+    """(id, scenario file document, texts its error names) of each
+    scenario-field refusal in ``tests/test_input_rules.py``'s tables."""
+    networks = json.loads(ScenarioConfig().to_json())["networks"]
+
+    def document(owner, key, value):
+        if owner == "NetworkSpec":
+            return {"networks": [{**networks[0], key: value}, *networks[1:]]}
+        return {key: value}
+
+    cases = []
+    for entry, (_, _, named) in COUNT_ENTRIES.items():
+        owner, _, key = entry.partition(".")
+        if owner in ("ScenarioConfig", "NetworkSpec"):
+            cases += [(f"{entry}={value!r}", document(owner, key, value), (named, repr(value)))
+                      for value in COUNTS_REFUSED]
+    for entry, (_, _, _, key) in NETWORK_ENTRIES.items():
+        owner = entry.partition(".")[0]
+        if owner in ("ScenarioConfig", "NetworkSpec"):
+            cases += [(f"{entry}={value!r}", document(owner, key, value),
+                       (f"field '{key}': unknown network {value!r}",))
+                      for value in NETWORKS_REFUSED]
+    return cases
+
+
+SCENARIO_REFUSALS = _scenario_refusals()
+
+
+def _only_one_error_line(captured):
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["run", "experiment"])
+@pytest.mark.parametrize("document, named", [case[1:] for case in SCENARIO_REFUSALS],
+                         ids=[case[0] for case in SCENARIO_REFUSALS])
+def test_each_scenario_field_refusal_exits_2_without_output(tmp_path, capsys, command,
+                                                            document, named):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    outputs = {"run": ["--tg", "5", "--rt", "2", "--ds", "8",
+                       "--trace", str(tmp_path / "trace.csv")],
+               "experiment": ["--jobs", "1", "--traces", str(tmp_path / "traces"),
+                              "--out", str(tmp_path / "results.csv")]}
+    assert main([command, "--scenario", str(scenario), *outputs[command]]) == 2
+    line = _only_one_error_line(capsys.readouterr())
+    assert all(text in line for text in named)
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
+#: Each ``MalformedResults`` case of ``tests/test_analysis.py``, by name.
+MALFORMED_RESULTS = {
+    "header only": RESULTS_TEXT.splitlines()[0] + "\n",
+    **{f"without {'+'.join(dropped)}": without_columns(RESULTS_TEXT, dropped)
+       for dropped in MISSING_COLUMNS},
+    **{f"line {number} of {len(line.split(','))} fields": with_line(RESULTS_TEXT, number, line)
+       for number, line, _ in FIELD_COUNT_ROWS},
+    **{f"{column}-{line}": with_line(RESULTS_TEXT, 3, line) for column, line, _ in BAD_FIELDS},
+    **{f"{column}-{first}-{second}": with_bad_lines(column, first, second)
+       for column in NUMBER_COLUMNS for first, second, _ in BAD_LINE_PAIRS},
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["recommend", "--expected-rt", "22"]])
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+def test_each_malformed_results_case_exits_2_without_output(tmp_path, capsys, command, case):
+    results = tmp_path / "results.csv"
+    results.write_text(MALFORMED_RESULTS[case])
+    with pytest.raises(MalformedResults) as raised:
+        load_results(results)
+    argv = [command[0], "--in", str(results), *command[1:]]
+    if command[0] == "analyze":
+        argv += ["--out", str(tmp_path / "report.json"), "--plot-data", str(tmp_path / "plots")]
+    assert main(argv) == 2
+    assert _only_one_error_line(capsys.readouterr()) == f"error: {raised.value}"
+    assert list(tmp_path.iterdir()) == [results]
 
 
 def test_malformed_scenario_rejected_without_output(tmp_path, capsys):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from granusim.coordinator import Federation, SyncSchedule, run, run_steps
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
-from granusim.errors import InvalidFactor, ScheduleError, UnknownNode, ZeroBaseline
+from granusim.errors import (InvalidFactor, InvalidTopology, ScheduleError, UnknownNode,
+                             ZeroBaseline)
 from granusim.experiment import (NetworkSpec, ScenarioConfig, build_federation,
-                                 disruption_onset)
+                                 disruption_onset, wiring)
 from granusim.federate import EDGE_LIST_MIN_NODES, MOP_BLOCK, FederateState
 from granusim.topology import NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId
 from oracles import (barrier_index, bincount_terms, lockstep_series, make_topology,
@@ -28,12 +29,8 @@ def small_federation():
         Coupling(NetworkId.BUSINESS, 0, NetworkId.WATER, 2),
         Coupling(NetworkId.BUSINESS, 1, NetworkId.POWER, 1),
     ))
-    federates = {
-        NetworkId.WATER: FederateState(water),
-        NetworkId.POWER: FederateState(power),
-        NetworkId.BUSINESS: FederateState(business, lag=2),
-    }
-    return Federation(federates, couplings)
+    return Federation([FederateState(water), FederateState(power),
+                       FederateState(business, lag=2)], couplings)
 
 
 WEIGHTS = [(0.3, 0.4, 0.3), (0.2, 0.2, 0.6), (0.5, 0.5, 0.0), (0.1, 0.6, 0.3)]
@@ -42,8 +39,8 @@ WEIGHTS = [(0.3, 0.4, 0.3), (0.2, 0.2, 0.6), (0.5, 0.5, 0.0), (0.1, 0.6, 0.3)]
 def federation_of(nets, wiring):
     """The package's federation of ``lockstep_series`` inputs."""
     return Federation(
-        {net: FederateState(make_topology(edges, n, net, intrinsic), weights=weights, lag=lag)
-         for net, (edges, n, lag, weights, intrinsic) in nets.items()},
+        [FederateState(make_topology(edges, n, net, intrinsic), weights=weights, lag=lag)
+         for net, (edges, n, lag, weights, intrinsic) in nets.items()],
         InterdependencyMap(couplings=tuple(Coupling(*w) for w in wiring)))
 
 
@@ -84,9 +81,11 @@ def test_empty_events_stay_at_100():
 
 def test_registration_order_is_canonicalized():
     def build(order):
-        base = small_federation()
-        feds = {net: base.federates[net] for net in order}
-        return Federation(feds, InterdependencyMap(couplings=(
+        # Fresh federates of ``small_federation``'s networks: a federate
+        # joins one federation.
+        fresh = {net: FederateState(fed.topology, lag=fed.lag)
+                 for net, fed in small_federation().federates.items()}
+        return Federation([fresh[net] for net in order], InterdependencyMap(couplings=(
             Coupling(NetworkId.POWER, 0, NetworkId.WATER, 1),
             Coupling(NetworkId.BUSINESS, 0, NetworkId.WATER, 2),
             Coupling(NetworkId.BUSINESS, 1, NetworkId.POWER, 1),
@@ -162,8 +161,7 @@ def test_seed_exchange_shares_initial_boundary_values():
     water = make_topology([], 1, NetworkId.WATER, intrinsic=[0.5])
     business = make_topology([], 1, NetworkId.BUSINESS)
     fed = Federation(
-        {NetworkId.WATER: FederateState(water),
-         NetworkId.BUSINESS: FederateState(business)},
+        [FederateState(water), FederateState(business)],
         InterdependencyMap(couplings=(
             Coupling(NetworkId.BUSINESS, 0, NetworkId.WATER, 0),)))
     trace = run(fed, SyncSchedule(tg=4, horizon=4), [])
@@ -413,8 +411,7 @@ def test_exchange_writes_a_snapshot_of_every_producer_in_place():
         (NetworkId.POWER, 0, NetworkId.BUSINESS, 0),
     ]
     fed = Federation(
-        {NetworkId.WATER: FederateState(water), NetworkId.POWER: FederateState(power),
-         NetworkId.BUSINESS: FederateState(business, lag=2)},
+        [FederateState(water), FederateState(power), FederateState(business, lag=2)],
         InterdependencyMap(couplings=tuple(Coupling(*w) for w in wiring)))
     feds = fed.federates
     slots = {net: feds[net].foreign_inputs for net in fed.order}
@@ -452,7 +449,7 @@ def test_exchange_writes_a_snapshot_of_every_producer_in_place():
 def test_couplings_outside_the_federation_rejected():
     water = FederateState(make_topology([], 2, NetworkId.WATER))
     power = FederateState(make_topology([], 3, NetworkId.POWER))
-    feds = {NetworkId.WATER: water, NetworkId.POWER: power}
+    feds = [water, power]
     for bad, error in [((NetworkId.WATER, 0, NetworkId.POWER, 3), UnknownNode),
                        ((NetworkId.WATER, 0, NetworkId.POWER, -1), UnknownNode),
                        ((NetworkId.WATER, 2, NetworkId.POWER, 0), UnknownNode),
@@ -470,6 +467,38 @@ def test_couplings_outside_the_federation_rejected():
                                     ((consumer, outside), ValueError, outside)]:
         with pytest.raises(error, match=re.escape(str(named))):
             Federation(feds, InterdependencyMap(couplings=couplings))
+
+
+def test_a_federate_joins_one_federation():
+    # A second federation on the same federates rebound their terms
+    # before, so a run of the first stepped with terms that nothing
+    # latched: its business minimum read 100.0 instead of 83.236.
+    topologies, interdependencies = wiring(ScenarioConfig())
+
+    def federates():
+        return [FederateState(topology) for topology in topologies]
+
+    shared = federates()
+    first = Federation(shared, interdependencies)
+    assert all(fed.bound for fed in shared)
+    with pytest.raises(InvalidTopology, match="^field 'federates': the 'water' federate is "
+                                              "bound by another federation"):
+        Federation(shared, interdependencies)
+    # A refused build binds nothing, whichever check refuses it.
+    fresh = federates()
+    with pytest.raises(UnknownNode):
+        Federation(fresh, InterdependencyMap((Coupling(NetworkId.WATER, 0, NetworkId.POWER, 99),)))
+    with pytest.raises(InvalidTopology, match="two federates of network 'water'"):
+        Federation([*fresh, FederateState(topologies[0])], interdependencies)
+    assert not any(fed.bound for fed in fresh)
+
+    schedule = SyncSchedule(tg=2, horizon=400)
+    event = DisruptionEvent(51, 60, NetworkId.WATER, tuple(range(8)))
+    trace = run(first, schedule, [event])
+    assert trace.series[NetworkId.BUSINESS].min() == pytest.approx(83.236, abs=5e-4)
+    again = run(Federation(fresh, interdependencies), schedule, [event])
+    assert [values.tobytes() for values in again.series.values()] == [
+        values.tobytes() for values in trace.series.values()]
 
 
 @st.composite
@@ -497,7 +526,7 @@ def test_barrier_indices_match_a_loop_over_the_couplings(case):
     # coupling in map order, and the node total N where it has none;
     # the blocks start at the seed value 1.0 with padding 0.0.
     sizes, couplings = case
-    fed = Federation({net: FederateState(make_topology([], n, net)) for net, n in sizes.items()},
+    fed = Federation([FederateState(make_topology([], n, net)) for net, n in sizes.items()],
                      InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
     assert fed._index.tolist() == barrier_index(
         {net: sizes[net] for net in NETWORK_ORDER if net in sizes}, couplings)
@@ -536,9 +565,9 @@ def test_exchange_latches_the_bits_of_a_bincount_over_the_slots(case, data):
         return data.draw(st.lists(LEVELS, min_size=n, max_size=n))
 
     fed = Federation(
-        {net: FederateState(make_topology([], n, net, levels(n)),
-                            weights=data.draw(st.sampled_from(WEIGHTS + [ALL_FOREIGN])))
-         for net, n in sizes.items()},
+        [FederateState(make_topology([], n, net, levels(n)),
+                       weights=data.draw(st.sampled_from(WEIGHTS + [ALL_FOREIGN])))
+         for net, n in sizes.items()],
         InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
     for net, state in fed.federates.items():
         state.performance = np.array(levels(sizes[net]))
@@ -557,8 +586,8 @@ def test_a_skewed_map_pads_every_column_to_its_busiest_node():
         (NetworkId.POWER, i, NetworkId.WATER, i % 4) for i in range(40)]
     busy = [(NetworkId.WATER, 2, NetworkId.POWER, 7 * k % 40) for k in range(40)]
     couplings = busy[:15] + others[:20] + busy[15:31] + others[20:] + busy[31:]
-    fed = Federation({net: FederateState(make_topology([], n, net, [0.0] * n), ALL_FOREIGN)
-                      for net, n in sizes.items()},
+    fed = Federation([FederateState(make_topology([], n, net, [0.0] * n), ALL_FOREIGN)
+                      for net, n in sizes.items()],
                      InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
     rng = np.random.default_rng(40)
     for net, state in fed.federates.items():
@@ -630,7 +659,7 @@ def test_federation_with_a_federate_that_has_stepped_rejected():
 def test_zero_baseline_rejected_at_set_up():
     water = FederateState(make_topology([], 1, NetworkId.WATER, intrinsic=[0.0]))
     with pytest.raises(ZeroBaseline):
-        run(Federation({NetworkId.WATER: water}), SyncSchedule(tg=1, horizon=5), [])
+        run(Federation([water]), SyncSchedule(tg=1, horizon=5), [])
 
 
 @settings(max_examples=25, deadline=None)
@@ -745,7 +774,7 @@ def test_events_checked_before_the_first_step(event, error):
     # Water has 3 nodes and the federation has no power network.
     water = FederateState(make_topology([(0, 1), (1, 2)], 3, NetworkId.WATER))
     business = FederateState(make_topology([(1, 0)], 2, NetworkId.BUSINESS))
-    fed = Federation({NetworkId.WATER: water, NetworkId.BUSINESS: business},
+    fed = Federation([water, business],
                      InterdependencyMap(couplings=(
                          Coupling(NetworkId.BUSINESS, 0, NetworkId.WATER, 2),)))
     steps = run_steps(fed, SyncSchedule(tg=5, horizon=100), [event])

@@ -25,8 +25,7 @@ CONFIG = ScenarioConfig(horizon=280)
 
 def fresh_copy(topology: Topology) -> Topology:
     """An equal topology that has derived nothing yet."""
-    return Topology(topology.network_id, topology.node_count, topology.edges,
-                    topology.intrinsic_performance)
+    return Topology(topology.network_id, topology.edges, topology.intrinsic_performance)
 
 
 def test_federations_of_one_wiring_share_their_read_only_rules_and_plan():
@@ -82,8 +81,8 @@ def test_other_weights_or_lag_on_one_wiring_run_as_a_build_that_derived_nothing(
     topologies, interdependencies = wiring(other)
     copies = [fresh_copy(t) for t in topologies]
     assert not any(t.derived for t in copies)
-    alone = Federation({spec.network_id: FederateState(t, spec.weights, spec.lag)
-                        for spec, t in zip(other.networks, copies)},
+    alone = Federation([FederateState(t, spec.weights, spec.lag)
+                        for spec, t in zip(other.networks, copies)],
                        InterdependencyMap(interdependencies.couplings))
     fresh = run(alone, schedule, [event])
     for net in fresh.series:
@@ -102,8 +101,7 @@ def test_a_coupling_at_fault_raises_on_every_build():
         Coupling(NetworkId.WATER, 0, NetworkId.BUSINESS, 2),))
 
     def build(other: Topology) -> Federation:
-        return Federation({NetworkId.WATER: FederateState(water),
-                           other.network_id: FederateState(other)}, couplings)
+        return Federation([FederateState(water), FederateState(other)], couplings)
 
     for _ in range(2):
         with pytest.raises(ValueError, match="outside the federation"):
@@ -167,8 +165,8 @@ def test_a_rule_and_a_pattern_of_one_topology_sit_under_distinct_keys(water22):
 
 def test_federations_without_a_map_share_one_plan_per_order_and_sizes():
     def build(n: int) -> Federation:
-        return Federation({NetworkId.WATER: FederateState(make_topology([], n)),
-                           NetworkId.POWER: FederateState(make_topology([], 3, NetworkId.POWER))})
+        return Federation([FederateState(make_topology([], n)),
+                           FederateState(make_topology([], 3, NetworkId.POWER))])
 
     a, b = build(2), build(2)
     assert a._divisor is b._divisor

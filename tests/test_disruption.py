@@ -98,6 +98,15 @@ def test_stream_config_validation(field, value):
         DisruptionStreamConfig(**{**valid, field: value})
 
 
+def test_stream_config_stores_tuples_of_ints():
+    # Stored as given before: lists made the frozen config unhashable and
+    # unequal to the same config given with tuples.
+    config = DisruptionStreamConfig(0.5, [1, 2], [np.int64(1), 2], np.int64(10))
+    assert config == DisruptionStreamConfig(0.5, (1, 2), (1, 2), 10)
+    assert hash(config) == hash(DisruptionStreamConfig(0.5, (1, 2), (1, 2), 10))
+    assert {type(v) for v in (*config.size_range, *config.rt_range, config.horizon)} == {int}
+
+
 def test_pattern_full_network(water22):
     assert fixed_pattern(22, water22, seed=1) == tuple(range(22))
 

@@ -49,6 +49,18 @@ def test_levels_must_be_ascending_positive():
         FactorLevels(tg_levels=(True, 2))
 
 
+def test_levels_are_stored_as_tuples_of_ints():
+    # Stored as given before: lists made the frozen levels unhashable and
+    # unequal to the same levels given as tuples.
+    levels = FactorLevels([2, 12], [np.int64(2)], [8])
+    assert levels == FactorLevels((2, 12), (2,), (8,))
+    assert hash(levels) == hash(FactorLevels((2, 12), (2,), (8,)))
+    assert [type(v) for v in levels.rt_levels] == [int]
+    with pytest.raises(InvalidFactor, match="^tg_levels must be ascending positive integers, "
+                                            "got 2$"):
+        FactorLevels(2, (1,), (1,))
+
+
 def test_default_networks_match_published_sizes():
     sizes = {(n.network_id, n.node_count, n.edge_count, n.lag)
              for n in DEFAULT_NETWORKS}
@@ -227,7 +239,7 @@ def test_federations_of_one_config_share_no_mutable_array():
     for net in a.order:
         fa, fb = a.federates[net], b.federates[net]
         assert fa.topology is fb.topology
-        shared += [fa.topology.edge_array, fa.topology.edges_by_target]
+        shared += [fa.topology.edges_by_target]
 
         assert fa.steps == fb.steps == 0
 

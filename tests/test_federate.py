@@ -198,7 +198,7 @@ def test_step_writes_its_ring_row_and_matches_the_federate_in_a_run(n):
     ring = len(alone.states)
     assert ring == MOP_BLOCK
     assert alone.states.tobytes() == np.tile(alone.intrinsic, (ring, 1)).tobytes()
-    steps = run_steps(Federation({NetworkId.WATER: in_run}), SyncSchedule(tg=5, horizon=70),
+    steps = run_steps(Federation([in_run]), SyncSchedule(tg=5, horizon=70),
                       [DisruptionEvent(1, 4, NetworkId.WATER, (0,))])
     for k in range(70):
         if k == 0:

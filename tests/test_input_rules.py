@@ -183,11 +183,24 @@ TABLE = {"tg": np.array([1.0, 2.0, 0.0]), "rt": np.array([1.0, 2.0, 3.0]),
          "sprt": np.array([1.0, 2.0, 3.0])}
 
 
+def _federation():
+    return Federation([FederateState(make_topology([], 3))])
+
+
 def _stepped_federation():
-    federation = Federation({NetworkId.WATER: FederateState(make_topology([], 3))})
+    federation = _federation()
     federation.federates[NetworkId.WATER].step()
     return federation
 
+
+def _bound_twice():
+    federates = [FederateState(make_topology([], 3)),
+                 FederateState(make_topology([], 3, NetworkId.POWER))]
+    Federation(federates)
+    Federation(federates)
+
+
+STREAM = DisruptionStreamConfig(0.5, (1, 2), (1, 2), 20)
 
 #: (call, its error, its whole message) of every other refusal an entry
 #: point makes of what its caller gives it.
@@ -196,29 +209,90 @@ REFUSAL_ENTRIES = {
         lambda: FederateState(make_topology([], 3), weights=(0.5, 0.5, 0.5)), InvalidTopology,
         "weights must be finite, nonnegative and sum to 1 as (w_int, w_in, w_ext), "
         "got (0.5, 0.5, 0.5)"),
+    "FederateState.topology": (lambda: FederateState("water"), InvalidTopology,
+                               "field 'topology': expected Topology, got 'water'"),
     "FederateState.retract_disruption": (
         lambda: FederateState(make_topology([], 3)).retract_disruption([1]), InvalidEvent,
         "retract of nodes that are not disrupted: [1]"),
+    # A dict of federates, as a federation took them before, yields its keys.
     "Federation.federates": (
-        lambda: Federation({"gas": FederateState(make_topology([], 3))}), InvalidTopology,
-        "unknown network ids: {'gas'}"),
+        lambda: Federation({NetworkId.WATER: 3}), InvalidTopology,
+        "field 'federates': expected FederateState, got <NetworkId.WATER: 'water'>"),
+    "Federation.not_iterable": (
+        lambda: Federation(3), InvalidTopology,
+        "field 'federates': expected Iterable, got 3"),
+    "Federation.no_federate": (
+        lambda: Federation([]), InvalidTopology,
+        "field 'federates': a federation needs at least one federate"),
+    "Federation.network_twice": (
+        lambda: Federation([FederateState(make_topology([], 3)),
+                            FederateState(make_topology([], 2))]), InvalidTopology,
+        "field 'federates': two federates of network 'water'"),
+    "Federation.bound_twice": (
+        _bound_twice, InvalidTopology,
+        "field 'federates': the 'water' federate is bound by another federation; "
+        "build fresh federates"),
     "Federation.interdependencies": (
         lambda: Federation(
-            {NetworkId.WATER: FederateState(make_topology([], 3))},
+            [FederateState(make_topology([], 3))],
             InterdependencyMap((Coupling(NetworkId.WATER, 0, NetworkId.POWER, 0),))),
         InvalidTopology,
         "coupling names a network outside the federation: Coupling(consumer_network="
         "<NetworkId.WATER: 'water'>, consumer_node=0, producer_network="
         "<NetworkId.POWER: 'power'>, producer_node=0)"),
+    "Topology.intrinsic_performance": (
+        lambda: make_topology([], 2, intrinsic=((1.0,), (1.0,))), InvalidTopology,
+        "intrinsic performance levels: expected a flat sequence, got ((1.0,), (1.0,))"),
     "InterdependencyMap": (
         lambda: InterdependencyMap(((NetworkId.WATER, 0, NetworkId.POWER),)), InvalidTopology,
         "coupling 0 ('water', 0, 'power'): expected four values (network, node, network, node)"),
+    "generate_interdependencies.topologies": (
+        lambda: generate_interdependencies([1, 2], 1, seed=1), InvalidTopology,
+        "field 'topologies': expected Topology, got 1"),
+    # Two topologies of one network made a map of no coupling before.
+    "generate_interdependencies.network_twice": (
+        lambda: generate_interdependencies([PAIR[0], PAIR[0]], 1, seed=1), InvalidTopology,
+        "field 'topologies': two topologies of network 'water'"),
+    "fixed_pattern.topology": (lambda: fixed_pattern(1, None, seed=1), InvalidTopology,
+                               "field 'topology': expected Topology, got None"),
+    "poisson_stream.config": (
+        lambda: poisson_stream((0.5, (1, 2), (1, 2), 20), PAIR[0], seed=1), InvalidEvent,
+        "field 'config': expected DisruptionStreamConfig, got (0.5, (1, 2), (1, 2), 20)"),
+    "poisson_stream.topology": (lambda: poisson_stream(STREAM, "x", seed=1), InvalidTopology,
+                                "field 'topology': expected Topology, got 'x'"),
+    "FactorLevels.tg_levels": (lambda: FactorLevels(2, (1,), (1,)), InvalidFactor,
+                               "tg_levels must be ascending positive integers, got 2"),
     "run": (lambda: run(_stepped_federation(), SyncSchedule(1, 10), []), ScheduleError,
             "federation has already stepped; build a fresh one"),
+    "run.federation": (lambda: run(None, SyncSchedule(1, 10), []), InvalidTopology,
+                       "field 'federation': expected Federation, got None"),
+    "run.schedule": (lambda: run(_federation(), (1, 10), []), ScheduleError,
+                     "field 'schedule': expected SyncSchedule, got (1, 10)"),
+    "run.events": (lambda: run(_federation(), SyncSchedule(1, 10), None), InvalidEvent,
+                   "field 'events': expected Iterable, got None"),
+    "run.event": (lambda: run(_federation(), SyncSchedule(1, 10), [(1, 2)]), InvalidEvent,
+                  "field 'events': expected DisruptionEvent, got (1, 2)"),
     "compute_spds": (lambda: compute_spds(TRACE, NetworkId.WATER, 11), ScheduleError,
                      "apply_time 11 outside trace [0, 10]"),
+    "compute_spds.network": (lambda: compute_spds(TRACE, NetworkId.POWER, 5), ScheduleError,
+                             "network 'power' is not in the trace"),
+    "compute_spds.unknown_network": (lambda: compute_spds(TRACE, "gas", 5), ScheduleError,
+                                     "field 'network': unknown network 'gas'"),
+    "compute_spds.apply_time": (lambda: compute_spds(TRACE, NetworkId.WATER, 2.5),
+                                ScheduleError, "apply_time must be an integer, got 2.5"),
     "compute_sprt": (lambda: compute_sprt(TRACE, NetworkId.WATER, -1), ScheduleError,
                      "retract_time -1 outside trace [0, 10]"),
+    "compute_sprt.trace": (lambda: compute_sprt(None, NetworkId.WATER, 1), ScheduleError,
+                           "field 'trace': expected MoPTrace, got None"),
+    "compute_sprt.retract_time": (lambda: compute_sprt(TRACE, NetworkId.WATER, True),
+                                  ScheduleError, "retract_time must be an integer, got True"),
+    "MoPTrace.series": (lambda: MoPTrace([]), ScheduleError,
+                        "field 'series': expected dict, got []"),
+    "MoPTrace.no_series": (lambda: MoPTrace({}), ScheduleError,
+                           "series: expected one or more of one length, got lengths []"),
+    "MoPTrace.unequal_series": (
+        lambda: MoPTrace({NetworkId.WATER: np.ones(3), NetworkId.POWER: np.ones(2)}),
+        ScheduleError, "series: expected one or more of one length, got lengths [2, 3]"),
     "variance_shares": (lambda: variance_shares(TABLE, "spds", ("tg",)), DegenerateModel,
                         "spds holds a value that is not finite"),
     "fit_ratio_linear": (lambda: fit_ratio_linear(TABLE), DegenerateModel,

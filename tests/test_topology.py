@@ -1,5 +1,5 @@
-
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -88,7 +88,7 @@ def test_topology_json_holds_every_field(water22):
 ])
 def test_an_edge_that_is_not_two_values_is_named(edges, named):
     with pytest.raises(InvalidTopology, match=named):
-        Topology(NetworkId.WATER, 3, edges, (1.0,) * 3)
+        Topology(NetworkId.WATER, edges, (1.0,) * 3)
 
 
 @pytest.mark.parametrize("edges, named", [
@@ -112,26 +112,21 @@ def test_malformed_edges_rejected_by_name(edges, named):
     assert isinstance(raised.value, ValueError)
 
 
-@pytest.mark.parametrize("n", [3.0, True])
-def test_node_count_must_be_an_integer(n):
-    with pytest.raises(InvalidTopology, match=f"node_count must be an integer, got {n!r}"):
-        make_topology([(0, 1)], n, intrinsic=[1.0] * int(n))
-
-
-@pytest.mark.parametrize("field", ["edges", "node_count"])
-def test_json_floats_rejected_as_indices(field):
+def test_json_floats_rejected_as_indices():
     # The floats a JSON file may hold where it means integers.
-    if field == "edges":
-        edges, n, named = [(0, 1), (3.0, 5.0)], 22, r"edge \(3\.0, 5\.0\) has a node index"
-    else:
-        edges, n, named = [(0, 1)], 22.0, r"node_count must be an integer, got 22\.0"
-    with pytest.raises(InvalidTopology, match=named):
-        make_topology(edges, n, intrinsic=[1.0] * 22)
+    with pytest.raises(InvalidTopology, match=r"edge \(3\.0, 5\.0\) has a node index"):
+        make_topology([(0, 1), (3.0, 5.0)], 22)
 
 
-def test_one_intrinsic_level_per_node():
-    with pytest.raises(InvalidTopology, match=r"one per node \(3\), got 2"):
-        make_topology([], 3, intrinsic=[1.0, 1.0])
+def test_the_node_count_is_the_number_of_levels():
+    # Taken beside the levels before, it could disagree with them.
+    assert "node_count" not in {f.name for f in fields(Topology)}
+    topology = make_topology([(0, 1)], 3, intrinsic=[1.0, 0.5, 0.25])
+    assert topology.node_count == 3
+    with pytest.raises(AttributeError):
+        topology.node_count = 4
+    with pytest.raises(InvalidTopology, match=r"^edge \(0, 3\) is out of range for 3 nodes$"):
+        make_topology([(0, 3)], 3)
 
 
 @pytest.mark.parametrize("network, levels, named", [
@@ -145,19 +140,19 @@ def test_one_intrinsic_level_per_node():
 ])
 def test_constructor_refuses_a_network_or_level_by_name(network, levels, named):
     with pytest.raises(InvalidTopology, match=named):
-        Topology(network, 2, (), levels)
+        Topology(network, (), levels)
 
 
 def test_constructor_stores_the_network_member():
-    topology = Topology("water", 2, (), (1, np.float64(0.5)))
+    topology = Topology("water", (), (1, np.float64(0.5)))
     assert topology.network_id is NetworkId.WATER
-    assert topology == Topology(NetworkId.WATER, 2, (), (1.0, 0.5))
+    assert topology == Topology(NetworkId.WATER, (), (1.0, 0.5))
 
 
 def test_numpy_counts_indices_and_levels_are_stored_plain():
     # Each of these made ``to_json`` raise "Object of type int64 (or
     # float32) is not JSON serializable".
-    topology = Topology(NetworkId.POWER, np.int64(3), ((np.int64(0), 1), (2, np.intp(1))),
+    topology = Topology(NetworkId.POWER, ((np.int64(0), 1), (2, np.intp(1))),
                         (np.float32(0.5), 1, np.float64(0.25)))
     assert type(topology.node_count) is int
     assert {type(v) for edge in topology.edges for v in edge} == {int}
@@ -319,8 +314,7 @@ def test_a_map_stores_what_it_accepts_as_plain_couplings(coupling):
 
 def test_a_generated_wiring_is_stored_as_given(water22):
     # The plain copy is made only for input in another form.
-    again = Topology(water22.network_id, water22.node_count, water22.edges,
-                     water22.intrinsic_performance)
+    again = Topology(water22.network_id, water22.edges, water22.intrinsic_performance)
     assert again.edges is water22.edges
     assert again.intrinsic_performance is water22.intrinsic_performance
     topos = [water22, make_topology([], 5, NetworkId.POWER)]
@@ -331,8 +325,8 @@ def test_a_generated_wiring_is_stored_as_given(water22):
 def test_lists_are_stored_as_tuples():
     # Stored as given before, so the frozen objects were unhashable and
     # unequal to the same ones built from tuples.
-    topology = Topology(NetworkId.WATER, 3, [[0, 1]], [1.0, 1.0, 1.0])
-    assert topology == Topology(NetworkId.WATER, 3, ((0, 1),), (1.0, 1.0, 1.0))
+    topology = Topology(NetworkId.WATER, [[0, 1]], [1.0, 1.0, 1.0])
+    assert topology == Topology(NetworkId.WATER, ((0, 1),), (1.0, 1.0, 1.0))
     assert topology.edges == ((0, 1),) and topology.intrinsic_performance == (1.0,) * 3
     coupling = Coupling(NetworkId.WATER, 0, NetworkId.POWER, 0)
     imap = InterdependencyMap([coupling])
