@@ -17,11 +17,13 @@ iteration cap and the curve's point count are module constants.
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateModel, InvalidFactor, MalformedResults
+from .topology import _is_real_type, _of_kind
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -52,8 +54,11 @@ def load_results(path) -> dict[str, np.ndarray]:
     non-blank sprt_steps is not a finite number, or whose tg, rt or ds
     is not a whole number of at least 1, raises ``MalformedResults``
     naming the line and the column, as does a file without ok rows.
-    Columns are checked in that order, each at its first bad line.
+    Columns are checked in that order, each at its first bad line, and
+    a path that is not a ``str`` or a path object before all.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise MalformedResults(f"field 'path': expected a str or a path, got {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -133,6 +138,15 @@ class VarianceShareReport:
     residual_share: float
 
 
+def _require_columns(table: dict[str, np.ndarray], names) -> None:
+    """The one rule of a model's table: ``DegenerateModel`` unless it is a
+    dict, naming the first of ``names`` it lacks."""
+    _of_kind(dict, table, DegenerateModel, "table")
+    missing = next((name for name in names if name not in table), None)
+    if missing is not None:
+        raise DegenerateModel(f"table lacks column {missing!r}")
+
+
 def _require_finite(columns: dict[str, np.ndarray]) -> None:
     """``DegenerateModel`` naming the first column that holds a NaN or an infinity."""
     for name, col in columns.items():
@@ -172,8 +186,9 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     or response that is not finite, then a response without rows or
     variance, then a term that the ones before it span (such as a factor
     with one level) raises ``DegenerateModel`` naming the column and the
-    cause.
+    cause; before those, a table without one of them.
     """
+    _require_columns(table, [*(f for term in terms for f in term.split(":")), response])
     y = np.asarray(table[response], dtype=float)
     _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
     if not len(y):
@@ -199,8 +214,8 @@ class LogisticVisibilityModel:
         return 1.0 / (1.0 + np.exp(-(self.intercept + self.slope * np.asarray(ratio))))
 
     def ratio_at(self, p: float) -> float:
-        """Ratio at which predicted visibility probability equals p."""
-        if not 0.0 < p < 1.0:
+        """Ratio at which predicted visibility probability equals p, a real in (0, 1)."""
+        if not (_is_real_type(type(p)) and 0.0 < p < 1.0):
             raise InvalidFactor(f"probability must be in (0, 1), got {p}")
         if self.slope == 0:
             raise DegenerateModel("zero slope; ratio is uninformative")
@@ -222,8 +237,9 @@ def fit_visibility_logistic(table: dict[str, np.ndarray]) -> LogisticVisibilityM
     five sums.  The fit stops once the gradient's norm is below 1e-10,
     or after ``LOGISTIC_MAX_ITER`` steps.  ``DegenerateModel`` when every
     row has one label, or one ratio: then only the ridge sets the slope,
-    and rounding decides its sign.
+    and rounding decides its sign; first, a table without tg, rt or visible.
     """
+    _require_columns(table, ("tg", "rt", "visible"))
     x = table["rt"] / table["tg"]
     y = np.asarray(table["visible"], dtype=float)
     if y.min() == y.max():
@@ -262,7 +278,8 @@ class RatioLinearModel:
 
 def _ratio_rows(table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The non-censored rows of ``table`` with ``rt_over_tg`` and
-    ``sprt_over_tg`` added; a tg of 0 is refused before the divide."""
+    ``sprt_over_tg`` added; a table without tg, rt or sprt, then a tg of 0, is refused."""
+    _require_columns(table, ("tg", "rt", "sprt"))
     rows = {k: v[~np.isnan(table["sprt"])] for k, v in table.items()}
     if not rows["tg"].all():
         raise DegenerateModel("rt_over_tg holds a value that is not finite")
@@ -292,10 +309,12 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     """Largest granularity keeping visibility probability at target_p.
 
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
-    ``InvalidFactor`` unless expected_rt is positive and finite;
-    ``ratio_at`` refuses a target_p outside (0, 1).
+    ``DegenerateModel`` for a model of another kind; ``InvalidFactor``
+    unless expected_rt is a positive finite real number; ``ratio_at``
+    refuses a target_p outside (0, 1).
     """
-    if not (math.isfinite(expected_rt) and expected_rt > 0):
+    _of_kind(LogisticVisibilityModel, model, DegenerateModel, "model")
+    if not (_is_real_type(type(expected_rt)) and math.isfinite(expected_rt) and expected_rt > 0):
         raise InvalidFactor(
             f"expected recovery time must be a positive finite number, got {expected_rt}")
     if model.slope <= 0:
@@ -312,9 +331,10 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
 def analysis_report(table: dict[str, np.ndarray]) -> dict:
     """The full report: variance shares, logistic fit, ratio model.
 
-    ``DegenerateModel`` when every ok row is censored: the sprt models
-    have no recovery time to fit.
+    ``DegenerateModel`` for a table without a column ``load_results``
+    makes, or with every ok row censored: no recovery time to fit.
     """
+    _require_columns(table, ("tg", "rt", "ds", "spds", "sprt", "visible"))
     if np.isnan(table["sprt"]).all():
         raise DegenerateModel("every ok row is censored; sprt has no recovery time to fit")
     ratio_rows = _ratio_rows(table)

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands: generate (topologies + couplings), run (one scenario),
-experiment (factorial layout to CSV), analyze (results CSV to report),
-recommend (max granularity for an expected recovery time).
+Subcommands: run (one scenario), experiment (factorial layout to CSV),
+analyze (results CSV to report), recommend (max granularity for an
+expected recovery time).
 
 Every scenario setting comes from the --scenario file or its
-defaults; --seed alone overrides one of them, the master seed.
+defaults; --seed alone overrides one of them, the master seed.  The
+scenario file is the one wiring artifact: no command writes or reads
+topologies or couplings, which ``experiment.wiring`` makes from it.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -53,18 +55,6 @@ def _load_scenario(args) -> ScenarioConfig:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config
-
-
-def _cmd_generate(args) -> int:
-    config = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    topologies, interdeps = experiment.wiring(config)
-    for topo in topologies:
-        write_atomic(out / f"{topo.network_id.value}.json", topo.to_json() + "\n")
-    write_atomic(out / "interdependencies.json", interdeps.to_json() + "\n")
-    print(f"wrote {len(topologies)} topologies and interdependency map to {out}")
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -152,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--scenario", help="scenario JSON file (defaults built in)")
         p.add_argument("--seed", type=int, help="master seed override")
-
-    p = sub.add_parser("generate", help="write topologies and couplings")
-    add_common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="run one configuration")
     add_common(p)

@@ -148,9 +148,10 @@ class Federation:
     Built from an iterable of ``FederateState``s in any order, each of
     the network of its topology; ``federates`` maps each network to its
     federate in network order (``order``).  No federate, an item that
-    is not a ``FederateState``, two federates of one network, or a
+    is not a ``FederateState``, two federates of one network, a
     federate that another federation has bound (``FederateState.bound``)
-    raises ``InvalidTopology``, before any federate is bound.
+    or a map that is not an ``InterdependencyMap`` raises
+    ``InvalidTopology``, before any federate is bound.
 
     The slots form one grid of K rows and N columns.  N is the number of
     nodes, laid end to end in network order, and K the most couplings
@@ -185,6 +186,7 @@ class Federation:
             given[net] = fed
         if not given:
             raise InvalidTopology("field 'federates': a federation needs at least one federate")
+        _of_kind(InterdependencyMap, interdependencies, InvalidTopology, "interdependencies")
         # Canonical ordering makes the result independent of the
         # registration order of the federates.
         self.order = [n for n in NETWORK_ORDER if n in given]

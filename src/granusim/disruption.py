@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import InvalidEvent, InvalidFactor, InvalidTopology
 from .rng import stream
 from .topology import (NetworkId, Topology, _is_index_type, _is_positive_int, _is_real_type,
-                       _network_member, _of_kind, derive_once)
+                       _network_member, _node_indices, _of_kind, derive_once)
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,11 @@ class DisruptionEvent:
     """One disruption of ``nodes`` from ``apply_time`` to ``retract_time``.
 
     The network is one ``NetworkId`` accepts (stored as its member),
-    both times and every node index are integers (a bool is not one),
-    the retraction comes after the application, and the nodes are
-    distinct, nonnegative and at least one; anything else raises
-    ``InvalidEvent``.  The nodes are stored as a tuple of Python ints.
+    both times are integers (a bool is not one), the retraction comes
+    after the application, and the nodes are at least one (None is
+    none), an iterable of integers (``topology._node_indices``),
+    distinct and nonnegative; anything else raises ``InvalidEvent``.
+    The nodes are stored as a tuple of Python ints.
     """
 
     apply_time: int
@@ -41,15 +42,14 @@ class DisruptionEvent:
         if self.retract_time <= self.apply_time:
             raise InvalidEvent(
                 f"retract_time {self.retract_time} must exceed apply_time {self.apply_time}")
-        if not self.nodes:
+        nodes = _node_indices(() if self.nodes is None else self.nodes)
+        if not nodes:
             raise InvalidEvent("node set must be non-empty")
-        if not all(_is_index_type(type(node)) for node in self.nodes):
-            raise InvalidEvent(f"node set has an index that is not an integer: {self.nodes}")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise InvalidEvent(f"node set has duplicates: {self.nodes}")
-        if min(self.nodes) < 0:
+        if min(nodes) < 0:
             raise InvalidEvent(f"negative node index in {self.nodes}")
-        object.__setattr__(self, "nodes", tuple(map(int, self.nodes)))
+        object.__setattr__(self, "nodes", tuple(map(int, nodes)))
 
 
 @dataclass(frozen=True)

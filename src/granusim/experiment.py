@@ -22,7 +22,8 @@ from .errors import GranusimError, InvalidFactor, ScenarioError
 from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from .topology import (InterdependencyMap, NetworkId, Topology, _is_index_type, _is_positive_int,
-                       _network_member, generate_interdependencies, generate_topology)
+                       _items_of, _network_member, _of_kind, generate_interdependencies,
+                       generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -65,7 +66,9 @@ def _check_int(field: str, value, minimum: int | None = 1) -> int:
 
 def _json_object(text: str) -> dict:
     """The JSON object of ``text``; ``ScenarioError`` naming the line of
-    text that is not JSON, or a top level that is not an object."""
+    text that is not JSON, or a top level that is not an object; and
+    naming ``text`` unless it is a ``str``."""
+    _of_kind(str, text, ScenarioError, "text")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,7 +196,9 @@ class ScenarioConfig:
 
 
 def build_layout(levels: FactorLevels) -> list[tuple[int, int, int]]:
-    """Cartesian product of the levels in lexicographic (ds, rt, tg) order."""
+    """Cartesian product of the levels in lexicographic (ds, rt, tg) order;
+    ``InvalidFactor`` unless ``levels`` is a ``FactorLevels``."""
+    _of_kind(FactorLevels, levels, InvalidFactor, "levels")
     return [(tg, rt, ds)
             for ds in levels.ds_levels
             for rt in levels.rt_levels
@@ -217,9 +222,11 @@ def wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], Interdependenc
 
     Both are frozen, so every federation built from configs that agree
     on those (whatever their horizon, warm-up, onset, weights or lag)
-    shares them, and ``generate`` writes the same objects; each build
-    still makes fresh federate states.  Only the latest wiring is kept.
+    shares them; each build still makes fresh federate states.  Only
+    the latest wiring is kept.  A ``config`` of another kind raises
+    ``ScenarioError`` here and at every entry point that reads one.
     """
+    _of_kind(ScenarioConfig, config, ScenarioError, "config")
     key = (config.master_seed, config.couplings_per_node,
            tuple((n.network_id, n.node_count, n.edge_count) for n in config.networks))
     if key not in _WIRING:
@@ -296,6 +303,7 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
     ``InvalidFactor`` if tg, rt or ds is not a positive integer (a bool
     is not one), before anything uses it; the schedule checks tg.
     """
+    _of_kind(ScenarioConfig, config, ScenarioError, "config")
     schedule = SyncSchedule(tg=tg, horizon=config.horizon)
     for name, level in (("rt", rt), ("ds", ds)):
         if not _is_positive_int(level):
@@ -341,7 +349,14 @@ def _run_indexed(args) -> ResultRow:
 def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
                    jobs: int = 1, traces_dir=None) -> list[ResultRow]:
     """Execute a layout; rows come back in layout order regardless of
-    completion order.  jobs=1 is the sequential reference path."""
+    completion order.  jobs=1 is the sequential reference path.  The
+    config, and the layout as an iterable of (tg, rt, ds) tuples
+    (``InvalidFactor``), are checked before any run."""
+    _of_kind(ScenarioConfig, config, ScenarioError, "config")
+    layout = _items_of(tuple, layout, InvalidFactor, "layout")
+    bad = next((item for item in layout if len(item) != 3), None)
+    if bad is not None:
+        raise InvalidFactor(f"field 'layout': expected (tg, rt, ds), got {bad!r}")
     tasks = [(i, config, triple) for i, triple in enumerate(layout)]
     if jobs <= 1:
         rows = [_run_indexed(task) for task in tasks]
@@ -394,8 +409,11 @@ def timing_profile(config: ScenarioConfig, tg_list: list[int],
     round, so each keeps its fastest round, and a granularity's cost is
     the mean of its timesteps' fastest times; only the simulation loop
     is timed.  ``repeats`` must be a positive integer (``InvalidFactor``
-    naming it), and an empty ``tg_list`` gives an empty profile.
+    naming it) and ``tg_list`` an iterable (``InvalidFactor``); an empty
+    one gives an empty profile.
     """
+    _of_kind(ScenarioConfig, config, ScenarioError, "config")
+    tg_list = _items_of(object, tg_list, InvalidFactor, "tg_list")
     if not _is_positive_int(repeats):
         raise InvalidFactor(f"repeats: must be a positive integer, got {repeats!r}")
     if not tg_list:

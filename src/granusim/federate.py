@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidEvent, InvalidTopology, UnknownNode
-from .topology import (Topology, _is_index_type, _is_positive_int, _is_real_type, _of_kind,
+from .topology import (Topology, _is_positive_int, _is_real_type, _node_indices, _of_kind,
                        _read_only, derive_once)
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
@@ -238,12 +238,9 @@ class FederateState:
         return self.topology.node_count
 
     def check_nodes(self, node_set) -> np.ndarray:
-        """Sorted distinct node indices; ``InvalidEvent`` if one is not an
-        integer (a bool is not one), ``UnknownNode`` if any is out of range."""
-        given = tuple(node_set)  # the int cast would take 1.5, True and '1' as 1
-        if not all(map(_is_index_type, set(map(type, given)))):
-            raise InvalidEvent(f"node set has an index that is not an integer: {node_set}")
-        nodes = np.asarray(sorted(set(given)), dtype=int)
+        """Sorted distinct node indices; ``InvalidEvent`` unless an iterable
+        of integers (``topology._node_indices``), ``UnknownNode`` if out of range."""
+        nodes = np.asarray(sorted(set(_node_indices(node_set))), dtype=int)
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.node_count):
             raise UnknownNode(
                 f"node indices {node_set} out of range for "

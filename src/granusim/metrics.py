@@ -1,7 +1,9 @@
 """Measure-of-performance traces and the metrics derived from them.
 
 A ``MoPTrace`` holds the percent-of-baseline series of every network in
-a dict, at least one and all of one length (else ``ScheduleError``);
+a dict, at least one and all of one length, each a one-dimensional
+sequence of real numbers stored as a float array (``run_steps``' as
+given) under its ``NetworkId`` member; else ``ScheduleError``.
 ``MoPTrace.to_csv`` writes it as the trace CSV of ``run --trace`` and
 ``experiment --traces``, formatting the whole text in one pass.  Both
 metrics read a trace through one rule (``_series_from``).
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError
-from .topology import NETWORK_ORDER, NetworkId, _is_index_type, _network_member, _of_kind
+from .topology import (NETWORK_ORDER, NetworkId, _is_index_type, _is_real_type, _network_member,
+                       _of_kind)
 
 # Propagated disruptions count as visible when the target network drops
 # below 95% of baseline, i.e. SPDS strictly greater than 5 percentage
@@ -31,10 +34,22 @@ class MoPTrace:
 
     def __post_init__(self):
         _of_kind(dict, self.series, ScheduleError, "series")
-        lengths = sorted({len(values) for values in self.series.values()})
+        series = {}
+        for key, values in self.series.items():
+            net = _network_member(key, ScheduleError, "series")
+            try:
+                array = np.asarray(values)
+            except ValueError:  # a ragged nesting
+                array = None
+            if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+                raise ScheduleError(f"series {net.value!r}: expected a one-dimensional "
+                                    f"sequence of real numbers, got {values!r}")
+            series[net] = array.astype(float, copy=False)
+        lengths = sorted({len(values) for values in series.values()})
         if len(lengths) != 1:
             raise ScheduleError("series: expected one or more of one length, "
                                 f"got lengths {lengths}")
+        object.__setattr__(self, "series", series)
 
     @property
     def horizon(self) -> int:
@@ -92,6 +107,10 @@ def compute_sprt(trace: MoPTrace, network: NetworkId,
 
 
 def classify_visibility(spds: float) -> bool:
-    """True iff the propagated dip exceeds the 5% visibility threshold."""
+    """True iff the propagated dip exceeds the 5% visibility threshold;
+    ``ScheduleError`` unless ``spds`` is a real number (a bool or a
+    string is not one)."""
+    if not _is_real_type(type(spds)):
+        raise ScheduleError(f"spds must be a real number, got {spds!r}")
     return spds > VISIBILITY_THRESHOLD_PCT
 

@@ -6,32 +6,24 @@ Couplings wire every node of every network to each partner network:
 the first coupling per partner is the deterministic backbone
 b = a mod |B|, the rest are drawn from a seeded stream.
 
-Both are frozen, so their array forms (``Topology.edges_by_target``,
-made with the topology, and ``InterdependencyMap.coupling_array``) are
-derived once per object and shared, read-only, by every federation
-built from it.  So is what other modules derive from them: each object
-holds one store, ``derived``, which only ``derive_once`` writes, under
-a key tagged by the kind of result (a node rule, a disruption pattern,
-a coupling plan), and only with a result derived without error.  A
-topology's node count is the number of its intrinsic levels.  It
-checks itself once, when it is made: its network is one ``NetworkId``
-accepts (and is stored as its member), every node index is an integer
-(a bool is not), every edge is a tuple or list of two values joining
-two distinct nodes in range, no edge appears twice, and the levels are
-a flat sequence of real numbers in [0, 1] (a bool or a string is not
-one); anything else raises ``InvalidTopology``.  So does
-a coupling map, when it is made, for a coupling that is not four
-values, a node index that is not an integer or a network ``NetworkId``
-refuses.  What a constructor accepts in another form (a network's
-value, a numpy index or level, a list) it stores in plain form: a
-``NetworkId`` member, a Python int or float, a tuple.  So ``to_json``
-writes every wiring its constructor accepts, and ``hash`` takes it;
-``granusim generate`` writes them for inspection, and no command reads
-them back.
+A ``Topology`` and an ``InterdependencyMap`` are frozen, and each checks
+itself once, when it is made.  A topology raises ``InvalidTopology`` for
+a network ``NetworkId`` refuses, a node index that is not an integer (a
+bool is not), an edge that is not two values joining two distinct nodes
+in range or that appears twice, and levels that are not a flat sequence
+of real numbers in [0, 1]; its node count is the number of its levels.
+A map raises it for a coupling that is not four values, a node index
+that is not an integer or a network ``NetworkId`` refuses.  Each stores
+what it accepts in plain form (``NetworkId`` members, Python ints and
+floats, tuples), so equal wirings compare equal and hash alike, and
+makes its one array form (``edges_by_target``, ``coupling_array``),
+read-only and shared by every federation built from it.  Each holds one
+store, ``derived``, which only ``derive_once`` writes, under a key
+tagged by the kind of result (a node rule, a disruption pattern, a
+coupling plan), and only with a result derived without error.  No
+wiring is written to a file: the scenario file is the one wiring
+artifact, and ``experiment.wiring`` makes the wiring of a scenario.
 """
-
-import functools
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTopology
+from .errors import InvalidEvent, InvalidTopology
 from .rng import stream
 
 
@@ -101,6 +93,17 @@ def _items_of(kind: type, values, error, field: str) -> tuple:
     return items
 
 
+def _node_indices(nodes) -> tuple:
+    """The one rule of every entry point's node sets: ``nodes`` as a
+    tuple, by ``_of_kind``'s rule an ``Iterable`` of integers (a bool is
+    not one); ``InvalidEvent`` naming the node set otherwise."""
+    _of_kind(Iterable, nodes, InvalidEvent, "nodes")
+    given = tuple(nodes)  # the int cast would take 1.5, True and '1' as 1
+    if not all(map(_is_index_type, set(map(type, given)))):
+        raise InvalidEvent(f"node set has an index that is not an integer: {nodes}")
+    return given
+
+
 def _shown(coupling):
     """``coupling`` as an error names it, its networks by value."""
     if not isinstance(coupling, (tuple, list)):
@@ -137,6 +140,9 @@ class Topology:
     #: targets in row 1, sorted by (target, source); derived from
     #: ``edges`` when the topology is made.
     edges_by_target: np.ndarray = field(init=False, repr=False, compare=False)
+    #: The store of ``derive_once``: ``federate.node_rule`` and
+    #: ``disruption.fixed_pattern`` results.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Checked once per frozen topology, not per federate built on it.
@@ -171,9 +177,9 @@ class Topology:
         if not all(map(_is_index_type, index_types)):
             edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
             raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
-        # A numpy index or level is stored as a Python int or float,
-        # which ``to_json`` can write, and a list as a tuple, which a
-        # frozen topology can hash; a generated topology is plain
+        # A numpy index or level is stored as a Python int or float, and
+        # a list as a tuple, so a frozen topology hashes and compares by
+        # its values whatever their form; a generated topology is plain
         # already and skips the copy.
         if (not index_types <= {int} or not level_types <= {float}
                 or edge_types | {type(self.edges), type(self.intrinsic_performance)} != {tuple}):
@@ -199,21 +205,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.intrinsic_performance)
 
-    @functools.cached_property
-    def derived(self) -> dict:
-        """The store of ``derive_once``: ``federate.node_rule`` and
-        ``disruption.fixed_pattern`` results."""
-        return {}
-
-    def to_json(self) -> str:
-        doc = {
-            "network_id": self.network_id.value,
-            "node_count": self.node_count,
-            "edges": [list(e) for e in self.edges],
-            "intrinsic_performance": list(self.intrinsic_performance),
-        }
-        return json.dumps(doc, sort_keys=True)
-
 
 class Coupling(NamedTuple):
     """Directed lifeline: consumer node takes the producer node's output."""
@@ -227,6 +218,12 @@ class Coupling(NamedTuple):
 @dataclass(frozen=True)
 class InterdependencyMap:
     couplings: tuple[Coupling, ...]
+    #: The couplings as a read-only (4, couplings) array, one row per
+    #: ``Coupling`` field in field order, networks as positions in
+    #: ``NETWORK_ORDER``; derived from ``couplings`` when the map is made.
+    coupling_array: np.ndarray = field(init=False, repr=False, compare=False)
+    #: The store of ``derive_once``: ``coordinator.coupling_plan`` results.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Checked once per frozen map, as ``Topology`` checks its edges:
@@ -243,52 +240,30 @@ class InterdependencyMap:
                                           "(network, node, network, node)")
         consumer_net, consumer, producer_net, producer = (
             zip(*self.couplings) if self.couplings else ((),) * 4)
-        if (plain and type(self.couplings) is tuple
+        if not (plain and type(self.couplings) is tuple
                 and set(map(type, consumer + producer)) <= {int}
                 and set(map(type, consumer_net + producer_net)) <= {NetworkId}):
-            return
-        for i, c in enumerate(self.couplings):
-            faults = [f"unknown network {v!r}" for v in (c[0], c[2])
-                      if not isinstance(_as_network(v), NetworkId)]
-            faults += [f"node index {v!r} is not an integer"
-                       for v in (c[1], c[3]) if not _is_index_type(type(v))]
-            if faults:
-                raise InvalidTopology(f"coupling {i} {_shown(c)}: {faults[0]}")
-        # What the checks accept in another form (a network's value, a
-        # numpy index, a coupling as a tuple or list, a list of them) is
-        # stored as a tuple of ``Coupling``s of ``NetworkId`` members and
-        # Python ints, which ``to_json`` can write and a frozen map can
-        # hash; a generated map is plain already and returns above.
-        object.__setattr__(self, "couplings", tuple(
-            Coupling(NetworkId(c[0]), int(c[1]), NetworkId(c[2]), int(c[3]))
-            for c in self.couplings))
-
-    @functools.cached_property
-    def coupling_array(self) -> np.ndarray:
-        """The couplings as a read-only (4, couplings) array, one row per
-        ``Coupling`` field in field order; networks are positions in
-        ``NETWORK_ORDER``."""
+            for i, c in enumerate(self.couplings):
+                faults = [f"unknown network {v!r}" for v in (c[0], c[2])
+                          if not isinstance(_as_network(v), NetworkId)]
+                faults += [f"node index {v!r} is not an integer"
+                           for v in (c[1], c[3]) if not _is_index_type(type(v))]
+                if faults:
+                    raise InvalidTopology(f"coupling {i} {_shown(c)}: {faults[0]}")
+            # What the checks accept in another form (a network's value,
+            # a numpy index, a coupling as a tuple or list, a list of
+            # them) is stored as a tuple of ``Coupling``s of ``NetworkId``
+            # members and Python ints, so a frozen map hashes and compares
+            # by its values; a generated map is plain already.
+            consumer_net, producer_net = (tuple(map(NetworkId, nets))
+                                          for nets in (consumer_net, producer_net))
+            consumer, producer = (tuple(map(int, nodes)) for nodes in (consumer, producer))
+            object.__setattr__(self, "couplings", tuple(
+                map(Coupling, consumer_net, consumer, producer_net, producer)))
         rank = {net: i for i, net in enumerate(NETWORK_ORDER)}.__getitem__
-        consumer_net, consumer, producer_net, producer = (
-            zip(*self.couplings) if self.couplings else ((),) * 4)
-        return _read_only(np.array([list(map(rank, consumer_net)), consumer,
-                                    list(map(rank, producer_net)), producer], dtype=np.intp))
-
-    @functools.cached_property
-    def derived(self) -> dict:
-        """The store of ``derive_once``: ``coordinator.coupling_plan``
-        results."""
-        return {}
-
-    def to_json(self) -> str:
-        doc = {
-            "couplings": [
-                [c.consumer_network.value, c.consumer_node,
-                 c.producer_network.value, c.producer_node]
-                for c in self.couplings
-            ]
-        }
-        return json.dumps(doc, sort_keys=True)
+        object.__setattr__(self, "coupling_array", _read_only(np.array(
+            [list(map(rank, consumer_net)), consumer, list(map(rank, producer_net)), producer],
+            dtype=np.intp)))
 
 
 def generate_topology(network_id: NetworkId, node_count: int,

@@ -23,26 +23,6 @@ def results_csv_path(tmp_path_factory):
     return path
 
 
-def test_generate_writes_all_artifacts(tmp_path):
-    out = tmp_path / "nets"
-    assert main(["generate", "--out", str(out)]) == 0
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["business.json", "interdependencies.json",
-                     "power.json", "water.json"]
-    doc = json.loads((out / "water.json").read_text())
-    assert doc["node_count"] == 22
-    assert len(doc["edges"]) == 77
-
-
-def test_generate_is_idempotent(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["generate", "--out", str(a)]) == 0
-    assert main(["generate", "--out", str(b)]) == 0
-    for name in ("water.json", "power.json", "business.json",
-                 "interdependencies.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
 def test_run_sub_granularity_example(capsys):
     # A one-step disruption between sync points goes unseen.
     assert main(["run", "--tg", "10", "--rt", "1", "--ds", "8"]) == 0
@@ -382,24 +362,41 @@ def test_scenario_with_non_finite_weights_exits_2(tmp_path, capsys):
     assert "field 'networks[0]': field 'weights'" in captured.err
 
 
-def test_seed_flag_overrides_the_scenario_file(tmp_path):
-    base = tmp_path / "base"
-    main(["generate", "--out", str(base)])
+def test_seed_flag_overrides_the_scenario_file(tmp_path, capsys):
+    def run(name, *flags):
+        trace = tmp_path / f"{name}.csv"
+        assert main(["run", *flags, "--tg", "5", "--rt", "10", "--ds", "8",
+                     "--trace", str(trace)]) == 0
+        return json.loads(capsys.readouterr().out)["pattern_hash"], trace.read_bytes()
 
-    seeded = tmp_path / "seeded"
-    main(["generate", "--seed", "12345", "--out", str(seeded)])
-    assert (seeded / "water.json").read_bytes() != (base / "water.json").read_bytes()
+    base = run("base")
+    seeded = run("seeded", "--seed", "12345")
+    assert seeded[0] != base[0] and seeded[1] != base[1]
 
     scenario = tmp_path / "scenario.json"
     scenario.write_text('{"master_seed": 12345}')
-    from_file = tmp_path / "from_file"
-    main(["generate", "--scenario", str(scenario), "--out", str(from_file)])
-    assert (from_file / "water.json").read_bytes() == (seeded / "water.json").read_bytes()
+    assert run("from_file", "--scenario", str(scenario)) == seeded
 
     # The flag outranks the scenario file.
-    flag = tmp_path / "flag"
-    main(["generate", "--scenario", str(scenario), "--seed", "20200831", "--out", str(flag)])
-    assert (flag / "water.json").read_bytes() == (base / "water.json").read_bytes()
+    assert run("flag", "--scenario", str(scenario), "--seed", "20200831") == base
+
+
+def test_a_failed_write_leaves_no_partial_file(tmp_path, capsys):
+    # The trace path is a directory, so the final rename fails; the
+    # temporary file is removed before the error is passed on.
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    assert main(["run", "--tg", "5", "--rt", "10", "--ds", "8", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["trace"]
+    assert list(trace.iterdir()) == []
+
+
+def test_generate_is_no_longer_a_command(tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path / "nets")]) == 1
+    assert "invalid choice: 'generate'" in capsys.readouterr().err
+    assert not (tmp_path / "nets").exists()
 
 
 def test_scenario_file_round_trips_through_run(tmp_path, capsys):

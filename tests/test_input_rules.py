@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 
 import granusim
-from granusim.analysis import LogisticVisibilityModel, fit_ratio_linear, variance_shares
+from granusim.analysis import (LogisticVisibilityModel, analysis_report, fit_ratio_linear,
+                               fit_visibility_logistic, load_results, recommend_tg,
+                               variance_shares)
 from granusim.coordinator import Federation, SyncSchedule, run
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig, fixed_pattern,
                                  poisson_stream)
 from granusim.errors import (DegenerateModel, GranusimError, InvalidEvent, InvalidFactor,
-                             InvalidTopology, ScenarioError, ScheduleError)
-from granusim.experiment import (FactorLevels, NetworkSpec, ScenarioConfig, run_single,
-                                 timing_profile)
+                             InvalidTopology, MalformedResults, ScenarioError, ScheduleError,
+                             UnknownNode, ZeroBaseline)
+from granusim.experiment import (DEFAULT_NETWORKS, FactorLevels, NetworkSpec, ScenarioConfig,
+                                 build_federation, build_layout, run_experiment, run_single,
+                                 timing_profile, wiring)
 from granusim.federate import FederateState
 from granusim.metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from granusim.topology import (Coupling, InterdependencyMap, NetworkId,
@@ -153,19 +157,27 @@ def _disrupted_after(deliver, nodes):
     return fed.disrupted.tolist()
 
 
+#: (deliver a node set, what the set of one taken index delivers, each
+#: node set of a refused kind with its whole message).
 INDEX_ENTRIES = {
-    "DisruptionEvent": lambda nodes: DisruptionEvent(1, 2, NetworkId.WATER, nodes).nodes,
-    "apply_disruption": lambda nodes: _disrupted_after("apply_disruption", nodes),
-    "retract_disruption": lambda nodes: _disrupted_after("retract_disruption", nodes),
+    "DisruptionEvent": (lambda nodes: DisruptionEvent(1, 2, NetworkId.WATER, nodes).nodes, (1,),
+                        {5: "field 'nodes': expected Iterable, got 5",
+                         None: "node set must be non-empty"}),
+    "apply_disruption": (lambda nodes: _disrupted_after("apply_disruption", nodes), [0, 2, 0],
+                         {5: "field 'nodes': expected Iterable, got 5",
+                          None: "field 'nodes': expected Iterable, got None"}),
+    "retract_disruption": (lambda nodes: _disrupted_after("retract_disruption", nodes),
+                           [0, 0, 0],
+                           {5: "field 'nodes': expected Iterable, got 5",
+                            None: "field 'nodes': expected Iterable, got None"}),
 }
-INDEX_TAKEN = {"DisruptionEvent": (1,), "apply_disruption": [0, 2, 0],
-               "retract_disruption": [0, 0, 0]}
 
 
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
 @pytest.mark.parametrize("value", COUNTS_TAKEN, ids=repr)
 def test_node_indices_the_rule_takes_are_delivered(entry, value):
-    assert INDEX_ENTRIES[entry]((value,)) == INDEX_TAKEN[entry]
+    deliver, delivered, _ = INDEX_ENTRIES[entry]
+    assert deliver((value,)) == delivered
 
 
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
@@ -173,7 +185,18 @@ def test_node_indices_the_rule_takes_are_delivered(entry, value):
 def test_node_indices_the_rule_refuses_raise_invalid_event(entry, value):
     # Before, a federate cast 1.5, True and '1' to node 1.
     with pytest.raises(InvalidEvent, match="not an integer"):
-        INDEX_ENTRIES[entry]((value,))
+        INDEX_ENTRIES[entry][0]((value,))
+
+
+@pytest.mark.parametrize("entry, nodes", [(entry, nodes) for entry in sorted(INDEX_ENTRIES)
+                                          for nodes in INDEX_ENTRIES[entry][2]])
+def test_node_sets_of_a_refused_kind_raise_invalid_event(entry, nodes):
+    # Before, each of these but an event's None raised a bare TypeError;
+    # a federate's counts are checked unchanged (``_disrupted_after``).
+    deliver, _, refused = INDEX_ENTRIES[entry]
+    with pytest.raises(InvalidEvent) as raised:
+        deliver(nodes)
+    assert str(raised.value) == refused[nodes]
 
 
 TRACE = MoPTrace({NetworkId.WATER: np.full(11, 100.0)})
@@ -300,6 +323,184 @@ REFUSAL_ENTRIES = {
     "LogisticVisibilityModel.ratio_at": (
         lambda: LogisticVisibilityModel(0.0, 1.0).ratio_at(1.0), InvalidFactor,
         "probability must be in (0, 1), got 1.0"),
+    # Each row below raised an unnamed error before: an AttributeError,
+    # a TypeError, a KeyError or a bare ValueError.
+    "Federation.map_kind": (
+        lambda: Federation([FederateState(make_topology([], 3))], "x"), InvalidTopology,
+        "field 'interdependencies': expected InterdependencyMap, got 'x'"),
+    "run_single.config": (lambda: run_single("x", 2, 9, 8), ScenarioError,
+                          "field 'config': expected ScenarioConfig, got 'x'"),
+    "timing_profile.config": (lambda: timing_profile("x", [2], 9, 8), ScenarioError,
+                              "field 'config': expected ScenarioConfig, got 'x'"),
+    "timing_profile.tg_list": (lambda: timing_profile(SMALL, 5, 9, 8), InvalidFactor,
+                               "field 'tg_list': expected Iterable, got 5"),
+    "wiring": (lambda: wiring("x"), ScenarioError,
+               "field 'config': expected ScenarioConfig, got 'x'"),
+    "build_federation": (lambda: build_federation("x"), ScenarioError,
+                         "field 'config': expected ScenarioConfig, got 'x'"),
+    "build_layout": (lambda: build_layout("x"), InvalidFactor,
+                     "field 'levels': expected FactorLevels, got 'x'"),
+    "ScenarioConfig.from_json": (lambda: ScenarioConfig.from_json(123), ScenarioError,
+                                 "field 'text': expected str, got 123"),
+    # Checked once, not turned into one error row per run.
+    "run_experiment.config": (lambda: run_experiment("x", [(2, 9, 8)]), ScenarioError,
+                              "field 'config': expected ScenarioConfig, got 'x'"),
+    "run_experiment.layout": (lambda: run_experiment(SMALL, [(2, 9)]), InvalidFactor,
+                              "field 'layout': expected (tg, rt, ds), got (2, 9)"),
+    "run_experiment.layout_item": (lambda: run_experiment(SMALL, [2]), InvalidFactor,
+                                   "field 'layout': expected tuple, got 2"),
+    "analysis_report.column": (lambda: analysis_report({}), DegenerateModel,
+                               "table lacks column 'tg'"),
+    "analysis_report.table": (lambda: analysis_report(None), DegenerateModel,
+                              "field 'table': expected dict, got None"),
+    "variance_shares.column": (lambda: variance_shares({}, "y"), DegenerateModel,
+                               "table lacks column 'tg'"),
+    "variance_shares.response": (lambda: variance_shares(TABLE, "y", ("tg",)), DegenerateModel,
+                                 "table lacks column 'y'"),
+    "fit_visibility_logistic": (lambda: fit_visibility_logistic(TABLE), DegenerateModel,
+                                "table lacks column 'visible'"),
+    "fit_ratio_linear.column": (lambda: fit_ratio_linear({}), DegenerateModel,
+                                "table lacks column 'tg'"),
+    "load_results": (lambda: load_results(None), MalformedResults,
+                     "field 'path': expected a str or a path, got None"),
+    "recommend_tg.model": (lambda: recommend_tg("x", 22, 0.5), DegenerateModel,
+                           "field 'model': expected LogisticVisibilityModel, got 'x'"),
+    "recommend_tg.expected_rt": (
+        lambda: recommend_tg(LogisticVisibilityModel(-4.4, 5.0), "22", 0.5), InvalidFactor,
+        "expected recovery time must be a positive finite number, got 22"),
+    "LogisticVisibilityModel.ratio_at_kind": (
+        lambda: LogisticVisibilityModel(0.0, 1.0).ratio_at("0.5"), InvalidFactor,
+        "probability must be in (0, 1), got 0.5"),
+    "classify_visibility": (lambda: classify_visibility("x"), ScheduleError,
+                            "spds must be a real number, got 'x'"),
+    "MoPTrace.two_dimensional": (
+        lambda: MoPTrace({NetworkId.WATER: [[100.0], [99.0]]}), ScheduleError,
+        "series 'water': expected a one-dimensional sequence of real numbers, "
+        "got [[100.0], [99.0]]"),
+    "MoPTrace.strings": (
+        lambda: MoPTrace({NetworkId.WATER: ["100.0"]}), ScheduleError,
+        "series 'water': expected a one-dimensional sequence of real numbers, got ['100.0']"),
+    "MoPTrace.unknown_network": (lambda: MoPTrace({"gas": [100.0]}), ScheduleError,
+                                 "field 'series': unknown network 'gas'"),
+    # The rows below reach each ``raise`` that ``tools/traffic.py --tests``
+    # listed for this file and ``tests/test_cli.py``; other test files
+    # reach them too.
+    "Topology.level_kind": (lambda: make_topology([], 2, intrinsic=(1.0, "1")), InvalidTopology,
+                            "intrinsic performance level '1' is not a real number"),
+    "Topology.level_range": (
+        lambda: make_topology([], 2, intrinsic=(1.5, 1.0)), InvalidTopology,
+        "intrinsic performance levels must lie in [0, 1], got (1.5, 1.0)"),
+    "Topology.edge_length": (lambda: make_topology([(0, 1, 2)], 3), InvalidTopology,
+                             "edge 0 (0, 1, 2): expected two values (source, target)"),
+    "Topology.edge_index": (lambda: make_topology([(0, 1.5)], 3), InvalidTopology,
+                            "edge (0, 1.5) has a node index that is not an integer"),
+    "Topology.edge_range": (lambda: make_topology([(0, 3)], 3), InvalidTopology,
+                            "edge (0, 3) is out of range for 3 nodes"),
+    "Topology.self_loop": (lambda: make_topology([(1, 1)], 3), InvalidTopology,
+                           "edge (1, 1) is a self-loop"),
+    "Topology.edge_twice": (lambda: make_topology([(0, 1), (0, 1)], 3), InvalidTopology,
+                            "edge (0, 1) appears more than once"),
+    "InterdependencyMap.node_index": (
+        lambda: InterdependencyMap(((NetworkId.WATER, 0.5, NetworkId.POWER, 1),)),
+        InvalidTopology,
+        "coupling 0 ('water', 0.5, 'power', 1): node index 0.5 is not an integer"),
+    "generate_topology.edges_over_pairs": (
+        lambda: generate_topology(NetworkId.WATER, 2, 3, seed=1), InvalidTopology,
+        "3 edges requested but at most 2 distinct non-loop edges exist for 2 nodes"),
+    "generate_interdependencies.one_topology": (
+        lambda: generate_interdependencies(PAIR[:1], 1, seed=1), InvalidTopology,
+        "need at least two topologies to interconnect"),
+    "Federation.producer_node": (
+        lambda: Federation(
+            [FederateState(make_topology([], 3)),
+             FederateState(make_topology([], 3, NetworkId.POWER))],
+            InterdependencyMap((Coupling(NetworkId.WATER, 0, NetworkId.POWER, 3),))),
+        UnknownNode,
+        "producer node out of range: Coupling(consumer_network=<NetworkId.WATER: 'water'>, "
+        "consumer_node=0, producer_network=<NetworkId.POWER: 'power'>, producer_node=3)"),
+    "run.event_time": (
+        lambda: run(_federation(), SyncSchedule(1, 10),
+                    [DisruptionEvent(5, 11, NetworkId.WATER, (0,))]), ScheduleError,
+        "event at 5/11 outside timesteps 1..10"),
+    "run.event_network": (
+        lambda: run(_federation(), SyncSchedule(1, 10),
+                    [DisruptionEvent(1, 2, NetworkId.POWER, (0,))]), ScheduleError,
+        "event at 1 names network 'power' outside the federation"),
+    "run.zero_baseline": (
+        lambda: run(Federation([FederateState(make_topology([], 2, intrinsic=(0.0, 0.0)))]),
+                    SyncSchedule(1, 10), []), ZeroBaseline,
+        "water: initial performance sums to zero"),
+    "apply_disruption.node_range": (
+        lambda: FederateState(make_topology([], 3)).apply_disruption([3]), UnknownNode,
+        "node indices [3] out of range for water (3 nodes)"),
+    "DisruptionEvent.apply_time": (lambda: DisruptionEvent(1.5, 2, NetworkId.WATER, (1,)),
+                                   InvalidEvent, "apply_time must be an integer, got 1.5"),
+    "DisruptionEvent.retract_time": (lambda: DisruptionEvent(2, 2, NetworkId.WATER, (1,)),
+                                     InvalidEvent, "retract_time 2 must exceed apply_time 2"),
+    "DisruptionEvent.node_twice": (lambda: DisruptionEvent(1, 2, NetworkId.WATER, [1, 1]),
+                                   InvalidEvent, "node set has duplicates: [1, 1]"),
+    "DisruptionEvent.negative_node": (lambda: DisruptionEvent(1, 2, NetworkId.WATER, (-1,)),
+                                      InvalidEvent, "negative node index in (-1,)"),
+    "DisruptionStreamConfig.rate": (
+        lambda: DisruptionStreamConfig(0.0, (1, 2), (1, 2), 10), InvalidEvent,
+        "rate: must be a finite positive number, got 0.0"),
+    "ScenarioConfig.minimum": (lambda: ScenarioConfig(horizon=0), ScenarioError,
+                               "field 'horizon': must be at least 1, got 0"),
+    "ScenarioConfig.align_sync": (lambda: ScenarioConfig(align_sync=1), ScenarioError,
+                                  "field 'align_sync': expected a bool, got 1"),
+    "ScenarioConfig.networks": (lambda: ScenarioConfig(networks=(1,)), ScenarioError,
+                                "field 'networks': expected a tuple of NetworkSpec, got (1,)"),
+    "ScenarioConfig.one_network": (
+        lambda: ScenarioConfig(networks=DEFAULT_NETWORKS[:1]), ScenarioError,
+        "field 'networks': need at least two networks to interconnect, got 1"),
+    "ScenarioConfig.network_twice": (
+        lambda: ScenarioConfig(networks=DEFAULT_NETWORKS[:1] * 2), ScenarioError,
+        "field 'networks': duplicate network ids"),
+    "ScenarioConfig.origin_unconfigured": (
+        lambda: ScenarioConfig(networks=DEFAULT_NETWORKS[1:]), ScenarioError,
+        "field 'origin'/'target': must name configured networks"),
+    "ScenarioConfig.from_json_syntax": (lambda: ScenarioConfig.from_json("{"), ScenarioError,
+                                        "line 1: Expecting property name enclosed in double "
+                                        "quotes"),
+    "ScenarioConfig.from_json_top_level": (lambda: ScenarioConfig.from_json("[]"),
+                                           ScenarioError, "top level: expected an object"),
+    "ScenarioConfig.from_json_key": (lambda: ScenarioConfig.from_json('{"x": 1}'),
+                                     ScenarioError, "field 'x': unknown"),
+    "ScenarioConfig.from_json_networks": (lambda: ScenarioConfig.from_json('{"networks": 1}'),
+                                          ScenarioError, "field 'networks': expected a list"),
+    "ScenarioConfig.from_json_network": (
+        lambda: ScenarioConfig.from_json('{"networks": [1]}'), ScenarioError,
+        "field 'networks[0]': expected an object"),
+    "ScenarioConfig.from_json_network_key": (
+        lambda: ScenarioConfig.from_json('{"networks": [{"id": "water"}]}'), ScenarioError,
+        "field 'networks[0]': field 'nodes': missing"),
+    "run_single.horizon": (lambda: run_single(ScenarioConfig(horizon=100), 2, 9, 8),
+                           ScenarioError, "horizon 100 below onset 51 + rt 9 + headroom 200"),
+    "variance_shares.rank": (
+        lambda: variance_shares({"tg": np.ones(3), "y": np.arange(3.0)}, "y", ("tg",)),
+        DegenerateModel, "design matrix rank-deficient after adding tg"),
+    "variance_shares.no_rows": (
+        lambda: variance_shares({"tg": np.ones(0), "y": np.ones(0)}, "y", ("tg",)),
+        DegenerateModel, "response 'y' has no rows"),
+    "variance_shares.zero_variance": (
+        lambda: variance_shares({"tg": np.arange(3.0), "y": np.ones(3)}, "y", ("tg",)),
+        DegenerateModel, "response 'y' has zero variance"),
+    "fit_visibility_logistic.one_label": (
+        lambda: fit_visibility_logistic({"tg": np.ones(2), "rt": np.arange(2.0),
+                                         "visible": np.ones(2, bool)}),
+        DegenerateModel, "all rows share one visibility label"),
+    "fit_visibility_logistic.one_ratio": (
+        lambda: fit_visibility_logistic({"tg": np.ones(2), "rt": np.ones(2),
+                                         "visible": np.array([True, False])}),
+        DegenerateModel, "all rows share one rt/tg ratio"),
+    "LogisticVisibilityModel.zero_slope": (
+        lambda: LogisticVisibilityModel(0.0, 0.0).ratio_at(0.5), DegenerateModel,
+        "zero slope; ratio is uninformative"),
+    "recommend_tg.slope": (lambda: recommend_tg(LogisticVisibilityModel(1.0, -2.0), 22, 0.5),
+                           DegenerateModel, "visibility must increase with the ratio"),
+    "recommend_tg.any_granularity": (
+        lambda: recommend_tg(LogisticVisibilityModel(1.0, 2.0), 22, 0.5), DegenerateModel,
+        "target likelihood 0.5 is met at any granularity"),
 }
 
 
@@ -324,6 +525,10 @@ FINISHING_ENTRIES = {
     "MoPTrace": (lambda: MoPTrace({NetworkId.POWER: np.array([100.0]),
                                    NetworkId.WATER: np.array([99.5])}).to_csv(),
                  "t,mop_water,mop_power\n0,99.500000,100.000000\n"),
+    # A list was stored as given before, and ``to_csv`` raised an
+    # AttributeError on it.
+    "MoPTrace.list": (lambda: MoPTrace({"water": [100.0, 99]}).to_csv(),
+                      "t,mop_water\n0,100.000000\n1,99.000000\n"),
 }
 
 

@@ -124,3 +124,13 @@ def test_visibility_threshold_is_strict():
 def test_shallow_traces_never_visible(values):
     spds = compute_spds(make_trace(values), NetworkId.BUSINESS, 0)
     assert not classify_visibility(spds)
+
+
+def test_a_float_series_is_stored_as_given_and_a_real_one_as_a_float_array():
+    # ``run_steps`` hands its float arrays over without a copy.
+    given = np.array([100.0, 99.0])
+    trace = MoPTrace({NetworkId.WATER: given, "power": [100, np.int64(98)]})
+    assert trace.series[NetworkId.WATER] is given
+    assert list(trace.series) == [NetworkId.WATER, NetworkId.POWER]
+    assert trace.series[NetworkId.POWER].dtype == np.float64
+    assert trace.series[NetworkId.POWER].tolist() == [100.0, 98.0]

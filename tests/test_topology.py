@@ -1,4 +1,3 @@
-import json
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from granusim.coordinator import Federation
 from granusim.errors import InvalidTopology
+from granusim.federate import FederateState
 from granusim.topology import (Coupling, InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from granusim.rng import stream
@@ -52,7 +53,8 @@ def test_invalid_counts_rejected():
 
 def test_regeneration_is_byte_identical(water22):
     again = generate_topology(NetworkId.WATER, 22, 77, seed=20200831)
-    assert again.to_json() == water22.to_json()
+    assert again == water22 and hash(again) == hash(water22)
+    assert again.edges_by_target.tobytes() == water22.edges_by_target.tobytes()
 
 
 def test_different_seeds_differ():
@@ -69,13 +71,6 @@ def test_degree_sums_equal_edge_count(water22):
         in_deg[dst] += 1
     assert sum(out_deg) == 77
     assert sum(in_deg) == 77
-
-
-def test_topology_json_holds_every_field(water22):
-    doc = json.loads(water22.to_json())
-    assert doc == {"network_id": "water", "node_count": 22,
-                   "edges": [list(edge) for edge in water22.edges],
-                   "intrinsic_performance": [1.0] * 22}
 
 
 @pytest.mark.parametrize("edges, named", [
@@ -150,16 +145,18 @@ def test_constructor_stores_the_network_member():
 
 
 def test_numpy_counts_indices_and_levels_are_stored_plain():
-    # Each of these made ``to_json`` raise "Object of type int64 (or
-    # float32) is not JSON serializable".
+    # Stored as given, a numpy value made the topology differ in form
+    # from the same one built of Python numbers.
     topology = Topology(NetworkId.POWER, ((np.int64(0), 1), (2, np.intp(1))),
                         (np.float32(0.5), 1, np.float64(0.25)))
+    assert type(topology.network_id) is NetworkId
     assert type(topology.node_count) is int
+    assert type(topology.edges) is tuple and {type(e) for e in topology.edges} == {tuple}
     assert {type(v) for edge in topology.edges for v in edge} == {int}
+    assert type(topology.intrinsic_performance) is tuple
     assert {type(v) for v in topology.intrinsic_performance} == {float}
-    assert json.loads(topology.to_json()) == {
-        "network_id": "power", "node_count": 3, "edges": [[0, 1], [2, 1]],
-        "intrinsic_performance": [0.5, 1.0, 0.25]}
+    plain = Topology(NetworkId.POWER, ((0, 1), (2, 1)), (0.5, 1.0, 0.25))
+    assert topology == plain and hash(topology) == hash(plain)
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,17 +233,8 @@ def test_interdependency_regeneration_identical():
              make_topology([], 5, NetworkId.POWER)]
     a = generate_interdependencies(topos, 2, seed=11)
     b = generate_interdependencies(topos, 2, seed=11)
-    assert a.to_json() == b.to_json()
-
-
-def test_interdependency_json_holds_every_field():
-    topos = [make_topology([], 6, NetworkId.WATER),
-             make_topology([], 5, NetworkId.POWER)]
-    imap = generate_interdependencies(topos, 2, seed=11)
-    doc = json.loads(imap.to_json())
-    assert list(doc) == ["couplings"]
-    assert [Coupling(NetworkId(a), b, NetworkId(c), d) for a, b, c, d in doc["couplings"]] \
-        == list(imap.couplings)
+    assert a == b and hash(a) == hash(b)
+    assert a.coupling_array.tobytes() == b.coupling_array.tobytes()
 
 
 def test_producer_nodes_in_range():
@@ -305,11 +293,38 @@ def test_couplings_take_what_network_id_accepts():
 ])
 def test_a_map_stores_what_it_accepts_as_plain_couplings(coupling):
     imap = InterdependencyMap(couplings=[coupling])
+    assert type(imap.couplings) is tuple
     assert imap.couplings == (Coupling(W, 0, P, 1),)
     (stored,) = imap.couplings
     assert type(stored) is Coupling
     assert [type(v) for v in stored] == [NetworkId, int, NetworkId, int]
-    assert imap.to_json() == '{"couplings": [["water", 0, "power", 1]]}'
+    plain = InterdependencyMap((Coupling(W, 0, P, 1),))
+    assert imap == plain and hash(imap) == hash(plain)
+    assert imap.coupling_array.tolist() == [[0], [0], [1], [1]]
+
+
+def test_the_coupling_array_is_a_read_only_field_made_with_the_map():
+    imap = generate_interdependencies([make_topology([], 4, W), make_topology([], 3, P)], 2,
+                                      seed=5)
+    assert "coupling_array" in vars(imap)  # made by the constructor, not on first read
+    array = imap.coupling_array
+    assert array.shape == (4, len(imap.couplings)) and not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[0, 0] = 1
+    # Every federation of the map reads that one array: here two, of
+    # other node counts, derive a coupling plan each from it.
+    for n in (4, 5):
+        Federation([FederateState(make_topology([], n, W)),
+                    FederateState(make_topology([], 3, P))], imap)
+        assert imap.coupling_array is array
+    assert len(imap.derived) == 2
+    # It takes no part in ==, hash or repr: a map whose array differs
+    # still equals its couplings' map.
+    other = InterdependencyMap(imap.couplings)
+    object.__setattr__(other, "coupling_array", array[:, :0])
+    assert other == imap and hash(other) == hash(imap)
+    assert "coupling_array" not in repr(imap)
+    assert [f.name for f in fields(imap) if f.compare] == ["couplings"]
 
 
 def test_a_generated_wiring_is_stored_as_given(water22):

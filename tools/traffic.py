@@ -1,24 +1,37 @@
-"""Print the statements of ``src/granusim`` that the benchmark's traffic never runs.
+"""Print the statements of ``src/granusim`` that the benchmark's traffic
+never runs, or the ``raise`` statements that given tests never reach.
 
-Runs each workload of ``perfbench/run.py`` (``factorial``,
-``factorial_traces`` and ``wide_sync``) once, in this process, through
-``granusim.cli.main``: the same scenario file (``Workload.scenario_doc``
-at the default seed) and the same calls (``calls``) as the benchmark.
+With no arguments it runs each workload of ``perfbench/run.py``
+(``factorial``, ``factorial_traces`` and ``wide_sync``) once, in this
+process, through ``granusim.cli.main``: the same scenario file
+(``Workload.scenario_doc`` at the default seed) and the same calls
+(``calls``) as the benchmark.  Scenario files and outputs go to a
+temporary directory, removed at the end.  Per module it then prints the
+statements no workload ran, one line each (line number and first source
+line).  Docstrings, ``def``, ``class``, imports and ``try:`` (which runs
+no code of its own) are left out; the statements in their bodies are
+not.  A compound statement counts as run when a line of its header ran.
+
+With ``--tests`` and pytest files it runs those tests instead, in this
+process, with ``pytest.main``, and prints per module each ``raise`` that
+none of them reached.  Code run in a worker process (``--jobs`` above
+1) is not seen.  One ``raise`` no test can reach, so it is always
+listed: ``analysis.load_results``' ``AssertionError``, raised only if
+numpy refuses a column that ``float()`` takes value by value, which
+numpy's own parsing rules out.  Run on ``tests/test_input_rules.py``
+and ``tests/test_cli.py``, it lists that one alone.
+
 Executed lines are recorded with ``sys.settrace`` from before the
-package is imported, so module-level statements count too.  Scenario
-files and outputs go to a temporary directory, removed at the end.
+package is imported, so module-level statements count too.
 
-Per module it then prints the statements no workload ran, one line each
-(line number and first source line).  Docstrings, ``def``, ``class``,
-imports and ``try:`` (which runs no code of its own) are left out; the
-statements in their bodies are not.  A compound statement counts as run
-when a line of its header ran.
-
-Run from the repository root (about 7 s):
+Run from the repository root (about 7 s, and about 5 s with the two
+test files below):
 
     python3 tools/traffic.py
+    python3 tools/traffic.py --tests tests/test_input_rules.py tests/test_cli.py
 """
 
+import argparse
 import ast
 import contextlib
 import io
@@ -83,6 +96,21 @@ def run_workloads() -> dict:
     return lines
 
 
+def run_tests(paths: list) -> dict:
+    """Lines run per package file over one in-process pytest run of ``paths``."""
+    import pytest
+    sys.path.insert(0, str(PACKAGE.parent))
+    lines: dict = {}
+    sys.settrace(record(lines))
+    try:
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *paths])
+    finally:
+        sys.settrace(None)
+    if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+        raise SystemExit(f"error: pytest exited with {code!r}")
+    return lines
+
+
 def _is_docstring(stmt) -> bool:
     return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
             and isinstance(stmt.value.value, str))
@@ -99,14 +127,28 @@ def statements(tree):
         yield stmt.lineno, max(last, stmt.lineno)
 
 
-def main() -> int:
-    lines = run_workloads()
+def raises(tree):
+    """The first and last line of each ``raise`` statement of ``tree``."""
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Raise):
+            yield stmt.lineno, stmt.end_lineno
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tests", nargs="+", metavar="FILE",
+                        help="list the raise statements these pytest files never reach")
+    args = parser.parse_args(argv)
+    if args.tests:
+        lines, counted_in, what = run_tests(args.tests), raises, "raise statements not reached"
+    else:
+        lines, counted_in, what = run_workloads(), statements, "statements not run"
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         ran = lines.get(str(path), set())
-        counted = sorted(statements(ast.parse(source)))
+        counted = sorted(counted_in(ast.parse(source)))
         missed = [first for first, last in counted if not ran.intersection(range(first, last + 1))]
-        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(counted)} statements not run")
+        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(counted)} {what}")
         text = source.splitlines()
         for lineno in missed:
             print(f"  {lineno:4d}  {text[lineno - 1].strip()}")
