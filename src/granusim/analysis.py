@@ -6,6 +6,13 @@ treatment, two-way interactions), a logistic model of disruption
 visibility against the recovery-time-to-granularity ratio, and a linear
 model relating the propagated and actual recovery-time ratios.
 
+A model takes its table as a dict of columns (``load_results``' arrays,
+or lists); every column it reads goes through one rule,
+``_require_columns``, which reads each by the package's real-series rule
+(``topology._real_series``), ``visible`` as a sequence of bools, and
+raises ``DegenerateModel`` naming the column it refuses.  The
+least-squares models add that every column they fit is finite.
+
 Both least-squares models are one QR factorisation of ``[1, columns]``:
 a term's share is its squared effect (its entry of ``Q^T y``) over the
 total sum of squares, the residual share RSS over it, and the ratio
@@ -23,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateModel, InvalidFactor, MalformedResults
-from .topology import _is_real_type, _of_kind
+from .topology import _is_real_type, _of_kind, _real_series
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -138,13 +145,18 @@ class VarianceShareReport:
     residual_share: float
 
 
-def _require_columns(table: dict[str, np.ndarray], names) -> None:
-    """The one rule of a model's table: ``DegenerateModel`` unless it is a
-    dict, naming the first of ``names`` it lacks."""
+def _require_columns(table: dict[str, np.ndarray], names) -> dict[str, np.ndarray]:
+    """The one rule of a model's table: each of ``names`` as a float
+    array by ``topology._real_series`` (``visible`` as a sequence of
+    bools, read as 0.0 and 1.0), in the order of ``names``.
+    ``DegenerateModel`` unless the table is a dict, naming the first of
+    ``names`` it lacks, then the first column the rule refuses."""
     _of_kind(dict, table, DegenerateModel, "table")
     missing = next((name for name in names if name not in table), None)
     if missing is not None:
         raise DegenerateModel(f"table lacks column {missing!r}")
+    return {name: _real_series(table[name], DegenerateModel, f"column {name!r}",
+                               bools=name == "visible") for name in dict.fromkeys(names)}
 
 
 def _require_finite(columns: dict[str, np.ndarray]) -> None:
@@ -188,9 +200,9 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
     with one level) raises ``DegenerateModel`` naming the column and the
     cause; before those, a table without one of them.
     """
-    _require_columns(table, [*(f for term in terms for f in term.split(":")), response])
-    y = np.asarray(table[response], dtype=float)
-    _require_finite({**{f: table[f] for term in terms for f in term.split(":")}, response: y})
+    columns = _require_columns(table, [*(f for term in terms for f in term.split(":")), response])
+    _require_finite(columns)
+    y = columns[response]
     if not len(y):
         raise DegenerateModel(f"response {response!r} has no rows")
     ss_total = float(((y - y.mean()) ** 2).sum())
@@ -198,7 +210,7 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
         raise DegenerateModel(f"response {response!r} has zero variance")
 
     _, effects, rss = _least_squares(
-        {term: math.prod(table[f] for f in term.split(":")) for term in terms}, y)
+        {term: math.prod(columns[f] for f in term.split(":")) for term in terms}, y)
     return VarianceShareReport(
         shares={term: float(e ** 2) / ss_total for term, e in zip(terms, effects[1:])},
         residual_share=rss / ss_total)
@@ -239,9 +251,8 @@ def fit_visibility_logistic(table: dict[str, np.ndarray]) -> LogisticVisibilityM
     row has one label, or one ratio: then only the ridge sets the slope,
     and rounding decides its sign; first, a table without tg, rt or visible.
     """
-    _require_columns(table, ("tg", "rt", "visible"))
-    x = table["rt"] / table["tg"]
-    y = np.asarray(table["visible"], dtype=float)
+    columns = _require_columns(table, ("tg", "rt", "visible"))
+    x, y = columns["rt"] / columns["tg"], columns["visible"]
     if y.min() == y.max():
         raise DegenerateModel("all rows share one visibility label")
     if x.min() == x.max():
@@ -276,11 +287,13 @@ class RatioLinearModel:
     r_squared: float
 
 
-def _ratio_rows(table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The non-censored rows of ``table`` with ``rt_over_tg`` and
-    ``sprt_over_tg`` added; a table without tg, rt or sprt, then a tg of 0, is refused."""
-    _require_columns(table, ("tg", "rt", "sprt"))
-    rows = {k: v[~np.isnan(table["sprt"])] for k, v in table.items()}
+def _ratio_rows(table: dict, names=("tg", "rt", "sprt")) -> dict[str, np.ndarray]:
+    """The non-censored rows of the columns ``names`` of ``table``, with
+    ``rt_over_tg`` and ``sprt_over_tg`` added; a table without one of
+    them (tg, rt and sprt at least), then a tg of 0, is refused."""
+    columns = _require_columns(table, names)
+    kept = ~np.isnan(columns["sprt"])
+    rows = {name: column[kept] for name, column in columns.items()}
     if not rows["tg"].all():
         raise DegenerateModel("rt_over_tg holds a value that is not finite")
     return dict(rows, rt_over_tg=rows["rt"] / rows["tg"],
@@ -332,15 +345,16 @@ def analysis_report(table: dict[str, np.ndarray]) -> dict:
     """The full report: variance shares, logistic fit, ratio model.
 
     ``DegenerateModel`` for a table without a column ``load_results``
-    makes, or with every ok row censored: no recovery time to fit.
+    makes, with one ``_require_columns`` refuses, or with every ok row
+    censored: no recovery time to fit.
     """
-    _require_columns(table, ("tg", "rt", "ds", "spds", "sprt", "visible"))
-    if np.isnan(table["sprt"]).all():
+    columns = _require_columns(table, ("tg", "rt", "ds", "spds", "sprt", "visible"))
+    if np.isnan(columns["sprt"]).all():
         raise DegenerateModel("every ok row is censored; sprt has no recovery time to fit")
-    ratio_rows = _ratio_rows(table)
+    ratio_rows = _ratio_rows(columns, ("tg", "rt", "ds", "sprt"))
 
     report: dict = {}
-    for response, tab, terms in (("spds", table, TERM_ORDER),
+    for response, tab, terms in (("spds", columns, TERM_ORDER),
                                  ("sprt", ratio_rows, TERM_ORDER),
                                  ("sprt_over_tg", ratio_rows, ("rt_over_tg", "ds", "tg"))):
         shares = variance_shares(tab, response, terms)

@@ -44,15 +44,18 @@ class ZeroBaseline(GranusimError):
 class InvalidFactor(GranusimError):
     """A factor or setting of a design is malformed: a run's or a
     schedule's tg, rt or ds, a disruption size, factor levels or a
-    layout, a timing profile's granularities or repeats, an expected
-    recovery time or a target likelihood."""
+    layout, an experiment's jobs or traces directory, a timing
+    profile's granularities or repeats, an expected recovery time or a
+    target likelihood."""
 
 
 class DegenerateModel(GranusimError):
-    """A model cannot be fit or queried: a table that is not a dict or
-    lacks a column, a value that is not finite, a response without rows
-    or variance, a rank-deficient design, a single class or ratio, a
-    zero slope, or a model that is not one."""
+    """A model cannot be fit or queried: a table that is not a dict,
+    lacks a column or holds one that is not a one-dimensional sequence
+    of real numbers (of bools for ``visible``), a value that is not
+    finite, a response without rows or variance, a rank-deficient
+    design, a single class or ratio, a zero slope, or a model that is
+    not one."""
 
 
 class ScenarioError(GranusimError):

@@ -350,13 +350,19 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
                    jobs: int = 1, traces_dir=None) -> list[ResultRow]:
     """Execute a layout; rows come back in layout order regardless of
     completion order.  jobs=1 is the sequential reference path.  The
-    config, and the layout as an iterable of (tg, rt, ds) tuples
-    (``InvalidFactor``), are checked before any run."""
+    config, the layout as an iterable of (tg, rt, ds) tuples, ``jobs`` as
+    a positive integer and ``traces_dir`` as None, a ``str`` or a path
+    object (each ``InvalidFactor`` but the config) are checked before
+    any run; each trace is written to ``traces_dir`` as a ``Path``."""
     _of_kind(ScenarioConfig, config, ScenarioError, "config")
     layout = _items_of(tuple, layout, InvalidFactor, "layout")
     bad = next((item for item in layout if len(item) != 3), None)
     if bad is not None:
         raise InvalidFactor(f"field 'layout': expected (tg, rt, ds), got {bad!r}")
+    if not _is_positive_int(jobs):
+        raise InvalidFactor(f"jobs: must be a positive integer, got {jobs!r}")
+    if not isinstance(traces_dir, (str, os.PathLike, type(None))):
+        raise InvalidFactor(f"field 'traces_dir': expected a str or a path, got {traces_dir!r}")
     tasks = [(i, config, triple) for i, triple in enumerate(layout)]
     if jobs <= 1:
         rows = [_run_indexed(task) for task in tasks]
@@ -368,10 +374,9 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
             rows = list(pool.map(_run_indexed, tasks))
     if traces_dir is not None:
         for row in rows:
-            if row.status != "ok":
-                continue
-            _, trace = run_single(config, row.tg, row.rt, row.ds)
-            write_atomic(traces_dir / f"run_{row.run_id:03d}.csv", trace.to_csv())
+            if row.status == "ok":
+                _, trace = run_single(config, row.tg, row.rt, row.ds)
+                write_atomic(Path(traces_dir, f"run_{row.run_id:03d}.csv"), trace.to_csv())
     return rows
 
 

@@ -1,9 +1,11 @@
 """Measure-of-performance traces and the metrics derived from them.
 
 A ``MoPTrace`` holds the percent-of-baseline series of every network in
-a dict, at least one and all of one length, each a one-dimensional
-sequence of real numbers stored as a float array (``run_steps``' as
-given) under its ``NetworkId`` member; else ``ScheduleError``.
+a dict, at least one and all of one length, each read by the one
+real-series rule (``topology._real_series``: a one-dimensional sequence
+of real numbers, a bool not one) and stored as a float array
+(``run_steps``' as given) under its ``NetworkId`` member; else
+``ScheduleError`` naming the network.
 ``MoPTrace.to_csv`` writes it as the trace CSV of ``run --trace`` and
 ``experiment --traces``, formatting the whole text in one pass.  Both
 metrics read a trace through one rule (``_series_from``).
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import ScheduleError
 from .topology import (NETWORK_ORDER, NetworkId, _is_index_type, _is_real_type, _network_member,
-                       _of_kind)
+                       _of_kind, _real_series)
 
 # Propagated disruptions count as visible when the target network drops
 # below 95% of baseline, i.e. SPDS strictly greater than 5 percentage
@@ -37,14 +39,7 @@ class MoPTrace:
         series = {}
         for key, values in self.series.items():
             net = _network_member(key, ScheduleError, "series")
-            try:
-                array = np.asarray(values)
-            except ValueError:  # a ragged nesting
-                array = None
-            if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
-                raise ScheduleError(f"series {net.value!r}: expected a one-dimensional "
-                                    f"sequence of real numbers, got {values!r}")
-            series[net] = array.astype(float, copy=False)
+            series[net] = _real_series(values, ScheduleError, f"series {net.value!r}")
         lengths = sorted({len(values) for values in series.values()})
         if len(lengths) != 1:
             raise ScheduleError("series: expected one or more of one length, "

@@ -6,12 +6,21 @@ Couplings wire every node of every network to each partner network:
 the first coupling per partner is the deterministic backbone
 b = a mod |B|, the rest are drawn from a seeded stream.
 
+Every sequence of real numbers an entry point takes (a topology's
+levels, a trace's series, a model's table columns) is read by one rule,
+``_real_series``: a numpy array of integer or float dtype as it is, any
+other sequence only if it is flat and each element is real (a bool or a
+string is not).  Each caller adds what it needs beyond that: the [0, 1]
+range of a topology's levels, the finiteness of a fitted column, and
+bools in place of real numbers for a table's ``visible`` column.
+
 A ``Topology`` and an ``InterdependencyMap`` are frozen, and each checks
 itself once, when it is made.  A topology raises ``InvalidTopology`` for
 a network ``NetworkId`` refuses, a node index that is not an integer (a
 bool is not), an edge that is not two values joining two distinct nodes
-in range or that appears twice, and levels that are not a flat sequence
-of real numbers in [0, 1]; its node count is the number of its levels.
+in range or that appears twice, and levels that the real-series rule
+refuses or that lie outside [0, 1]; its node count is the number of its
+levels, stored as a tuple of Python floats.
 A map raises it for a coupling that is not four values, a node index
 that is not an integer or a network ``NetworkId`` refuses.  Each stores
 what it accepts in plain form (``NetworkId`` members, Python ints and
@@ -24,7 +33,7 @@ coupling plan), and only with a result derived without error.  No
 wiring is written to a file: the scenario file is the one wiring
 artifact, and ``experiment.wiring`` makes the wiring of a scenario.
 """
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -93,6 +102,28 @@ def _items_of(kind: type, values, error, field: str) -> tuple:
     return items
 
 
+def _real_series(values, error, field: str, bools: bool = False) -> np.ndarray:
+    """The one rule of every entry point's sequences of real numbers:
+    ``values`` as a one-dimensional float array.  A numpy array of
+    integer or float dtype is taken as it is, with no pass over its
+    elements; any other ``Sequence`` only if each of its elements is
+    real by ``_is_real_type`` (a bool, a string or a sequence is not),
+    one test per type seen, and numpy holds it in a numeric dtype (an
+    integer beyond 64 bits makes an object array); an empty one is
+    taken whatever its dtype.  With ``bools`` the elements are bools
+    instead (a numpy array of bool dtype, or Python or numpy bools),
+    returned as 0.0 and 1.0.  ``error`` naming ``field`` and the value
+    otherwise."""
+    kinds, is_kind, what = (("b", lambda kind: issubclass(kind, (bool, np.bool_)), "bools")
+                            if bools else ("iuf", _is_real_type, "real numbers"))
+    if isinstance(values, np.ndarray) or (
+            isinstance(values, Sequence) and all(map(is_kind, set(map(type, values))))):
+        array = np.asarray(values)  # of object dtype if an int is beyond 64 bits
+        if array.ndim == 1 and (array.dtype.kind in kinds or not array.size):
+            return array.astype(float, copy=False)
+    raise error(f"{field}: expected a one-dimensional sequence of {what}, got {values!r}")
+
+
 def _node_indices(nodes) -> tuple:
     """The one rule of every entry point's node sets: ``nodes`` as a
     tuple, by ``_of_kind``'s rule an ``Iterable`` of integers (a bool is
@@ -148,17 +179,8 @@ class Topology:
         # Checked once per frozen topology, not per federate built on it.
         # The first edge at fault is named.
         object.__setattr__(self, "network_id", _network_member(self.network_id))
-        # The float cast would take True and '1' as levels.  One test
-        # per type of level seen, then a search for the level.
-        levels = np.asarray(self.intrinsic_performance, dtype=object).ravel()
-        level_types = set(map(type, levels))
-        if not all(map(_is_real_type, level_types)):
-            level = next(v for v in levels if not _is_real_type(type(v)))
-            raise InvalidTopology(f"intrinsic performance level {level!r} is not a real number")
-        levels = np.asarray(self.intrinsic_performance, dtype=float)
-        if levels.ndim != 1:
-            raise InvalidTopology("intrinsic performance levels: expected a flat sequence, "
-                                  f"got {self.intrinsic_performance}")
+        levels = _real_series(self.intrinsic_performance, InvalidTopology,
+                              "intrinsic performance levels")
         if not ((levels >= 0.0) & (levels <= 1.0)).all():
             raise InvalidTopology("intrinsic performance levels must lie in [0, 1], "
                                   f"got {self.intrinsic_performance}")
@@ -178,10 +200,10 @@ class Topology:
             edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
             raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
         # A numpy index or level is stored as a Python int or float, and
-        # a list as a tuple, so a frozen topology hashes and compares by
-        # its values whatever their form; a generated topology is plain
-        # already and skips the copy.
-        if (not index_types <= {int} or not level_types <= {float}
+        # a list or an array as a tuple, so a frozen topology hashes and
+        # compares by its values whatever their form; a generated
+        # topology is plain already and skips the copy.
+        if (not index_types <= {int} or not set(map(type, self.intrinsic_performance)) <= {float}
                 or edge_types | {type(self.edges), type(self.intrinsic_performance)} != {tuple}):
             object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
             object.__setattr__(self, "intrinsic_performance", tuple(levels.tolist()))

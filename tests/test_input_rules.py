@@ -6,6 +6,7 @@ refusal of an entry point, with its whole message; every error the
 tables expect is a ``GranusimError``, and every public name has a row."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ COUNT_ENTRIES = {
         "couplings_per_node"),
     "timing_profile.repeats": (lambda v: timing_profile(SMALL, [], 9, 8, repeats=v),
                                InvalidFactor, "repeats"),
+    "run_experiment.jobs": (lambda v: run_experiment(SMALL, [], jobs=v), InvalidFactor, "jobs"),
     **{f"ScenarioConfig.{name}": (lambda v, name=name: ScenarioConfig(**{name: v}),
                                   ScenarioError, f"field '{name}'")
        for name in ("master_seed", "horizon", "warmup", "couplings_per_node")},
@@ -206,6 +208,17 @@ TABLE = {"tg": np.array([1.0, 2.0, 0.0]), "rt": np.array([1.0, 2.0, 3.0]),
          "sprt": np.array([1.0, 2.0, 3.0])}
 
 
+#: Each model, called on a table.
+MODELS = {"variance_shares": lambda table: variance_shares(table, "spds"),
+          "fit_visibility_logistic": fit_visibility_logistic,
+          "fit_ratio_linear": fit_ratio_linear,
+          "analysis_report": analysis_report}
+#: A table every model reads, and a column of each kind the models refuse.
+MODEL_TABLE = {**TABLE, "visible": [True, False, True]}
+COLUMNS_REFUSED = {"strings": ["1", "2", "3"], "two_dimensional": np.ones((3, 1)),
+                   "ragged": [[1.0], [2.0, 3.0], [4.0]]}
+
+
 def _federation():
     return Federation([FederateState(make_topology([], 3))])
 
@@ -265,7 +278,12 @@ REFUSAL_ENTRIES = {
         "<NetworkId.POWER: 'power'>, producer_node=0)"),
     "Topology.intrinsic_performance": (
         lambda: make_topology([], 2, intrinsic=((1.0,), (1.0,))), InvalidTopology,
-        "intrinsic performance levels: expected a flat sequence, got ((1.0,), (1.0,))"),
+        "intrinsic performance levels: expected a one-dimensional sequence of real numbers, "
+        "got ((1.0,), (1.0,))"),
+    "Topology.level_bool": (
+        lambda: make_topology([], 2, intrinsic=(1.0, True)), InvalidTopology,
+        "intrinsic performance levels: expected a one-dimensional sequence of real numbers, "
+        "got (1.0, True)"),
     "InterdependencyMap": (
         lambda: InterdependencyMap(((NetworkId.WATER, 0, NetworkId.POWER),)), InvalidTopology,
         "coupling 0 ('water', 0, 'power'): expected four values (network, node, network, node)"),
@@ -349,6 +367,17 @@ REFUSAL_ENTRIES = {
                               "field 'layout': expected (tg, rt, ds), got (2, 9)"),
     "run_experiment.layout_item": (lambda: run_experiment(SMALL, [2]), InvalidFactor,
                                    "field 'layout': expected tuple, got 2"),
+    # A ``jobs`` of True or 0 ran before, and one of '2' or 1.5 raised a
+    # bare TypeError; a ``traces_dir`` of another kind was refused only
+    # after every row had run, by a bare TypeError (a str, taken now, too).
+    **{f"run_experiment.jobs_{name}": (
+        lambda jobs=jobs: run_experiment(SMALL, [(2, 9, 8)], jobs=jobs), InvalidFactor,
+        f"jobs: must be a positive integer, got {jobs!r}")
+       for name, jobs in (("bool", True), ("str", "2"), ("float", 1.5), ("zero", 0))},
+    **{f"run_experiment.traces_dir_{name}": (
+        lambda traces_dir=traces_dir: run_experiment(SMALL, [(2, 9, 8)], traces_dir=traces_dir),
+        InvalidFactor, f"field 'traces_dir': expected a str or a path, got {traces_dir!r}")
+       for name, traces_dir in (("int", 5), ("bytes", b"dir"), ("list", ["dir"]))},
     "analysis_report.column": (lambda: analysis_report({}), DegenerateModel,
                                "table lacks column 'tg'"),
     "analysis_report.table": (lambda: analysis_report(None), DegenerateModel,
@@ -382,11 +411,39 @@ REFUSAL_ENTRIES = {
         "series 'water': expected a one-dimensional sequence of real numbers, got ['100.0']"),
     "MoPTrace.unknown_network": (lambda: MoPTrace({"gas": [100.0]}), ScheduleError,
                                  "field 'series': unknown network 'gas'"),
+    # True was read as 1.0 before.
+    "MoPTrace.bool": (
+        lambda: MoPTrace({NetworkId.WATER: [100.0, True]}), ScheduleError,
+        "series 'water': expected a one-dimensional sequence of real numbers, got [100.0, True]"),
+    "MoPTrace.int_beyond_64_bits": (
+        lambda: MoPTrace({NetworkId.WATER: [2 ** 64]}), ScheduleError,
+        "series 'water': expected a one-dimensional sequence of real numbers, "
+        "got [18446744073709551616]"),
+    "MoPTrace.ragged": (
+        lambda: MoPTrace({NetworkId.WATER: [[100.0], [99.0, 98.0]]}), ScheduleError,
+        "series 'water': expected a one-dimensional sequence of real numbers, "
+        "got [[100.0], [99.0, 98.0]]"),
+    # A column that is not a one-dimensional sequence of real numbers
+    # raised a bare TypeError or ValueError before, or was read as one.
+    **{f"{model}.{name}_column": (
+        lambda call=call, column=column: call({**MODEL_TABLE, "tg": column}), DegenerateModel,
+        f"column 'tg': expected a one-dimensional sequence of real numbers, got {column!r}")
+       for model, call in MODELS.items() for name, column in COLUMNS_REFUSED.items()},
+    # An empty list is a sequence of bools, though numpy reads it as floats.
+    "analysis_report.no_rows": (
+        lambda: analysis_report(dict.fromkeys(("tg", "rt", "ds", "spds", "sprt", "visible"), [])),
+        DegenerateModel, "every ok row is censored; sprt has no recovery time to fit"),
+    **{f"{model}.visible_kind": (
+        lambda call=call: call({**MODEL_TABLE, "visible": [1.0, 0.0, 1.0]}), DegenerateModel,
+        "column 'visible': expected a one-dimensional sequence of bools, got [1.0, 0.0, 1.0]")
+       for model, call in MODELS.items()
+       if model in ("fit_visibility_logistic", "analysis_report")},
     # The rows below reach each ``raise`` that ``tools/traffic.py --tests``
     # listed for this file and ``tests/test_cli.py``; other test files
     # reach them too.
     "Topology.level_kind": (lambda: make_topology([], 2, intrinsic=(1.0, "1")), InvalidTopology,
-                            "intrinsic performance level '1' is not a real number"),
+                            "intrinsic performance levels: expected a one-dimensional sequence "
+                            "of real numbers, got (1.0, '1')"),
     "Topology.level_range": (
         lambda: make_topology([], 2, intrinsic=(1.5, 1.0)), InvalidTopology,
         "intrinsic performance levels must lie in [0, 1], got (1.5, 1.0)"),
@@ -530,6 +587,37 @@ FINISHING_ENTRIES = {
     "MoPTrace.list": (lambda: MoPTrace({"water": [100.0, 99]}).to_csv(),
                       "t,mop_water\n0,100.000000\n1,99.000000\n"),
 }
+
+
+def test_run_experiment_refuses_jobs_and_traces_dir_before_any_run(monkeypatch, tmp_path):
+    def no_run(*args):
+        raise AssertionError("a row was simulated")
+
+    monkeypatch.setattr("granusim.experiment.run_single", no_run)
+    for bad in ({"jobs": "2"}, {"traces_dir": 5}):
+        with pytest.raises(InvalidFactor):
+            run_experiment(SMALL, [(2, 9, 8)], **bad)
+    # Either form of a directory is taken, and each trace written to it.
+    monkeypatch.undo()
+    for traces_dir in (str(tmp_path / "a"), tmp_path / "b"):
+        Path(traces_dir).mkdir()
+        [row] = run_experiment(SMALL, [(2, 9, 8)], traces_dir=traces_dir)
+        assert row.status == "ok"
+        assert (Path(traces_dir) / "run_000.csv").read_text().startswith("t,mop_water,")
+
+
+REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+             / "paper-20200831" / "results.csv")
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_each_model_gives_on_list_columns_what_it_gives_on_arrays(model):
+    # A table of lists raised a bare TypeError before in every model but
+    # ``variance_shares``.
+    table = load_results(REFERENCE)
+    as_lists = {name: column.tolist() for name, column in table.items()}
+    assert type(as_lists["visible"][0]) is bool
+    assert MODELS[model](as_lists) == MODELS[model](table)
 
 
 @pytest.mark.parametrize("entry", sorted(FINISHING_ENTRIES))

@@ -19,7 +19,8 @@ none of them reached.  Code run in a worker process (``--jobs`` above
 listed: ``analysis.load_results``' ``AssertionError``, raised only if
 numpy refuses a column that ``float()`` takes value by value, which
 numpy's own parsing rules out.  Run on ``tests/test_input_rules.py``
-and ``tests/test_cli.py``, it lists that one alone.
+and ``tests/test_cli.py``, it lists that one alone, and
+``tests/test_raises_reached.py`` fails if it lists any other.
 
 Executed lines are recorded with ``sys.settrace`` from before the
 package is imported, so module-level statements count too.
