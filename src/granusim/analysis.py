@@ -10,8 +10,9 @@ A model takes its table as a dict of columns (``load_results``' arrays,
 or lists); every column it reads goes through one rule,
 ``_require_columns``, which reads each by the package's real-series rule
 (``topology._real_series``), ``visible`` as a sequence of bools, and
-raises ``DegenerateModel`` naming the column it refuses.  The
-least-squares models add that every column they fit is finite.
+raises ``DegenerateModel`` naming the column it refuses.  Every model
+adds that each column it fits is finite (``_require_finite``), and each
+model of rt/tg refuses a tg of 0 before it divides (``_rt_over_tg``).
 
 Both least-squares models are one QR factorisation of ``[1, columns]``:
 a term's share is its squared effect (its entry of ``Q^T y``) over the
@@ -159,11 +160,19 @@ def _require_columns(table: dict[str, np.ndarray], names) -> dict[str, np.ndarra
                                bools=name == "visible") for name in dict.fromkeys(names)}
 
 
-def _require_finite(columns: dict[str, np.ndarray]) -> None:
-    """``DegenerateModel`` naming the first column that holds a NaN or an infinity."""
+def _require_finite(columns: dict[str, np.ndarray | float]) -> None:
+    """``DegenerateModel`` naming the first of ``columns`` (arrays or
+    numbers) that holds a NaN or an infinity."""
     for name, col in columns.items():
         if not np.isfinite(col).all():
             raise DegenerateModel(f"{name} holds a value that is not finite")
+
+
+def _rt_over_tg(rows: dict[str, np.ndarray]) -> np.ndarray:
+    """``rt / tg`` of ``rows``, a tg of 0 refused before the divide."""
+    if not rows["tg"].all():
+        raise DegenerateModel("rt_over_tg holds a value that is not finite")
+    return rows["rt"] / rows["tg"]
 
 
 def _least_squares(columns: dict[str, np.ndarray],
@@ -249,10 +258,15 @@ def fit_visibility_logistic(table: dict[str, np.ndarray]) -> LogisticVisibilityM
     five sums.  The fit stops once the gradient's norm is below 1e-10,
     or after ``LOGISTIC_MAX_ITER`` steps.  ``DegenerateModel`` when every
     row has one label, or one ratio: then only the ridge sets the slope,
-    and rounding decides its sign; first, a table without tg, rt or visible.
+    and rounding decides its sign.  Before those, as in the least-squares
+    models, a table without tg, rt or visible, a tg or rt that is not
+    finite, a tg of 0 and a table without rows are refused.
     """
     columns = _require_columns(table, ("tg", "rt", "visible"))
-    x, y = columns["rt"] / columns["tg"], columns["visible"]
+    _require_finite(columns)
+    x, y = _rt_over_tg(columns), columns["visible"]
+    if not len(y):
+        raise DegenerateModel("response 'visible' has no rows")
     if y.min() == y.max():
         raise DegenerateModel("all rows share one visibility label")
     if x.min() == x.max():
@@ -294,10 +308,7 @@ def _ratio_rows(table: dict, names=("tg", "rt", "sprt")) -> dict[str, np.ndarray
     columns = _require_columns(table, names)
     kept = ~np.isnan(columns["sprt"])
     rows = {name: column[kept] for name, column in columns.items()}
-    if not rows["tg"].all():
-        raise DegenerateModel("rt_over_tg holds a value that is not finite")
-    return dict(rows, rt_over_tg=rows["rt"] / rows["tg"],
-                sprt_over_tg=rows["sprt"] / rows["tg"])
+    return dict(rows, rt_over_tg=_rt_over_tg(rows), sprt_over_tg=rows["sprt"] / rows["tg"])
 
 
 def fit_ratio_linear(table: dict[str, np.ndarray]) -> RatioLinearModel:
@@ -322,11 +333,13 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     """Largest granularity keeping visibility probability at target_p.
 
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
-    ``DegenerateModel`` for a model of another kind; ``InvalidFactor``
-    unless expected_rt is a positive finite real number; ``ratio_at``
-    refuses a target_p outside (0, 1).
+    ``DegenerateModel`` for a model of another kind or whose intercept
+    or slope is not finite; ``InvalidFactor`` unless expected_rt is a
+    positive finite real number; ``ratio_at`` refuses a target_p outside
+    (0, 1).
     """
     _of_kind(LogisticVisibilityModel, model, DegenerateModel, "model")
+    _require_finite({"intercept": model.intercept, "slope": model.slope})
     if not (_is_real_type(type(expected_rt)) and math.isfinite(expected_rt) and expected_rt > 0):
         raise InvalidFactor(
             f"expected recovery time must be a positive finite number, got {expected_rt}")

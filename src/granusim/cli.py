@@ -33,13 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _check_parent(path: Path) -> None:
     # Fail before any work rather than at the final write.
     if not path.parent.is_dir():
@@ -82,12 +75,8 @@ def _cmd_experiment(args) -> int:
     out = Path(args.out)
     _check_parent(out)
     layout = build_layout(FactorLevels())
-    traces_dir = None
-    if args.traces:
-        traces_dir = Path(args.traces)
-        traces_dir.mkdir(parents=True, exist_ok=True)
     rows = experiment.run_experiment(config, layout, jobs=args.jobs,
-                                     traces_dir=traces_dir)
+                                     traces_dir=args.traces or None)
     write_atomic(out, experiment.results_csv(rows))
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {args.out}"
@@ -154,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the factorial layout")
     add_common(p)
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes for the runs; 1 runs them in this process")
     p.add_argument("--traces", help="directory for per-run MoP traces")
     p.set_defaults(func=_cmd_experiment)

@@ -48,15 +48,15 @@ from .errors import (InvalidEvent, InvalidFactor, InvalidTopology, ScheduleError
                      ZeroBaseline)
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
-from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _is_positive_int,
-                       _items_of, _of_kind, _read_only, derive_once)
+from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _count, _items_of,
+                       _of_kind, _read_only, derive_once)
 
 
 @dataclass(frozen=True)
 class SyncSchedule:
     """Barrier every ``tg`` timesteps up to ``horizon``.
 
-    Both must be integers of at least 1, and a bool is not one: a bad
+    Both are counts (``topology._count``), stored as Python ints: a bad
     ``tg`` raises ``InvalidFactor`` and a bad ``horizon``
     ``ScheduleError``.
     """
@@ -65,10 +65,8 @@ class SyncSchedule:
     horizon: int
 
     def __post_init__(self):
-        if not _is_positive_int(self.tg):
-            raise InvalidFactor(f"tg: must be a positive integer, got {self.tg!r}")
-        if not _is_positive_int(self.horizon):
-            raise ScheduleError(f"horizon: must be a positive integer, got {self.horizon!r}")
+        object.__setattr__(self, "tg", _count(self.tg, InvalidFactor, "tg"))
+        object.__setattr__(self, "horizon", _count(self.horizon, ScheduleError, "horizon"))
 
 
 class CouplingPlan(NamedTuple):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidEvent, InvalidFactor, InvalidTopology
 from .rng import stream
-from .topology import (NetworkId, Topology, _is_index_type, _is_positive_int, _is_real_type,
-                       _network_member, _node_indices, _of_kind, derive_once)
+from .topology import (NetworkId, Topology, _count, _is_real_type, _network_member,
+                       _node_indices, _of_kind, derive_once)
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,11 @@ class DisruptionEvent:
     """One disruption of ``nodes`` from ``apply_time`` to ``retract_time``.
 
     The network is one ``NetworkId`` accepts (stored as its member),
-    both times are integers (a bool is not one), the retraction comes
+    both times are integers (``topology._count``), the retraction comes
     after the application, and the nodes are at least one (None is
     none), an iterable of integers (``topology._node_indices``),
     distinct and nonnegative; anything else raises ``InvalidEvent``.
-    The nodes are stored as a tuple of Python ints.
+    The times and nodes are stored as Python ints.
     """
 
     apply_time: int
@@ -36,9 +36,8 @@ class DisruptionEvent:
     def __post_init__(self):
         object.__setattr__(self, "network_id", _network_member(self.network_id, InvalidEvent))
         for name in ("apply_time", "retract_time"):
-            value = getattr(self, name)
-            if not _is_index_type(type(value)):
-                raise InvalidEvent(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name,
+                               _count(getattr(self, name), InvalidEvent, name, minimum=None))
         if self.retract_time <= self.apply_time:
             raise InvalidEvent(
                 f"retract_time {self.retract_time} must exceed apply_time {self.apply_time}")
@@ -57,9 +56,9 @@ class DisruptionStreamConfig:
     """``InvalidEvent`` naming the field unless the rate is a finite
     positive real number (a bool or a string is not one; an infinite
     one would never reach the horizon), each range a tuple or list of
-    two positive integers in order and the horizon a positive
-    integer.  The ranges are stored as tuples of Python ints and the
-    horizon as a Python int."""
+    two counts in order and the horizon a count (``topology._count``).
+    The ranges are stored as tuples of Python ints and the horizon as a
+    Python int."""
 
     rate: float  # expected events per timestep
     size_range: tuple[int, int]
@@ -70,28 +69,25 @@ class DisruptionStreamConfig:
         if not (_is_real_type(type(self.rate)) and math.isfinite(self.rate) and self.rate > 0):
             raise InvalidEvent(f"rate: must be a finite positive number, got {self.rate!r}")
         for name in ("size_range", "rt_range"):
-            bounds = getattr(self, name)
-            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                    and all(map(_is_positive_int, bounds))
-                    and bounds[0] <= bounds[1]):
+            given = getattr(self, name)
+            bounds = (tuple(_count(bound, InvalidEvent, name) for bound in given)
+                      if isinstance(given, (tuple, list)) and len(given) == 2 else ())
+            if not bounds or bounds[0] > bounds[1]:
                 raise InvalidEvent(f"{name}: must be positive integers (low, high), "
-                                   f"got {bounds!r}")
-            object.__setattr__(self, name, tuple(map(int, bounds)))
-        if not _is_positive_int(self.horizon):
-            raise InvalidEvent(f"horizon: must be a positive integer, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+                                   f"got {given!r}")
+            object.__setattr__(self, name, bounds)
+        object.__setattr__(self, "horizon", _count(self.horizon, InvalidEvent, "horizon"))
 
 
 def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
     """Deterministic node pattern for one disruption-size level.
 
     Depends only on (seed, ds, topology); every run at the same size
-    level disrupts the same nodes.  The size must be a positive integer,
-    checked on every call; the pattern is drawn once per topology
-    (``topology.derive_once``).
+    level disrupts the same nodes.  The size must be a count
+    (``topology._count``), checked on every call; the pattern is drawn
+    once per topology (``topology.derive_once``).
     """
-    if not _is_positive_int(ds):
-        raise InvalidFactor(f"disruption size must be a positive integer, got {ds!r}")
+    ds = _count(ds, InvalidFactor, "disruption size")
     _of_kind(Topology, topology, InvalidTopology, "topology")
     if ds > topology.node_count:
         raise InvalidFactor(f"disruption size {ds} exceeds node count {topology.node_count}")

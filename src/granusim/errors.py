@@ -4,7 +4,10 @@ Every refusal the package makes is a ``GranusimError``, and a
 ``GranusimError`` is a ``ValueError``: each class below inherits from
 the base alone, and names one kind of fault.  Each message names the
 field, item or value at fault; the raising function's docstring says
-when.
+when.  An integer that the one count rule (``topology._count``) refuses
+raises the class its entry point names, with the message ``<field>:
+must be a positive integer, got <value>`` ("a nonnegative integer" or
+"an integer" where the field allows 0 or any value).
 """
 
 
@@ -14,16 +17,18 @@ class GranusimError(ValueError):
 
 class InvalidTopology(GranusimError):
     """A wiring is malformed: a topology's edges or levels, a coupling, a
-    generator's counts or topologies, a federate's weights or lag, a
+    generator's counts (by the count rule) or topologies, a federate's
+    weights or lag (the lag by the count rule), a
     federation's federates or the network of one of its couplings; or
     what is given as a topology, federate, map or federation is not
     one."""
 
 
 class InvalidEvent(GranusimError):
-    """A disruption is malformed: an event's network, times or node set,
-    a node set delivered to a federate, a retraction of a node that is
-    not disrupted, a run's events, or a Poisson stream's config."""
+    """A disruption is malformed: an event's network, times (by the count
+    rule) or node set, a node set delivered to a federate, a retraction
+    of a node that is not disrupted, a run's events, or a Poisson
+    stream's config (its ranges and horizon by the count rule)."""
 
 
 class UnknownNode(GranusimError):
@@ -32,9 +37,9 @@ class UnknownNode(GranusimError):
 
 class ScheduleError(GranusimError):
     """A run or a trace is out of shape: an event outside the horizon, a
-    federation that has stepped, a schedule or a horizon, a trace's
-    series, or what a metric reads (a trace, its network, a time) or
-    classifies (an spds)."""
+    federation that has stepped, a schedule or a horizon (by the count
+    rule), a trace's series, or what a metric reads (a trace, its
+    network, a time by the count rule) or classifies (an spds)."""
 
 
 class ZeroBaseline(GranusimError):
@@ -43,10 +48,11 @@ class ZeroBaseline(GranusimError):
 
 class InvalidFactor(GranusimError):
     """A factor or setting of a design is malformed: a run's or a
-    schedule's tg, rt or ds, a disruption size, factor levels or a
-    layout, an experiment's jobs or traces directory, a timing
-    profile's granularities or repeats, an expected recovery time or a
-    target likelihood."""
+    schedule's tg, rt or ds, a disruption size, factor levels, an
+    experiment's jobs or a timing profile's repeats (each by the count
+    rule), a layout, an experiment's traces directory, a timing
+    profile's granularities, an expected recovery time or a target
+    likelihood."""
 
 
 class DegenerateModel(GranusimError):
@@ -60,8 +66,9 @@ class DegenerateModel(GranusimError):
 
 class ScenarioError(GranusimError):
     """A scenario is malformed: a field of a scenario file, of a
-    ``ScenarioConfig`` or of a ``NetworkSpec``, a file's text, or a
-    config that is not a ``ScenarioConfig``."""
+    ``ScenarioConfig`` or of a ``NetworkSpec`` (each integer by the
+    count rule, named ``field '<key>'``), a file's text, or a config
+    that is not a ``ScenarioConfig``."""
 
 
 class MalformedResults(GranusimError):

@@ -19,11 +19,10 @@ from pathlib import Path
 from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
 from .errors import GranusimError, InvalidFactor, ScenarioError
-from .federate import DEFAULT_WEIGHTS, FederateState, _weights_ok
+from .federate import DEFAULT_WEIGHTS, FederateState, _weight_triple
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
-from .topology import (InterdependencyMap, NetworkId, Topology, _is_index_type, _is_positive_int,
-                       _items_of, _network_member, _of_kind, generate_interdependencies,
-                       generate_topology)
+from .topology import (InterdependencyMap, NetworkId, Topology, _count, _items_of,
+                       _network_member, _of_kind, generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -34,9 +33,9 @@ RECOVERY_HEADROOM = 200
 
 @dataclass(frozen=True)
 class FactorLevels:
-    """Each factor's levels: a tuple or list of ascending positive
-    integers (``InvalidFactor`` naming the factor), stored as a tuple of
-    Python ints."""
+    """Each factor's levels: a tuple or list of ascending counts
+    (``topology._count``; ``InvalidFactor`` naming the factor), stored
+    as a tuple of Python ints."""
 
     tg_levels: tuple[int, ...] = (2, 12, 14, 21, 27)
     rt_levels: tuple[int, ...] = (2, 9, 13, 17, 22)
@@ -44,24 +43,12 @@ class FactorLevels:
 
     def __post_init__(self):
         for name in ("tg_levels", "rt_levels", "ds_levels"):
-            levels = getattr(self, name)
-            if (not isinstance(levels, (tuple, list)) or not levels
-                    or not all(map(_is_positive_int, levels))
-                    or list(levels) != sorted(set(levels))):
-                raise InvalidFactor(f"{name} must be ascending positive integers, got {levels}")
-            object.__setattr__(self, name, tuple(map(int, levels)))
-
-
-def _check_int(field: str, value, minimum: int | None = 1) -> int:
-    """``value`` as a Python int, which ``ScenarioConfig.to_json`` can
-    write; ``ScenarioError`` naming ``field`` unless it is an integer
-    (``topology._is_index_type``: a Python or numpy integer, not a bool)
-    of at least ``minimum``."""
-    if not _is_index_type(type(value)):
-        raise ScenarioError(f"field '{field}': expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"field '{field}': must be at least {minimum}, got {value}")
-    return int(value)
+            given = getattr(self, name)
+            levels = (tuple(_count(level, InvalidFactor, name) for level in given)
+                      if isinstance(given, (tuple, list)) else ())
+            if not levels or list(levels) != sorted(set(levels)):
+                raise InvalidFactor(f"{name} must be ascending positive integers, got {given}")
+            object.__setattr__(self, name, levels)
 
 
 def _json_object(text: str) -> dict:
@@ -95,19 +82,16 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "network_id",
                            _network_member(self.network_id, ScenarioError, "id"))
-        n = _check_int("nodes", self.node_count)
-        object.__setattr__(self, "node_count", n)
-        object.__setattr__(self, "edge_count", _check_int("edges", self.edge_count, minimum=None))
-        if not 0 <= self.edge_count <= n * (n - 1):
+        for name, key, minimum in (("node_count", "nodes", 1), ("edge_count", "edges", 0),
+                                   ("lag", "lag", 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), ScenarioError,
+                                                  f"field '{key}'", minimum))
+        n = self.node_count
+        if self.edge_count > n * (n - 1):
             raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
                                 f"for {n} nodes, got {self.edge_count}")
-        if not _weights_ok(self.weights):
-            raise ScenarioError("field 'weights': expected 3 finite nonnegative numbers "
-                                f"summing to 1, got {self.weights!r}")
-        # A tuple of Python floats, which ``ScenarioConfig.to_json`` can
-        # write: the weight rule also takes a list and numpy numbers.
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        object.__setattr__(self, "lag", _check_int("lag", self.lag))
+        object.__setattr__(self, "weights",
+                           _weight_triple(self.weights, ScenarioError, "field 'weights'"))
 
 
 #: JSON key of each ``NetworkSpec`` field in a scenario file.
@@ -141,7 +125,8 @@ class ScenarioConfig:
     naming its field, whether built in Python or by ``from_json``.
     ``networks`` is a tuple of at least two ``NetworkSpec``; networks
     (``origin``, ``target`` and each spec's id) are stored as
-    ``NetworkId`` members and integers as Python ints."""
+    ``NetworkId`` members and integers, each read by the count rule
+    (``topology._count``), as Python ints."""
 
     master_seed: int = 20200831
     horizon: int = 400
@@ -155,7 +140,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, minimum in (("master_seed", None), ("horizon", 1), ("warmup", 1),
                               ("couplings_per_node", 1)):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
+            object.__setattr__(self, name, _count(getattr(self, name), ScenarioError,
+                                                  f"field '{name}'", minimum))
         if not isinstance(self.align_sync, bool):
             raise ScenarioError(f"field 'align_sync': expected a bool, got {self.align_sync!r}")
         for name in ("origin", "target"):
@@ -300,15 +286,15 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
                  ds: int) -> tuple[Federation, SyncSchedule, DisruptionEvent]:
     """Fresh federation, schedule and disruption of one configuration.
 
-    ``InvalidFactor`` if tg, rt or ds is not a positive integer (a bool
-    is not one), before anything uses it; the schedule checks tg.
+    ``InvalidFactor`` if tg, rt or ds is not a count
+    (``topology._count``), before anything uses it; the schedule checks
+    tg.
     """
     _of_kind(ScenarioConfig, config, ScenarioError, "config")
     schedule = SyncSchedule(tg=tg, horizon=config.horizon)
-    for name, level in (("rt", rt), ("ds", ds)):
-        if not _is_positive_int(level):
-            raise InvalidFactor(f"{name}: must be a positive integer, got {level!r}")
-    t0 = disruption_onset(config, tg)
+    rt = _count(rt, InvalidFactor, "rt")
+    ds = _count(ds, InvalidFactor, "ds")
+    t0 = disruption_onset(config, schedule.tg)
     if config.horizon < t0 + rt + RECOVERY_HEADROOM:
         raise ScenarioError(
             f"horizon {config.horizon} below onset {t0} + rt {rt} "
@@ -350,19 +336,21 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
                    jobs: int = 1, traces_dir=None) -> list[ResultRow]:
     """Execute a layout; rows come back in layout order regardless of
     completion order.  jobs=1 is the sequential reference path.  The
-    config, the layout as an iterable of (tg, rt, ds) tuples, ``jobs`` as
-    a positive integer and ``traces_dir`` as None, a ``str`` or a path
-    object (each ``InvalidFactor`` but the config) are checked before
-    any run; each trace is written to ``traces_dir`` as a ``Path``."""
+    config, the layout as an iterable of (tg, rt, ds) tuples, ``jobs``
+    as a count (``topology._count``) and ``traces_dir`` as None, a
+    ``str`` or a path object (each ``InvalidFactor`` but the config) are
+    checked before any run, and then ``traces_dir`` is made with its
+    parents if it is missing; each trace is written to it."""
     _of_kind(ScenarioConfig, config, ScenarioError, "config")
     layout = _items_of(tuple, layout, InvalidFactor, "layout")
     bad = next((item for item in layout if len(item) != 3), None)
     if bad is not None:
         raise InvalidFactor(f"field 'layout': expected (tg, rt, ds), got {bad!r}")
-    if not _is_positive_int(jobs):
-        raise InvalidFactor(f"jobs: must be a positive integer, got {jobs!r}")
+    jobs = _count(jobs, InvalidFactor, "jobs")
     if not isinstance(traces_dir, (str, os.PathLike, type(None))):
         raise InvalidFactor(f"field 'traces_dir': expected a str or a path, got {traces_dir!r}")
+    if traces_dir is not None:
+        Path(traces_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(i, config, triple) for i, triple in enumerate(layout)]
     if jobs <= 1:
         rows = [_run_indexed(task) for task in tasks]
@@ -413,14 +401,13 @@ def timing_profile(config: ScenarioConfig, tg_list: list[int],
     alike instead of on one.  A timestep does the same work in every
     round, so each keeps its fastest round, and a granularity's cost is
     the mean of its timesteps' fastest times; only the simulation loop
-    is timed.  ``repeats`` must be a positive integer (``InvalidFactor``
-    naming it) and ``tg_list`` an iterable (``InvalidFactor``); an empty
-    one gives an empty profile.
+    is timed.  ``repeats`` must be a count (``topology._count``,
+    ``InvalidFactor`` naming it) and ``tg_list`` an iterable
+    (``InvalidFactor``); an empty one gives an empty profile.
     """
     _of_kind(ScenarioConfig, config, ScenarioError, "config")
     tg_list = _items_of(object, tg_list, InvalidFactor, "tg_list")
-    if not _is_positive_int(repeats):
-        raise InvalidFactor(f"repeats: must be a positive integer, got {repeats!r}")
+    repeats = _count(repeats, InvalidFactor, "repeats")
     if not tg_list:
         return []
     best = [[float("inf")] * config.horizon for _ in tg_list]

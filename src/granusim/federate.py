@@ -67,8 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidEvent, InvalidTopology, UnknownNode
-from .topology import (Topology, _is_positive_int, _is_real_type, _node_indices, _of_kind,
-                       _read_only, derive_once)
+from .topology import (Topology, _count, _node_indices, _of_kind, _read_only, _real_series,
+                       derive_once)
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -159,14 +159,18 @@ def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
                        lambda: _derive_rule(topology, w_int, w_in))
 
 
-def _weights_ok(weights) -> bool:
-    """Whether weights are a tuple or list of three real numbers (a bool
-    or a string is not one), finite, nonnegative and summing to 1 within
-    1e-9: the one rule of ``FederateState`` and ``NetworkSpec``."""
-    return (isinstance(weights, (tuple, list)) and len(weights) == 3
-            and all(map(_is_real_type, map(type, weights)))
-            and all(map(math.isfinite, weights)) and min(weights) >= 0
-            and abs(sum(weights) - 1.0) <= 1e-9)
+def _weight_triple(weights, error, field: str) -> tuple[float, float, float]:
+    """The one weight rule of ``FederateState`` and ``NetworkSpec``:
+    ``weights`` as a tuple of three Python floats, read by the
+    real-series rule (``topology._real_series``) and finite, nonnegative
+    and summing to 1 within 1e-9; ``error`` naming ``field`` and the
+    weights otherwise."""
+    triple = tuple(_real_series(weights, error, field).tolist())
+    if not (len(triple) == 3 and all(map(math.isfinite, triple)) and min(triple) >= 0
+            and abs(sum(triple) - 1.0) <= 1e-9):
+        raise error(f"{field}: must be finite, nonnegative and sum to 1 as "
+                    f"(w_int, w_in, w_ext), got {weights}")
+    return triple
 
 
 class FederateState:
@@ -175,28 +179,21 @@ class FederateState:
     Confined to one logical owner at a time, and bound by at most one
     federation (``bound``); all cross-federate interaction goes through
     the coordinator's exchange.  ``topology`` must be a ``Topology``,
-    weights a tuple or list of three real numbers, ``(w_int, w_in,
-    w_ext)``, finite, nonnegative and summing to 1, and ``lag`` an
-    integer of at least 1 (a bool is not one); anything else raises
-    ``InvalidTopology``.
+    weights ``(w_int, w_in, w_ext)`` what the weight rule
+    (``_weight_triple``) takes, and ``lag`` a count
+    (``topology._count``); anything else raises ``InvalidTopology``.
     """
 
     def __init__(self, topology: Topology,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  lag: int = 1):
         _of_kind(Topology, topology, InvalidTopology, "topology")
-        if not _weights_ok(weights):
-            raise InvalidTopology("weights must be finite, nonnegative and sum to 1 as "
-                                  f"(w_int, w_in, w_ext), got {weights}")
-        if not _is_positive_int(lag):
-            raise InvalidTopology(f"lag must be a positive integer, got {lag!r}")
+        self.w_int, self.w_in, self.w_ext = _weight_triple(weights, InvalidTopology, "weights")
+        self.lag = _count(lag, InvalidTopology, "lag")
         self.topology = topology
-        w_int, w_in, w_ext = map(float, weights)
-        self.w_int, self.w_in, self.w_ext = w_int, w_in, w_ext
-        self.lag = lag
 
         n = topology.node_count
-        rule = node_rule(topology, w_int, w_in)
+        rule = node_rule(topology, self.w_int, self.w_in)
         self.intrinsic = rule.intrinsic
         self.in_matrix = rule.in_matrix
         self._edge_scale = rule.edge_scale
@@ -208,7 +205,7 @@ class FederateState:
         self._local_weight = rule.local_weight
         self._ones = rule.ones
 
-        self.states = np.tile(self.intrinsic, (MOP_BLOCK * (lag // MOP_BLOCK + 1), 1))
+        self.states = np.tile(self.intrinsic, (MOP_BLOCK * (self.lag // MOP_BLOCK + 1), 1))
         self._rows = list(self.states)  # views made once: a list index is cheaper
         self.steps = 0
         self.performance = self._rows[-1]  # the state of step -1

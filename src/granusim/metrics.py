@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError
-from .topology import (NETWORK_ORDER, NetworkId, _is_index_type, _is_real_type, _network_member,
+from .topology import (NETWORK_ORDER, NetworkId, _count, _is_real_type, _network_member,
                        _of_kind, _real_series)
 
 # Propagated disruptions count as visible when the target network drops
@@ -69,14 +69,13 @@ def _series_from(trace: MoPTrace, network: NetworkId, time: int, name: str) -> n
     """The one rule of a metric's trace: the series of ``network`` from
     ``time`` on.  ``ScheduleError`` naming what is at fault unless the
     trace is a ``MoPTrace``, the network one ``NetworkId`` accepts and
-    the trace holds, and the time (``name``) an integer (a bool is not
-    one) within the trace."""
+    the trace holds, and the time (``name``) an integer by
+    ``topology._count`` within the trace."""
     _of_kind(MoPTrace, trace, ScheduleError, "trace")
     network = _network_member(network, ScheduleError, "network")
     if network not in trace.series:
         raise ScheduleError(f"network {network.value!r} is not in the trace")
-    if not _is_index_type(type(time)):
-        raise ScheduleError(f"{name} must be an integer, got {time!r}")
+    time = _count(time, ScheduleError, name, minimum=None)
     if not 0 <= time <= trace.horizon:
         raise ScheduleError(f"{name} {time} outside trace [0, {trace.horizon}]")
     return trace.series[network][time:]

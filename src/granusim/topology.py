@@ -14,6 +14,15 @@ string is not).  Each caller adds what it needs beyond that: the [0, 1]
 range of a topology's levels, the finiteness of a fitted column, and
 bools in place of real numbers for a table's ``visible`` column.
 
+Every integer an entry point takes (a factor, a count, a time, a
+scenario setting) is read by one rule too, ``_count``: a Python or
+numpy integer (a bool is not one) of at least 1, or of at least 0, or
+of any value, returned as a Python int, which the caller stores; else
+the caller's error, ``<field>: must be a positive integer, got
+<value>`` ("a nonnegative integer", "an integer").  Node indices are
+the one exception: a node set or an edge is checked as a whole, by
+``_is_index_type``, which no other module reads.
+
 A ``Topology`` and an ``InterdependencyMap`` are frozen, and each checks
 itself once, when it is made.  A topology raises ``InvalidTopology`` for
 a network ``NetworkId`` refuses, a node index that is not an integer (a
@@ -54,7 +63,8 @@ NETWORK_ORDER = (NetworkId.WATER, NetworkId.POWER, NetworkId.BUSINESS)
 
 
 def _is_index_type(kind: type) -> bool:
-    """The one rule of every entry point's integers and node indices."""
+    """The type rule of an integer, of ``_count`` and of every node
+    index; no other module reads it."""
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
@@ -62,9 +72,18 @@ def _is_real_type(kind: type) -> bool:
     return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
 
 
-def _is_positive_int(value) -> bool:
-    """The one rule of every entry point's counts and levels."""
-    return _is_index_type(type(value)) and value >= 1
+#: What ``_count`` names for each minimum it takes.
+_COUNT_KINDS = {1: "a positive integer", 0: "a nonnegative integer", None: "an integer"}
+
+
+def _count(value, error, field: str, minimum: int | None = 1) -> int:
+    """The one rule of every integer an entry point takes: ``value`` as
+    a Python int if it is a Python or numpy integer (a bool is not one)
+    of at least ``minimum`` (1, 0, or None for no bound); ``error``
+    naming ``field`` and the value otherwise."""
+    if _is_index_type(type(value)) and (minimum is None or value >= minimum):
+        return int(value)
+    raise error(f"{field}: must be {_COUNT_KINDS[minimum]}, got {value!r}")
 
 
 def _as_network(value):
@@ -291,10 +310,8 @@ class InterdependencyMap:
 def generate_topology(network_id: NetworkId, node_count: int,
                       edge_count: int, seed: int) -> Topology:
     """Sample a directed graph with exactly ``edge_count`` distinct non-loop edges."""
-    if not _is_positive_int(node_count):
-        raise InvalidTopology(f"node_count must be a positive integer, got {node_count!r}")
-    if not _is_index_type(type(edge_count)) or edge_count < 0:
-        raise InvalidTopology(f"edge_count must be a nonnegative integer, got {edge_count!r}")
+    node_count = _count(node_count, InvalidTopology, "node_count")
+    edge_count = _count(edge_count, InvalidTopology, "edge_count", minimum=0)
     max_edges = node_count * (node_count - 1)
     if edge_count > max_edges:
         raise InvalidTopology(f"{edge_count} edges requested but at most {max_edges} distinct "
@@ -327,9 +344,7 @@ def generate_interdependencies(topologies: Iterable[Topology],
     repeated = next((net for net in networks if networks.count(net) > 1), None)
     if repeated is not None:
         raise InvalidTopology(f"field 'topologies': two topologies of network {repeated.value!r}")
-    if not _is_positive_int(couplings_per_node):
-        raise InvalidTopology(
-            f"couplings_per_node must be a positive integer, got {couplings_per_node!r}")
+    couplings_per_node = _count(couplings_per_node, InvalidTopology, "couplings_per_node")
     rng = stream(seed, "interdependency")
     couplings = []
     for consumer in topologies:

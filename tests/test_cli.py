@@ -201,11 +201,16 @@ def test_usage_error_exits_1(capsys):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_experiment_with_fewer_than_one_job_exits_1(tmp_path, capsys, jobs):
-    out = tmp_path / "results.csv"
-    assert main(["experiment", "--jobs", jobs, "--out", str(out)]) == 1
-    assert f"error: argument --jobs: must be at least 1, got {jobs}\n" in capsys.readouterr().err
-    assert not out.exists()
+def test_experiment_with_fewer_than_one_job_exits_2(tmp_path, capsys, jobs):
+    # Refused by ``run_experiment``'s count rule, as ``--tg 0`` is by the
+    # schedule's: a runtime error, not a usage error, and before the
+    # traces directory is made.
+    out, traces = tmp_path / "results.csv", tmp_path / "traces"
+    assert main(["experiment", "--jobs", jobs, "--out", str(out), "--traces", str(traces)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: jobs: must be a positive integer, got {jobs}"]
+    assert not out.exists() and not traces.exists()
 
 
 @pytest.mark.parametrize("option", [["--horizon", "300"], ["--align-sync"]])

@@ -1,7 +1,9 @@
 """One rule of refusal: every class in ``errors`` is a ``GranusimError``,
 which is a ``ValueError``, and no module of the package refuses with a
 builtin exception class.  An ``AssertionError`` marks an internal
-invariant, and an ``OSError`` a fault of the file system, not of input."""
+invariant, and an ``OSError`` a fault of the file system, not of input.
+No module but ``topology`` reads the integer type rule on its own: the
+others read every integer through ``topology._count``."""
 
 import ast
 import builtins
@@ -42,3 +44,18 @@ def _builtin_raises(path: Path):
 
 def test_no_module_refuses_with_a_builtin_exception():
     assert [site for path in sorted(PACKAGE.rglob("*.py")) for site in _builtin_raises(path)] == []
+
+
+def _reads_of(name: str, path: Path) -> bool:
+    """Whether ``path`` imports ``name`` or reads it as an attribute."""
+    return any(name in ({alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                        else {node.attr} if isinstance(node, ast.Attribute) else ())
+               for node in ast.walk(ast.parse(path.read_text(), str(path))))
+
+
+def test_no_module_but_topology_reads_the_integer_type_rule():
+    # A hand-written "is it an integer" test beside ``_count`` would be a
+    # second copy of the count rule, with a message of its own.
+    readers = [path.name for path in sorted(PACKAGE.rglob("*.py"))
+               if path.name != "topology.py" and _reads_of("_is_index_type", path)]
+    assert readers == []

@@ -208,6 +208,14 @@ def test_weights_are_stored_as_a_tuple_of_floats():
     assert ScenarioConfig.from_json(config.to_json()) == config
 
 
+def test_weights_may_be_a_numpy_array():
+    # Read by the real-series rule, as a topology's levels are; refused
+    # before, as weights of neither a tuple nor a list.
+    spec = NetworkSpec(NetworkId.WATER, 4, 6, weights=np.array([0.5, 0.0, 0.5]))
+    assert spec.weights == (0.5, 0.0, 0.5)
+    assert [type(w) for w in spec.weights] == [float] * 3
+
+
 def test_onset_follows_warmup():
     config = ScenarioConfig()
     assert disruption_onset(config, tg=10) == 51

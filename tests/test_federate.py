@@ -35,15 +35,24 @@ def test_weights_must_be_three(weights):
 def test_weights_must_be_a_sequence_of_real_numbers(weights):
     # 'abc' and None raised a bare TypeError, and (True, False, False)
     # ran as (1.0, 0.0, 0.0), although a scenario file's bools are refused.
-    with pytest.raises(ValueError, match=re.escape(f"(w_int, w_in, w_ext), got {weights}")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"weights: expected a one-dimensional sequence of real numbers, got {weights!r}")):
         FederateState(make_topology([], 2), weights=weights)
 
 
 @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
                                      (float("inf"), 0.5, 0.5)])
 def test_weights_must_be_finite(weights):
-    with pytest.raises(ValueError, match="weights must be finite"):
+    with pytest.raises(ValueError, match="weights: must be finite"):
         FederateState(make_topology([], 2), weights=weights)
+
+
+def test_weights_may_be_a_numpy_array():
+    # Read by the real-series rule, as a topology's levels are; refused
+    # before, as the weights of neither a tuple nor a list.
+    fed = FederateState(make_topology([], 2), weights=np.array([0.3, 0.4, 0.3]))
+    assert (fed.w_int, fed.w_in, fed.w_ext) == (0.3, 0.4, 0.3)
+    assert type(fed.w_int) is float
 
 
 @pytest.mark.parametrize("intrinsic", [[1.0, -0.1], [1.5, 1.0], [float("nan"), 1.0]])

@@ -32,7 +32,7 @@ from oracles import make_topology
 
 SMALL = ScenarioConfig(horizon=280)
 
-#: What ``_is_positive_int`` and ``_is_index_type`` accept, then what they refuse.
+#: What ``_count`` and ``_is_index_type`` accept, then what they refuse.
 COUNTS_TAKEN = [1, np.int64(1)]
 COUNTS_REFUSED = [True, 1.5, "1", None]
 
@@ -243,7 +243,7 @@ STREAM = DisruptionStreamConfig(0.5, (1, 2), (1, 2), 20)
 REFUSAL_ENTRIES = {
     "FederateState.weights": (
         lambda: FederateState(make_topology([], 3), weights=(0.5, 0.5, 0.5)), InvalidTopology,
-        "weights must be finite, nonnegative and sum to 1 as (w_int, w_in, w_ext), "
+        "weights: must be finite, nonnegative and sum to 1 as (w_int, w_in, w_ext), "
         "got (0.5, 0.5, 0.5)"),
     "FederateState.topology": (lambda: FederateState("water"), InvalidTopology,
                                "field 'topology': expected Topology, got 'water'"),
@@ -320,13 +320,13 @@ REFUSAL_ENTRIES = {
     "compute_spds.unknown_network": (lambda: compute_spds(TRACE, "gas", 5), ScheduleError,
                                      "field 'network': unknown network 'gas'"),
     "compute_spds.apply_time": (lambda: compute_spds(TRACE, NetworkId.WATER, 2.5),
-                                ScheduleError, "apply_time must be an integer, got 2.5"),
+                                ScheduleError, "apply_time: must be an integer, got 2.5"),
     "compute_sprt": (lambda: compute_sprt(TRACE, NetworkId.WATER, -1), ScheduleError,
                      "retract_time -1 outside trace [0, 10]"),
     "compute_sprt.trace": (lambda: compute_sprt(None, NetworkId.WATER, 1), ScheduleError,
                            "field 'trace': expected MoPTrace, got None"),
     "compute_sprt.retract_time": (lambda: compute_sprt(TRACE, NetworkId.WATER, True),
-                                  ScheduleError, "retract_time must be an integer, got True"),
+                                  ScheduleError, "retract_time: must be an integer, got True"),
     "MoPTrace.series": (lambda: MoPTrace([]), ScheduleError,
                         "field 'series': expected dict, got []"),
     "MoPTrace.no_series": (lambda: MoPTrace({}), ScheduleError,
@@ -491,7 +491,7 @@ REFUSAL_ENTRIES = {
         lambda: FederateState(make_topology([], 3)).apply_disruption([3]), UnknownNode,
         "node indices [3] out of range for water (3 nodes)"),
     "DisruptionEvent.apply_time": (lambda: DisruptionEvent(1.5, 2, NetworkId.WATER, (1,)),
-                                   InvalidEvent, "apply_time must be an integer, got 1.5"),
+                                   InvalidEvent, "apply_time: must be an integer, got 1.5"),
     "DisruptionEvent.retract_time": (lambda: DisruptionEvent(2, 2, NetworkId.WATER, (1,)),
                                      InvalidEvent, "retract_time 2 must exceed apply_time 2"),
     "DisruptionEvent.node_twice": (lambda: DisruptionEvent(1, 2, NetworkId.WATER, [1, 1]),
@@ -501,8 +501,11 @@ REFUSAL_ENTRIES = {
     "DisruptionStreamConfig.rate": (
         lambda: DisruptionStreamConfig(0.0, (1, 2), (1, 2), 10), InvalidEvent,
         "rate: must be a finite positive number, got 0.0"),
+    "DisruptionStreamConfig.range_order": (
+        lambda: DisruptionStreamConfig(0.5, (2, 1), (1, 2), 10), InvalidEvent,
+        "size_range: must be positive integers (low, high), got (2, 1)"),
     "ScenarioConfig.minimum": (lambda: ScenarioConfig(horizon=0), ScenarioError,
-                               "field 'horizon': must be at least 1, got 0"),
+                               "field 'horizon': must be a positive integer, got 0"),
     "ScenarioConfig.align_sync": (lambda: ScenarioConfig(align_sync=1), ScenarioError,
                                   "field 'align_sync': expected a bool, got 1"),
     "ScenarioConfig.networks": (lambda: ScenarioConfig(networks=(1,)), ScenarioError,
@@ -558,6 +561,24 @@ REFUSAL_ENTRIES = {
     "recommend_tg.any_granularity": (
         lambda: recommend_tg(LogisticVisibilityModel(1.0, 2.0), 22, 0.5), DegenerateModel,
         "target likelihood 0.5 is met at any granularity"),
+    # Each row below gave a bare ValueError, a NaN model or a
+    # RuntimeWarning before, as the least-squares models do not.
+    "fit_visibility_logistic.no_rows": (
+        lambda: fit_visibility_logistic({"tg": [], "rt": [], "visible": []}), DegenerateModel,
+        "response 'visible' has no rows"),
+    "fit_visibility_logistic.not_finite": (
+        lambda: fit_visibility_logistic({**MODEL_TABLE, "tg": [1.0, np.nan, 2.0]}),
+        DegenerateModel, "tg holds a value that is not finite"),
+    "fit_visibility_logistic.rt_not_finite": (
+        lambda: fit_visibility_logistic({**MODEL_TABLE, "tg": [1.0, 2.0, 3.0],
+                                         "rt": [1.0, np.inf, 3.0]}),
+        DegenerateModel, "rt holds a value that is not finite"),
+    "fit_visibility_logistic.zero_tg": (
+        lambda: fit_visibility_logistic(MODEL_TABLE), DegenerateModel,
+        "rt_over_tg holds a value that is not finite"),
+    "recommend_tg.not_finite": (
+        lambda: recommend_tg(LogisticVisibilityModel(np.nan, np.nan), 22.0, 0.5),
+        DegenerateModel, "intercept holds a value that is not finite"),
 }
 
 
