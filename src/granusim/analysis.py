@@ -9,7 +9,7 @@ model relating the propagated and actual recovery-time ratios.
 A model takes its table as a dict of columns (``load_results``' arrays,
 or lists); every column it reads goes through one rule,
 ``_require_columns``, which reads each by the package's real-series rule
-(``topology._real_series``), ``visible`` as a sequence of bools, and
+(``errors._real_series``), ``visible`` as a sequence of bools, and
 raises ``DegenerateModel`` naming the column it refuses.  Every model
 adds that each column it fits is finite (``_require_finite``), and each
 model of rt/tg refuses a tg of 0 before it divides (``_rt_over_tg``).
@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateModel, InvalidFactor, MalformedResults
-from .topology import _is_real_type, _of_kind, _real_series
+from .errors import (DegenerateModel, InvalidFactor, MalformedResults, _is_real_type, _of_kind,
+                     _real_series)
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -49,6 +49,22 @@ CURVE_POINTS = 200
 RESULTS_COLUMNS = ("tg", "rt", "ds", "spds_pct", "sprt_steps", "visible", "status")
 
 
+def _records(reader, path):
+    """The rows of ``reader``; ``MalformedResults`` naming ``path`` and
+    the line for a field longer than ``csv.field_size_limit()``, or for
+    text the file's encoding cannot decode."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedResults(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # The text layer decodes a chunk ahead of the lines read, and the
+        # chunk begins on the line after them.
+        line = reader.line_num + exc.object[:exc.start].count(b"\n") + 1
+        raise MalformedResults(f"{path}: line {line}: not {exc.encoding} text "
+                               f"({exc.reason})") from None
+
+
 def load_results(path) -> dict[str, np.ndarray]:
     """Read a results CSV into numeric columns, keeping only ok rows.
 
@@ -63,13 +79,16 @@ def load_results(path) -> dict[str, np.ndarray]:
     is not a whole number of at least 1, raises ``MalformedResults``
     naming the line and the column, as does a file without ok rows.
     Columns are checked in that order, each at its first bad line, and
-    a path that is not a ``str`` or a path object before all.
+    a path that is not a ``str`` or a path object before all.  A field
+    too long for the csv module, or text that cannot be decoded, raises
+    ``MalformedResults`` naming the line (``_records``).
     """
     if not isinstance(path, (str, os.PathLike)):
         raise MalformedResults(f"field 'path': expected a str or a path, got {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        records = _records(reader, path)
+        header = next(records, [])
         missing = [c for c in RESULTS_COLUMNS if c not in header]
         if missing:
             raise MalformedResults(f"{path}: results columns missing: {', '.join(missing)}")
@@ -78,7 +97,7 @@ def load_results(path) -> dict[str, np.ndarray]:
         status, visible = index["status"], index["visible"]
         width = len(header)
         lines, rows = [], []
-        for row in reader:
+        for row in records:
             if len(row) != width:
                 if not row:
                     continue
@@ -148,7 +167,7 @@ class VarianceShareReport:
 
 def _require_columns(table: dict[str, np.ndarray], names) -> dict[str, np.ndarray]:
     """The one rule of a model's table: each of ``names`` as a float
-    array by ``topology._real_series`` (``visible`` as a sequence of
+    array by ``errors._real_series`` (``visible`` as a sequence of
     bools, read as 0.0 and 1.0), in the order of ``names``.
     ``DegenerateModel`` unless the table is a dict, naming the first of
     ``names`` it lacks, then the first column the rule refuses."""
@@ -227,9 +246,20 @@ def variance_shares(table: dict[str, np.ndarray], response: str,
 
 @dataclass(frozen=True)
 class LogisticVisibilityModel:
+    """``DegenerateModel`` naming the field unless ``intercept`` and
+    ``slope`` are finite real numbers; ``gradient_norm`` is NaN for a
+    model read from a report, and is not checked."""
+
     intercept: float
     slope: float
     gradient_norm: float = math.nan  # not known for a model read from a report
+
+    def __post_init__(self):
+        for name in ("intercept", "slope"):
+            value = getattr(self, name)
+            if not _is_real_type(type(value)):
+                raise DegenerateModel(f"{name}: expected a real number, got {value!r}")
+        _require_finite({"intercept": self.intercept, "slope": self.slope})
 
     def probability(self, ratio) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(self.intercept + self.slope * np.asarray(ratio))))
@@ -333,13 +363,11 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     """Largest granularity keeping visibility probability at target_p.
 
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
-    ``DegenerateModel`` for a model of another kind or whose intercept
-    or slope is not finite; ``InvalidFactor`` unless expected_rt is a
-    positive finite real number; ``ratio_at`` refuses a target_p outside
-    (0, 1).
+    ``DegenerateModel`` for a model of another kind (a model checks its
+    own fields); ``InvalidFactor`` unless expected_rt is a positive
+    finite real number; ``ratio_at`` refuses a target_p outside (0, 1).
     """
     _of_kind(LogisticVisibilityModel, model, DegenerateModel, "model")
-    _require_finite({"intercept": model.intercept, "slope": model.slope})
     if not (_is_real_type(type(expected_rt)) and math.isfinite(expected_rt) and expected_rt > 0):
         raise InvalidFactor(
             f"expected recovery time must be a positive finite number, got {expected_rt}")

@@ -45,18 +45,17 @@ import numpy as np
 
 from .disruption import DisruptionEvent
 from .errors import (InvalidEvent, InvalidFactor, InvalidTopology, ScheduleError, UnknownNode,
-                     ZeroBaseline)
+                     ZeroBaseline, _count, _items_of, _of_kind)
 from .federate import MOP_BLOCK, FederateState
 from .metrics import MoPTrace
-from .topology import (NETWORK_ORDER, InterdependencyMap, NetworkId, _count, _items_of,
-                       _of_kind, _read_only, derive_once)
+from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId, _read_only, derive_once
 
 
 @dataclass(frozen=True)
 class SyncSchedule:
     """Barrier every ``tg`` timesteps up to ``horizon``.
 
-    Both are counts (``topology._count``), stored as Python ints: a bad
+    Both are counts (``errors._count``), stored as Python ints: a bad
     ``tg`` raises ``InvalidFactor`` and a bad ``horizon``
     ``ScheduleError``.
     """

@@ -10,10 +10,10 @@ inter-arrival times.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidEvent, InvalidFactor, InvalidTopology
+from .errors import (InvalidEvent, InvalidFactor, InvalidTopology, _count, _is_real_type,
+                     _node_indices, _of_kind)
 from .rng import stream
-from .topology import (NetworkId, Topology, _count, _is_real_type, _network_member,
-                       _node_indices, _of_kind, derive_once)
+from .topology import NetworkId, Topology, _network_member, derive_once
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,9 @@ class DisruptionEvent:
     """One disruption of ``nodes`` from ``apply_time`` to ``retract_time``.
 
     The network is one ``NetworkId`` accepts (stored as its member),
-    both times are integers (``topology._count``), the retraction comes
+    both times are integers (``errors._count``), the retraction comes
     after the application, and the nodes are at least one (None is
-    none), an iterable of integers (``topology._node_indices``),
+    none), an iterable of integers (``errors._node_indices``),
     distinct and nonnegative; anything else raises ``InvalidEvent``.
     The times and nodes are stored as Python ints.
     """
@@ -56,7 +56,7 @@ class DisruptionStreamConfig:
     """``InvalidEvent`` naming the field unless the rate is a finite
     positive real number (a bool or a string is not one; an infinite
     one would never reach the horizon), each range a tuple or list of
-    two counts in order and the horizon a count (``topology._count``).
+    two counts in order and the horizon a count (``errors._count``).
     The ranges are stored as tuples of Python ints and the horizon as a
     Python int."""
 
@@ -84,7 +84,7 @@ def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:
 
     Depends only on (seed, ds, topology); every run at the same size
     level disrupts the same nodes.  The size must be a count
-    (``topology._count``), checked on every call; the pattern is drawn
+    (``errors._count``), checked on every call; the pattern is drawn
     once per topology (``topology.derive_once``).
     """
     ds = _count(ds, InvalidFactor, "disruption size")
@@ -115,9 +115,11 @@ def poisson_stream(config: DisruptionStreamConfig, topology: Topology,
     clock = 0.0
     while True:
         clock += rng.expovariate(config.rate)
-        apply_time = math.floor(clock) + 1
-        if apply_time >= config.horizon:
+        # floor(clock) + 1 >= horizon, tested before the floor, which an
+        # infinite clock (a subnormal rate) would overflow.
+        if clock >= config.horizon - 1:
             break
+        apply_time = math.floor(clock) + 1
         size = min(rng.randint(*config.size_range), topology.node_count)
         rt = rng.randint(*config.rt_range)
         nodes = tuple(sorted(rng.sample(range(topology.node_count), size)))

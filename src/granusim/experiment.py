@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields, replace
@@ -18,11 +19,11 @@ from pathlib import Path
 
 from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
-from .errors import GranusimError, InvalidFactor, ScenarioError
+from .errors import GranusimError, InvalidFactor, ScenarioError, _count, _items_of, _of_kind
 from .federate import DEFAULT_WEIGHTS, FederateState, _weight_triple
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
-from .topology import (InterdependencyMap, NetworkId, Topology, _count, _items_of,
-                       _network_member, _of_kind, generate_interdependencies, generate_topology)
+from .topology import (InterdependencyMap, NetworkId, Topology, _network_member,
+                       generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
                   "sec_per_step,pattern_hash,status")
@@ -34,7 +35,7 @@ RECOVERY_HEADROOM = 200
 @dataclass(frozen=True)
 class FactorLevels:
     """Each factor's levels: a tuple or list of ascending counts
-    (``topology._count``; ``InvalidFactor`` naming the factor), stored
+    (``errors._count``; ``InvalidFactor`` naming the factor), stored
     as a tuple of Python ints."""
 
     tg_levels: tuple[int, ...] = (2, 12, 14, 21, 27)
@@ -54,12 +55,19 @@ class FactorLevels:
 def _json_object(text: str) -> dict:
     """The JSON object of ``text``; ``ScenarioError`` naming the line of
     text that is not JSON, or a top level that is not an object; and
-    naming ``text`` unless it is a ``str``."""
+    naming ``text`` unless it is a ``str``, or if it nests too deeply
+    for the parser's recursion or holds an integer longer than Python
+    converts (``sys.get_int_max_str_digits()``)."""
     _of_kind(str, text, ScenarioError, "text")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError("text: nested too deeply to read") from None
+    except ValueError:  # the one other fault of a str: an integer too long
+        raise ScenarioError("text: an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
     return doc
@@ -126,7 +134,7 @@ class ScenarioConfig:
     ``networks`` is a tuple of at least two ``NetworkSpec``; networks
     (``origin``, ``target`` and each spec's id) are stored as
     ``NetworkId`` members and integers, each read by the count rule
-    (``topology._count``), as Python ints."""
+    (``errors._count``), as Python ints."""
 
     master_seed: int = 20200831
     horizon: int = 400
@@ -287,7 +295,7 @@ def _prepare_run(config: ScenarioConfig, tg: int, rt: int,
     """Fresh federation, schedule and disruption of one configuration.
 
     ``InvalidFactor`` if tg, rt or ds is not a count
-    (``topology._count``), before anything uses it; the schedule checks
+    (``errors._count``), before anything uses it; the schedule checks
     tg.
     """
     _of_kind(ScenarioConfig, config, ScenarioError, "config")
@@ -337,7 +345,7 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
     """Execute a layout; rows come back in layout order regardless of
     completion order.  jobs=1 is the sequential reference path.  The
     config, the layout as an iterable of (tg, rt, ds) tuples, ``jobs``
-    as a count (``topology._count``) and ``traces_dir`` as None, a
+    as a count (``errors._count``) and ``traces_dir`` as None, a
     ``str`` or a path object (each ``InvalidFactor`` but the config) are
     checked before any run, and then ``traces_dir`` is made with its
     parents if it is missing; each trace is written to it."""
@@ -401,7 +409,7 @@ def timing_profile(config: ScenarioConfig, tg_list: list[int],
     alike instead of on one.  A timestep does the same work in every
     round, so each keeps its fastest round, and a granularity's cost is
     the mean of its timesteps' fastest times; only the simulation loop
-    is timed.  ``repeats`` must be a count (``topology._count``,
+    is timed.  ``repeats`` must be a count (``errors._count``,
     ``InvalidFactor`` naming it) and ``tg_list`` an iterable
     (``InvalidFactor``); an empty one gives an empty profile.
     """

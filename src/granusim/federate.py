@@ -66,9 +66,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidEvent, InvalidTopology, UnknownNode
-from .topology import (Topology, _count, _node_indices, _of_kind, _read_only, _real_series,
-                       derive_once)
+from .errors import (InvalidEvent, InvalidTopology, UnknownNode, _count, _node_indices, _of_kind,
+                     _real_series)
+from .topology import Topology, _read_only, derive_once
 
 DEFAULT_WEIGHTS = (0.3, 0.4, 0.3)
 
@@ -162,7 +162,7 @@ def node_rule(topology: Topology, w_int: float, w_in: float) -> NodeRule:
 def _weight_triple(weights, error, field: str) -> tuple[float, float, float]:
     """The one weight rule of ``FederateState`` and ``NetworkSpec``:
     ``weights`` as a tuple of three Python floats, read by the
-    real-series rule (``topology._real_series``) and finite, nonnegative
+    real-series rule (``errors._real_series``) and finite, nonnegative
     and summing to 1 within 1e-9; ``error`` naming ``field`` and the
     weights otherwise."""
     triple = tuple(_real_series(weights, error, field).tolist())
@@ -181,7 +181,7 @@ class FederateState:
     the coordinator's exchange.  ``topology`` must be a ``Topology``,
     weights ``(w_int, w_in, w_ext)`` what the weight rule
     (``_weight_triple``) takes, and ``lag`` a count
-    (``topology._count``); anything else raises ``InvalidTopology``.
+    (``errors._count``); anything else raises ``InvalidTopology``.
     """
 
     def __init__(self, topology: Topology,
@@ -236,7 +236,7 @@ class FederateState:
 
     def check_nodes(self, node_set) -> np.ndarray:
         """Sorted distinct node indices; ``InvalidEvent`` unless an iterable
-        of integers (``topology._node_indices``), ``UnknownNode`` if out of range."""
+        of integers (``errors._node_indices``), ``UnknownNode`` if out of range."""
         nodes = np.asarray(sorted(set(_node_indices(node_set))), dtype=int)
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.node_count):
             raise UnknownNode(

@@ -2,7 +2,7 @@
 
 A ``MoPTrace`` holds the percent-of-baseline series of every network in
 a dict, at least one and all of one length, each read by the one
-real-series rule (``topology._real_series``: a one-dimensional sequence
+real-series rule (``errors._real_series``: a one-dimensional sequence
 of real numbers, a bool not one) and stored as a float array
 (``run_steps``' as given) under its ``NetworkId`` member; else
 ``ScheduleError`` naming the network.
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError
-from .topology import (NETWORK_ORDER, NetworkId, _count, _is_real_type, _network_member,
-                       _of_kind, _real_series)
+from .errors import ScheduleError, _count, _is_real_type, _of_kind, _real_series
+from .topology import NETWORK_ORDER, NetworkId, _network_member
 
 # Propagated disruptions count as visible when the target network drops
 # below 95% of baseline, i.e. SPDS strictly greater than 5 percentage
@@ -70,7 +69,7 @@ def _series_from(trace: MoPTrace, network: NetworkId, time: int, name: str) -> n
     ``time`` on.  ``ScheduleError`` naming what is at fault unless the
     trace is a ``MoPTrace``, the network one ``NetworkId`` accepts and
     the trace holds, and the time (``name``) an integer by
-    ``topology._count`` within the trace."""
+    ``errors._count`` within the trace."""
     _of_kind(MoPTrace, trace, ScheduleError, "trace")
     network = _network_member(network, ScheduleError, "network")
     if network not in trace.series:

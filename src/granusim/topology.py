@@ -6,22 +6,9 @@ Couplings wire every node of every network to each partner network:
 the first coupling per partner is the deterministic backbone
 b = a mod |B|, the rest are drawn from a seeded stream.
 
-Every sequence of real numbers an entry point takes (a topology's
-levels, a trace's series, a model's table columns) is read by one rule,
-``_real_series``: a numpy array of integer or float dtype as it is, any
-other sequence only if it is flat and each element is real (a bool or a
-string is not).  Each caller adds what it needs beyond that: the [0, 1]
-range of a topology's levels, the finiteness of a fitted column, and
-bools in place of real numbers for a table's ``visible`` column.
-
-Every integer an entry point takes (a factor, a count, a time, a
-scenario setting) is read by one rule too, ``_count``: a Python or
-numpy integer (a bool is not one) of at least 1, or of at least 0, or
-of any value, returned as a Python int, which the caller stores; else
-the caller's error, ``<field>: must be a positive integer, got
-<value>`` ("a nonnegative integer", "an integer").  Node indices are
-the one exception: a node set or an edge is checked as a whole, by
-``_is_index_type``, which no other module reads.
+The network rule, ``_network_member``, lives here beside ``NetworkId``;
+every other input rule lives in ``errors``, beside the classes it
+raises.
 
 A ``Topology`` and an ``InterdependencyMap`` are frozen, and each checks
 itself once, when it is made.  A topology raises ``InvalidTopology`` for
@@ -42,14 +29,14 @@ coupling plan), and only with a result derived without error.  No
 wiring is written to a file: the scenario file is the one wiring
 artifact, and ``experiment.wiring`` makes the wiring of a scenario.
 """
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidEvent, InvalidTopology
+from .errors import InvalidTopology, _count, _is_index_type, _items_of, _real_series
 from .rng import stream
 
 
@@ -60,30 +47,6 @@ class NetworkId(str, Enum):
 
 
 NETWORK_ORDER = (NetworkId.WATER, NetworkId.POWER, NetworkId.BUSINESS)
-
-
-def _is_index_type(kind: type) -> bool:
-    """The type rule of an integer, of ``_count`` and of every node
-    index; no other module reads it."""
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-
-
-def _is_real_type(kind: type) -> bool:
-    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
-
-
-#: What ``_count`` names for each minimum it takes.
-_COUNT_KINDS = {1: "a positive integer", 0: "a nonnegative integer", None: "an integer"}
-
-
-def _count(value, error, field: str, minimum: int | None = 1) -> int:
-    """The one rule of every integer an entry point takes: ``value`` as
-    a Python int if it is a Python or numpy integer (a bool is not one)
-    of at least ``minimum`` (1, 0, or None for no bound); ``error``
-    naming ``field`` and the value otherwise."""
-    if _is_index_type(type(value)) and (minimum is None or value >= minimum):
-        return int(value)
-    raise error(f"{field}: must be {_COUNT_KINDS[minimum]}, got {value!r}")
 
 
 def _as_network(value):
@@ -101,57 +64,6 @@ def _network_member(value, error=InvalidTopology, field="network_id") -> Network
     if not isinstance(network, NetworkId):
         raise error(f"field '{field}': unknown network {value!r}")
     return network
-
-
-def _of_kind(kind: type, value, error, field: str) -> None:
-    """The one rule of every entry point's objects: ``error`` naming
-    ``field`` and the value unless ``value`` is a ``kind``."""
-    if not isinstance(value, kind):
-        raise error(f"field '{field}': expected {kind.__name__}, got {value!r}")
-
-
-def _items_of(kind: type, values, error, field: str) -> tuple:
-    """The one rule of every entry point's collections: ``values`` as a
-    tuple, by ``_of_kind``'s rule an ``Iterable`` of ``kind`` items (a
-    dict's items are its keys)."""
-    _of_kind(Iterable, values, error, field)
-    items = tuple(values)
-    for item in items:
-        _of_kind(kind, item, error, field)
-    return items
-
-
-def _real_series(values, error, field: str, bools: bool = False) -> np.ndarray:
-    """The one rule of every entry point's sequences of real numbers:
-    ``values`` as a one-dimensional float array.  A numpy array of
-    integer or float dtype is taken as it is, with no pass over its
-    elements; any other ``Sequence`` only if each of its elements is
-    real by ``_is_real_type`` (a bool, a string or a sequence is not),
-    one test per type seen, and numpy holds it in a numeric dtype (an
-    integer beyond 64 bits makes an object array); an empty one is
-    taken whatever its dtype.  With ``bools`` the elements are bools
-    instead (a numpy array of bool dtype, or Python or numpy bools),
-    returned as 0.0 and 1.0.  ``error`` naming ``field`` and the value
-    otherwise."""
-    kinds, is_kind, what = (("b", lambda kind: issubclass(kind, (bool, np.bool_)), "bools")
-                            if bools else ("iuf", _is_real_type, "real numbers"))
-    if isinstance(values, np.ndarray) or (
-            isinstance(values, Sequence) and all(map(is_kind, set(map(type, values))))):
-        array = np.asarray(values)  # of object dtype if an int is beyond 64 bits
-        if array.ndim == 1 and (array.dtype.kind in kinds or not array.size):
-            return array.astype(float, copy=False)
-    raise error(f"{field}: expected a one-dimensional sequence of {what}, got {values!r}")
-
-
-def _node_indices(nodes) -> tuple:
-    """The one rule of every entry point's node sets: ``nodes`` as a
-    tuple, by ``_of_kind``'s rule an ``Iterable`` of integers (a bool is
-    not one); ``InvalidEvent`` naming the node set otherwise."""
-    _of_kind(Iterable, nodes, InvalidEvent, "nodes")
-    given = tuple(nodes)  # the int cast would take 1.5, True and '1' as 1
-    if not all(map(_is_index_type, set(map(type, given)))):
-        raise InvalidEvent(f"node set has an index that is not an integer: {nodes}")
-    return given
 
 
 def _shown(coupling):

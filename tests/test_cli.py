@@ -12,7 +12,8 @@ from granusim.experiment import ScenarioConfig
 from test_analysis import (BAD_FIELDS, BAD_LINE_PAIRS, FIELD_COUNT_ROWS, MISSING_COLUMNS,
                            NUMBER_COLUMNS, RESULTS_TEXT, with_bad_lines, with_line,
                            without_columns)
-from test_input_rules import COUNT_ENTRIES, COUNTS_REFUSED, NETWORK_ENTRIES, NETWORKS_REFUSED
+from test_input_rules import (COUNT_ENTRIES, COUNTS_REFUSED, NETWORK_ENTRIES, NETWORKS_REFUSED,
+                              UNREADABLE_RESULTS, UNREADABLE_SCENARIOS)
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +311,8 @@ def test_each_scenario_field_refusal_exits_2_without_output(tmp_path, capsys, co
     assert list(tmp_path.iterdir()) == [scenario]
 
 
-#: Each ``MalformedResults`` case of ``tests/test_analysis.py``, by name.
+#: Each ``MalformedResults`` case of ``tests/test_analysis.py`` and of
+#: ``tests/test_input_rules.py``, by name.
 MALFORMED_RESULTS = {
     "header only": RESULTS_TEXT.splitlines()[0] + "\n",
     **{f"without {'+'.join(dropped)}": without_columns(RESULTS_TEXT, dropped)
@@ -320,6 +322,9 @@ MALFORMED_RESULTS = {
     **{f"{column}-{line}": with_line(RESULTS_TEXT, 3, line) for column, line, _ in BAD_FIELDS},
     **{f"{column}-{first}-{second}": with_bad_lines(column, first, second)
        for column in NUMBER_COLUMNS for first, second, _ in BAD_LINE_PAIRS},
+    # A field over the csv module's limit raised a bare _csv.Error before,
+    # which is not a ValueError: a traceback.
+    **{name: data for name, (data, _) in UNREADABLE_RESULTS.items()},
 }
 
 
@@ -327,7 +332,8 @@ MALFORMED_RESULTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
 def test_each_malformed_results_case_exits_2_without_output(tmp_path, capsys, command, case):
     results = tmp_path / "results.csv"
-    results.write_text(MALFORMED_RESULTS[case])
+    data = MALFORMED_RESULTS[case]
+    results.write_bytes(data if isinstance(data, bytes) else data.encode())
     with pytest.raises(MalformedResults) as raised:
         load_results(results)
     argv = [command[0], "--in", str(results), *command[1:]]
@@ -336,6 +342,18 @@ def test_each_malformed_results_case_exits_2_without_output(tmp_path, capsys, co
     assert main(argv) == 2
     assert _only_one_error_line(capsys.readouterr()) == f"error: {raised.value}"
     assert list(tmp_path.iterdir()) == [results]
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_SCENARIOS))
+def test_a_scenario_the_json_parser_cannot_read_exits_2_without_output(tmp_path, capsys, case):
+    # The deep one gave a traceback before, from a RecursionError.
+    text, message = UNREADABLE_SCENARIOS[case]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    assert main(["run", "--scenario", str(scenario), "--tg", "2", "--rt", "2", "--ds", "8",
+                 "--trace", str(tmp_path / "trace.csv")]) == 2
+    assert _only_one_error_line(capsys.readouterr()) == f"error: {message}"
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 def test_malformed_scenario_rejected_without_output(tmp_path, capsys):

@@ -2,8 +2,9 @@
 which is a ``ValueError``, and no module of the package refuses with a
 builtin exception class.  An ``AssertionError`` marks an internal
 invariant, and an ``OSError`` a fault of the file system, not of input.
-No module but ``topology`` reads the integer type rule on its own: the
-others read every integer through ``topology._count``."""
+The input rules live in ``errors`` alone, beside the classes they
+raise, and no module but ``topology`` reads the integer type rule on
+its own: the others read every integer through ``errors._count``."""
 
 import ast
 import builtins
@@ -53,9 +54,49 @@ def _reads_of(name: str, path: Path) -> bool:
                for node in ast.walk(ast.parse(path.read_text(), str(path))))
 
 
-def test_no_module_but_topology_reads_the_integer_type_rule():
+def test_no_module_but_errors_and_topology_reads_the_integer_type_rule():
+    # ``errors.py`` defines it for ``_count`` and ``_node_indices``, and
+    # ``topology.py`` reads it for the indices of an edge or a coupling.
     # A hand-written "is it an integer" test beside ``_count`` would be a
     # second copy of the count rule, with a message of its own.
     readers = [path.name for path in sorted(PACKAGE.rglob("*.py"))
-               if path.name != "topology.py" and _reads_of("_is_index_type", path)]
+               if path.name not in ("errors.py", "topology.py")
+               and _reads_of("_is_index_type", path)]
     assert readers == []
+
+
+#: The input rules, each defined in ``errors.py`` alone.
+INPUT_RULES = ("_is_index_type", "_is_real_type", "_COUNT_KINDS", "_count", "_of_kind",
+               "_items_of", "_real_series", "_node_indices")
+
+
+def _defined_names(tree: ast.Module):
+    """Each name a function, a class or an assignment of ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
+def _rules_from_topology(tree: ast.Module):
+    """Each input rule ``tree`` imports from ``topology`` or reads as an
+    attribute of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("topology"):
+            yield from (alias.name for alias in node.names if alias.name in INPUT_RULES)
+        elif (isinstance(node, ast.Attribute) and node.attr in INPUT_RULES
+              and isinstance(node.value, ast.Name) and node.value.id == "topology"):
+            yield node.attr
+
+
+def test_every_input_rule_is_defined_once_in_errors_and_read_from_there():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    homes = sorted((rule, name) for name, tree in trees.items()
+                   for rule in _defined_names(tree) if rule in INPUT_RULES)
+    assert homes == sorted((rule, "errors.py") for rule in INPUT_RULES)
+    assert {name: sorted(_rules_from_topology(tree)) for name, tree in trees.items()
+            if any(_rules_from_topology(tree))} == {}

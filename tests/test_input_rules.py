@@ -1,11 +1,16 @@
-"""One table per input rule of ``topology``: every entry point that reads
-a count, a network or a node index through the rule takes the same
+"""One table per input rule (the count and node-index rules of ``errors``,
+the network rule of ``topology``): every entry point that reads a
+count, a network or a node index through the rule takes the same
 values, accepts what the rule accepts and raises its own named error,
 naming the field, for the rest.  One more table holds every other
 refusal of an entry point, with its whole message; every error the
 tables expect is a ``GranusimError``, and every public name has a row."""
 
+import csv
+import os
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +26,9 @@ from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig, fixed_
 from granusim.errors import (DegenerateModel, GranusimError, InvalidEvent, InvalidFactor,
                              InvalidTopology, MalformedResults, ScenarioError, ScheduleError,
                              UnknownNode, ZeroBaseline)
-from granusim.experiment import (DEFAULT_NETWORKS, FactorLevels, NetworkSpec, ScenarioConfig,
-                                 build_federation, build_layout, run_experiment, run_single,
-                                 timing_profile, wiring)
+from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER, FactorLevels, NetworkSpec,
+                                 ScenarioConfig, build_federation, build_layout, run_experiment,
+                                 run_single, timing_profile, wiring)
 from granusim.federate import FederateState
 from granusim.metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
 from granusim.topology import (Coupling, InterdependencyMap, NetworkId,
@@ -237,6 +242,37 @@ def _bound_twice():
 
 
 STREAM = DisruptionStreamConfig(0.5, (1, 2), (1, 2), 20)
+
+#: Scenario texts that ``json.loads`` fails on past its syntax errors, and
+#: the message of each.
+UNREADABLE_SCENARIOS = {
+    "deep": ("[" * 100000, "text: nested too deeply to read"),
+    "long_integer": ('{"master_seed": ' + "1" * 5000 + "}",
+                     f"text: an integer of more than {sys.get_int_max_str_digits()} digits"),
+}
+
+#: Results files the csv module or the text layer fails on, and the end
+#: of each message, which the path begins.
+UNREADABLE_RESULTS = {
+    "field_too_long": (
+        f"{RESULTS_HEADER}\n0,{'x' * (csv.field_size_limit() + 1)}\n".encode(),
+        f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+    "not_utf8": (f"{RESULTS_HEADER}\n".encode() + b"0,2,2,8,1.0,,true,false,0.1,\xff,ok\n",
+                 "line 2: not utf-8 text (invalid start byte)"),
+}
+
+RESULTS_FILE = Path(tempfile.gettempdir()) / f"granusim-input-rules-{os.getpid()}.csv"
+
+
+def _load_results_of(data: bytes):
+    """``load_results`` of ``RESULTS_FILE`` holding ``data``; the file is
+    removed after."""
+    RESULTS_FILE.write_bytes(data)
+    try:
+        return load_results(RESULTS_FILE)
+    finally:
+        RESULTS_FILE.unlink()
+
 
 #: (call, its error, its whole message) of every other refusal an entry
 #: point makes of what its caller gives it.
@@ -579,6 +615,17 @@ REFUSAL_ENTRIES = {
     "recommend_tg.not_finite": (
         lambda: recommend_tg(LogisticVisibilityModel(np.nan, np.nan), 22.0, 0.5),
         DegenerateModel, "intercept holds a value that is not finite"),
+    # Each row below raised a bare TypeError, RecursionError, ValueError,
+    # _csv.Error or UnicodeDecodeError before.
+    "LogisticVisibilityModel.intercept_kind": (
+        lambda: recommend_tg(LogisticVisibilityModel("x", 1.0), 22.0, 0.5), DegenerateModel,
+        "intercept: expected a real number, got 'x'"),
+    **{f"ScenarioConfig.from_json_{name}": (
+        lambda text=text: ScenarioConfig.from_json(text), ScenarioError, message)
+       for name, (text, message) in UNREADABLE_SCENARIOS.items()},
+    **{f"load_results.{name}": (
+        lambda data=data: _load_results_of(data), MalformedResults, f"{RESULTS_FILE}: {message}")
+       for name, (data, message) in UNREADABLE_RESULTS.items()},
 }
 
 
@@ -599,6 +646,10 @@ FINISHING_ENTRIES = {
     "poisson_stream": (lambda: {event.nodes for event in poisson_stream(
         DisruptionStreamConfig(0.5, (5, 5), (1, 1), 20), make_topology([], 3), seed=1)},
         {(0, 1, 2)}),
+    # A subnormal rate draws an infinite first gap, past the horizon; its
+    # floor raised an OverflowError before.
+    "poisson_stream.subnormal_rate": (lambda: poisson_stream(
+        DisruptionStreamConfig(5e-324, (1, 2), (1, 2), 400), make_topology([], 3), seed=1), []),
     # Series given out of network order are written in it.
     "MoPTrace": (lambda: MoPTrace({NetworkId.POWER: np.array([100.0]),
                                    NetworkId.WATER: np.array([99.5])}).to_csv(),
