@@ -365,7 +365,8 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     floor(expected_rt / ratio_at(target_p)), clamped to at least 1.
     ``DegenerateModel`` for a model of another kind (a model checks its
     own fields); ``InvalidFactor`` unless expected_rt is a positive
-    finite real number; ``ratio_at`` refuses a target_p outside (0, 1).
+    finite real number, or if its quotient by the ratio is not finite;
+    ``ratio_at`` refuses a target_p outside (0, 1).
     """
     _of_kind(LogisticVisibilityModel, model, DegenerateModel, "model")
     if not (_is_real_type(type(expected_rt)) and math.isfinite(expected_rt) and expected_rt > 0):
@@ -377,9 +378,13 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     if ratio <= 0:
         raise DegenerateModel(
             f"target likelihood {target_p} is met at any granularity")
+    quotient = expected_rt / ratio
+    if not math.isfinite(quotient):
+        raise InvalidFactor(f"expected recovery time {expected_rt} over ratio {ratio} "
+                            "is not a finite number")
     # Tiny guard so quotients that are mathematically integral do not
     # floor one short after rounding (e.g. 22/0.88).
-    return max(1, math.floor(expected_rt / ratio + 1e-9))
+    return max(1, math.floor(quotient + 1e-9))
 
 
 def analysis_report(table: dict[str, np.ndarray]) -> dict:

@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, experiment
+from .errors import ScenarioError
 from .experiment import FactorLevels, ScenarioConfig, build_layout, write_atomic
 
 
@@ -42,7 +43,14 @@ def _check_parent(path: Path) -> None:
 
 def _load_scenario(args) -> ScenarioConfig:
     if args.scenario:
-        config = ScenarioConfig.from_json(Path(args.scenario).read_text())
+        data = Path(args.scenario).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ScenarioError(f"{args.scenario}: line {line}: not {exc.encoding} text "
+                                f"({exc.reason})") from None
+        config = ScenarioConfig.from_json(text)
     else:
         config = ScenarioConfig()
     if args.seed is not None:
@@ -90,20 +98,22 @@ def _cmd_analyze(args) -> int:
     table = analysis.load_results(args.results)
     report = analysis.analysis_report(table)
     text = analysis.report_json(report)
+    plots = {}
+    if args.plot_data:
+        logistic = report["visibility_logistic"]
+        model = analysis.LogisticVisibilityModel(logistic["intercept"], logistic["slope"])
+        max_ratio = float((table["rt"] / table["tg"]).max())
+        plots = {"visibility_curve.csv": analysis.visibility_curve_csv(model, max_ratio),
+                 "ratio_scatter.csv": analysis.ratio_scatter_csv(table)}
+        # Made before any output is written, so a path that cannot be a
+        # directory leaves no report behind.
+        Path(args.plot_data).mkdir(parents=True, exist_ok=True)
     if args.out:
         write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
-    if args.plot_data:
-        plot_dir = Path(args.plot_data)
-        plot_dir.mkdir(parents=True, exist_ok=True)
-        logistic = report["visibility_logistic"]
-        model = analysis.LogisticVisibilityModel(logistic["intercept"], logistic["slope"])
-        max_ratio = float((table["rt"] / table["tg"]).max())
-        write_atomic(plot_dir / "visibility_curve.csv",
-                     analysis.visibility_curve_csv(model, max_ratio))
-        write_atomic(plot_dir / "ratio_scatter.csv",
-                     analysis.ratio_scatter_csv(table))
+    for name, csv_text in plots.items():
+        write_atomic(Path(args.plot_data, name), csv_text)
     return 0
 
 

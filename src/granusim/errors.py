@@ -24,8 +24,8 @@ of any value, returned as a Python int, which the caller stores; else
 the caller's error, ``<field>: must be a positive integer, got
 <value>`` ("a nonnegative integer", "an integer").  Node indices are
 the one exception: a node set is checked as a whole by
-``_node_indices``, and an edge or a coupling by ``topology``, through
-``_is_index_type``, which no other module reads.  An object of the
+``_node_indices``, and the edges and couplings by ``topology``'s row
+rule, through ``_is_index_type``, which no other module reads.  An object of the
 wrong kind is named by ``_of_kind``, and a collection of them by
 ``_items_of``.
 """
@@ -91,8 +91,9 @@ class ScenarioError(GranusimError):
     """A scenario is malformed: a field of a scenario file, of a
     ``ScenarioConfig`` or of a ``NetworkSpec`` (each integer by the
     count rule, named ``field '<key>'``), a file's text (not JSON, not
-    an object, nested too deeply or an integer too long to read), or a
-    config that is not a ``ScenarioConfig``."""
+    an object, nested too deeply or an integer too long to read) or
+    bytes (not UTF-8, named by the CLI with the path and the line), or
+    a config that is not a ``ScenarioConfig``."""
 
 
 class MalformedResults(GranusimError):
@@ -105,7 +106,7 @@ class MalformedResults(GranusimError):
 
 def _is_index_type(kind: type) -> bool:
     """The type rule of an integer, of ``_count``, of every node index
-    and of ``topology``'s edges and couplings; no other module reads it."""
+    and of ``topology``'s row rule; no other module reads it."""
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 

@@ -7,6 +7,7 @@ function of (seed, config, layout).
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .coordinator import Federation, SyncSchedule, run, run_steps
@@ -73,51 +74,64 @@ def _json_object(text: str) -> dict:
     return doc
 
 
-def _reject_unknown(doc: dict, known) -> None:
+def _from_object(cls, doc, **read):
+    """``cls`` made from ``doc``, a JSON object whose keys are the names
+    of ``cls``'s fields; a key it leaves out keeps its field's default,
+    and ``read[key]``, if given, reads a key's value first.
+    ``ScenarioError`` for a non-object, an unknown key or a missing
+    required field, before ``cls`` checks the values."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("expected an object")
+    known = {f.name: f.default for f in fields(cls)}
     for key in doc:
         if key not in known:
             raise ScenarioError(f"field {key!r}: unknown")
+    for key, default in known.items():
+        if default is MISSING and key not in doc:
+            raise ScenarioError(f"field '{key}': missing")
+    return cls(**{key: read[key](value) if key in read else value
+                  for key, value in doc.items()})
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    network_id: NetworkId
-    node_count: int
-    edge_count: int
+    """One network of a scenario; its fields are the keys of a scenario
+    file's network objects, and a bad one raises a ``ScenarioError``
+    naming its key.  ``id`` is stored as a ``NetworkId`` member, and
+    ``nodes``, ``edges`` and ``lag`` by the count rule
+    (``errors._count``) as Python ints."""
+
+    id: NetworkId
+    nodes: int
+    edges: int
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     lag: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "network_id",
-                           _network_member(self.network_id, ScenarioError, "id"))
-        for name, key, minimum in (("node_count", "nodes", 1), ("edge_count", "edges", 0),
-                                   ("lag", "lag", 1)):
+        object.__setattr__(self, "id", _network_member(self.id, ScenarioError, "id"))
+        for name, minimum in (("nodes", 1), ("edges", 0), ("lag", 1)):
             object.__setattr__(self, name, _count(getattr(self, name), ScenarioError,
-                                                  f"field '{key}'", minimum))
-        n = self.node_count
-        if self.edge_count > n * (n - 1):
+                                                  f"field '{name}'", minimum))
+        n = self.nodes
+        if self.edges > n * (n - 1):
             raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
-                                f"for {n} nodes, got {self.edge_count}")
+                                f"for {n} nodes, got {self.edges}")
         object.__setattr__(self, "weights",
                            _weight_triple(self.weights, ScenarioError, "field 'weights'"))
 
 
-#: JSON key of each ``NetworkSpec`` field in a scenario file.
-_NETWORK_KEYS = {"id": "network_id", "nodes": "node_count", "edges": "edge_count",
-                 "weights": "weights", "lag": "lag"}
-
-
-def _network_from_json(net, index: int) -> NetworkSpec:
-    try:
-        if not isinstance(net, dict):
-            raise ScenarioError("expected an object")
-        _reject_unknown(net, _NETWORK_KEYS)
-        for key in ("id", "nodes", "edges"):
-            if key not in net:
-                raise ScenarioError(f"field '{key}': missing")
-        return NetworkSpec(**{_NETWORK_KEYS[key]: value for key, value in net.items()})
-    except ScenarioError as exc:
-        raise ScenarioError(f"field 'networks[{index}]': {exc}") from exc
+def _networks(docs) -> tuple[NetworkSpec, ...]:
+    """A scenario file's list of network objects; each error names the
+    network's place."""
+    if not isinstance(docs, list):
+        raise ScenarioError("field 'networks': expected a list")
+    specs = []
+    for index, doc in enumerate(docs):
+        try:
+            specs.append(_from_object(NetworkSpec, doc))
+        except ScenarioError as exc:
+            raise ScenarioError(f"field 'networks[{index}]': {exc}") from exc
+    return tuple(specs)
 
 
 DEFAULT_NETWORKS = (
@@ -162,31 +176,20 @@ class ScenarioConfig:
         if len(networks) < 2:
             raise ScenarioError("field 'networks': need at least two networks to interconnect, "
                                 f"got {len(networks)}")
-        ids = [n.network_id for n in networks]
+        ids = [n.id for n in networks]
         if len(set(ids)) != len(ids):
             raise ScenarioError("field 'networks': duplicate network ids")
         if self.origin not in ids or self.target not in ids:
             raise ScenarioError("field 'origin'/'target': must name configured networks")
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["networks"] = [{key: getattr(n, name) for key, name in _NETWORK_KEYS.items()}
-                           for n in self.networks]
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        """Map a scenario file's keys onto the fields; keys it leaves out
-        keep their defaults, and an unknown key is a ``ScenarioError``."""
-        doc = _json_object(text)
-        _reject_unknown(doc, {f.name for f in fields(cls)})
-        kwargs = dict(doc)
-        if "networks" in doc:
-            if not isinstance(doc["networks"], list):
-                raise ScenarioError("field 'networks': expected a list")
-            kwargs["networks"] = tuple(_network_from_json(net, i)
-                                       for i, net in enumerate(doc["networks"]))
-        return cls(**kwargs)
+        """The scenario of a scenario file's text: its keys and each
+        network's are the fields' names (``_from_object``)."""
+        return _from_object(cls, _json_object(text), networks=_networks)
 
 
 def build_layout(levels: FactorLevels) -> list[tuple[int, int, int]]:
@@ -199,36 +202,27 @@ def build_layout(levels: FactorLevels) -> list[tuple[int, int, int]]:
             for tg in levels.tg_levels]
 
 
-def build_topologies(config: ScenarioConfig) -> list[Topology]:
-    return [generate_topology(n.network_id, n.node_count, n.edge_count,
-                              config.master_seed)
-            for n in config.networks]
-
-
-#: The one wiring ``wiring`` keeps, under the key it was generated for.
-_WIRING: dict = {}
-
-
 def wiring(config: ScenarioConfig) -> tuple[tuple[Topology, ...], InterdependencyMap]:
-    """Topologies and couplings of a scenario, generated once for the
-    fields that decide them: the master seed, the couplings per node and
-    each network's id, node count and edge count.
+    """Topologies and couplings of a scenario: the one path from a
+    scenario to its wiring.
 
-    Both are frozen, so every federation built from configs that agree
-    on those (whatever their horizon, warm-up, onset, weights or lag)
-    shares them; each build still makes fresh federate states.  Only
-    the latest wiring is kept.  A ``config`` of another kind raises
+    They are generated once for the fields that decide them: the master
+    seed, the couplings per node and each network's id, nodes and
+    edges.  Both are frozen, so every federation built from configs
+    that agree on those (whatever their horizon, warm-up, onset, weights
+    or lag) shares them; each build still makes fresh federate states.
+    Only the latest wiring is kept.  A ``config`` of another kind raises
     ``ScenarioError`` here and at every entry point that reads one.
     """
     _of_kind(ScenarioConfig, config, ScenarioError, "config")
-    key = (config.master_seed, config.couplings_per_node,
-           tuple((n.network_id, n.node_count, n.edge_count) for n in config.networks))
-    if key not in _WIRING:
-        topologies = tuple(build_topologies(config))
-        _WIRING.clear()
-        _WIRING[key] = topologies, generate_interdependencies(
-            topologies, config.couplings_per_node, config.master_seed)
-    return _WIRING[key]
+    return _wiring(config.master_seed, config.couplings_per_node,
+                   tuple((n.id, n.nodes, n.edges) for n in config.networks))
+
+
+@functools.lru_cache(maxsize=1)
+def _wiring(seed: int, couplings_per_node: int, networks: tuple) -> tuple:
+    topologies = tuple(generate_topology(*network, seed) for network in networks)
+    return topologies, generate_interdependencies(topologies, couplings_per_node, seed)
 
 
 def build_federation(config: ScenarioConfig) -> Federation:

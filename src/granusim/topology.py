@@ -12,22 +12,25 @@ raises.
 
 A ``Topology`` and an ``InterdependencyMap`` are frozen, and each checks
 itself once, when it is made.  A topology raises ``InvalidTopology`` for
-a network ``NetworkId`` refuses, a node index that is not an integer (a
-bool is not), an edge that is not two values joining two distinct nodes
-in range or that appears twice, and levels that the real-series rule
-refuses or that lie outside [0, 1]; its node count is the number of its
-levels, stored as a tuple of Python floats.
-A map raises it for a coupling that is not four values, a node index
-that is not an integer or a network ``NetworkId`` refuses.  Each stores
-what it accepts in plain form (``NetworkId`` members, Python ints and
-floats, tuples), so equal wirings compare equal and hash alike, and
-makes its one array form (``edges_by_target``, ``coupling_array``),
-read-only and shared by every federation built from it.  Each holds one
-store, ``derived``, which only ``derive_once`` writes, under a key
-tagged by the kind of result (a node rule, a disruption pattern, a
-coupling plan), and only with a result derived without error.  No
-wiring is written to a file: the scenario file is the one wiring
-artifact, and ``experiment.wiring`` makes the wiring of a scenario.
+a network ``NetworkId`` refuses, levels that the real-series rule
+refuses or that lie outside [0, 1], and an edge out of range, that is a
+self-loop or that appears twice; its node count is the number of its
+levels, stored as a tuple of Python floats.  Both read their rows, the
+edges and the couplings, by one row rule, ``_plain_rows``: the rows are
+an iterable, and a row is a tuple or list of two values (source,
+target) or four (network, node, network, node), each node index an
+integer (a bool is not one) and each network one ``NetworkId``
+accepts; ``InvalidTopology`` names the first row at fault by its
+place.  Each stores what it accepts in plain form (``NetworkId``
+members, Python ints and floats, tuples), so equal wirings compare
+equal and hash alike, and makes its one array form (``edges_by_target``,
+``coupling_array``), read-only and shared by every federation built
+from it.  Each holds one store, ``derived``,
+which only ``derive_once`` writes, under a key tagged by the kind of
+result (a node rule, a disruption pattern, a coupling plan), and only
+with a result derived without error.  No wiring is written to a file:
+the scenario file is the one wiring artifact, and ``experiment.wiring``
+is the one path from a scenario to its wiring.
 """
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTopology, _count, _is_index_type, _items_of, _real_series
+from .errors import InvalidTopology, _count, _is_index_type, _items_of, _of_kind, _real_series
 from .rng import stream
 
 
@@ -66,11 +69,63 @@ def _network_member(value, error=InvalidTopology, field="network_id") -> Network
     return network
 
 
-def _shown(coupling):
-    """``coupling`` as an error names it, its networks by value."""
-    if not isinstance(coupling, (tuple, list)):
-        return repr(coupling)
-    return tuple(v.value if isinstance(v, NetworkId) else v for v in coupling)
+def _shown(row):
+    """An edge or a coupling as an error names it, its networks by value."""
+    if not isinstance(row, (tuple, list)):
+        return repr(row)
+    return tuple(v.value if isinstance(v, NetworkId) else v for v in row)
+
+
+#: What an error calls the number of values of a row.
+_VALUE_COUNTS = {2: "two", 4: "four"}
+
+
+def _plain_rows(rows, noun: str, names: tuple[str, ...], row: type = tuple):
+    """The one row rule of a topology's edges and a map's couplings:
+    ``rows`` in plain form, and their columns.
+
+    ``rows`` is an ``Iterable`` (``_of_kind``), and each row a tuple or
+    list of one value per name in ``names``: a network (what
+    ``NetworkId`` accepts) where the name is ``network``, and a node
+    index (``_is_index_type``; a bool is not one) elsewhere.  One test
+    per type and length seen, then a search that raises
+    ``InvalidTopology`` naming the first row at fault by its place, and
+    its first fault in field order.  Rows that are plain already (a
+    tuple of ``row`` rows of ``NetworkId`` members and Python ints) are
+    returned as given, and others as a tuple of plain rows, so equal
+    wirings compare equal and hash alike whatever form they were given
+    in.
+    """
+    _of_kind(Iterable, rows, InvalidTopology, f"{noun}s")
+    rows = tuple(rows)  # a tuple as it is, and a generator read once
+    row_types = set(map(type, rows))
+    if not (all(issubclass(kind, (tuple, list)) for kind in row_types)
+            and set(map(len, rows)) <= {len(names)}):
+        i, bad = next((i, r) for i, r in enumerate(rows)
+                      if not (isinstance(r, (tuple, list)) and len(r) == len(names)))
+        raise InvalidTopology(f"{noun} {i} {_shown(bad)}: expected "
+                              f"{_VALUE_COUNTS[len(names)]} values ({', '.join(names)})")
+    columns = tuple(zip(*rows)) if rows else ((),) * len(names)
+    networks = [name == "network" for name in names]
+    kinds = [set(map(type, column)) for column in columns]
+    plain = [k <= ({NetworkId} if net else {int}) for k, net in zip(kinds, networks)]
+    # The array casts would take 0.5, True and '1' as node indices, and a
+    # network ``NetworkId`` refuses would fail only at the first build.
+    if not all(p or not net and all(map(_is_index_type, k))
+               for p, k, net in zip(plain, kinds, networks)):
+        for i, r in enumerate(rows):
+            for v, net in zip(r, networks):
+                if not (isinstance(_as_network(v), NetworkId) if net else _is_index_type(type(v))):
+                    raise InvalidTopology(f"{noun} {i} {_shown(r)}: " + (
+                        f"unknown network {v!r}" if net
+                        else f"node index {v!r} is not an integer"))
+    if row_types <= {row} and all(plain):
+        return rows, columns
+    columns = tuple(tuple(map(NetworkId if net else int, column))
+                    for column, net in zip(columns, networks))
+    # ``tuple.__new__`` makes a row of either class, a tuple or a
+    # ``Coupling``, from its values.
+    return tuple(tuple.__new__(row, values) for values in zip(*columns)), columns
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -115,36 +170,19 @@ class Topology:
         if not ((levels >= 0.0) & (levels <= 1.0)).all():
             raise InvalidTopology("intrinsic performance levels must lie in [0, 1], "
                                   f"got {self.intrinsic_performance}")
-        # An edge of three values would fail the reshape, and an int
-        # the unpacking.  One test per type and length seen, then a
-        # search for the first edge at fault.
-        edge_types = set(map(type, self.edges))
-        if not (edge_types <= {tuple, list} and set(map(len, self.edges)) <= {2}):
-            for i, e in enumerate(self.edges):
-                if not (isinstance(e, (tuple, list)) and len(e) == 2):
-                    raise InvalidTopology(f"edge {i} {_shown(e)}: expected two values "
-                                          "(source, target)")
-        # The array cast would take 0.5, True and '1' as node indices.
-        # One test per type of index seen, then a search for the edge.
-        index_types = {type(v) for edge in self.edges for v in edge}
-        if not all(map(_is_index_type, index_types)):
-            edge = next(e for e in self.edges if not all(_is_index_type(type(v)) for v in e))
-            raise InvalidTopology(f"edge {edge} has a node index that is not an integer")
-        # A numpy index or level is stored as a Python int or float, and
-        # a list or an array as a tuple, so a frozen topology hashes and
-        # compares by its values whatever their form; a generated
-        # topology is plain already and skips the copy.
-        if (not index_types <= {int} or not set(map(type, self.intrinsic_performance)) <= {float}
-                or edge_types | {type(self.edges), type(self.intrinsic_performance)} != {tuple}):
-            object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
+        # A numpy level is stored as a Python float, and a list or an
+        # array as a tuple; generated levels are plain already.
+        if (type(self.intrinsic_performance) is not tuple
+                or not set(map(type, self.intrinsic_performance)) <= {float}):
             object.__setattr__(self, "intrinsic_performance", tuple(levels.tolist()))
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        out_of_range = ((edges < 0) | (edges >= len(levels))).any(axis=1)
+        edges, columns = _plain_rows(self.edges, "edge", ("source", "target"))
+        object.__setattr__(self, "edges", edges)
+        sources, targets = array = np.array(columns, dtype=np.intp)
+        out_of_range = ((array < 0) | (array >= len(levels))).any(axis=0)
         for bad, what in ((out_of_range, f"out of range for {len(levels)} nodes"),
-                          (edges[:, 0] == edges[:, 1], "a self-loop")):
+                          (sources == targets, "a self-loop")):
             if bad.any():
-                raise InvalidTopology(f"edge {self.edges[bad.argmax()]} is {what}")
-        sources, targets = edges.T
+                raise InvalidTopology(f"edge {edges[bad.argmax()]} is {what}")
         order = np.lexsort((sources, targets))
         by_target = _read_only(np.array((sources[order], targets[order])))
         # Sorted, a repeated edge sits next to its copy.
@@ -179,40 +217,10 @@ class InterdependencyMap:
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Checked once per frozen map, as ``Topology`` checks its edges:
-        # the column unpacking would fail on a coupling of three values
-        # and drop a fifth, the array cast would take 0.5, True and '1'
-        # as node indices, and a network ``NetworkId`` refuses would
-        # fail only at the first build.  One test per type seen, then a
-        # search for the first coupling at fault.
-        plain = set(map(type, self.couplings)) <= {Coupling}
-        if not plain:
-            for i, c in enumerate(self.couplings):
-                if not (isinstance(c, (tuple, list)) and len(c) == 4):
-                    raise InvalidTopology(f"coupling {i} {_shown(c)}: expected four values "
-                                          "(network, node, network, node)")
-        consumer_net, consumer, producer_net, producer = (
-            zip(*self.couplings) if self.couplings else ((),) * 4)
-        if not (plain and type(self.couplings) is tuple
-                and set(map(type, consumer + producer)) <= {int}
-                and set(map(type, consumer_net + producer_net)) <= {NetworkId}):
-            for i, c in enumerate(self.couplings):
-                faults = [f"unknown network {v!r}" for v in (c[0], c[2])
-                          if not isinstance(_as_network(v), NetworkId)]
-                faults += [f"node index {v!r} is not an integer"
-                           for v in (c[1], c[3]) if not _is_index_type(type(v))]
-                if faults:
-                    raise InvalidTopology(f"coupling {i} {_shown(c)}: {faults[0]}")
-            # What the checks accept in another form (a network's value,
-            # a numpy index, a coupling as a tuple or list, a list of
-            # them) is stored as a tuple of ``Coupling``s of ``NetworkId``
-            # members and Python ints, so a frozen map hashes and compares
-            # by its values; a generated map is plain already.
-            consumer_net, producer_net = (tuple(map(NetworkId, nets))
-                                          for nets in (consumer_net, producer_net))
-            consumer, producer = (tuple(map(int, nodes)) for nodes in (consumer, producer))
-            object.__setattr__(self, "couplings", tuple(
-                map(Coupling, consumer_net, consumer, producer_net, producer)))
+        # Checked once per frozen map, as ``Topology`` checks its edges.
+        couplings, (consumer_net, consumer, producer_net, producer) = _plain_rows(
+            self.couplings, "coupling", ("network", "node", "network", "node"), Coupling)
+        object.__setattr__(self, "couplings", couplings)
         rank = {net: i for i, net in enumerate(NETWORK_ORDER)}.__getitem__
         object.__setattr__(self, "coupling_array", _read_only(np.array(
             [list(map(rank, consumer_net)), consumer, list(map(rank, producer_net)), producer],

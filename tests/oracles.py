@@ -8,7 +8,7 @@ meaningful evidence rather than tautology.
 import numpy as np
 
 from granusim.coordinator import Federation
-from granusim.experiment import build_topologies
+from granusim.experiment import wiring
 from granusim.federate import FederateState
 from granusim.topology import (NETWORK_ORDER, Coupling, InterdependencyMap, NetworkId,
                                Topology, generate_interdependencies)
@@ -104,10 +104,10 @@ def scenario_lockstep_inputs(config):
     weights and lags of the scenario); the dynamics are re-evaluated by
     the scalar federates.
     """
-    topologies = build_topologies(config)
+    topologies = wiring(config)[0]
     couplings = generate_interdependencies(
         topologies, config.couplings_per_node, config.master_seed).couplings
-    nets = {spec.network_id: (t.edges, t.node_count, spec.lag, spec.weights,
+    nets = {spec.id: (t.edges, t.node_count, spec.lag, spec.weights,
                               t.intrinsic_performance)
             for spec, t in zip(config.networks, topologies)}
     return nets, [tuple(c) for c in couplings]

@@ -19,7 +19,7 @@ from granusim.analysis import (LOGISTIC_RIDGE, fit_ratio_linear,
 from granusim.coordinator import SyncSchedule, run
 from granusim.disruption import DisruptionEvent, fixed_pattern
 from granusim.experiment import (FactorLevels, ScenarioConfig, build_layout,
-                                 build_federation, build_topologies,
+                                 build_federation, wiring,
                                  disruption_onset, pattern_hash, results_csv,
                                  run_experiment, run_single, timing_profile)
 from granusim.federate import FederateState
@@ -129,7 +129,7 @@ def test_criterion_2_hand_computed_oracle(capsys):
 def _origin_alone(config, federation, foreign_slots, event, until):
     """Scalar-oracle origin state at ``until``, stepped with its foreign
     inputs held at 1.0, which is what they hold until the next sync."""
-    spec = next(spec for spec in config.networks if spec.network_id == config.origin)
+    spec = next(spec for spec in config.networks if spec.id == config.origin)
     topo = federation.federates[config.origin].topology
     ref = ScalarFederate(topo.edges, topo.node_count, weights=spec.weights,
                          lag=spec.lag, intrinsic=topo.intrinsic_performance,
@@ -151,14 +151,13 @@ def test_criterion_3_sub_granularity_invisibility(capsys):
     # The deficit exported there is the origin's lagged recovery tail
     # (criterion 2), so spds is reported but not required to be zero.
     config = replace(ScenarioConfig(), horizon=300)
-    topologies = build_topologies(config)
+    topologies = wiring(config)[0]
     couplings = generate_interdependencies(
         topologies, config.couplings_per_node, config.master_seed).couplings
     sizes = {t.network_id: t.node_count for t in topologies}
     slots = {net: [c for c in couplings if c.consumer_network == net]
              for net in NETWORK_ORDER}
-    partners = [n.network_id for n in config.networks
-                if n.network_id != config.origin]
+    partners = [n.id for n in config.networks if n.id != config.origin]
     origin_slots = [c.consumer_node for c in slots[config.origin]]
     checked = 0
     spds_values = []

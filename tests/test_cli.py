@@ -139,6 +139,17 @@ def test_recommend_rejects_a_bad_expected_recovery_time(results_csv_path, capsys
         f"got {float(expected_rt)}"]
 
 
+def test_recommend_of_an_expected_recovery_time_too_large_to_divide_exits_2(
+        results_csv_path, capsys):
+    # Its quotient by the ratio overflowed to infinity, and the floor of
+    # that raised a bare OverflowError before: a traceback.
+    assert main(["recommend", "--in", str(results_csv_path), "--expected-rt", "1e308"]) == 2
+    model = fit_visibility_logistic(load_results(results_csv_path))
+    assert _only_one_error_line(capsys.readouterr()) == (
+        f"error: expected recovery time 1e+308 over ratio {model.ratio_at(0.5)} "
+        "is not a finite number")
+
+
 @pytest.mark.parametrize("command", [
     ["experiment", "--jobs", "1", "--out"],
     ["run", "--tg", "5", "--rt", "2", "--ds", "8", "--trace"],
@@ -159,6 +170,18 @@ def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err == f"error: output directory {missing} does not exist (for {missing / 'r.csv'})\n"
     assert calls == [] and not missing.exists()
+
+
+def test_analyze_whose_plot_directory_cannot_be_made_writes_no_report(
+        results_csv_path, tmp_path, capsys):
+    # The report was written before the plot directory failed.
+    taken = tmp_path / "afile"
+    taken.touch()
+    report = tmp_path / "r.json"
+    assert main(["analyze", "--in", str(results_csv_path), "--out", str(report),
+                 "--plot-data", str(taken)]) == 2
+    assert "File exists" in _only_one_error_line(capsys.readouterr())
+    assert sorted(tmp_path.iterdir()) == [taken]
 
 
 def test_analyze_into_a_missing_directory_fails_before_reading_the_results(
@@ -353,6 +376,17 @@ def test_a_scenario_the_json_parser_cannot_read_exits_2_without_output(tmp_path,
     assert main(["run", "--scenario", str(scenario), "--tg", "2", "--rt", "2", "--ds", "8",
                  "--trace", str(tmp_path / "trace.csv")]) == 2
     assert _only_one_error_line(capsys.readouterr()) == f"error: {message}"
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
+def test_a_scenario_that_is_not_utf8_exits_2_naming_the_file_and_line(tmp_path, capsys):
+    # A bare UnicodeDecodeError named neither the file nor the line before.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(b'{"horizon": 400,\n "warmup": \xff}')
+    assert main(["run", "--scenario", str(scenario), "--tg", "2", "--rt", "2", "--ds", "8",
+                 "--trace", str(tmp_path / "trace.csv")]) == 2
+    assert _only_one_error_line(capsys.readouterr()) == (
+        f"error: {scenario}: line 2: not utf-8 text (invalid start byte)")
     assert list(tmp_path.iterdir()) == [scenario]
 
 

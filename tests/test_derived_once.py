@@ -69,7 +69,7 @@ def test_edge_list_rules_share_their_scales_and_copy_their_indices():
 @pytest.mark.parametrize("change", [
     lambda spec: replace(spec, weights=(0.2, 0.5, 0.3)),
     lambda spec: replace(spec, weights=(0.3, 0.5, 0.2)),  # w_in and w_ext only
-    lambda spec: replace(spec, lag=3) if spec.network_id == NetworkId.BUSINESS else spec,
+    lambda spec: replace(spec, lag=3) if spec.id == NetworkId.BUSINESS else spec,
 ], ids=["weights", "w_in", "business lag"])
 def test_other_weights_or_lag_on_one_wiring_run_as_a_build_that_derived_nothing(change):
     _prepare_run(CONFIG, 2, 9, 12)  # derives the default rules, plan and pattern
@@ -91,8 +91,8 @@ def test_other_weights_or_lag_on_one_wiring_run_as_a_build_that_derived_nothing(
     default = build_federation(CONFIG)
     for spec, old in zip(other.networks, CONFIG.networks):
         same_rule = spec.weights[:2] == old.weights[:2]
-        assert (federation.federates[spec.network_id].base
-                is default.federates[spec.network_id].base) == same_rule
+        assert (federation.federates[spec.id].base
+                is default.federates[spec.id].base) == same_rule
 
 
 def test_a_coupling_at_fault_raises_on_every_build():

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,11 @@ import pytest
 from granusim.errors import InvalidFactor, ScenarioError
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,
                                  FactorLevels, NetworkSpec, ResultRow, ScenarioConfig,
-                                 build_federation, build_layout,
-                                 build_topologies,
-                                 disruption_onset, pattern_hash,
+                                 build_federation, build_layout, disruption_onset, pattern_hash,
                                  results_csv, run_experiment, run_single,
                                  timing_profile, wiring)
 from granusim.federate import EDGE_LIST_ENTRIES_PER_EDGE, EDGE_LIST_MIN_NODES, uses_edge_list
-from granusim.topology import NETWORK_ORDER, NetworkId
+from granusim.topology import NETWORK_ORDER, NetworkId, generate_topology
 
 SMALL = ScenarioConfig(horizon=280)
 # The wide_sync benchmark workload's scenario: three 300-node networks
@@ -62,8 +61,7 @@ def test_levels_are_stored_as_tuples_of_ints():
 
 
 def test_default_networks_match_published_sizes():
-    sizes = {(n.network_id, n.node_count, n.edge_count, n.lag)
-             for n in DEFAULT_NETWORKS}
+    sizes = {(n.id, n.nodes, n.edges, n.lag) for n in DEFAULT_NETWORKS}
     assert sizes == {(NetworkId.WATER, 22, 77, 1),
                      (NetworkId.POWER, 21, 77, 1),
                      (NetworkId.BUSINESS, 20, 75, 2)}
@@ -90,6 +88,18 @@ def test_layout_degenerate_and_small():
 def test_scenario_roundtrip():
     config = ScenarioConfig(master_seed=7, horizon=300, align_sync=True)
     assert ScenarioConfig.from_json(config.to_json()) == config
+
+
+def test_the_default_scenario_file_is_pinned_and_keyed_by_the_field_names():
+    # ``to_json`` writes ``asdict`` of the config: each key of the file,
+    # and of each network in it, is the name of a field.
+    text = ScenarioConfig().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba1cd414efdb613a5c587bf6b67eec4d11d1f1d32e089556a03f7be46f9674cd")
+    doc = json.loads(text)
+    assert list(doc) == sorted(f.name for f in fields(ScenarioConfig))
+    assert [list(net) for net in doc["networks"]] == [
+        sorted(f.name for f in fields(NetworkSpec))] * len(DEFAULT_NETWORKS)
 
 
 def test_scenario_rejects_malformed_json():
@@ -179,10 +189,10 @@ def test_scenarios_refuse_at_build_what_failed_at_the_first_run(build, named):
 
 def test_networks_given_by_value_are_stored_as_members():
     config = ScenarioConfig(origin="water", target="business", networks=tuple(
-        replace(spec, network_id=spec.network_id.value) for spec in DEFAULT_NETWORKS))
+        replace(spec, id=spec.id.value) for spec in DEFAULT_NETWORKS))
     assert config == ScenarioConfig()
     assert config.origin is NetworkId.WATER and config.target is NetworkId.BUSINESS
-    assert [spec.network_id for spec in config.networks] == list(NETWORK_ORDER)
+    assert [spec.id for spec in config.networks] == list(NETWORK_ORDER)
     assert ScenarioConfig.from_json(config.to_json()) == config
     row, _ = run_single(replace(config, horizon=280), 2, 9, 8)
     assert row.status == "ok"
@@ -194,7 +204,7 @@ def test_numpy_integers_are_stored_as_ints():
         NetworkSpec(NetworkId.WATER, np.int64(22), np.int32(77), lag=np.int64(1)),
         *DEFAULT_NETWORKS[1:]))
     assert config == ScenarioConfig()
-    assert type(config.horizon) is int and type(config.networks[0].node_count) is int
+    assert type(config.horizon) is int and type(config.networks[0].nodes) is int
     assert json.loads(config.to_json())["horizon"] == 400
     assert ScenarioConfig.from_json(config.to_json()) == config
 
@@ -232,10 +242,16 @@ def test_pattern_hash_is_short_stable_hex():
     assert h != pattern_hash((1, 5, 10))
 
 
-def test_build_topologies_deterministic():
-    a, b = build_topologies(SMALL), build_topologies(SMALL)
+def generated(config):
+    """The topologies of ``config``, generated afresh, outside ``wiring``."""
+    return [generate_topology(n.id, n.nodes, n.edges, config.master_seed)
+            for n in config.networks]
+
+
+def test_topology_generation_deterministic():
+    a, b = generated(SMALL), generated(SMALL)
     assert a == b and a[0] is not b[0]
-    assert [t.node_count for t in build_topologies(SMALL)] == [22, 21, 20]
+    assert [t.node_count for t in a] == [22, 21, 20]
 
 
 def test_federations_of_one_config_share_no_mutable_array():
@@ -281,14 +297,14 @@ def test_wiring_follows_the_seed_and_the_network_spec():
         return ([fed.federates[net].topology for net in fed.order], fed._index.tolist())
 
     first = built(SMALL)
-    assert first[0] == build_topologies(SMALL)
+    assert first[0] == generated(SMALL)
     reseeded = replace(SMALL, master_seed=SMALL.master_seed + 1)
-    resized = replace(SMALL, networks=(replace(DEFAULT_NETWORKS[0], edge_count=70),
+    resized = replace(SMALL, networks=(replace(DEFAULT_NETWORKS[0], edges=70),
                                        *DEFAULT_NETWORKS[1:]))
     recoupled = replace(SMALL, couplings_per_node=2)
     for other in (reseeded, resized, recoupled):
         topologies, slots = built(other)
-        assert topologies == build_topologies(other)
+        assert topologies == generated(other)
         assert (topologies, slots) != first
         assert built(SMALL) == first
     assert len(built(resized)[0][0].edges) == 70

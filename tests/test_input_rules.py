@@ -31,7 +31,7 @@ from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER, FactorLevels,
                                  run_single, timing_profile, wiring)
 from granusim.federate import FederateState
 from granusim.metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
-from granusim.topology import (Coupling, InterdependencyMap, NetworkId,
+from granusim.topology import (Coupling, InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from oracles import make_topology
 
@@ -92,7 +92,7 @@ COUNT_ENTRIES = {
 #: Each scenario entry point's object, and the field that stores the value.
 SCENARIO_FIELDS = {**{f"ScenarioConfig.{name}": name
                       for name in ("master_seed", "horizon", "warmup", "couplings_per_node")},
-                   "NetworkSpec.nodes": "node_count", "NetworkSpec.edges": "edge_count",
+                   "NetworkSpec.nodes": "nodes", "NetworkSpec.edges": "edges",
                    "NetworkSpec.lag": "lag"}
 
 
@@ -124,7 +124,7 @@ NETWORK_ENTRIES = {
                  InvalidTopology, "network_id"),
     "generate_topology": (lambda v: generate_topology(v, 3, 2, seed=1), lambda t: t.network_id,
                           InvalidTopology, "network_id"),
-    "NetworkSpec": (lambda v: NetworkSpec(v, 3, 2), lambda s: s.network_id, ScenarioError, "id"),
+    "NetworkSpec": (lambda v: NetworkSpec(v, 3, 2), lambda s: s.id, ScenarioError, "id"),
     "ScenarioConfig.origin": (lambda v: ScenarioConfig(origin=v), lambda c: c.origin,
                               ScenarioError, "origin"),
     "ScenarioConfig.target": (lambda v: ScenarioConfig(target=v), lambda c: c.target,
@@ -486,7 +486,7 @@ REFUSAL_ENTRIES = {
     "Topology.edge_length": (lambda: make_topology([(0, 1, 2)], 3), InvalidTopology,
                              "edge 0 (0, 1, 2): expected two values (source, target)"),
     "Topology.edge_index": (lambda: make_topology([(0, 1.5)], 3), InvalidTopology,
-                            "edge (0, 1.5) has a node index that is not an integer"),
+                            "edge 0 (0, 1.5): node index 1.5 is not an integer"),
     "Topology.edge_range": (lambda: make_topology([(0, 3)], 3), InvalidTopology,
                             "edge (0, 3) is out of range for 3 nodes"),
     "Topology.self_loop": (lambda: make_topology([(1, 1)], 3), InvalidTopology,
@@ -497,6 +497,14 @@ REFUSAL_ENTRIES = {
         lambda: InterdependencyMap(((NetworkId.WATER, 0.5, NetworkId.POWER, 1),)),
         InvalidTopology,
         "coupling 0 ('water', 0.5, 'power', 1): node index 0.5 is not an integer"),
+    "InterdependencyMap.network": (
+        lambda: InterdependencyMap(((NetworkId.WATER, 0, "gas", 1),)), InvalidTopology,
+        "coupling 0 ('water', 0, 'gas', 1): unknown network 'gas'"),
+    # Each of the two rows below raised a bare TypeError before.
+    "Topology.edges": (lambda: Topology(NetworkId.WATER, 5, (1.0,)), InvalidTopology,
+                       "field 'edges': expected Iterable, got 5"),
+    "InterdependencyMap.couplings": (lambda: InterdependencyMap(5), InvalidTopology,
+                                     "field 'couplings': expected Iterable, got 5"),
     "generate_topology.edges_over_pairs": (
         lambda: generate_topology(NetworkId.WATER, 2, 3, seed=1), InvalidTopology,
         "3 edges requested but at most 2 distinct non-loop edges exist for 2 nodes"),
@@ -616,7 +624,10 @@ REFUSAL_ENTRIES = {
         lambda: recommend_tg(LogisticVisibilityModel(np.nan, np.nan), 22.0, 0.5),
         DegenerateModel, "intercept holds a value that is not finite"),
     # Each row below raised a bare TypeError, RecursionError, ValueError,
-    # _csv.Error or UnicodeDecodeError before.
+    # _csv.Error, UnicodeDecodeError or OverflowError before.
+    "recommend_tg.overflow": (
+        lambda: recommend_tg(LogisticVisibilityModel(-1.0, 2.0), 1e308, 0.5), InvalidFactor,
+        "expected recovery time 1e+308 over ratio 0.5 is not a finite number"),
     "LogisticVisibilityModel.intercept_kind": (
         lambda: recommend_tg(LogisticVisibilityModel("x", 1.0), 22.0, 0.5), DegenerateModel,
         "intercept: expected a real number, got 'x'"),

@@ -1,10 +1,13 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from granusim import topology
 from granusim.coordinator import Federation
 from granusim.errors import InvalidTopology
 from granusim.federate import FederateState
@@ -97,9 +100,9 @@ def test_an_edge_that_is_not_two_values_is_named(edges, named):
     ([(0, 1), (0, 5)], r"edge \(0, 5\) is out of range for 3 nodes"),
     ([(0, 1), (2, 2)], r"edge \(2, 2\) is a self-loop"),
     # Unchecked, the array cast takes each of these as edge (0, 1) or (1, 2).
-    ([(0.5, 1)], r"edge \(0\.5, 1\) has a node index that is not an integer"),
-    ([(0, 1), (True, 2)], r"edge \(True, 2\) has a node index that is not an integer"),
-    ([("1", 2)], r"edge \('1', 2\) has a node index that is not an integer"),
+    ([(0.5, 1)], r"edge 0 \(0\.5, 1\): node index 0\.5 is not an integer"),
+    ([(0, 1), (True, 2)], r"edge 1 \(True, 2\): node index True is not an integer"),
+    ([("1", 2)], r"edge 0 \('1', 2\): node index '1' is not an integer"),
 ])
 def test_malformed_edges_rejected_by_name(edges, named):
     with pytest.raises(InvalidTopology, match=named) as raised:
@@ -109,7 +112,7 @@ def test_malformed_edges_rejected_by_name(edges, named):
 
 def test_json_floats_rejected_as_indices():
     # The floats a JSON file may hold where it means integers.
-    with pytest.raises(InvalidTopology, match=r"edge \(3\.0, 5\.0\) has a node index"):
+    with pytest.raises(InvalidTopology, match=r"edge 1 \(3\.0, 5\.0\): node index 3\.0 is not"):
         make_topology([(0, 1), (3.0, 5.0)], 22)
 
 
@@ -281,6 +284,41 @@ def test_malformed_couplings_rejected_by_name(bad, named):
 def test_a_coupling_of_other_than_four_values_is_named(bad, named):
     with pytest.raises(InvalidTopology, match=named):
         InterdependencyMap(couplings=(Coupling(P, 1, W, 0), bad))
+
+
+@pytest.mark.parametrize("bad, named", [
+    (("water", 0.5, "gas", 1), "node index 0.5 is not an integer"),
+    (("water", 0, "gas", True), "unknown network 'gas'"),
+])
+def test_a_coupling_with_two_faults_names_the_first_in_field_order(bad, named):
+    # The networks were named before the node indices.
+    with pytest.raises(InvalidTopology) as raised:
+        InterdependencyMap(couplings=(bad,))
+    assert str(raised.value) == f"coupling 0 {bad}: {named}"
+
+
+def test_edges_and_couplings_are_read_by_one_row_rule():
+    # Each class kept its own copy of the row checks before.
+    tree = ast.parse(Path(topology.__file__).read_text())
+    reads = {}
+    for owner in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+        for function in owner.body:
+            if isinstance(function, ast.FunctionDef):
+                name = getattr(owner, "name", "") + "." + function.name
+                reads[name.lstrip(".")] = {node.id for node in ast.walk(function)
+                                          if isinstance(node, ast.Name)}
+    assert [name for name in reads if "_is_index_type" in reads[name]] == ["_plain_rows"]
+    assert [name for name in reads if "_plain_rows" in reads[name]] == [
+        "Topology.__post_init__", "InterdependencyMap.__post_init__"]
+
+
+def test_edges_and_couplings_may_be_any_iterable():
+    # A generator of edges was taken as no edge before, and one of
+    # couplings raised a bare ValueError.
+    made = Topology(W, (edge for edge in [(0, 1), (1, 2)]), (1.0,) * 3)
+    assert made.edges == ((0, 1), (1, 2))
+    imap = InterdependencyMap(coupling for coupling in [Coupling(W, 0, P, 1)])
+    assert imap.couplings == (Coupling(W, 0, P, 1),)
 
 
 def test_couplings_take_what_network_id_accepts():

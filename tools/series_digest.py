@@ -70,7 +70,7 @@ def variant(weights, business_lag: int) -> ScenarioConfig:
     business network lagged by ``business_lag``."""
     return ScenarioConfig(networks=tuple(
         replace(spec, weights=weights,
-                lag=business_lag if spec.network_id == NetworkId.BUSINESS else spec.lag)
+                lag=business_lag if spec.id == NetworkId.BUSINESS else spec.lag)
         for spec in DEFAULT_NETWORKS))
 
 
