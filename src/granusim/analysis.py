@@ -378,7 +378,8 @@ def recommend_tg(model: LogisticVisibilityModel, expected_rt: float,
     if ratio <= 0:
         raise DegenerateModel(
             f"target likelihood {target_p} is met at any granularity")
-    quotient = expected_rt / ratio
+    # Divided as Python floats, which give inf where numpy's would warn.
+    quotient = float(expected_rt) / float(ratio)
     if not math.isfinite(quotient):
         raise InvalidFactor(f"expected recovery time {expected_rt} over ratio {ratio} "
                             "is not a finite number")

@@ -39,6 +39,8 @@ def _check_parent(path: Path) -> None:
     if not path.parent.is_dir():
         raise FileNotFoundError(f"output directory {path.parent} does not exist "
                                 f"(for {path})")
+    if path.is_dir():
+        raise IsADirectoryError(f"output file {path} is a directory")
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -105,9 +107,11 @@ def _cmd_analyze(args) -> int:
         max_ratio = float((table["rt"] / table["tg"]).max())
         plots = {"visibility_curve.csv": analysis.visibility_curve_csv(model, max_ratio),
                  "ratio_scatter.csv": analysis.ratio_scatter_csv(table)}
-        # Made before any output is written, so a path that cannot be a
-        # directory leaves no report behind.
+        # Every target is checked before the first file is written, and
+        # ``--out`` before the plot directory is made.
         Path(args.plot_data).mkdir(parents=True, exist_ok=True)
+        for name in plots:
+            _check_parent(Path(args.plot_data, name))
     if args.out:
         write_atomic(Path(args.out), text)
     else:

@@ -74,12 +74,11 @@ def _json_object(text: str) -> dict:
     return doc
 
 
-def _from_object(cls, doc, **read):
-    """``cls`` made from ``doc``, a JSON object whose keys are the names
-    of ``cls``'s fields; a key it leaves out keeps its field's default,
-    and ``read[key]``, if given, reads a key's value first.
-    ``ScenarioError`` for a non-object, an unknown key or a missing
-    required field, before ``cls`` checks the values."""
+def _checked_object(cls, doc) -> dict:
+    """``doc``, a JSON object whose keys are the names of ``cls``'s
+    fields, to make a ``cls`` with; a key it leaves out keeps its
+    field's default.  ``ScenarioError`` for a non-object, an unknown key
+    or a missing required field, before ``cls`` checks the values."""
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object")
     known = {f.name: f.default for f in fields(cls)}
@@ -89,8 +88,7 @@ def _from_object(cls, doc, **read):
     for key, default in known.items():
         if default is MISSING and key not in doc:
             raise ScenarioError(f"field '{key}': missing")
-    return cls(**{key: read[key](value) if key in read else value
-                  for key, value in doc.items()})
+    return doc
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def _networks(docs) -> tuple[NetworkSpec, ...]:
     specs = []
     for index, doc in enumerate(docs):
         try:
-            specs.append(_from_object(NetworkSpec, doc))
+            specs.append(NetworkSpec(**_checked_object(NetworkSpec, doc)))
         except ScenarioError as exc:
             raise ScenarioError(f"field 'networks[{index}]': {exc}") from exc
     return tuple(specs)
@@ -188,8 +186,11 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         """The scenario of a scenario file's text: its keys and each
-        network's are the fields' names (``_from_object``)."""
-        return _from_object(cls, _json_object(text), networks=_networks)
+        network's are the fields' names (``_checked_object``)."""
+        doc = _checked_object(cls, _json_object(text))
+        if "networks" in doc:
+            doc["networks"] = _networks(doc["networks"])
+        return cls(**doc)
 
 
 def build_layout(levels: FactorLevels) -> list[tuple[int, int, int]]:

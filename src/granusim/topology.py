@@ -106,26 +106,25 @@ def _plain_rows(rows, noun: str, names: tuple[str, ...], row: type = tuple):
         raise InvalidTopology(f"{noun} {i} {_shown(bad)}: expected "
                               f"{_VALUE_COUNTS[len(names)]} values ({', '.join(names)})")
     columns = tuple(zip(*rows)) if rows else ((),) * len(names)
-    networks = [name == "network" for name in names]
-    kinds = [set(map(type, column)) for column in columns]
-    plain = [k <= ({NetworkId} if net else {int}) for k, net in zip(kinds, networks)]
+    network_types, index_types = set(), set()
+    for column, name in zip(columns, names):
+        (network_types if name == "network" else index_types).update(map(type, column))
     # The array casts would take 0.5, True and '1' as node indices, and a
     # network ``NetworkId`` refuses would fail only at the first build.
-    if not all(p or not net and all(map(_is_index_type, k))
-               for p, k, net in zip(plain, kinds, networks)):
+    if not (network_types <= {NetworkId} and all(map(_is_index_type, index_types))):
         for i, r in enumerate(rows):
-            for v, net in zip(r, networks):
-                if not (isinstance(_as_network(v), NetworkId) if net else _is_index_type(type(v))):
-                    raise InvalidTopology(f"{noun} {i} {_shown(r)}: " + (
-                        f"unknown network {v!r}" if net
-                        else f"node index {v!r} is not an integer"))
-    if row_types <= {row} and all(plain):
+            for v, name in zip(r, names):
+                if name == "network" and not isinstance(_as_network(v), NetworkId):
+                    raise InvalidTopology(f"{noun} {i} {_shown(r)}: unknown network {v!r}")
+                if name != "network" and not _is_index_type(type(v)):
+                    raise InvalidTopology(
+                        f"{noun} {i} {_shown(r)}: node index {v!r} is not an integer")
+    if row_types <= {row} and network_types <= {NetworkId} and index_types <= {int}:
         return rows, columns
-    columns = tuple(tuple(map(NetworkId if net else int, column))
-                    for column, net in zip(columns, networks))
-    # ``tuple.__new__`` makes a row of either class, a tuple or a
-    # ``Coupling``, from its values.
-    return tuple(tuple.__new__(row, values) for values in zip(*columns)), columns
+    columns = tuple(tuple(map(NetworkId if name == "network" else int, column))
+                    for column, name in zip(columns, names))
+    return tuple(tuple(values) if row is tuple else row(*values)
+                 for values in zip(*columns)), columns
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

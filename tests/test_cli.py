@@ -172,6 +172,23 @@ def test_missing_output_directory_fails_before_any_run(tmp_path, monkeypatch, ca
     assert calls == [] and not missing.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["experiment", "--jobs", "1", "--out"],
+    ["run", "--tg", "5", "--rt", "2", "--ds", "8", "--trace"],
+])
+def test_an_output_path_that_is_a_directory_fails_before_any_run(tmp_path, monkeypatch,
+                                                                 capsys, command):
+    # The final rename failed on the directory, after every run.
+    def no_run(*args):
+        raise RuntimeError("simulated a row before checking the output path")
+
+    monkeypatch.setattr("granusim.experiment.run_single", no_run)
+    assert main([*command, str(tmp_path)]) == 2
+    assert _only_one_error_line(capsys.readouterr()) == (
+        f"error: output file {tmp_path} is a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_whose_plot_directory_cannot_be_made_writes_no_report(
         results_csv_path, tmp_path, capsys):
     # The report was written before the plot directory failed.
@@ -182,6 +199,20 @@ def test_analyze_whose_plot_directory_cannot_be_made_writes_no_report(
                  "--plot-data", str(taken)]) == 2
     assert "File exists" in _only_one_error_line(capsys.readouterr())
     assert sorted(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("taken", ["r.json", "plots/visibility_curve.csv"])
+def test_analyze_with_a_directory_at_a_file_path_writes_nothing(
+        results_csv_path, tmp_path, capsys, taken):
+    # The plot directory was made before the report failed, and the
+    # report was written before a plot failed.
+    (tmp_path / taken).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["analyze", "--in", str(results_csv_path), "--out", str(tmp_path / "r.json"),
+                 "--plot-data", str(tmp_path / "plots")]) == 2
+    assert _only_one_error_line(capsys.readouterr()) == (
+        f"error: output file {tmp_path / taken} is a directory")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_analyze_into_a_missing_directory_fails_before_reading_the_results(
@@ -438,16 +469,17 @@ def test_seed_flag_overrides_the_scenario_file(tmp_path, capsys):
     assert run("flag", "--scenario", str(scenario), "--seed", "20200831") == base
 
 
-def test_a_failed_write_leaves_no_partial_file(tmp_path, capsys):
-    # The trace path is a directory, so the final rename fails; the
-    # temporary file is removed before the error is passed on.
-    trace = tmp_path / "trace"
-    trace.mkdir()
+def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    # The final rename fails; the temporary file is removed before the
+    # error is passed on.
+    def refuse(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr("granusim.experiment.os.replace", refuse)
+    trace = tmp_path / "trace.csv"
     assert main(["run", "--tg", "5", "--rt", "10", "--ds", "8", "--trace", str(trace)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert [path.name for path in tmp_path.iterdir()] == ["trace"]
-    assert list(trace.iterdir()) == []
+    assert _only_one_error_line(capsys.readouterr()) == "error: simulated rename failure"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_is_no_longer_a_command(tmp_path, capsys):

@@ -628,6 +628,10 @@ REFUSAL_ENTRIES = {
     "recommend_tg.overflow": (
         lambda: recommend_tg(LogisticVisibilityModel(-1.0, 2.0), 1e308, 0.5), InvalidFactor,
         "expected recovery time 1e+308 over ratio 0.5 is not a finite number"),
+    "recommend_tg.overflow_numpy": (
+        lambda: recommend_tg(LogisticVisibilityModel(np.float64(-1.0), np.float64(2.0)),
+                             np.float64(1e308), 0.5), InvalidFactor,
+        "expected recovery time 1e+308 over ratio 0.5 is not a finite number"),
     "LogisticVisibilityModel.intercept_kind": (
         lambda: recommend_tg(LogisticVisibilityModel("x", 1.0), 22.0, 0.5), DegenerateModel,
         "intercept: expected a real number, got 'x'"),

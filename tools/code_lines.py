@@ -7,13 +7,11 @@ that continues a statement counts, as does each line of a string that
 is not a docstring.  This is the count that ``CHANGES.md`` and the
 ROADMAP quote as "code lines".
 
-Run from the repository root:
+Run from anywhere:
 
-    python3 tools/code_lines.py            # src/granusim
-    python3 tools/code_lines.py some/dir   # the modules of another package
+    python3 tools/code_lines.py
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -48,13 +46,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", default=str(ROOT / "src" / "granusim"),
-                        help="directory of the modules (default: src/granusim)")
-    args = parser.parse_args(argv)
+def main() -> int:
     total = 0
-    for path in sorted(Path(args.package).glob("*.py")):
+    for path in sorted((ROOT / "src" / "granusim").glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{count:6d}  {path.name}")
