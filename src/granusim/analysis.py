@@ -23,6 +23,7 @@ iteration cap and the curve's point count are module constants.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (DegenerateModel, InvalidFactor, MalformedResults, _is_real_type, _of_kind,
-                     _real_series)
+                     _real_series, _utf8_text)
 
 #: Fixed term order for sequential sums of squares.
 TERM_ORDER = ("tg", "rt", "ds", "tg:rt", "tg:ds", "rt:ds")
@@ -51,18 +52,11 @@ RESULTS_COLUMNS = ("tg", "rt", "ds", "spds_pct", "sprt_steps", "visible", "statu
 
 def _records(reader, path):
     """The rows of ``reader``; ``MalformedResults`` naming ``path`` and
-    the line for a field longer than ``csv.field_size_limit()``, or for
-    text the file's encoding cannot decode."""
+    the line for a field longer than ``csv.field_size_limit()``."""
     try:
         yield from reader
     except csv.Error as exc:
         raise MalformedResults(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        # The text layer decodes a chunk ahead of the lines read, and the
-        # chunk begins on the line after them.
-        line = reader.line_num + exc.object[:exc.start].count(b"\n") + 1
-        raise MalformedResults(f"{path}: line {line}: not {exc.encoding} text "
-                               f"({exc.reason})") from None
 
 
 def load_results(path) -> dict[str, np.ndarray]:
@@ -79,38 +73,38 @@ def load_results(path) -> dict[str, np.ndarray]:
     is not a whole number of at least 1, raises ``MalformedResults``
     naming the line and the column, as does a file without ok rows.
     Columns are checked in that order, each at its first bad line, and
-    a path that is not a ``str`` or a path object before all.  A field
-    too long for the csv module, or text that cannot be decoded, raises
-    ``MalformedResults`` naming the line (``_records``).
+    a path that is not a ``str`` or a path object before all.  A file
+    that is not UTF-8 (``errors._utf8_text``), whatever the locale, or a
+    field too long for the csv module (``_records``) raises
+    ``MalformedResults`` naming the line.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise MalformedResults(f"field 'path': expected a str or a path, got {path!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        records = _records(reader, path)
-        header = next(records, [])
-        missing = [c for c in RESULTS_COLUMNS if c not in header]
-        if missing:
-            raise MalformedResults(f"{path}: results columns missing: {', '.join(missing)}")
-        # A repeated name reads its last column, as a DictReader would.
-        index = {name: i for i, name in enumerate(header)}
-        status, visible = index["status"], index["visible"]
-        width = len(header)
-        lines, rows = [], []
-        for row in records:
-            if len(row) != width:
-                if not row:
-                    continue
-                column = (f"column '{header[len(row)]}' is missing" if len(row) < width
-                          else f"field {width + 1} has no column")
-                raise MalformedResults(f"{path}: line {reader.line_num}: {len(row)} fields "
-                                       f"where the header has {width}; {column}")
-            if row[status] == "ok":
-                if row[visible] not in ("true", "false"):
-                    raise MalformedResults(f"{path}: line {reader.line_num}: column 'visible': "
-                                           f"neither true nor false: {row[visible]!r}")
-                lines.append(reader.line_num)
-                rows.append(row)
+    reader = csv.reader(io.StringIO(_utf8_text(path, MalformedResults), newline=""))
+    records = _records(reader, path)
+    header = next(records, [])
+    missing = [c for c in RESULTS_COLUMNS if c not in header]
+    if missing:
+        raise MalformedResults(f"{path}: results columns missing: {', '.join(missing)}")
+    # A repeated name reads its last column, as a DictReader would.
+    index = {name: i for i, name in enumerate(header)}
+    status, visible = index["status"], index["visible"]
+    width = len(header)
+    lines, rows = [], []
+    for row in records:
+        if len(row) != width:
+            if not row:
+                continue
+            column = (f"column '{header[len(row)]}' is missing" if len(row) < width
+                      else f"field {width + 1} has no column")
+            raise MalformedResults(f"{path}: line {reader.line_num}: {len(row)} fields "
+                                   f"where the header has {width}; {column}")
+        if row[status] == "ok":
+            if row[visible] not in ("true", "false"):
+                raise MalformedResults(f"{path}: line {reader.line_num}: column 'visible': "
+                                       f"neither true nor false: {row[visible]!r}")
+            lines.append(reader.line_num)
+            rows.append(row)
     if not rows:
         raise MalformedResults(f"no usable rows in {path}")
     columns = list(zip(*rows))

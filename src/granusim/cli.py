@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, experiment
-from .errors import ScenarioError
+from .errors import ScenarioError, _utf8_text
 from .experiment import FactorLevels, ScenarioConfig, build_layout, write_atomic
 
 
@@ -44,17 +44,8 @@ def _check_parent(path: Path) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if args.scenario:
-        data = Path(args.scenario).read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ScenarioError(f"{args.scenario}: line {line}: not {exc.encoding} text "
-                                f"({exc.reason})") from None
-        config = ScenarioConfig.from_json(text)
-    else:
-        config = ScenarioConfig()
+    config = (ScenarioConfig.from_json(_utf8_text(args.scenario, ScenarioError))
+              if args.scenario else ScenarioConfig())
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config

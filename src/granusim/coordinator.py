@@ -51,13 +51,18 @@ from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId, _read_only, derive_once
 
 
+#: The longest horizon whose MoP series, horizon + 1 floats, numpy can
+#: make; a longer one would fail in numpy's own checks.
+MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
+
+
 @dataclass(frozen=True)
 class SyncSchedule:
     """Barrier every ``tg`` timesteps up to ``horizon``.
 
-    Both are counts (``errors._count``), stored as Python ints: a bad
-    ``tg`` raises ``InvalidFactor`` and a bad ``horizon``
-    ``ScheduleError``.
+    Both are counts (``errors._count``), stored as Python ints, the
+    horizon at most ``MAX_HORIZON``: a bad ``tg`` raises
+    ``InvalidFactor`` and a bad ``horizon`` ``ScheduleError``.
     """
 
     tg: int
@@ -65,7 +70,8 @@ class SyncSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "tg", _count(self.tg, InvalidFactor, "tg"))
-        object.__setattr__(self, "horizon", _count(self.horizon, ScheduleError, "horizon"))
+        object.__setattr__(self, "horizon", _count(self.horizon, ScheduleError, "horizon",
+                                                   maximum=MAX_HORIZON))
 
 
 class CouplingPlan(NamedTuple):

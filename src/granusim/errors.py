@@ -22,14 +22,24 @@ scenario setting) is read by one rule too, ``_count``: a Python or
 numpy integer (a bool is not one) of at least 1, or of at least 0, or
 of any value, returned as a Python int, which the caller stores; else
 the caller's error, ``<field>: must be a positive integer, got
-<value>`` ("a nonnegative integer", "an integer").  Node indices are
+<value>`` ("a nonnegative integer", "an integer"); a field with an
+upper bound, such as a horizon (``coordinator.MAX_HORIZON``), gives it
+as ``maximum``: ``<field>: must be at most <maximum>, got <value>``.
+Node indices are
 the one exception: a node set is checked as a whole by
 ``_node_indices``, and the edges and couplings by ``topology``'s row
 rule, through ``_is_index_type``, which no other module reads.  An object of the
 wrong kind is named by ``_of_kind``, and a collection of them by
 ``_items_of``.
+
+Every file the package reads (a scenario, a results file) is read by
+one rule too, ``_utf8_text``: its bytes decoded as UTF-8 whatever the
+locale, else the caller's error, ``<path>: line <n>: not utf-8 text
+(<reason>)``.  ``experiment.write_atomic``, which writes every file,
+writes UTF-8, so each file the package writes is one this rule reads.
 """
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 import numpy as np
 
@@ -92,16 +102,16 @@ class ScenarioError(GranusimError):
     ``ScenarioConfig`` or of a ``NetworkSpec`` (each integer by the
     count rule, named ``field '<key>'``), a file's text (not JSON, not
     an object, nested too deeply or an integer too long to read) or
-    bytes (not UTF-8, named by the CLI with the path and the line), or
-    a config that is not a ``ScenarioConfig``."""
+    bytes (not UTF-8, named with the path and the line), or a config
+    that is not a ``ScenarioConfig``."""
 
 
 class MalformedResults(GranusimError):
     """A results file is malformed: a column missing, no ok row, a row
     whose field count, numbers, levels or visible are bad (the message
     names the line and the column), a field too long for the csv module
-    or text its encoding cannot decode (the message names the line); or
-    its path is not a path."""
+    or bytes that are not UTF-8 (the message names the line); or its
+    path is not a path."""
 
 
 def _is_index_type(kind: type) -> bool:
@@ -118,13 +128,16 @@ def _is_real_type(kind: type) -> bool:
 _COUNT_KINDS = {1: "a positive integer", 0: "a nonnegative integer", None: "an integer"}
 
 
-def _count(value, error, field: str, minimum: int | None = 1) -> int:
+def _count(value, error, field: str, minimum: int | None = 1, maximum: int | None = None) -> int:
     """The one rule of every integer an entry point takes: ``value`` as
     a Python int if it is a Python or numpy integer (a bool is not one)
-    of at least ``minimum`` (1, 0, or None for no bound); ``error``
-    naming ``field`` and the value otherwise."""
+    of at least ``minimum`` (1, 0, or None for no bound) and at most
+    ``maximum`` (None for no bound); ``error`` naming ``field`` and the
+    value otherwise."""
     if _is_index_type(type(value)) and (minimum is None or value >= minimum):
-        return int(value)
+        if maximum is None or value <= maximum:
+            return int(value)
+        raise error(f"{field}: must be at most {maximum}, got {value!r}")
     raise error(f"{field}: must be {_COUNT_KINDS[minimum]}, got {value!r}")
 
 
@@ -177,3 +190,16 @@ def _node_indices(nodes) -> tuple:
     if not all(map(_is_index_type, set(map(type, given)))):
         raise InvalidEvent(f"node set has an index that is not an integer: {nodes}")
     return given
+
+
+def _utf8_text(path, error) -> str:
+    """The one rule of every file the package reads: the bytes at
+    ``path`` decoded as UTF-8, whatever the locale; ``error`` naming
+    the path and the line of the first byte that is not UTF-8
+    otherwise, the line being the newlines before it plus one."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not utf-8 text ({exc.reason})") from None

@@ -18,7 +18,7 @@ import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .coordinator import Federation, SyncSchedule, run, run_steps
+from .coordinator import MAX_HORIZON, Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
 from .errors import GranusimError, InvalidFactor, ScenarioError, _count, _items_of, _of_kind
 from .federate import DEFAULT_WEIGHTS, FederateState, _weight_triple
@@ -146,7 +146,8 @@ class ScenarioConfig:
     ``networks`` is a tuple of at least two ``NetworkSpec``; networks
     (``origin``, ``target`` and each spec's id) are stored as
     ``NetworkId`` members and integers, each read by the count rule
-    (``errors._count``), as Python ints."""
+    (``errors._count``), as Python ints, the horizon at most
+    ``coordinator.MAX_HORIZON``."""
 
     master_seed: int = 20200831
     horizon: int = 400
@@ -158,10 +159,10 @@ class ScenarioConfig:
     align_sync: bool = False
 
     def __post_init__(self):
-        for name, minimum in (("master_seed", None), ("horizon", 1), ("warmup", 1),
-                              ("couplings_per_node", 1)):
+        for name, minimum, maximum in (("master_seed", None, None), ("horizon", 1, MAX_HORIZON),
+                                       ("warmup", 1, None), ("couplings_per_node", 1, None)):
             object.__setattr__(self, name, _count(getattr(self, name), ScenarioError,
-                                                  f"field '{name}'", minimum))
+                                                  f"field '{name}'", minimum, maximum))
         if not isinstance(self.align_sync, bool):
             raise ScenarioError(f"field 'align_sync': expected a bool, got {self.align_sync!r}")
         for name in ("origin", "target"):
@@ -372,11 +373,13 @@ def run_experiment(config: ScenarioConfig, layout: list[tuple[int, int, int]],
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory, so a failure never leaves a partial file behind."""
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale, through
+    a temporary file in the same directory, so a failure never leaves a
+    partial file behind.  Every file the package writes is written
+    here, and ``errors._utf8_text`` reads each back."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -237,12 +237,13 @@ class FederateState:
     def check_nodes(self, node_set) -> np.ndarray:
         """Sorted distinct node indices; ``InvalidEvent`` unless an iterable
         of integers (``errors._node_indices``), ``UnknownNode`` if out of range."""
-        nodes = np.asarray(sorted(set(_node_indices(node_set))), dtype=int)
-        if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.node_count):
+        nodes = sorted(set(_node_indices(node_set)))
+        # Tested before the cast, which an index past 64 bits overflows.
+        if nodes and (nodes[0] < 0 or nodes[-1] >= self.node_count):
             raise UnknownNode(
                 f"node indices {node_set} out of range for "
                 f"{self.topology.network_id.value} ({self.node_count} nodes)")
-        return nodes
+        return np.asarray(nodes, dtype=int)
 
     def step(self) -> None:
         """Advance the federate by one internal timestep.

@@ -19,9 +19,9 @@ levels, stored as a tuple of Python floats.  Both read their rows, the
 edges and the couplings, by one row rule, ``_plain_rows``: the rows are
 an iterable, and a row is a tuple or list of two values (source,
 target) or four (network, node, network, node), each node index an
-integer (a bool is not one) and each network one ``NetworkId``
-accepts; ``InvalidTopology`` names the first row at fault by its
-place.  Each stores what it accepts in plain form (``NetworkId``
+integer (a bool is not one) within 64 bits and each network one
+``NetworkId`` accepts; ``InvalidTopology`` names the first row at fault
+by its place.  Each stores what it accepts in plain form (``NetworkId``
 members, Python ints and floats, tuples), so equal wirings compare
 equal and hash alike, and makes its one array form (``edges_by_target``,
 ``coupling_array``), read-only and shared by every federation built
@@ -79,6 +79,9 @@ def _shown(row):
 #: What an error calls the number of values of a row.
 _VALUE_COUNTS = {2: "two", 4: "four"}
 
+#: The range of the array form's node indices.
+_INTP = np.iinfo(np.intp)
+
 
 def _plain_rows(rows, noun: str, names: tuple[str, ...], row: type = tuple):
     """The one row rule of a topology's edges and a map's couplings:
@@ -87,8 +90,10 @@ def _plain_rows(rows, noun: str, names: tuple[str, ...], row: type = tuple):
     ``rows`` is an ``Iterable`` (``_of_kind``), and each row a tuple or
     list of one value per name in ``names``: a network (what
     ``NetworkId`` accepts) where the name is ``network``, and a node
-    index (``_is_index_type``; a bool is not one) elsewhere.  One test
-    per type and length seen, then a search that raises
+    index (``_is_index_type``; a bool is not one) in ``np.intp``'s
+    range, which the array casts take, elsewhere.  One test per type
+    and length seen and one min and max per index column, then a
+    search that raises
     ``InvalidTopology`` naming the first row at fault by its place, and
     its first fault in field order.  Rows that are plain already (a
     tuple of ``row`` rows of ``NetworkId`` members and Python ints) are
@@ -109,9 +114,12 @@ def _plain_rows(rows, noun: str, names: tuple[str, ...], row: type = tuple):
     network_types, index_types = set(), set()
     for column, name in zip(columns, names):
         (network_types if name == "network" else index_types).update(map(type, column))
-    # The array casts would take 0.5, True and '1' as node indices, and a
-    # network ``NetworkId`` refuses would fail only at the first build.
-    if not (network_types <= {NetworkId} and all(map(_is_index_type, index_types))):
+    # The array casts would take 0.5, True and '1' as node indices and
+    # overflow on one past ``np.intp``, and a network ``NetworkId``
+    # refuses would fail only at the first build.
+    if not (network_types <= {NetworkId} and all(map(_is_index_type, index_types))
+            and all(_INTP.min <= min(column) and max(column) <= _INTP.max
+                    for column, name in zip(columns, names) if name != "network" and column)):
         for i, r in enumerate(rows):
             for v, name in zip(r, names):
                 if name == "network" and not isinstance(_as_network(v), NetworkId):
@@ -119,6 +127,9 @@ def _plain_rows(rows, noun: str, names: tuple[str, ...], row: type = tuple):
                 if name != "network" and not _is_index_type(type(v)):
                     raise InvalidTopology(
                         f"{noun} {i} {_shown(r)}: node index {v!r} is not an integer")
+                if name != "network" and not _INTP.min <= v <= _INTP.max:
+                    raise InvalidTopology(f"{noun} {i} {_shown(r)}: node index {v!r} is "
+                                          f"outside the {_INTP.bits}-bit index range")
     if row_types <= {row} and network_types <= {NetworkId} and index_types <= {int}:
         return rows, columns
     columns = tuple(tuple(map(NetworkId if name == "network" else int, column))

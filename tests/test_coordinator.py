@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granusim.coordinator import Federation, SyncSchedule, run, run_steps
+from granusim.coordinator import MAX_HORIZON, Federation, SyncSchedule, run, run_steps
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig,
                                  fixed_pattern, poisson_stream)
 from granusim.errors import (InvalidFactor, InvalidTopology, ScheduleError, UnknownNode,
@@ -787,3 +787,12 @@ def test_events_checked_before_the_first_step(event, error):
         assert state.steps == 0
         assert np.shares_memory(state.performance, state.states[-1])
         assert np.array_equal(state.states, np.tile(state.intrinsic, (MOP_BLOCK, 1)))
+
+
+def test_a_horizon_up_to_the_bound_is_taken():
+    # Above it numpy cannot make a series of horizon + 1 floats; at it a
+    # run ends in a MemoryError, a resource limit, which no run here asks.
+    assert SyncSchedule(1, MAX_HORIZON).horizon == MAX_HORIZON
+    assert ScenarioConfig(horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    with pytest.raises(ValueError, match="too big"):
+        np.empty(MAX_HORIZON + 2)

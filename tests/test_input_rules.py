@@ -20,7 +20,7 @@ import granusim
 from granusim.analysis import (LogisticVisibilityModel, analysis_report, fit_ratio_linear,
                                fit_visibility_logistic, load_results, recommend_tg,
                                variance_shares)
-from granusim.coordinator import Federation, SyncSchedule, run
+from granusim.coordinator import MAX_HORIZON, Federation, SyncSchedule, run
 from granusim.disruption import (DisruptionEvent, DisruptionStreamConfig, fixed_pattern,
                                  poisson_stream)
 from granusim.errors import (DegenerateModel, GranusimError, InvalidEvent, InvalidFactor,
@@ -251,14 +251,22 @@ UNREADABLE_SCENARIOS = {
                      f"text: an integer of more than {sys.get_int_max_str_digits()} digits"),
 }
 
-#: Results files the csv module or the text layer fails on, and the end
+#: An ok row of a results file, and the same row with a byte that is not
+#: UTF-8 in its pattern_hash field.
+OK_ROW = b"0,2,2,8,1.0,,true,false,0.1,,ok\n"
+NOT_UTF8_ROW = b"0,2,2,8,1.0,,true,false,0.1,\xff,ok\n"
+
+#: Results files the csv module or the UTF-8 rule fails on, and the end
 #: of each message, which the path begins.
 UNREADABLE_RESULTS = {
     "field_too_long": (
         f"{RESULTS_HEADER}\n0,{'x' * (csv.field_size_limit() + 1)}\n".encode(),
         f"line 2: field larger than field limit ({csv.field_size_limit()})"),
-    "not_utf8": (f"{RESULTS_HEADER}\n".encode() + b"0,2,2,8,1.0,,true,false,0.1,\xff,ok\n",
+    "not_utf8": (f"{RESULTS_HEADER}\n".encode() + NOT_UTF8_ROW,
                  "line 2: not utf-8 text (invalid start byte)"),
+    # Past the first 8,192 bytes, the chunk a text layer decodes first.
+    "not_utf8_on_line_1000": (f"{RESULTS_HEADER}\n".encode() + OK_ROW * 998 + NOT_UTF8_ROW,
+                              "line 1000: not utf-8 text (invalid start byte)"),
 }
 
 RESULTS_FILE = Path(tempfile.gettempdir()) / f"granusim-input-rules-{os.getpid()}.csv"
@@ -534,6 +542,39 @@ REFUSAL_ENTRIES = {
     "apply_disruption.node_range": (
         lambda: FederateState(make_topology([], 3)).apply_disruption([3]), UnknownNode,
         "node indices [3] out of range for water (3 nodes)"),
+    # Each row below raised a bare OverflowError before (from the np.intp
+    # cast, or from ``[inf] * horizon``), or numpy's ValueError ("Maximum
+    # allowed dimension exceeded").
+    "Topology.edge_past_64_bits": (
+        lambda: Topology(NetworkId.WATER, ((0, 10 ** 30),), (1.0,) * 3), InvalidTopology,
+        f"edge 0 (0, {10 ** 30}): node index {10 ** 30} is outside the 64-bit index range"),
+    "Topology.edge_below_64_bits": (
+        lambda: make_topology([(-2 ** 63 - 1, 0)], 3), InvalidTopology,
+        f"edge 0 ({-2 ** 63 - 1}, 0): node index {-2 ** 63 - 1} is outside the 64-bit "
+        "index range"),
+    "InterdependencyMap.node_past_64_bits": (
+        lambda: InterdependencyMap(((NetworkId.WATER, 10 ** 30, NetworkId.POWER, 0),)),
+        InvalidTopology, f"coupling 0 ('water', {10 ** 30}, 'power', 0): node index "
+        f"{10 ** 30} is outside the 64-bit index range"),
+    "FederateState.check_nodes_past_64_bits": (
+        lambda: FederateState(make_topology([], 3)).check_nodes([2 ** 63]), UnknownNode,
+        f"node indices [{2 ** 63}] out of range for water (3 nodes)"),
+    "retract_disruption.node_past_64_bits": (
+        lambda: FederateState(make_topology([], 3)).retract_disruption([-2 ** 70]), UnknownNode,
+        f"node indices [{-2 ** 70}] out of range for water (3 nodes)"),
+    "run.event_node_past_64_bits": (
+        lambda: run(_federation(), SyncSchedule(1, 10),
+                    [DisruptionEvent(1, 2, NetworkId.WATER, (2 ** 63,))]), UnknownNode,
+        f"node indices ({2 ** 63},) out of range for water (3 nodes)"),
+    "SyncSchedule.horizon_past_arrays": (
+        lambda: SyncSchedule(2, 10 ** 20), ScheduleError,
+        f"horizon: must be at most {MAX_HORIZON}, got {10 ** 20}"),
+    "run_single.horizon_past_arrays": (
+        lambda: run_single(ScenarioConfig(horizon=10 ** 20), 2, 9, 8), ScenarioError,
+        f"field 'horizon': must be at most {MAX_HORIZON}, got {10 ** 20}"),
+    "timing_profile.horizon_past_arrays": (
+        lambda: timing_profile(ScenarioConfig(horizon=MAX_HORIZON + 1), [2], 9, 8),
+        ScenarioError, f"field 'horizon': must be at most {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
     "DisruptionEvent.apply_time": (lambda: DisruptionEvent(1.5, 2, NetworkId.WATER, (1,)),
                                    InvalidEvent, "apply_time: must be an integer, got 1.5"),
     "DisruptionEvent.retract_time": (lambda: DisruptionEvent(2, 2, NetworkId.WATER, (1,)),

@@ -404,3 +404,15 @@ def test_generate_topology_takes_what_network_id_accepts():
 def test_generate_topology_refuses_a_network_by_name(network):
     with pytest.raises(InvalidTopology, match=f"field 'network_id': unknown network {network!r}"):
         generate_topology(network, 4, 3, 1)
+
+
+@pytest.mark.parametrize("index", [2 ** 63 - 1, -2 ** 63, np.int64(2 ** 63 - 1),
+                                   np.uint64(2 ** 63 - 1)], ids=repr)
+def test_an_index_within_64_bits_reaches_the_node_count_check(index):
+    # The row rule's 64-bit bound lets every index the np.intp cast takes
+    # through, so the topology's own range check names it.
+    with pytest.raises(InvalidTopology, match=r"^edge \(0, -?\d+\) is out of range for 3 nodes$"):
+        Topology(NetworkId.WATER, ((0, index),), (1.0,) * 3)
+    # A map has no node counts; it stores the index as a Python int.
+    coupling = InterdependencyMap(((NetworkId.WATER, index, NetworkId.POWER, 0),)).couplings[0]
+    assert type(coupling.consumer_node) is int and coupling.consumer_node == index

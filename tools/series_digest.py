@@ -1,4 +1,5 @@
-"""Print sha256 digests of the factorial and of wide runs at two seeds.
+"""Print sha256 digests of the factorial and of wide runs at two seeds, and
+of the analysis of the stored paper results.
 
 Runs, at master seeds 20200831 and 4093:
 
@@ -40,19 +41,31 @@ trees on one machine under one kernel, so only this script prints
 them.  ``tests/test_blas_kernel.py`` checks the printed outputs under
 both kernels.
 
+After those six it prints one more, the analysis digest: the digest of
+what ``granusim analyze --in <file>`` and ``granusim recommend --in
+<file> --expected-rt 22`` print for each stored
+``perfbench/reference/paper-*/results.csv``, in path order, so two
+trees can be compared on their analysis bytes too.  It is printed only,
+not pinned: the report prints the full-precision floats of a LAPACK QR,
+which may differ across BLAS kernels, as the raw digests may.
+
 Run from the repository root:
 
     python3 tools/series_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
+from granusim.cli import main as granusim_main  # noqa: E402
 from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER,  # noqa: E402
                                  FactorLevels, NetworkSpec, ScenarioConfig, build_layout,
                                  run_single)
@@ -107,12 +120,32 @@ def digests(configs, layout, full_spds: bool) -> tuple[str, str, int]:
     return raw.hexdigest(), printed.hexdigest(), count
 
 
+def analysis_digest() -> tuple[str, int]:
+    """The digest of the ``analyze`` report and the ``recommend
+    --expected-rt 22`` line, as the CLI prints them, of each stored
+    paper results file in path order, and the number of files."""
+    digest = hashlib.sha256()
+    paths = sorted(ROOT.glob("perfbench/reference/paper-*/results.csv"))
+    for path in paths:
+        for argv in (["analyze", "--in", str(path)],
+                     ["recommend", "--in", str(path), "--expected-rt", "22"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                if granusim_main(argv) != 0:
+                    raise SystemExit(f"error: granusim {' '.join(argv)} failed")
+            digest.update(out.getvalue().encode())
+    return digest.hexdigest(), len(paths)
+
+
 def main() -> None:
     seeds = ", ".join(map(str, SEEDS))
     for name, family in FAMILIES.items():
         raw, printed, count = digests(*family)
         print(f"{raw}  {name}: raw bits of {count} series, seeds {seeds}")
         print(f"{printed}  {name}: printed rows and traces of {count // 3} runs, seeds {seeds}")
+    digest, files = analysis_digest()
+    print(f"{digest}  analysis: analyze reports and recommend --expected-rt 22 lines "
+          f"of {files} paper results files")
 
 
 if __name__ == "__main__":
