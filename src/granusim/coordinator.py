@@ -20,16 +20,25 @@ of the federation's term vector, so one gather into the grid and one
 ordered sum of its rows serve every consumer, at the barrier and once
 when the federation is built.
 
-Each federate writes its states into its own ring (``federate``), and
-the MoP series sum ``MOP_BLOCK`` of its rows at once, bit for bit.
+The federation owns one ring of states, R rows of N, R the largest of
+its federates' rings (``federate``), and each federate's ``states`` is
+its column block of it.  A timestep (``Federation.step``) steps every
+federate, which writes only its in-network product into its block of
+the ring row, then runs the affine tail once over the whole row: add
+the term vector, renormalize the uncoupled nodes, clamp, and mask the
+disrupted nodes while any is down.  Between barriers the federates of
+one timestep are independent, so the tail of all of them is one set of
+numpy calls, each element taking the operations a federate stepped
+alone takes.  The MoP series sum ``MOP_BLOCK`` of each federate's rows
+at once, bit for bit.
 
 Events are delivered at their exact internal timestep, retractions
 before applications, ties broken by network order then node index; each
 timestep's actions are put in that order once, at set-up.
 
 A run holds the federation at an exact fixed point.  After the first
-timestep, if no event came at t = 1 and every federate's ring holds in
-every row, byte for byte, the bits its step just wrote, no step or
+timestep, if no event came at t = 1 and the ring holds in every row,
+byte for byte, the bits that timestep just wrote, no step or
 barrier can change a bit until the first event: each step reads a row
 that holds those bits and adds the term latched from them.  ``run_steps``
 then sets ``held`` on the federation and every federate until that
@@ -44,16 +53,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .disruption import DisruptionEvent
-from .errors import (InvalidEvent, InvalidFactor, InvalidTopology, ScheduleError, UnknownNode,
-                     ZeroBaseline, _count, _items_of, _of_kind)
-from .federate import MOP_BLOCK, FederateState
+from .errors import (MAX_HORIZON, InvalidEvent, InvalidFactor, InvalidTopology, ScheduleError,
+                     UnknownNode, ZeroBaseline, _count, _items_of, _of_kind)
+from .federate import MOP_BLOCK, FederateState, affine_tail
 from .metrics import MoPTrace
 from .topology import NETWORK_ORDER, InterdependencyMap, NetworkId, _read_only, derive_once
-
-
-#: The longest horizon whose MoP series, horizon + 1 floats, numpy can
-#: make; a longer one would fail in numpy's own checks.
-MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class SyncSchedule:
     """Barrier every ``tg`` timesteps up to ``horizon``.
 
     Both are counts (``errors._count``), stored as Python ints, the
-    horizon at most ``MAX_HORIZON``: a bad ``tg`` raises
+    horizon at most ``errors.MAX_HORIZON``: a bad ``tg`` raises
     ``InvalidFactor`` and a bad ``horizon`` ``ScheduleError``.
     """
 
@@ -152,9 +156,11 @@ class Federation:
     the network of its topology; ``federates`` maps each network to its
     federate in network order (``order``).  No federate, an item that
     is not a ``FederateState``, two federates of one network, a
-    federate that another federation has bound (``FederateState.bound``)
-    or a map that is not an ``InterdependencyMap`` raises
-    ``InvalidTopology``, before any federate is bound.
+    federate that another federation has bound (``FederateState.bound``),
+    one that has stepped (the federation's ring starts from every
+    federate's intrinsic state) or a map that is not an
+    ``InterdependencyMap`` raises ``InvalidTopology``, before any
+    federate is bound.
 
     The slots form one grid of K rows and N columns.  N is the number of
     nodes, laid end to end in network order, and K the most couplings
@@ -164,16 +170,18 @@ class Federation:
     couplings than the rest (as a hand-built map may) pays for its busiest
     node in every column.  Building a federation binds each federate:
     it rebinds its ``foreign_inputs`` to its (K, n) block of the grid, a
-    view, and its ``term`` and ``uncoupled`` to its share of the
-    barrier, and marks it ``bound``.  A coupling that names a network
-    outside the federation raises ``InvalidTopology`` and a producer
-    node out of range ``UnknownNode``; only then is a consumer node out
-    of range looked for, and it raises ``UnknownNode`` too.  The first
-    coupling at fault is named.  The grid index comes from the map's
+    view, its ``term`` and ``uncoupled`` to its share of the barrier,
+    and its ``states``, ``performance`` and keep mask to its column
+    block of the federation's ring and keep mask, and marks it
+    ``bound``.  A coupling that names a network outside the federation
+    raises ``InvalidTopology`` and a producer node out of range
+    ``UnknownNode``; only then is a consumer node out of range looked
+    for, and it raises ``UnknownNode`` too.  The first coupling at fault
+    is named.  The grid index comes from the map's
     ``coupling_plan``, shared by every federation of one map, network
     order and node counts (``NO_COUPLINGS`` when built without a map);
-    the read buffer, the grid and the term vector are the federation's
-    own.
+    the read buffer, the grid, the term vector and the ring are the
+    federation's own.
     """
 
     def __init__(self, federates: Iterable[FederateState],
@@ -186,6 +194,9 @@ class Federation:
             if fed.bound:
                 raise InvalidTopology(f"field 'federates': the {net.value!r} federate is bound "
                                       "by another federation; build fresh federates")
+            if fed.steps:
+                raise InvalidTopology(f"field 'federates': the {net.value!r} federate has "
+                                      "stepped; build fresh federates")
             given[net] = fed
         if not given:
             raise InvalidTopology("field 'federates': a federation needs at least one federate")
@@ -216,16 +227,54 @@ class Federation:
         self._performances = self._read[:total]
         self._grid = np.empty(self._index.shape)
         self._terms = np.empty(total)
+        # One ring for the whole federation, R rows of N states, R the
+        # largest of the federates' rings, each row starting as the
+        # intrinsic states; each federate keeps its column block of it,
+        # and of the keep mask, and the affine tail of every step runs
+        # once over the whole row (``step``).
+        self._ring = np.tile(np.concatenate([fed.intrinsic for fed in self._feds]),
+                             (max(len(fed.states) for fed in self._feds), 1))
+        self._rows = list(self._ring)  # views made once: a list index is cheaper
+        self._keep = np.concatenate([fed._keep for fed in self._feds])
+        self._local_weight = np.repeat([fed._local_weight for fed in self._feds], sizes)
+        self._ones = np.ones(total)
+        uncoupled = plan.slot_count == 0
+        self._uncoupled = uncoupled if uncoupled.any() else None
         for i, fed in enumerate(self._feds):
             nodes = slice(offsets[i], offsets[i + 1])
             fed.foreign_inputs = self._grid[:, nodes]
             fed.term = self._terms[nodes]
-            uncoupled = plan.slot_count[nodes] == 0
-            fed.uncoupled = uncoupled if uncoupled.any() else None
+            fed.uncoupled = uncoupled[nodes] if uncoupled[nodes].any() else None
+            fed.states = self._ring[:, nodes]
+            fed._rows = list(fed.states)
+            fed.performance = fed._rows[-1]
+            fed._keep = self._keep[nodes]
             fed.bound = True
         self._latch()
         # Set and cleared by ``run_steps`` only (module docstring).
         self.held = False
+
+    def step(self) -> None:
+        """Advance every federate by one internal timestep.
+
+        Each federate's ``step`` writes only the in-network product
+        into its block of the ring row; then the affine tail
+        (``federate.affine_tail``) runs once over the whole row: add the
+        term vector, divide the uncoupled nodes by their ``w_int +
+        w_in``, clamp at 1 and, while any node is down, apply the keep
+        mask.  Each element takes the same operations as in an unbound
+        federate's step.  A held federation skips the tail, as its held
+        federates only count.
+        """
+        feds = self._feds
+        row = self._rows[feds[0].steps % len(self._rows)]
+        down = False
+        for fed in feds:
+            fed.step()
+            down |= fed._any_down
+        if not self.held:
+            affine_tail(row, self._terms, self._local_weight, self._uncoupled, self._ones,
+                        self._keep if down else None)
 
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
@@ -299,8 +348,9 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     Yields t once timestep t has been delivered, stepped, recorded and,
     at a sync instant, exchanged; the first ``next`` also does the
     set-up.  Returns the MoP trace, whose values are final only then.
-    Lets a caller advance several runs in lockstep.  Timestep t is each
-    federate's step t - 1, which writes its ring row ``(t - 1) % R``.
+    Lets a caller advance several runs in lockstep.  Timestep t is
+    ``federation.step()``, each federate's step t - 1, which writes ring
+    row ``(t - 1) % R``.
     Every ``MOP_BLOCK`` timesteps (and at the horizon) one row-wise
     ``np.add.reduce`` per network sums the rows just written (contiguous,
     as ``R`` is a multiple of ``MOP_BLOCK``) with the bits of summing
@@ -317,8 +367,8 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     ``DisruptionEvent`` ``InvalidEvent``.  Each network's baseline is
     row 0 of its series.
 
-    The hold (module docstring) is tested once, after timestep 1: its
-    fresh rings are one tile, so comparing each whole ring's ``uint64``
+    The hold (module docstring) is tested once, after timestep 1: the
+    fresh ring is one tile, so comparing the whole ring's ``uint64``
     bits with the row just written tests every row the hold reads.  It
     is cleared before the first event is delivered, and when the run
     returns or is closed, so a federate stepped alone never holds.
@@ -366,14 +416,12 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
                 if t in actions_at:
                     federation._hold(False)
                     _deliver(federation, actions_at[t])
-                for fed in feds:
-                    fed.step()
+                federation.step()
                 if t % tg == 0:
                     federation.exchange()
                 if t == 1 and t not in actions_at:
-                    federation._hold(all(
-                        (fed.states.view(np.uint64) == fed.performance.view(np.uint64)).all()
-                        for fed in feds))
+                    ring = federation._ring.view(np.uint64)
+                    federation._hold(bool((ring == ring[0]).all()))
                 yield t
             for values, fed in zip(series.values(), feds):
                 row = (start - 1) % len(fed.states)

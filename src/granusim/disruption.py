@@ -10,8 +10,8 @@ inter-arrival times.
 import math
 from dataclasses import dataclass
 
-from .errors import (InvalidEvent, InvalidFactor, InvalidTopology, _count, _is_real_type,
-                     _node_indices, _of_kind)
+from .errors import (MAX_HORIZON, InvalidEvent, InvalidFactor, InvalidTopology, _count,
+                     _is_real_type, _node_indices, _of_kind)
 from .rng import stream
 from .topology import NetworkId, Topology, _network_member, derive_once
 
@@ -56,7 +56,10 @@ class DisruptionStreamConfig:
     """``InvalidEvent`` naming the field unless the rate is a finite
     positive real number (a bool or a string is not one; an infinite
     one would never reach the horizon), each range a tuple or list of
-    two counts in order and the horizon a count (``errors._count``).
+    two counts in order and the horizon a count (``errors._count``) of
+    at most ``errors.MAX_HORIZON``.  A stream draws about rate x horizon
+    events, so one within that bound but too long to hold or to draw in
+    useful time is a resource limit, as a ``MemoryError`` is.
     The ranges are stored as tuples of Python ints and the horizon as a
     Python int."""
 
@@ -76,7 +79,8 @@ class DisruptionStreamConfig:
                 raise InvalidEvent(f"{name}: must be positive integers (low, high), "
                                    f"got {given!r}")
             object.__setattr__(self, name, bounds)
-        object.__setattr__(self, "horizon", _count(self.horizon, InvalidEvent, "horizon"))
+        object.__setattr__(self, "horizon", _count(self.horizon, InvalidEvent, "horizon",
+                                                   maximum=MAX_HORIZON))
 
 
 def fixed_pattern(ds: int, topology: Topology, seed: int) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ numpy integer (a bool is not one) of at least 1, or of at least 0, or
 of any value, returned as a Python int, which the caller stores; else
 the caller's error, ``<field>: must be a positive integer, got
 <value>`` ("a nonnegative integer", "an integer"); a field with an
-upper bound, such as a horizon (``coordinator.MAX_HORIZON``), gives it
+upper bound, such as a horizon (``MAX_HORIZON``), gives it
 as ``maximum``: ``<field>: must be at most <maximum>, got <value>``.
 Node indices are
 the one exception: a node set is checked as a whole by
@@ -42,6 +42,11 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
+
+#: The longest horizon whose MoP series, horizon + 1 floats, numpy can
+#: make; a longer one would fail in numpy's own checks.  The bound of
+#: every horizon the package takes (``_count``'s ``maximum``).
+MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
 class GranusimError(ValueError):

@@ -18,12 +18,13 @@ import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .coordinator import MAX_HORIZON, Federation, SyncSchedule, run, run_steps
+from .coordinator import Federation, SyncSchedule, run, run_steps
 from .disruption import DisruptionEvent, fixed_pattern
-from .errors import GranusimError, InvalidFactor, ScenarioError, _count, _items_of, _of_kind
+from .errors import (MAX_HORIZON, GranusimError, InvalidFactor, ScenarioError, _count, _items_of,
+                     _of_kind)
 from .federate import DEFAULT_WEIGHTS, FederateState, _weight_triple
 from .metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
-from .topology import (InterdependencyMap, NetworkId, Topology, _network_member,
+from .topology import (MAX_NODES, InterdependencyMap, NetworkId, Topology, _network_member,
                        generate_interdependencies, generate_topology)
 
 RESULTS_HEADER = ("run_id,tg,rt,ds,spds_pct,sprt_steps,visible,censored,"
@@ -97,7 +98,8 @@ class NetworkSpec:
     file's network objects, and a bad one raises a ``ScenarioError``
     naming its key.  ``id`` is stored as a ``NetworkId`` member, and
     ``nodes``, ``edges`` and ``lag`` by the count rule
-    (``errors._count``) as Python ints."""
+    (``errors._count``) as Python ints, ``nodes`` at most
+    ``topology.MAX_NODES``."""
 
     id: NetworkId
     nodes: int
@@ -107,9 +109,10 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "id", _network_member(self.id, ScenarioError, "id"))
-        for name, minimum in (("nodes", 1), ("edges", 0), ("lag", 1)):
+        for name, minimum, maximum in (("nodes", 1, MAX_NODES), ("edges", 0, None),
+                                       ("lag", 1, None)):
             object.__setattr__(self, name, _count(getattr(self, name), ScenarioError,
-                                                  f"field '{name}'", minimum))
+                                                  f"field '{name}'", minimum, maximum))
         n = self.nodes
         if self.edges > n * (n - 1):
             raise ScenarioError(f"field 'edges': must lie in [0, {n * (n - 1)}] "
@@ -147,7 +150,7 @@ class ScenarioConfig:
     (``origin``, ``target`` and each spec's id) are stored as
     ``NetworkId`` members and integers, each read by the count rule
     (``errors._count``), as Python ints, the horizon at most
-    ``coordinator.MAX_HORIZON``."""
+    ``errors.MAX_HORIZON``."""
 
     master_seed: int = 20200831
     horizon: int = 400

@@ -32,19 +32,28 @@ to the federate's (K, n) block of its slot grid, a view whose column i
 holds node i's slot values in map order and then 0.0 in the rows the
 node has no coupling for.  It rebinds ``term`` and ``uncoupled`` to the
 federate's share of its barrier and latches ``term`` at every barrier,
-and ``step`` adds the term as it is until the next one.  A federate on
+and the term is added as it is until the next one.  A federate on
 its own has no slots (``foreign_inputs`` has 0 rows): its term is
 ``base`` and every node is uncoupled.  Uncoupled nodes are divided by
 ``w_int + w_in`` on their own after the add.  The sums run in another
 order than the plain formula, and each kernel in its own order, so
 values agree with the plain formula within 1e-12, not bit for bit.
 
-A federate owns its states in one ring, ``states``, of
+A federate on its own owns its states in one ring, ``states``, of
 ``R = MOP_BLOCK * (lag // MOP_BLOCK + 1)`` rows, at first intrinsic.
 Step ``k`` (the count ``steps``) reads row ``(k - lag) % R`` and writes
 row ``k % R`` in place, which becomes ``performance``.  A row is
 rewritten ``R > lag`` steps later, so a caller that keeps a state
-copies it, in a run or alone.
+copies it, in a run or alone.  Its ``step`` runs the whole rule: the
+product ``M x`` into the row, then the affine tail (``affine_tail``)
+on it: add the term, renormalize, clamp, mask.  A federation owns one
+ring for all its federates instead, whose R is the largest of theirs,
+and rebinds each federate's ``states``, ``performance`` and keep mask
+to its column block.  A bound federate's ``step`` then writes only the
+product into its block of the row, and the federation
+(``coordinator.Federation.step``) runs the tail once over the whole
+row; each element takes the same operations either way, so a federate
+stepped alone and one in a run write the same bits.
 
 What the step reads but never writes, the node rule (``NodeRule``:
 the intrinsic state, ``M`` in its kernel's form, ``base`` and
@@ -52,8 +61,8 @@ the intrinsic state, ``M`` in its kernel's form, ``base`` and
 ``w_in``.  It is derived once per such pair on a frozen ``Topology``,
 stored in its one store (``topology.derive_once``) and shared,
 read-only, by every federate built from the two; each federate still
-makes its own ring, masks and term, and its own copy of the edge-list
-index arrays.
+makes its own ring, masks and term (a federation replaces all three by
+its own), and its own copy of the edge-list index arrays.
 
 Only ``coordinator.run_steps`` holds a federate (``held``): after its
 first step, if every row of its ring holds the bits that step wrote,
@@ -173,6 +182,25 @@ def _weight_triple(weights, error, field: str) -> tuple[float, float, float]:
     return triple
 
 
+def affine_tail(p: np.ndarray, term: np.ndarray, local_weight, uncoupled: np.ndarray | None,
+                ones: np.ndarray, keep: np.ndarray | None) -> None:
+    """The elementwise half of the node rule, in place on ``p``, which
+    holds the in-network product ``M x``: add the step ``term``, divide
+    the nodes where ``uncoupled`` is True (none if it is None) by
+    ``local_weight`` (``w_int + w_in``, a scalar or one per node), clamp
+    at ``ones`` and, unless ``keep`` is None (no node down), zero the
+    disrupted nodes by the 1/0 ``keep`` mask.  An unbound
+    ``FederateState.step`` runs it on its own row, and
+    ``coordinator.Federation.step`` once per timestep on its whole row,
+    with the same operations on each element."""
+    p += term
+    if uncoupled is not None:
+        np.divide(p, local_weight, out=p, where=uncoupled)
+    np.minimum(p, ones, out=p)
+    if keep is not None:
+        p *= keep
+
+
 class FederateState:
     """Mutable state of one network federate.
 
@@ -252,19 +280,24 @@ class FederateState:
         (``_derive_rule``) with the lagged state, as a dense matvec with
         ``in_matrix`` or, when that is None, as a gather of the edges'
         sources, a multiply by their entries and a ``bincount`` per
-        target; then add the step term fixed at the last barrier,
-        renormalize the ``uncoupled`` nodes, clamp at 1.  While some
-        node is down the 1/0 keep mask of undisrupted nodes (kept by
-        ``apply_disruption`` and ``retract_disruption``) zeroes the
-        disrupted predecessors before the product and the disrupted
-        nodes after the clamp; otherwise both products are skipped,
-        since multiplying by 1.0 changes no bit.  The result is within
-        1e-12 of the plain formula (see the module docstring).
+        target; then the affine tail (``affine_tail``): add the step
+        term fixed at the last barrier, renormalize the ``uncoupled``
+        nodes, clamp at 1.  While some node is down the 1/0 keep mask of
+        undisrupted nodes (kept by ``apply_disruption`` and
+        ``retract_disruption``) zeroes the disrupted predecessors before
+        the product and the disrupted nodes after the clamp; otherwise
+        both products are skipped, since multiplying by 1.0 changes no
+        bit.  The result is within 1e-12 of the plain formula (see the
+        module docstring).
 
         It reads ring row ``(steps - lag) % R`` and writes row
-        ``steps % R`` (see the module docstring).  A held federate only
-        counts the step: every row of its ring already holds the bits
-        this one would write, and ``performance`` is one of them.
+        ``steps % R`` (see the module docstring).  A bound federate's
+        step writes only the product: its federation runs the tail once
+        over all its federates' rows (``coordinator.Federation.step``),
+        so a bound federate stepped alone holds ``M x``, not its state.
+        A held federate only counts the step: every row of its ring
+        already holds the bits this one would write, and
+        ``performance`` is one of them.
         """
         if self.held:
             self.steps += 1
@@ -275,19 +308,15 @@ class FederateState:
         if self._any_down:
             x = x * self._keep
         if self.in_matrix is not None:
-            p = self.in_matrix.dot(x, out=out)
-            p += self.term
+            self.in_matrix.dot(x, out=out)
         else:
             p = x.take(self._sources)
             p *= self._edge_scale
-            p = np.add(np.bincount(self._targets, weights=p, minlength=len(x)),
-                       self.term, out=out)
-        if self.uncoupled is not None:
-            np.divide(p, self._local_weight, out=p, where=self.uncoupled)
-        np.minimum(p, self._ones, out=p)
-        if self._any_down:
-            p *= self._keep
-        self.performance = p
+            np.copyto(out, np.bincount(self._targets, weights=p, minlength=len(x)))
+        if not self.bound:
+            affine_tail(out, self.term, self._local_weight, self.uncoupled, self._ones,
+                        self._keep if self._any_down else None)
+        self.performance = out
         self.steps += 1
 
     def apply_disruption(self, node_set) -> None:

@@ -32,6 +32,8 @@ with a result derived without error.  No wiring is written to a file:
 the scenario file is the one wiring artifact, and ``experiment.wiring``
 is the one path from a scenario to its wiring.
 """
+import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -237,10 +239,19 @@ class InterdependencyMap:
             dtype=np.intp)))
 
 
+#: The most nodes ``generate_topology`` takes: the largest n whose n(n - 1)
+#: non-loop pairs, the population it samples from, fit a C ``ssize_t``.
+MAX_NODES = (1 + math.isqrt(4 * sys.maxsize + 1)) // 2
+
+
 def generate_topology(network_id: NetworkId, node_count: int,
                       edge_count: int, seed: int) -> Topology:
-    """Sample a directed graph with exactly ``edge_count`` distinct non-loop edges."""
-    node_count = _count(node_count, InvalidTopology, "node_count")
+    """Sample a directed graph with exactly ``edge_count`` distinct non-loop edges.
+
+    ``node_count`` is a count (``errors._count``) of at most ``MAX_NODES``
+    and ``edge_count`` one of at least 0 and at most n(n - 1); anything
+    else raises ``InvalidTopology``."""
+    node_count = _count(node_count, InvalidTopology, "node_count", maximum=MAX_NODES)
     edge_count = _count(edge_count, InvalidTopology, "edge_count", minimum=0)
     max_edges = node_count * (node_count - 1)
     if edge_count > max_edges:

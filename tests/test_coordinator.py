@@ -119,8 +119,7 @@ def test_foreign_inputs_frozen_between_barriers():
     fed.exchange()
     fed.federates[NetworkId.WATER].apply_disruption([1, 2])
     for _ in range(3):
-        for net in fed.order:
-            fed.federates[net].step()
+        fed.step()
         # No barrier has run, so consumers still hold the seed values.
         assert fed.federates[NetworkId.BUSINESS].foreign_inputs.tolist() == [[1.0, 1.0]]
     fed.exchange()
@@ -326,7 +325,7 @@ def test_a_federate_stepped_after_its_run_does_not_hold():
     water = federation.federates[NetworkId.WATER]
     assert water.steps == schedule.horizon
     water.apply_disruption([0])
-    water.step()
+    federation.step()
     assert not water.held and water.steps == schedule.horizon + 1
     assert water.performance[0] == 0.0
     assert np.shares_memory(water.performance,
@@ -364,8 +363,7 @@ def test_a_held_run_keeps_the_bits_and_counts_of_stepping_by_hand(tg, monkeypatc
             by_hand.federates[event.network_id].retract_disruption(event.nodes)
         if t == event.apply_time:
             by_hand.federates[event.network_id].apply_disruption(event.nodes)
-        for fed in feds:
-            fed.step()
+        by_hand.step()
         if t % tg == 0:
             by_hand.exchange()
         for fed, values in zip(feds, sums):
@@ -389,7 +387,7 @@ def test_a_federate_with_no_slots_keeps_no_foreign_term():
     assert water.foreign_inputs.tolist() == [[0.0, 0.0, 0.0]]
     assert water.term.tobytes() == base.tobytes()
     water.apply_disruption([1])
-    water.step()
+    fed.step()
     fed.exchange()
     assert water.foreign_inputs.tolist() == [[0.0, 0.0, 0.0]]
     assert water.term.tobytes() == base.tobytes()
@@ -417,8 +415,7 @@ def test_exchange_writes_a_snapshot_of_every_producer_in_place():
     slots = {net: feds[net].foreign_inputs for net in fed.order}
     feds[NetworkId.WATER].apply_disruption([1])
     for _ in range(3):
-        for net in fed.order:
-            feds[net].step()
+        fed.step()
 
     read = {net: feds[net].performance.copy() for net in fed.order}
     fed.exchange()
@@ -432,8 +429,7 @@ def test_exchange_writes_a_snapshot_of_every_producer_in_place():
     assert all(feds[net].foreign_inputs is slots[net] for net in fed.order)
     assert {net: slots[net].tolist() for net in fed.order} == expected_slots()
     # Producers moving after the read leave the slots at the read values.
-    for net in fed.order:
-        feds[net].step()
+    fed.step()
     assert any(not np.array_equal(feds[net].performance, read[net]) for net in fed.order)
     assert {net: slots[net].tolist() for net in fed.order} == expected_slots()
     # A barrier with no producer moved since the last one writes the same values.
@@ -729,6 +725,54 @@ def test_lags_of_a_mop_block_or_more_match_the_lockstep_oracle(lag):
 
     nets, wiring = scenario_lockstep_inputs(config)
     expected = lockstep_series(nets, wiring, 5, config.horizon, [event])
+    for net in nets:
+        assert trace.series[net].min() < 100.0
+        assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("tg", [1, 4, 7, 70])
+def test_mixed_rings_and_kernels_share_one_ring_and_match_the_lockstep_oracle(tg):
+    # Water takes the edge list at the crossover, power and business the
+    # dense matvec; power's lag of 40 gives a ring of 64 rows beside the
+    # 32 rows that lags 1 and 2 need, and the horizon wraps it twice.
+    # Half of water's nodes, one of power's and none of business's hold
+    # no slot, so their w_ext is renormalized away.
+    rng = np.random.default_rng(11)
+    n = EDGE_LIST_MIN_NODES
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    water_edges = [pairs[i] for i in sorted(rng.choice(len(pairs), 7 * n // 2, replace=False))]
+    nets = {
+        NetworkId.WATER: (water_edges, n, 1, WEIGHTS[0], rng.uniform(0.5, 1, n).tolist()),
+        NetworkId.POWER: ([(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)], 5, 40, WEIGHTS[1],
+                          [1.0, 0.9, 0.8, 1.0, 0.7]),
+        NetworkId.BUSINESS: ([(1, 0), (2, 1), (0, 2)], 3, 2, WEIGHTS[3], [0.6, 1.0, 0.9]),
+    }
+    wiring = ([(NetworkId.WATER, i, NetworkId.POWER, i % 5) for i in range(0, n, 2)]
+              + [(NetworkId.POWER, i, NetworkId.WATER, 3 * i) for i in range(4)]
+              + [(NetworkId.BUSINESS, i, net, i) for i in range(3)
+                 for net in (NetworkId.WATER, NetworkId.POWER)])
+    events = [(21, 43, NetworkId.WATER, tuple(range(0, n, 3))),
+              (30, 95, NetworkId.POWER, (1,))]
+    horizon = 140
+    assert horizon > 2 * 2 * MOP_BLOCK
+
+    federation = federation_of(nets, wiring)
+    feds = [federation.federates[net] for net in federation.order]
+    assert [fed.in_matrix is None for fed in feds] == [True, False, False]
+    assert [fed.uncoupled is not None for fed in feds] == [True, True, False]
+    steps = run_steps(federation, SyncSchedule(tg=tg, horizon=horizon),
+                      [DisruptionEvent(*event) for event in events])
+    while True:
+        try:
+            t = next(steps)
+        except StopIteration as done:
+            trace = done.value
+            break
+        for fed in feds:
+            assert len(fed.states) == 2 * MOP_BLOCK
+            assert np.shares_memory(fed.states, federation._ring)
+            assert np.shares_memory(fed.performance, fed.states[(t - 1) % len(fed.states)])
+    expected = lockstep_series(nets, wiring, tg, horizon, events)
     for net in nets:
         assert trace.series[net].min() < 100.0
         assert np.allclose(trace.series[net], expected[net], atol=1e-12, rtol=0)

@@ -82,9 +82,9 @@ def test_chain_hand_value_with_foreign_inputs():
     # 0.3*1 + 0.4*0 + 0.3*1 = 0.6 on the next step.  Building the
     # federation latches the 1.0 slots.
     fed = FederateState(make_topology([(0, 1)], 2))
-    fed_by_feeder(fed, [0, 1])
+    federation, _ = fed_by_feeder(fed, [0, 1])
     fed.apply_disruption([0])
-    fed.step()
+    federation.step()
     expected = 0.3 * 1.0 + 0.4 * 0.0 + 0.3 * 1.0
     assert fed.performance[1] == expected
 
@@ -230,15 +230,15 @@ def test_slot_writes_reach_the_step_only_once_latched():
     latched = FederateState(make_topology(edges, 3))
     untouched = FederateState(make_topology(edges, 3))
     federation, feeder = fed_by_feeder(latched, [0, 2, 2])
-    fed_by_feeder(untouched, [0, 2, 2])
-    feeder.performance = np.array([0.5, 0.25, 0.0])
+    untouched_federation, _ = fed_by_feeder(untouched, [0, 2, 2])
     for _ in range(3):
-        latched.step()
-        untouched.step()
+        federation.step()
+        untouched_federation.step()
         assert np.array_equal(latched.performance, untouched.performance)
+    feeder.performance = np.array([0.5, 0.25, 0.0])
     federation.exchange()
-    latched.step()
-    untouched.step()
+    federation.step()
+    untouched_federation.step()
     # 0.3 + 0.4 + 0.3 * 0.5 at node 0; 0.3 + 0.4 + 0.3 * 0.125 at node 2.
     assert latched.performance.tolist() == pytest.approx([0.85, 1.0, 0.7375], abs=1e-12)
     assert untouched.performance.tolist() == [1.0, 1.0, 1.0]
@@ -301,7 +301,7 @@ def test_matches_scalar_oracle_on_random_runs():
             feeder.performance = foreign
             federation.exchange()
             ref.foreign = list(foreign)
-            fed.step()
+            federation.step()
             ref.step()
             assert np.allclose(fed.performance, ref.perf, atol=1e-12, rtol=0)
 
@@ -327,7 +327,7 @@ def test_performance_stays_bounded(raw, lag, seed):
         federation.exchange()
         if t == 10:
             fed.retract_disruption([1])
-        fed.step()
+        federation.step()
         assert (fed.performance >= 0).all() and (fed.performance <= 1).all()
 
 
@@ -338,7 +338,7 @@ def test_quiescence_under_unit_inputs():
     fed = FederateState(make_topology(edges, 6))
     federation, _ = fed_by_feeder(fed, [1, 4])
     for _ in range(25):
-        fed.step()
+        federation.step()
         federation.exchange()
         assert np.array_equal(fed.performance, np.ones(6))
 

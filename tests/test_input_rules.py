@@ -31,7 +31,7 @@ from granusim.experiment import (DEFAULT_NETWORKS, RESULTS_HEADER, FactorLevels,
                                  run_single, timing_profile, wiring)
 from granusim.federate import FederateState
 from granusim.metrics import MoPTrace, classify_visibility, compute_spds, compute_sprt
-from granusim.topology import (Coupling, InterdependencyMap, NetworkId, Topology,
+from granusim.topology import (MAX_NODES, Coupling, InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from oracles import make_topology
 
@@ -234,6 +234,12 @@ def _stepped_federation():
     return federation
 
 
+def _stepped_federate():
+    federate = FederateState(make_topology([], 3))
+    federate.step()
+    return Federation([federate])
+
+
 def _bound_twice():
     federates = [FederateState(make_topology([], 3)),
                  FederateState(make_topology([], 3, NetworkId.POWER))]
@@ -312,6 +318,9 @@ REFUSAL_ENTRIES = {
         _bound_twice, InvalidTopology,
         "field 'federates': the 'water' federate is bound by another federation; "
         "build fresh federates"),
+    "Federation.stepped": (
+        _stepped_federate, InvalidTopology,
+        "field 'federates': the 'water' federate has stepped; build fresh federates"),
     "Federation.interdependencies": (
         lambda: Federation(
             [FederateState(make_topology([], 3))],
@@ -513,6 +522,14 @@ REFUSAL_ENTRIES = {
                        "field 'edges': expected Iterable, got 5"),
     "InterdependencyMap.couplings": (lambda: InterdependencyMap(5), InvalidTopology,
                                      "field 'couplings': expected Iterable, got 5"),
+    # ``random.sample`` raised a bare OverflowError on n(n - 1) pairs past
+    # a C ssize_t.
+    "generate_topology.node_count_past_pairs": (
+        lambda: generate_topology(NetworkId.WATER, 2 ** 32, 0, seed=1), InvalidTopology,
+        f"node_count: must be at most {MAX_NODES}, got {2 ** 32}"),
+    "NetworkSpec.nodes_past_pairs": (
+        lambda: NetworkSpec(NetworkId.WATER, 10 ** 20, 0), ScenarioError,
+        f"field 'nodes': must be at most {MAX_NODES}, got {10 ** 20}"),
     "generate_topology.edges_over_pairs": (
         lambda: generate_topology(NetworkId.WATER, 2, 3, seed=1), InvalidTopology,
         "3 edges requested but at most 2 distinct non-loop edges exist for 2 nodes"),
@@ -568,6 +585,12 @@ REFUSAL_ENTRIES = {
         f"node indices ({2 ** 63},) out of range for water (3 nodes)"),
     "SyncSchedule.horizon_past_arrays": (
         lambda: SyncSchedule(2, 10 ** 20), ScheduleError,
+        f"horizon: must be at most {MAX_HORIZON}, got {10 ** 20}"),
+    # ``poisson_stream`` drew about rate x horizon events before, and did
+    # not finish in two minutes.
+    "DisruptionStreamConfig.horizon_past_arrays": (
+        lambda: poisson_stream(DisruptionStreamConfig(0.5, (1, 2), (1, 2), 10 ** 20),
+                               make_topology([], 3), seed=1), InvalidEvent,
         f"horizon: must be at most {MAX_HORIZON}, got {10 ** 20}"),
     "run_single.horizon_past_arrays": (
         lambda: run_single(ScenarioConfig(horizon=10 ** 20), 2, 9, 8), ScenarioError,

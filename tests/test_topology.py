@@ -1,4 +1,6 @@
 import ast
+import random
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from granusim import topology
 from granusim.coordinator import Federation
 from granusim.errors import InvalidTopology
 from granusim.federate import FederateState
-from granusim.topology import (Coupling, InterdependencyMap, NetworkId, Topology,
+from granusim.topology import (MAX_NODES, Coupling, InterdependencyMap, NetworkId, Topology,
                                generate_interdependencies, generate_topology)
 from granusim.rng import stream
 from oracles import make_topology, sample_edges_from_pair_list
@@ -52,6 +54,15 @@ def test_invalid_counts_rejected():
         generate_topology(NetworkId.WATER, 0, 0, seed=1)
     with pytest.raises(ValueError):
         generate_topology(NetworkId.WATER, 3, -1, seed=1)
+
+
+def test_the_node_bound_is_the_most_whose_pairs_can_be_sampled():
+    # n(n - 1) pairs fit a C ssize_t at the bound and not one node past it,
+    # where ``random.sample`` raises a bare OverflowError.
+    assert MAX_NODES * (MAX_NODES - 1) <= sys.maxsize < (MAX_NODES + 1) * MAX_NODES
+    assert random.Random(1).sample(range(MAX_NODES * (MAX_NODES - 1)), 2)
+    with pytest.raises(OverflowError):
+        random.Random(1).sample(range((MAX_NODES + 1) * MAX_NODES), 2)
 
 
 def test_regeneration_is_byte_identical(water22):
