@@ -20,17 +20,22 @@ of the federation's term vector, so one gather into the grid and one
 ordered sum of its rows serve every consumer, at the barrier and once
 when the federation is built.
 
-The federation owns one ring of states, R rows of N, R the largest of
-its federates' rings (``federate``), and each federate's ``states`` is
-its column block of it.  A timestep (``Federation.step``) steps every
-federate, which writes only its in-network product into its block of
-the ring row, then runs the affine tail once over the whole row: add
-the term vector, renormalize the uncoupled nodes, clamp, and mask the
-disrupted nodes while any is down.  Between barriers the federates of
-one timestep are independent, so the tail of all of them is one set of
-numpy calls, each element taking the operations a federate stepped
-alone takes.  The MoP series sum ``MOP_BLOCK`` of each federate's rows
-at once, bit for bit.
+The federation owns one ring of states, R rows of N and one trailing
+column of 0.0, R the largest of its federates' rings (``federate``),
+and each federate's ``states`` is its column block of it.  The
+federation counts its own timesteps.  A timestep (``Federation.step``)
+steps every federate, which writes only its in-network product into
+its block of ring row ``count % R``, then runs the affine tail once
+over the row's N states: add the term vector, renormalize the
+uncoupled nodes, clamp, and mask the disrupted nodes while any is
+down.  Between barriers the federates of one timestep are independent,
+so the tail of all of them is one set of numpy calls, each element
+taking the operations a federate stepped alone takes.  The MoP series
+sum ``MOP_BLOCK`` of each federate's rows at once, bit for bit.  The
+barrier gathers its slots straight from the full row the last
+timestep wrote, whose trailing 0.0 is what a padding entry reads.  It
+writes only the grid and the term vector, never the ring, so every
+slot is read before any consumer's term is written.
 
 Events are delivered at their exact internal timestep, retractions
 before applications, ties broken by network order then node index; each
@@ -173,15 +178,15 @@ class Federation:
     view, its ``term`` and ``uncoupled`` to its share of the barrier,
     and its ``states``, ``performance`` and keep mask to its column
     block of the federation's ring and keep mask, and marks it
-    ``bound``.  A coupling that names a network outside the federation
-    raises ``InvalidTopology`` and a producer node out of range
-    ``UnknownNode``; only then is a consumer node out of range looked
-    for, and it raises ``UnknownNode`` too.  The first coupling at fault
-    is named.  The grid index comes from the map's
+    ``bound``; a bound federate's step takes its ring row from the
+    federation's timestep count.  A coupling that names a network
+    outside the federation raises ``InvalidTopology`` and a producer
+    node out of range ``UnknownNode``; only then is a consumer node out
+    of range looked for, and it raises ``UnknownNode`` too.  The first
+    coupling at fault is named.  The grid index comes from the map's
     ``coupling_plan``, shared by every federation of one map, network
     order and node counts (``NO_COUPLINGS`` when built without a map);
-    the read buffer, the grid, the term vector and the ring are the
-    federation's own.
+    the grid, the term vector and the ring are the federation's own.
     """
 
     def __init__(self, federates: Iterable[FederateState],
@@ -213,28 +218,29 @@ class Federation:
         # so each federation copies it once.
         self._index = plan.index.copy()
         self._divisor = plan.divisor
-        # One barrier for the whole federation.  The read buffer holds
-        # every node's performance and then the 0.0 that padding entries
-        # read; it starts at 1.0, the seed value of every slot.  Each
-        # federate keeps views into the grid and the term vector.  A
-        # node without slots renormalizes w_ext away.
+        # One barrier for the whole federation.  Each federate keeps
+        # views into the grid and the term vector.  A node without
+        # slots renormalizes w_ext away.
         offsets = plan.offsets
         total = offsets[-1]
         self._w_ext = np.repeat([fed.w_ext for fed in self._feds], sizes)
         self._base = np.concatenate([fed.base for fed in self._feds])
-        self._read = np.ones(total + 1)
-        self._read[total] = 0.0
-        self._performances = self._read[:total]
         self._grid = np.empty(self._index.shape)
         self._terms = np.empty(total)
         # One ring for the whole federation, R rows of N states, R the
         # largest of the federates' rings, each row starting as the
-        # intrinsic states; each federate keeps its column block of it,
-        # and of the keep mask, and the affine tail of every step runs
-        # once over the whole row (``step``).
-        self._ring = np.tile(np.concatenate([fed.intrinsic for fed in self._feds]),
+        # intrinsic states and ending in the 0.0 that padding entries
+        # read; each federate keeps its column block of it, and of the
+        # keep mask.  The affine tail of every step runs once over a
+        # row's N states (``step``), and the barrier gathers from the
+        # full row (``exchange``).  The timestep count is one list item
+        # that the bound federates share, so each step reads it.
+        self._ring = np.tile(np.concatenate([fed.intrinsic for fed in self._feds] + [[0.0]]),
                              (max(len(fed.states) for fed in self._feds), 1))
-        self._rows = list(self._ring)  # views made once: a list index is cheaper
+        # Views made once: a list index is cheaper.
+        self._rows = list(self._ring)
+        self._node_rows = list(self._ring[:, :total])
+        self._clock = [0]
         self._keep = np.concatenate([fed._keep for fed in self._feds])
         self._local_weight = np.repeat([fed._local_weight for fed in self._feds], sizes)
         self._ones = np.ones(total)
@@ -249,29 +255,34 @@ class Federation:
             fed._rows = list(fed.states)
             fed.performance = fed._rows[-1]
             fed._keep = self._keep[nodes]
+            fed._clock = self._clock
             fed.bound = True
-        self._latch()
+        # Every slot holds 1.0 until the first barrier, padding 0.0.
+        self._latch(np.append(self._ones, 0.0))
         # Set and cleared by ``run_steps`` only (module docstring).
         self.held = False
 
     def step(self) -> None:
         """Advance every federate by one internal timestep.
 
-        Each federate's ``step`` writes only the in-network product
-        into its block of the ring row; then the affine tail
-        (``federate.affine_tail``) runs once over the whole row: add the
-        term vector, divide the uncoupled nodes by their ``w_int +
-        w_in``, clamp at 1 and, while any node is down, apply the keep
-        mask.  Each element takes the same operations as in an unbound
-        federate's step.  A held federation skips the tail, as its held
-        federates only count.
+        Timestep ``count`` (the federation's own count, from 0) writes
+        ring row ``count % R``: each federate's ``step`` writes only the
+        in-network product into its block of that row; then the affine
+        tail (``federate.affine_tail``) runs once over the row's N
+        states: add the term vector, divide the uncoupled nodes by their
+        ``w_int + w_in``, clamp at 1 and, while any node is down, apply
+        the keep mask.  Each element takes the same operations as in an
+        unbound federate's step.  A held federation skips the tail, as
+        its held federates only count, but counts the timestep.
         """
-        feds = self._feds
-        row = self._rows[feds[0].steps % len(self._rows)]
+        clock = self._clock
+        count = clock[0]
+        row = self._node_rows[count % len(self._node_rows)]
         down = False
-        for fed in feds:
+        for fed in self._feds:
             fed.step()
             down |= fed._any_down
+        clock[0] = count + 1
         if not self.held:
             affine_tail(row, self._terms, self._local_weight, self._uncoupled, self._ones,
                         self._keep if down else None)
@@ -279,19 +290,24 @@ class Federation:
     def exchange(self) -> None:
         """Two-phase barrier: read all boundaries, then write all consumers.
 
-        The read phase copies every federate's performance into the
-        read buffer.  The write phase (``_latch``) gathers every slot
-        from it into the grid, then latches every node's step term.
-        Each federate's ``foreign_inputs`` and step term are views into
-        the grid and the term vector, so its steps add the new term
-        until the next barrier.  One gather and six numpy calls in all,
-        whatever the number of federates.  A held federation returns at
-        once: it would gather the same slots and latch the same terms.
+        The read phase gathers every slot into the grid straight from
+        the full ring row the last ``step`` wrote, or row R - 1 before
+        the first: every federate's ``performance`` then, and the
+        trailing 0.0.  The write phase (``_latch``) then latches every
+        node's step term from the grid.  Neither writes the ring, so
+        every slot is read before any term is written.  Each federate's
+        ``foreign_inputs`` and step term are views into the grid and the
+        term vector, so its steps add the new term until the next
+        barrier.  A value reaches the barrier only in the ring: a
+        caller that sets a producer's values writes them into its
+        ``performance`` in place.  Five numpy calls in all, whatever
+        the number of federates.  A held federation returns at once: it
+        would gather the same slots and latch the same terms.
         """
         if self.held:
             return
-        np.concatenate([fed.performance for fed in self._feds], out=self._performances)
-        self._latch()
+        rows = self._rows
+        self._latch(rows[self._clock[0] % len(rows) - 1])
 
     def _hold(self, held: bool) -> None:
         """Set ``held`` on the federation and on each of its federates."""
@@ -299,8 +315,9 @@ class Federation:
         for fed in self._feds:
             fed.held = held
 
-    def _latch(self) -> None:
-        """Gather the grid from the read buffer and write every node's
+    def _latch(self, values: np.ndarray) -> None:
+        """Gather the grid from ``values``, every node's value laid end
+        to end in network order and then 0.0, and write every node's
         step term ``base + w_ext * mean(slots)``.
 
         The gather clips instead of raising, so it writes the grid in
@@ -313,7 +330,7 @@ class Federation:
         node without slots, whose term is ``base`` alone), scaled by
         ``w_ext`` and added to ``base``, in place in the term vector.
         """
-        self._read.take(self._index, out=self._grid, mode="clip")
+        values.take(self._index, out=self._grid, mode="clip")
         np.add.reduce(self._grid, axis=0, out=self._terms, initial=0.0)
         self._terms /= self._divisor
         self._terms *= self._w_ext
@@ -349,8 +366,8 @@ def run_steps(federation: Federation, schedule: SyncSchedule,
     at a sync instant, exchanged; the first ``next`` also does the
     set-up.  Returns the MoP trace, whose values are final only then.
     Lets a caller advance several runs in lockstep.  Timestep t is
-    ``federation.step()``, each federate's step t - 1, which writes ring
-    row ``(t - 1) % R``.
+    ``federation.step()`` at the federation's count t - 1, which writes
+    ring row ``(t - 1) % R``.
     Every ``MOP_BLOCK`` timesteps (and at the horizon) one row-wise
     ``np.add.reduce`` per network sums the rows just written (contiguous,
     as ``R`` is a multiple of ``MOP_BLOCK``) with the bits of summing

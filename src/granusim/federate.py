@@ -49,11 +49,14 @@ product ``M x`` into the row, then the affine tail (``affine_tail``)
 on it: add the term, renormalize, clamp, mask.  A federation owns one
 ring for all its federates instead, whose R is the largest of theirs,
 and rebinds each federate's ``states``, ``performance`` and keep mask
-to its column block.  A bound federate's ``step`` then writes only the
-product into its block of the row, and the federation
-(``coordinator.Federation.step``) runs the tail once over the whole
-row; each element takes the same operations either way, so a federate
-stepped alone and one in a run write the same bits.
+to its column block.  A bound federate's ``step`` then takes its rows
+from the federation's timestep count, not its own ``steps``, and
+writes only the product into its block of the row; the federation
+(``coordinator.Federation.step``) runs the tail once over the row's
+states; each element takes the same operations either way, so a
+federate stepped alone and one in a run write the same bits.  The
+federation's barrier reads the ring itself, so a caller that sets a
+bound federate's values writes them into ``performance`` in place.
 
 What the step reads but never writes, the node rule (``NodeRule``:
 the intrinsic state, ``M`` in its kernel's form, ``base`` and
@@ -236,6 +239,9 @@ class FederateState:
         self.states = np.tile(self.intrinsic, (MOP_BLOCK * (self.lag // MOP_BLOCK + 1), 1))
         self._rows = list(self.states)  # views made once: a list index is cheaper
         self.steps = 0
+        # The bound federate's row comes from its federation's timestep
+        # count, ``_clock[0]``, shared with it; set by the federation.
+        self._clock = None
         self.performance = self._rows[-1]  # the state of step -1
         # Set and cleared by ``coordinator.run_steps`` only (module docstring).
         self.held = False
@@ -290,11 +296,14 @@ class FederateState:
         bit.  The result is within 1e-12 of the plain formula (see the
         module docstring).
 
-        It reads ring row ``(steps - lag) % R`` and writes row
-        ``steps % R`` (see the module docstring).  A bound federate's
+        It reads ring row ``(k - lag) % R`` and writes row ``k % R``
+        (see the module docstring), k being ``steps`` or, for a bound
+        federate, its federation's timestep count.  A bound federate's
         step writes only the product: its federation runs the tail once
         over all its federates' rows (``coordinator.Federation.step``),
-        so a bound federate stepped alone holds ``M x``, not its state.
+        so a bound federate stepped alone holds ``M x``, not its state,
+        in the row of the federation's next timestep, which rewrites
+        it.
         A held federate only counts the step: every row of its ring
         already holds the bits this one would write, and
         ``performance`` is one of them.
@@ -303,7 +312,7 @@ class FederateState:
             self.steps += 1
             return
         rows = self._rows
-        i = self.steps % len(rows)
+        i = (self._clock[0] if self.bound else self.steps) % len(rows)
         x, out = rows[i - self.lag], rows[i]  # lag < R: i - lag wraps
         if self._any_down:
             x = x * self._keep

@@ -29,11 +29,12 @@ def fed_by_feeder(fed, consumers):
 
     ``fed`` must be a water federate; slot k is wired to its node
     ``consumers[k]`` and fed by feeder node k.  Returns the federation
-    and the feeder: a test sets ``feeder.performance`` and calls the
-    federation's ``exchange()`` to write and latch the slots, right
-    after it, since the federation's ``step()`` steps the feeder too.
-    A test steps ``fed`` through the federation's ``step()``, which
-    runs the tail of its node rule.
+    and the feeder: a test writes the feeder's values into
+    ``feeder.performance`` in place, since the barrier gathers from the
+    federation's ring, and calls the federation's ``exchange()`` to
+    write and latch the slots, right after it, since the federation's
+    ``step()`` steps the feeder too.  A test steps ``fed`` through the
+    federation's ``step()``, which runs the tail of its node rule.
     """
     feeder = FederateState(make_topology([], len(consumers), NetworkId.POWER))
     couplings = tuple(Coupling(NetworkId.WATER, node, NetworkId.POWER, k)

@@ -566,28 +566,33 @@ def test_exchange_latches_the_bits_of_a_bincount_over_the_slots(case, data):
          for net, n in sizes.items()],
         InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
     for net, state in fed.federates.items():
-        state.performance = np.array(levels(sizes[net]))
+        state.performance[...] = levels(sizes[net])
     fed.exchange()
     want = bincount_terms(fed, couplings)
     for net, state in fed.federates.items():
         assert state.term.tobytes() == want[net].tobytes()
 
 
-def test_a_skewed_map_pads_every_column_to_its_busiest_node():
-    # Water node 2 has 40 couplings, one from each power node, in mixed
-    # order and interleaved with one on every other node.  So K = 40
-    # and every other column holds 39 padding entries.
+def skewed_map():
+    """Water node 2 has 40 couplings, one from each power node, in mixed
+    order and interleaved with one on every other node.  So K = 40 and
+    every other column holds 39 padding entries.  Returns the node
+    counts and the couplings."""
     sizes = {NetworkId.POWER: 40, NetworkId.WATER: 4}
     others = [(NetworkId.WATER, i, NetworkId.WATER, 2) for i in (0, 1, 3)] + [
         (NetworkId.POWER, i, NetworkId.WATER, i % 4) for i in range(40)]
     busy = [(NetworkId.WATER, 2, NetworkId.POWER, 7 * k % 40) for k in range(40)]
-    couplings = busy[:15] + others[:20] + busy[15:31] + others[20:] + busy[31:]
+    return sizes, busy[:15] + others[:20] + busy[15:31] + others[20:] + busy[31:]
+
+
+def test_a_skewed_map_pads_every_column_to_its_busiest_node():
+    sizes, couplings = skewed_map()
     fed = Federation([FederateState(make_topology([], n, net, [0.0] * n), ALL_FOREIGN)
                       for net, n in sizes.items()],
                      InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
     rng = np.random.default_rng(40)
     for net, state in fed.federates.items():
-        state.performance = rng.random(sizes[net])
+        state.performance[...] = rng.random(sizes[net])
     fed.exchange()
     want = bincount_terms(fed, couplings)
     grid = slot_grid(sizes, couplings,
@@ -599,6 +604,68 @@ def test_a_skewed_map_pads_every_column_to_its_busiest_node():
     water = fed.federates[NetworkId.WATER].foreign_inputs
     assert not water[1:, [0, 1, 3]].any() and water[:, 2].all()
     assert not fed.federates[NetworkId.POWER].foreign_inputs[1:].any()
+
+
+def test_a_run_on_the_skewed_map_keeps_the_padding_at_zero():
+    # Padding entries read the ring's trailing column, which no step,
+    # tail, mask or barrier writes: it holds +0.0 in every row through
+    # a run with disruptions, and each barrier gathers +0.0 into every
+    # padding entry.  The horizon wraps the 32-row ring twice.
+    sizes, couplings = skewed_map()
+    rng = np.random.default_rng(41)
+    fed = Federation([FederateState(make_topology([(i, (i + 1) % n) for i in range(n)], n, net,
+                                                  rng.uniform(0.5, 1, n).tolist()), WEIGHTS[0])
+                      for net, n in sizes.items()],
+                     InterdependencyMap(couplings=tuple(Coupling(*c) for c in couplings)))
+    slots = {net: np.bincount([c[1] for c in couplings if c[0] == net], minlength=n)
+             for net, n in sizes.items()}
+    padding = {net: np.arange(40)[:, None] >= slots[net] for net in sizes}
+    assert padding[NetworkId.WATER].sum() == 3 * 39
+    assert padding[NetworkId.POWER].sum() == 40 * 39
+    total = sum(sizes.values())
+    tg = 3
+    events = [DisruptionEvent(4, 20, NetworkId.WATER, (2,)),
+              DisruptionEvent(10, 40, NetworkId.POWER, tuple(range(0, 40, 3)))]
+    barriers = down = 0
+    for t in run_steps(fed, SyncSchedule(tg=tg, horizon=70), events):
+        down += fed.federates[NetworkId.WATER].performance[2] == 0.0
+        assert fed._ring[:, total].tobytes() == bytes(8 * len(fed._ring))
+        if t % tg == 0:
+            barriers += 1
+            for net, state in fed.federates.items():
+                pads = state.foreign_inputs[padding[net]]
+                assert pads.tobytes() == bytes(pads.nbytes)
+    assert barriers == 70 // tg and down == 20 - 4
+
+
+def test_exchange_leaves_every_byte_of_the_ring_unchanged():
+    # The barrier gathers from the ring and writes only the grid and
+    # the terms, so it reads every slot before it writes any term.
+    fed = small_federation()
+    fed.federates[NetworkId.WATER].apply_disruption([1])
+    for k in range(40):
+        ring = fed._ring.copy()
+        fed.exchange()
+        assert fed._ring.tobytes() == ring.tobytes()
+        fed.step()
+
+
+def test_a_value_written_in_place_after_a_step_is_the_one_the_next_exchange_latches():
+    fed = small_federation()
+    water, power, business = fed.federates.values()
+    fed.step()
+    water.performance[...] = [0.5, 0.25, 0.125]
+    power.performance[1] = 0.75
+    fed.exchange()
+    # Power node 0 reads water node 1, and power node 1 holds no slot;
+    # business reads water node 2 and power node 1.
+    assert power.foreign_inputs.tolist() == [[0.25, 0.0]]
+    assert business.foreign_inputs.tolist() == [[0.125, 0.75]]
+    want = bincount_terms(fed, [(NetworkId.POWER, 0, NetworkId.WATER, 1),
+                                (NetworkId.BUSINESS, 0, NetworkId.WATER, 2),
+                                (NetworkId.BUSINESS, 1, NetworkId.POWER, 1)])
+    for net, state in fed.federates.items():
+        assert state.term.tobytes() == want[net].tobytes()
 
 
 def test_default_federation_sub_granularity_window_stays_quiet():
@@ -650,6 +717,24 @@ def test_federation_with_a_federate_that_has_stepped_rejected():
     with pytest.raises(ScheduleError, match="already stepped"):
         next(run_steps(fed, SyncSchedule(tg=2, horizon=10), []))
     assert [state.steps for state in fed.federates.values()] == [0, 1, 0]
+
+
+def test_a_bare_bound_step_writes_for_the_federations_next_timestep():
+    # A bound federate takes its ring row from the federation's count,
+    # so a step of it alone writes the product the federation's next
+    # timestep rewrites, and that timestep has the bits of one
+    # ``Federation.step`` (node 1 is uncoupled: (0.3 + 0.4 * 0) / 0.7).
+    fed, fresh = small_federation(), small_federation()
+    power = fed.federates[NetworkId.POWER]
+    power.apply_disruption([0])
+    power.step()
+    fed.step()
+    fresh.federates[NetworkId.POWER].apply_disruption([0])
+    fresh.step()
+    assert power.performance.tolist() == [0.0, 0.4285714285714286]
+    assert power.performance.tobytes() == fresh.federates[NetworkId.POWER].performance.tobytes()
+    assert fed._ring.tobytes() == fresh._ring.tobytes()
+    assert [state.steps for state in fed.federates.values()] == [1, 2, 1]
 
 
 def test_zero_baseline_rejected_at_set_up():

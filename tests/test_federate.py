@@ -235,7 +235,7 @@ def test_slot_writes_reach_the_step_only_once_latched():
         federation.step()
         untouched_federation.step()
         assert np.array_equal(latched.performance, untouched.performance)
-    feeder.performance = np.array([0.5, 0.25, 0.0])
+    feeder.performance[...] = [0.5, 0.25, 0.0]
     federation.exchange()
     federation.step()
     untouched_federation.step()
@@ -298,7 +298,7 @@ def test_matches_scalar_oracle_on_random_runs():
                 ref.retract(sorted(down))
                 down = set()
             foreign = rng.uniform(0, 1, size=len(consumers))
-            feeder.performance = foreign
+            feeder.performance[...] = foreign
             federation.exchange()
             ref.foreign = list(foreign)
             federation.step()
@@ -323,7 +323,7 @@ def test_performance_stays_bounded(raw, lag, seed):
     federation, feeder = fed_by_feeder(fed, [0, 2, 2])
     fed.apply_disruption([1])
     for t in range(20):
-        feeder.performance = rng.uniform(0, 1, size=3)
+        feeder.performance[...] = rng.uniform(0, 1, size=3)
         federation.exchange()
         if t == 10:
             fed.retract_disruption([1])

@@ -35,11 +35,11 @@ process, and ``OPENBLAS_CORETYPE`` overrides the pick.  Under
 ``ef5efaac…6176`` and the variants raw digest ``8b75c8d8…219a``, since
 the dense matvec sums in another order; the wide raw digest, whose runs
 call no BLAS, and all three printed digests stay.  So the printed
-digests are the contract across machines, pinned by
-``tests/test_printed_digests.py``, and the raw digests compare two
-trees on one machine under one kernel, so only this script prints
-them.  ``tests/test_blas_kernel.py`` checks the printed outputs under
-both kernels.
+digests and the wide raw digest are the contract across machines,
+pinned by ``tests/test_printed_digests.py``, and the factorial and
+variants raw digests compare two trees on one machine under one kernel,
+so only this script prints them.  ``tests/test_blas_kernel.py`` checks
+the printed outputs under both kernels.
 
 After those six it prints one more, the analysis digest: the digest of
 what ``granusim analyze --in <file>`` and ``granusim recommend --in
